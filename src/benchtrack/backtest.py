@@ -12,7 +12,6 @@ reported cost is the discounted total injection A_0 + sum e^{-rho t} dA_t.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
 from datetime import datetime
@@ -284,8 +283,3 @@ def compare(results: list[BacktestResult], baseline: int = 0) -> dict:
             }
         )
     return {"baseline": base.name, "strategies": rows}
-
-
-def write_comparison(report: dict, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(report, fh, indent=2)

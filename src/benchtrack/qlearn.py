@@ -445,7 +445,7 @@ class TrainHistory:
     update_norms: np.ndarray
     clipped: np.ndarray    # bool
     rejected_episodes: list[int]
-    clamp_events: int
+    clamp_events: int      # action clamps during this run only
     final: PolicyParams
 
     def to_csv(self, path) -> None:
@@ -504,6 +504,7 @@ def train(config: LearnConfig, env: sde.Environment) -> TrainHistory:
     hist_norm = np.zeros(n)
     hist_clip = np.zeros(n, dtype=bool)
     episodes = np.arange(config.start_episode, config.start_episode + n)
+    clamps_before = env.clamp_events
     rejected: list[int] = []
     max_rejected = config.reject_fraction * n
     for idx, i in enumerate(episodes):
@@ -552,7 +553,7 @@ def train(config: LearnConfig, env: sde.Environment) -> TrainHistory:
         update_norms=hist_norm,
         clipped=hist_clip,
         rejected_episodes=rejected,
-        clamp_events=env.clamp_events,
+        clamp_events=env.clamp_events - clamps_before,
         final=pp,
     )
 

@@ -13,9 +13,18 @@ package is stated under.  Reflection at 0 uses the projection Euler scheme:
 the overshoot below 0 is credited to the non-decreasing local-time process
 ``L`` and the state is clamped to 0.
 
-An independent oracle for the policy-averaged dynamics is provided through
-the explicit Skorokhod-map representation of the log-state: for
-H = ln(1 + Y),
+Under a state-linear Gaussian policy, a = (1+Y) u with u free of Y, and
+under the aggregated dynamics, a step is y' = max(y + (1+y) c_k, 0) with c_k
+free of y.  In H = ln(1+y) that is Lindley's recursion
+H' = max(H + log1p(c_k), 0), the discrete Skorokhod map, which a cumulative
+sum and a running maximum solve with no loop over steps.  A clamp at the
+action cap depends on y, so it is found after the fact and the path is
+replayed from the clamped step.  Batches run in blocks of a few paths, each
+drawing its paths' own Philox streams, so a row equals a lone rollout; the
+blocks share one set of scratch arrays and write into the batch's outputs.
+
+The same map in continuous time gives an independent oracle for the
+policy-averaged dynamics: for H = ln(1 + Y),
 
     H_t = h0 + mu_hat t + sigma_hat B_t + K_t ,
     K_t = max(0, -h0 + max_{s<=t} (-mu_hat s - sigma_hat B_s)) ,
@@ -30,6 +39,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable, Iterator
 
 import numpy as np
@@ -59,6 +69,9 @@ __all__ = [
 ]
 
 DEFAULT_ACTION_CAP = 1e6
+# paths per kernel block: a block's arrays stay small (150 kB each at K = 1200)
+# while numpy's per-call cost is shared by several paths
+_BLOCK_ROWS = 16
 
 
 class NonFinite(RuntimeError):
@@ -263,6 +276,124 @@ class BatchPaths:
             )
 
 
+def _workspace(rows: int, K: int, d: int) -> SimpleNamespace:
+    """Scratch arrays for the kernel on up to `rows` paths of K steps.
+
+    A batch allocates them once for all its blocks.  Fresh temporaries in each
+    block would go back to the system when the block ends and be faulted in
+    again by the next one, a cost that swings with the machine's load.
+    """
+    def e(*shape):
+        return np.empty((rows, *shape))
+    return SimpleNamespace(normals=e(K, 2 * d + 1), u=e(K, d), c=e(K), base=e(K), drive=e(K), unorm=e(K),
+                           dL=e(K), t=e(K), w=e(K), x=e(K + 1), h=e(K + 1), push=e(K + 1),
+                           reflect=np.empty((rows, K), dtype=bool))
+
+
+def _reflect(c: np.ndarray, states: np.ndarray, dL: np.ndarray, ws: SimpleNamespace) -> None:
+    """Fill states[:, 1:] and dL for y' = max(y + (1+y) c_k, 0) from states[:, 0], per row.
+
+    With S the partial sums of log1p(c), H = S + max_{j<=k} max(-S_j, 0).  The
+    push grows exactly on the reflecting steps; there it equals -S, so H and y
+    are exactly 0.  A step with 1 + c_k <= 0 reflects whatever the state (its
+    log1p is -inf or nan), so its row restarts there.
+    """
+    for r, k in [(slice(None), -1), *zip(*np.nonzero(c <= -1.0))]:
+        if k >= 0:
+            y = states[r, k]
+            dL[r, k] = -(y + (1.0 + y) * c[r, k])
+            states[r, k + 1] = 0.0
+            r = slice(r, r + 1)
+        cs, ys, dls = c[r, k + 1 :], states[r, k + 1 :], dL[r, k + 1 :]
+        n, m = cs.shape
+        x, h, push = ws.x[:n, : m + 1], ws.h[:n, : m + 1], ws.push[:n, : m + 1]
+        t, reflect = ws.t[:n, :m], ws.reflect[:n, :m]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            np.log1p(ys[:, 0], out=x[:, 0])
+            np.log1p(cs, out=x[:, 1:])
+            np.cumsum(x, axis=1, out=h)
+            np.maximum(np.negative(h, out=x), 0.0, out=x)
+            np.maximum.accumulate(x, axis=1, out=push)
+            h += push
+            np.expm1(h[:, 1:], out=ys[:, 1:])
+            np.greater(push[:, 1:], push[:, :-1], out=reflect)
+            # dL = max(-(y + (1+y) c), 0) on the reflecting steps, else 0
+            np.add(ys[:, :-1], 1.0, out=t)
+            t *= cs
+            t += ys[:, :-1]
+            np.maximum(np.negative(t, out=t), 0.0, out=t)
+            dls[...] = 0.0
+            np.copyto(dls, t, where=reflect)
+
+
+def _linear_gaussian_paths(
+    params: ModelParams, dt: float, mean_coef: np.ndarray, cov_chol: np.ndarray, y0: float,
+    action_cap: float, ws: SimpleNamespace, states: np.ndarray, actions: np.ndarray, local: np.ndarray,
+    first_path: int = 0,
+) -> int:
+    """Fill the states, actions and local time of a block of policy paths; return its clamp count.
+
+    The block's n rows read ws.normals[:n], (n, K, 2d+1): per step d action
+    normals, the benchmark's own normal and d asset normals.  Contractions
+    over d are explicit sums, so an element's rounding does not depend on the
+    block's shape.
+    """
+    n, d = len(states), params.d
+    mean_coef = np.asarray(mean_coef, dtype=float).reshape(d)
+    cov_chol = np.asarray(cov_chol, dtype=float).reshape(d, d)
+    normals = ws.normals[:n]
+    z, g0, g = normals[..., :d], normals[..., d], normals[..., d + 1 :]
+    u, c, base, drive, unorm, dL, t, w = (a[:n] for a in (ws.u, ws.c, ws.base, ws.drive, ws.unorm, ws.dL, ws.t, ws.w))
+    sqdt = math.sqrt(dt)
+
+    def dot(coef, v, out):  # sum_j coef[j] v[..., j], summed from 0 like the builtin sum
+        out[...] = 0.0
+        for j in range(d):
+            out += np.multiply(v[..., j], coef[j], out=w)
+
+    dot(_eta_unit(params), g, t)
+    np.multiply(g0, params.kappa, out=base)
+    base += np.multiply(t, math.sqrt(1.0 - params.kappa**2), out=t)
+    base *= -params.sigma_z * sqdt
+    drive[...] = unorm[...] = 0.0
+    for i in range(d):
+        dot(cov_chol[i], z, u[..., i])
+        u[..., i] += mean_coef[i]
+        dot(params.sigma[i], g, t)
+        t *= sqdt
+        t += params.mu[i] * dt
+        drive += np.multiply(t, u[..., i], out=t)
+        unorm += np.square(u[..., i], out=w)
+    np.sqrt(unorm, out=unorm)
+    np.add(base, drive, out=c)
+    states[:, 0] = y0
+    _reflect(c, states, dL, ws)
+
+    # A clamp scales the action by cap / |(1+y_k) u_k|, which depends on y_k.
+    # The first clamp of a row is found after the fact; that step is redone
+    # with its clamped c_k and the row replayed from there, until no new clamp.
+    clamped = np.zeros(c.shape, dtype=bool)
+    over = np.multiply(np.add(states[:, :-1], 1.0, out=t), unorm, out=w) > action_cap
+    for r in np.flatnonzero(over.any(axis=1)):
+        k = int(np.argmax(over[r]))
+        while k >= 0:
+            clamped[r, k] = True
+            c[r, k] = base[r, k] + action_cap / ((1.0 + states[r, k]) * unorm[r, k]) * drive[r, k]
+            _reflect(c[r : r + 1, k:], states[r : r + 1, k:], dL[r : r + 1, k:], ws)
+            later = np.flatnonzero((1.0 + states[r, k + 1 : -1]) * unorm[r, k + 1 :] > action_cap)
+            k = k + 1 + int(later[0]) if later.size else -1
+
+    bad = ~(np.isfinite(c) & np.isfinite(states[:, 1:]) & np.isfinite(dL))
+    if bad.any():
+        k = int(np.argmax(bad.any(axis=0)))
+        raise NonFinite(f"path {first_path + int(np.argmax(bad[:, k]))}, step {k}: non-finite state proposal")
+    np.multiply(np.add(states[:, :-1], 1.0, out=t)[..., None], u, out=actions)
+    actions[clamped] = u[clamped] * (action_cap / unorm[clamped])[:, None]
+    local[:, 0] = 0.0
+    np.cumsum(dL, axis=1, out=local[:, 1:])
+    return int(np.count_nonzero(clamped))
+
+
 def rollout_linear_gaussian(
     env: Environment,
     mean_coef: np.ndarray,
@@ -273,56 +404,19 @@ def rollout_linear_gaussian(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Single fast episode of a state-linear Gaussian policy.
 
-    Draws the episode's normals in one block of shape (K, 2d+1) so the
-    result is bit-identical to the corresponding row of
-    simulate_linear_gaussian_batch under the same stream.
+    Draws the episode's normals in one block of shape (K, 2d+1) and runs
+    the same kernel as simulate_linear_gaussian_batch, so the result is
+    bit-identical to the corresponding row of a batch under the same stream.
     """
     if y0 < 0.0:
         raise ValueError(f"y0 must be >= 0, got {y0}")
-    params = env.params
-    dt = env.dt
-    d = params.d
-    K = n_steps
-    normals = rng.standard_normal((K, 2 * d + 1))
-    sqdt = math.sqrt(dt)
-    eta_hat = _eta_unit(params)
-    ck = math.sqrt(1.0 - params.kappa**2)
-    mean_coef = np.asarray(mean_coef, dtype=float).reshape(d)
-    cov_chol = np.asarray(cov_chol, dtype=float).reshape(d, d)
-
-    states = np.empty(K + 1)
-    local = np.empty(K + 1)
-    actions = np.empty((K, d))
-    states[0] = y0
-    local[0] = 0.0
-    y = float(y0)
-    L = 0.0
-    cap = env.action_cap
-    for k in range(K):
-        scale = 1.0 + y
-        a = scale * (mean_coef + cov_chol @ normals[k, :d])
-        norm = float(np.linalg.norm(a))
-        if norm > cap:
-            a *= cap / norm
-            env.clamp_events += 1
-        dw = normals[k, d + 1 :] * sqdt
-        dw_kappa = params.kappa * normals[k, d] * sqdt + ck * float(eta_hat @ dw)
-        proposal = (
-            y
-            - params.sigma_z * scale * dw_kappa
-            + float(a @ params.mu) * dt
-            + float((a @ params.sigma) @ dw)
-        )
-        if not math.isfinite(proposal):
-            raise NonFinite(f"step {k}: non-finite state proposal")
-        if proposal >= 0.0:
-            y = proposal
-        else:
-            L -= proposal
-            y = 0.0
-        actions[k] = a
-        states[k + 1] = y
-        local[k + 1] = L
+    d = env.params.d
+    ws = _workspace(1, n_steps, d)
+    rng.standard_normal(out=ws.normals[0])
+    states, actions, local = np.empty(n_steps + 1), np.empty((n_steps, d)), np.empty(n_steps + 1)
+    env.clamp_events += _linear_gaussian_paths(
+        env.params, env.dt, mean_coef, cov_chol, y0, env.action_cap, ws, states[None], actions[None], local[None]
+    )
     return states, actions, local
 
 
@@ -349,59 +443,18 @@ def simulate_linear_gaussian_batch(
     times = _grid(T, dt)
     K = len(times) - 1
     d = params.d
-    mean_coef = np.asarray(mean_coef, dtype=float).reshape(d)
-    cov_chol = np.asarray(cov_chol, dtype=float).reshape(d, d)
-
-    rngs = [episode_rng(seed, i) for i in range(n_paths)]
-    # one block per episode, concatenated: (n, K, 2d+1) standard normals
-    normals = np.stack([r.standard_normal((K, 2 * d + 1)) for r in rngs])
-    z_act = normals[:, :, :d]
-    g0 = normals[:, :, d]
-    g = normals[:, :, d + 1 :]
-
-    sqdt = math.sqrt(dt)
-    eta_hat = _eta_unit(params)
-    ck = math.sqrt(1.0 - params.kappa**2)
-
-    states = np.empty((n_paths, K + 1))
-    local = np.empty((n_paths, K + 1))
-    actions = np.empty((n_paths, K, d))
-    states[:, 0] = y0
-    local[:, 0] = 0.0
+    states, local, actions = np.empty((n_paths, K + 1)), np.empty((n_paths, K + 1)), np.empty((n_paths, K, d))
+    ws = _workspace(min(n_paths, _BLOCK_ROWS), K, d)
     clamp_events = 0
-
-    y = np.full(n_paths, float(y0))
-    for k in range(K):
-        scale = 1.0 + y
-        a = scale[:, None] * (mean_coef[None, :] + z_act[:, k, :] @ cov_chol.T)
-        norms = np.linalg.norm(a, axis=1)
-        over = norms > action_cap
-        if np.any(over):
-            a[over] *= (action_cap / norms[over])[:, None]
-            clamp_events += int(np.count_nonzero(over))
-        dw = g[:, k, :] * sqdt
-        dw_kappa = params.kappa * g0[:, k] * sqdt + ck * (dw @ eta_hat)
-        proposal = (
-            y
-            - params.sigma_z * scale * dw_kappa
-            + (a @ params.mu) * dt
-            + np.einsum("ne,ne->n", a @ params.sigma, dw)
+    for start in range(0, n_paths, _BLOCK_ROWS):
+        block = slice(start, start + _BLOCK_ROWS)
+        for j, i in enumerate(range(n_paths)[block]):
+            episode_rng(seed, i).standard_normal(out=ws.normals[j])
+        clamp_events += _linear_gaussian_paths(
+            params, dt, mean_coef, cov_chol, y0, action_cap, ws, states[block], actions[block], local[block], start
         )
-        if not np.all(np.isfinite(proposal)):
-            bad = int(np.flatnonzero(~np.isfinite(proposal))[0])
-            raise NonFinite(f"path {bad}, step {k}: non-finite state proposal")
-        y = np.maximum(proposal, 0.0)
-        dL = np.maximum(-proposal, 0.0)
-        actions[:, k, :] = a
-        states[:, k + 1] = y
-        local[:, k + 1] = local[:, k] + dL
     return BatchPaths(
-        times=times,
-        states=states,
-        actions=actions,
-        local_time=local,
-        seed=seed,
-        clamp_events=clamp_events,
+        times=times, states=states, actions=actions, local_time=local, seed=seed, clamp_events=clamp_events
     )
 
 
@@ -432,28 +485,17 @@ def simulate_aggregated(
     dt: float,
     rng: np.random.Generator,
 ) -> EpisodePath:
-    """Projection-Euler path of the one-factor aggregated dynamics."""
+    """Projection-Euler path of the one-factor aggregated dynamics, c_k = b dt + s sqrt(dt) z_k."""
     if y0 < 0.0:
         raise ValueError(f"y0 must be >= 0, got {y0}")
     b, s = aggregated_coefficients(params, gamma)
     times = _grid(T, dt)
     K = len(times) - 1
-    states = np.empty(K + 1)
-    local = np.empty(K + 1)
-    states[0] = y0
-    local[0] = 0.0
-    y = float(y0)
-    sqdt = math.sqrt(dt)
-    shocks = rng.standard_normal(K)
-    for k in range(K):
-        proposal = y + b * (1.0 + y) * dt + s * (1.0 + y) * sqdt * shocks[k]
-        if proposal >= 0.0:
-            y, dL = proposal, 0.0
-        else:
-            y, dL = 0.0, -proposal
-        states[k + 1] = y
-        local[k + 1] = local[k] + dL
-    return EpisodePath(times=times, states=states, actions=None, local_time=local)
+    c = b * dt + s * math.sqrt(dt) * rng.standard_normal(K)[None]
+    states, dL = np.full((1, K + 1), float(y0)), np.empty((1, K))
+    _reflect(c, states, dL, _workspace(1, K, 0))
+    local = np.concatenate([[0.0], np.cumsum(dL[0])])
+    return EpisodePath(times=times, states=states[0], actions=None, local_time=local)
 
 
 def aggregated_terminal_sample(

@@ -2,7 +2,10 @@
 
 Everything here is deliberately written from first principles (bisection,
 finite differences, Gaussian moment identities, brute-force quadrature)
-and never calls the code paths it is used to verify.
+and never calls the code paths it is used to verify.  The `*_loop`
+simulators step the projection-Euler scheme one step at a time, as the
+package did before its loop-free reflection kernel; they share only the
+grid, the random streams and the result types with `sde`.
 """
 
 from __future__ import annotations
@@ -10,6 +13,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from benchtrack import sde
 
 
 def bisect_root(f, lo: float, hi: float, width: float = 1e-14) -> float:
@@ -71,6 +76,183 @@ def running_sup_injection(z: np.ndarray, v: np.ndarray) -> np.ndarray:
     for i in range(1, n):
         a[i] = max(a[i - 1], z[i] - v[i])
     return a
+
+
+def _eta_unit(params) -> np.ndarray:
+    n = float(np.linalg.norm(params.eta))
+    return np.zeros_like(params.eta) if n == 0.0 else params.eta / n
+
+
+def rollout_linear_gaussian_loop(
+    env: sde.Environment,
+    mean_coef: np.ndarray,
+    cov_chol: np.ndarray,
+    y0: float,
+    n_steps: int,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Step-by-step projection-Euler episode of a state-linear Gaussian policy.
+
+    The reference for sde.rollout_linear_gaussian: same stream, same draws.
+    """
+    if y0 < 0.0:
+        raise ValueError(f"y0 must be >= 0, got {y0}")
+    params = env.params
+    dt = env.dt
+    d = params.d
+    K = n_steps
+    normals = rng.standard_normal((K, 2 * d + 1))
+    sqdt = math.sqrt(dt)
+    eta_hat = _eta_unit(params)
+    ck = math.sqrt(1.0 - params.kappa**2)
+    mean_coef = np.asarray(mean_coef, dtype=float).reshape(d)
+    cov_chol = np.asarray(cov_chol, dtype=float).reshape(d, d)
+
+    states = np.empty(K + 1)
+    local = np.empty(K + 1)
+    actions = np.empty((K, d))
+    states[0] = y0
+    local[0] = 0.0
+    y = float(y0)
+    L = 0.0
+    cap = env.action_cap
+    for k in range(K):
+        scale = 1.0 + y
+        a = scale * (mean_coef + cov_chol @ normals[k, :d])
+        norm = float(np.linalg.norm(a))
+        if norm > cap:
+            a *= cap / norm
+            env.clamp_events += 1
+        dw = normals[k, d + 1 :] * sqdt
+        dw_kappa = params.kappa * normals[k, d] * sqdt + ck * float(eta_hat @ dw)
+        proposal = (
+            y
+            - params.sigma_z * scale * dw_kappa
+            + float(a @ params.mu) * dt
+            + float((a @ params.sigma) @ dw)
+        )
+        if not math.isfinite(proposal):
+            raise sde.NonFinite(f"step {k}: non-finite state proposal")
+        if proposal >= 0.0:
+            y = proposal
+        else:
+            L -= proposal
+            y = 0.0
+        actions[k] = a
+        states[k + 1] = y
+        local[k + 1] = L
+    return states, actions, local
+
+
+def simulate_linear_gaussian_batch_loop(
+    params,
+    mean_coef: np.ndarray,
+    cov_chol: np.ndarray,
+    n_paths: int,
+    y0: float,
+    T: float,
+    dt: float,
+    seed: int,
+    action_cap: float = sde.DEFAULT_ACTION_CAP,
+) -> sde.BatchPaths:
+    """Step-by-step batch of a state-linear Gaussian policy, all paths per step.
+
+    The reference for sde.simulate_linear_gaussian_batch: same streams.
+    """
+    if y0 < 0.0:
+        raise ValueError(f"y0 must be >= 0, got {y0}")
+    times = sde._grid(T, dt)
+    K = len(times) - 1
+    d = params.d
+    mean_coef = np.asarray(mean_coef, dtype=float).reshape(d)
+    cov_chol = np.asarray(cov_chol, dtype=float).reshape(d, d)
+
+    rngs = [sde.episode_rng(seed, i) for i in range(n_paths)]
+    # one block per episode, concatenated: (n, K, 2d+1) standard normals
+    normals = np.stack([r.standard_normal((K, 2 * d + 1)) for r in rngs])
+    z_act = normals[:, :, :d]
+    g0 = normals[:, :, d]
+    g = normals[:, :, d + 1 :]
+
+    sqdt = math.sqrt(dt)
+    eta_hat = _eta_unit(params)
+    ck = math.sqrt(1.0 - params.kappa**2)
+
+    states = np.empty((n_paths, K + 1))
+    local = np.empty((n_paths, K + 1))
+    actions = np.empty((n_paths, K, d))
+    states[:, 0] = y0
+    local[:, 0] = 0.0
+    clamp_events = 0
+
+    y = np.full(n_paths, float(y0))
+    for k in range(K):
+        scale = 1.0 + y
+        a = scale[:, None] * (mean_coef[None, :] + z_act[:, k, :] @ cov_chol.T)
+        norms = np.linalg.norm(a, axis=1)
+        over = norms > action_cap
+        if np.any(over):
+            a[over] *= (action_cap / norms[over])[:, None]
+            clamp_events += int(np.count_nonzero(over))
+        dw = g[:, k, :] * sqdt
+        dw_kappa = params.kappa * g0[:, k] * sqdt + ck * (dw @ eta_hat)
+        proposal = (
+            y
+            - params.sigma_z * scale * dw_kappa
+            + (a @ params.mu) * dt
+            + np.einsum("ne,ne->n", a @ params.sigma, dw)
+        )
+        if not np.all(np.isfinite(proposal)):
+            bad = int(np.flatnonzero(~np.isfinite(proposal))[0])
+            raise sde.NonFinite(f"path {bad}, step {k}: non-finite state proposal")
+        y = np.maximum(proposal, 0.0)
+        dL = np.maximum(-proposal, 0.0)
+        actions[:, k, :] = a
+        states[:, k + 1] = y
+        local[:, k + 1] = local[:, k] + dL
+    return sde.BatchPaths(
+        times=times,
+        states=states,
+        actions=actions,
+        local_time=local,
+        seed=seed,
+        clamp_events=clamp_events,
+    )
+
+
+def simulate_aggregated_loop(
+    params,
+    gamma: float,
+    y0: float,
+    T: float,
+    dt: float,
+    rng: np.random.Generator,
+) -> sde.EpisodePath:
+    """Step-by-step projection-Euler path of the aggregated dynamics.
+
+    The reference for sde.simulate_aggregated: same stream.
+    """
+    if y0 < 0.0:
+        raise ValueError(f"y0 must be >= 0, got {y0}")
+    b, s = sde.aggregated_coefficients(params, gamma)
+    times = sde._grid(T, dt)
+    K = len(times) - 1
+    states = np.empty(K + 1)
+    local = np.empty(K + 1)
+    states[0] = y0
+    local[0] = 0.0
+    y = float(y0)
+    sqdt = math.sqrt(dt)
+    shocks = rng.standard_normal(K)
+    for k in range(K):
+        proposal = y + b * (1.0 + y) * dt + s * (1.0 + y) * sqdt * shocks[k]
+        if proposal >= 0.0:
+            y, dL = proposal, 0.0
+        else:
+            y, dL = 0.0, -proposal
+        states[k + 1] = y
+        local[k + 1] = local[k] + dL
+    return sde.EpisodePath(times=times, states=states, actions=None, local_time=local)
 
 
 # Reference model: d = 1, mu = 0.2, sigma = 1, sigma_z = 0.2, kappa = 0.5,

@@ -373,6 +373,16 @@ def test_train_resume_equals_single_run(params_ref):
     assert list(resumed.episodes) == list(range(6, 11))
 
 
+def test_train_counts_only_its_own_clamps(params_ref):
+    # a reused environment keeps a running total; each history reports its own run
+    env = sde.Environment(params=params_ref, dt=0.05, action_cap=0.5)
+    cfg = qlearn.LearnConfig(y0=1.0, T=2.0, dt=0.05, n_episodes=5, gamma=GAMMA, rho=RHO, seed=4)
+    first, second = qlearn.train(cfg, env), qlearn.train(cfg, env)
+    assert first.clamp_events > 0
+    assert second.clamp_events == first.clamp_events
+    assert env.clamp_events == 2 * first.clamp_events
+
+
 def test_train_near_fixed_point_stays_close(params_ref, exploratory_ref):
     # tiny rates, initialized at the known solution: parameters barely move
     tiny = qlearn.ScheduleSpec(

@@ -4,11 +4,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
 from benchtrack import qlearn, sde
 from benchtrack.model import ModelParams
-from oracles import REF
+from conftest import random_params
+from oracles import (
+    REF,
+    rollout_linear_gaussian_loop,
+    simulate_aggregated_loop,
+    simulate_linear_gaussian_batch_loop,
+)
 
 GAMMA = 0.2
 
@@ -162,6 +170,94 @@ def test_batch_matches_sequential_rollout(params_ref, pp_star):
         assert np.array_equal(local, batch.local_time[i])
 
 
+# The kernel against the step-by-step loops it replaced: the reference policy;
+# a small cap that clamps about a third of the steps; and a large step with a
+# large mean action, where 1 + c_k <= 0 reflects whatever the state.
+KERNEL_CASES = {
+    "reference": (None, 0.01, sde.DEFAULT_ACTION_CAP),
+    "clamped": (None, 0.01, 1.5),
+    "certain_reflection": (([2.0], [[1.0]]), 0.25, sde.DEFAULT_ACTION_CAP),
+}
+
+
+def _assert_close(kernel, loop):
+    for x, y in zip(kernel, loop):
+        assert np.allclose(x, y, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("case", KERNEL_CASES)
+def test_kernel_matches_loop_oracles(params_ref, pp_star, case):
+    coefs, dt, cap = KERNEL_CASES[case]
+    mean_coef, cov_chol = coefs or pp_star.policy_coefficients()
+    n_steps = 200
+    clamps, certain = 0, 0
+    for i in range(10):
+        env, env_loop = (sde.Environment(params=params_ref, dt=dt, action_cap=cap) for _ in range(2))
+        kernel = sde.rollout_linear_gaussian(env, mean_coef, cov_chol, 1.0, n_steps, sde.episode_rng(31, i))
+        loop = rollout_linear_gaussian_loop(env_loop, mean_coef, cov_chol, 1.0, n_steps, sde.episode_rng(31, i))
+        _assert_close(kernel, loop)
+        assert np.array_equal(np.diff(kernel[2]) > 0.0, np.diff(loop[2]) > 0.0)
+        assert env.clamp_events == env_loop.clamp_events
+        clamps += env.clamp_events
+        # dL = 1 - (1+y)(1+c) >= 1 exactly when 1 + c <= 0
+        certain += int(np.count_nonzero(np.diff(loop[2]) >= 1.0))
+    assert (clamps > 0) == (case == "clamped")
+    assert (certain > 0) == (case == "certain_reflection")
+
+    args = (params_ref, mean_coef, cov_chol, 20, 1.0, n_steps * dt, dt, 32, cap)
+    batch, batch_loop = sde.simulate_linear_gaussian_batch(*args), simulate_linear_gaussian_batch_loop(*args)
+    _assert_close(
+        (batch.states, batch.actions, batch.local_time),
+        (batch_loop.states, batch_loop.actions, batch_loop.local_time),
+    )
+    assert np.array_equal(np.diff(batch.local_time) > 0.0, np.diff(batch_loop.local_time) > 0.0)
+    assert batch.clamp_events == batch_loop.clamp_events
+
+
+def test_kernel_names_non_finite_path_and_step(params_ref):
+    # with no cap, a mean action of 1e200 overflows y within a few steps
+    args = (params_ref, [1e200], [[1.0]], 20, 1.0, 0.1, 0.01, 5, math.inf)
+    messages = []
+    for simulate in (sde.simulate_linear_gaussian_batch, simulate_linear_gaussian_batch_loop):
+        with pytest.raises(sde.NonFinite) as err, np.errstate(over="ignore", invalid="ignore"):
+            simulate(*args)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+    assert messages[0].startswith("path ")
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 3),
+    y0=st.floats(0.0, 5.0),
+    log10_cap=st.floats(-1.0, 6.0),
+)
+def test_kernel_path_invariants(seed, d, y0, log10_cap):
+    rng = np.random.default_rng(seed)
+    params = random_params(rng, d)   # eta is not a unit vector
+    mean_coef = rng.uniform(-2.0, 2.0, d)
+    cov_chol = np.eye(d) + np.tril(rng.uniform(-1.0, 1.0, (d, d)))
+    cap, dt, n_steps, n_paths = 10.0**log10_cap, 0.05, 60, 20
+    batch = sde.simulate_linear_gaussian_batch(
+        params, mean_coef, cov_chol, n_paths, y0, n_steps * dt, dt, seed, cap
+    )
+    dL = np.diff(batch.local_time, axis=1)
+    assert np.all(batch.states >= 0.0)
+    assert np.all(batch.states[:, 1:][dL > 0.0] == 0.0)
+    assert np.all(dL >= 0.0)
+    # rows from a full block and from the short last block both equal lone rollouts
+    env = sde.Environment(params=params, dt=dt, action_cap=cap)
+    for i in range(n_paths):
+        states, actions, local = sde.rollout_linear_gaussian(
+            env, mean_coef, cov_chol, y0, n_steps, sde.episode_rng(seed, i)
+        )
+        assert np.array_equal(states, batch.states[i])
+        assert np.array_equal(actions, batch.actions[i])
+        assert np.array_equal(local, batch.local_time[i])
+    assert env.clamp_events == batch.clamp_events
+
+
 def test_discounted_local_time_matches_value_decomposition(params_ref, exploratory_ref, pp_star):
     # E[int e^{-rho t} dL] + E[int e^{-rho t} q dt] + e^{-rho T} E[v(Y_T)] = v(y0)
     rho, T, dt, n = 0.2, 8.0, 0.01, 4000
@@ -208,12 +304,18 @@ def test_aggregated_rejects_negative_variance():
 
 
 def test_aggregated_path_invariants(params_ref):
-    path = sde.simulate_aggregated(params_ref, GAMMA, 0.0, 5.0, 0.01, sde.episode_rng(9, 0))
-    assert np.all(path.states >= 0.0)
-    dL = np.diff(path.local_time)
-    assert np.all(dL >= 0.0)
-    assert np.all(path.states[1:][dL > 0.0] == 0.0)
-    assert path.actions is None
+    # dt = 2 makes 1 + c_k <= 0 on about 2% of the steps
+    for dt in (0.01, 2.0):
+        path = sde.simulate_aggregated(params_ref, GAMMA, 0.0, 500 * dt, dt, sde.episode_rng(9, 0))
+        assert np.all(path.states >= 0.0)
+        dL = np.diff(path.local_time)
+        assert np.all(dL >= 0.0)
+        assert np.all(path.states[1:][dL > 0.0] == 0.0)
+        assert path.actions is None
+        loop = simulate_aggregated_loop(params_ref, GAMMA, 0.0, 500 * dt, dt, sde.episode_rng(9, 0))
+        _assert_close((path.states, path.local_time), (loop.states, loop.local_time))
+        assert np.array_equal(dL > 0.0, np.diff(loop.local_time) > 0.0)
+    assert np.any(dL >= 1.0)
 
 
 def test_aggregated_terminal_matches_path_version(params_ref):
