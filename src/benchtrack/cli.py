@@ -26,6 +26,7 @@ from . import baseline, qlearn, sde
 from .model import (
     ModelParams,
     classical_solution,
+    derived_constants,
     exploratory_constants,
 )
 
@@ -110,13 +111,14 @@ def cmd_solve(cfg: dict, seed: int | None, out: Path) -> int:
 
     sol = classical_solution(params)
     consts = exploratory_constants(params, gamma)
+    pp = qlearn.PolicyParams.from_constants(consts)
     ys = np.arange(0.0, y_max + step / 2, step)
     u = sol.value(ys)
     v = consts.value(ys)
 
     payload = {
         "lambda": sol.lam,
-        "alpha": float(0.5 * params.mu @ np.linalg.solve(params.sigma_sigma_t, params.mu)),
+        "alpha": derived_constants(params).alpha,
         "xi_star": consts.xi_star,
         "psi1_star": consts.psi1_star,
         "psi2_star": consts.psi2_star,
@@ -140,7 +142,7 @@ def cmd_solve(cfg: dict, seed: int | None, out: Path) -> int:
         u1 = sol.value_d1(ys)
         u2 = sol.value_d2(ys)
         for i, y in enumerate(ys):
-            spec = consts.policy(float(y))
+            spec = qlearn.policy_from_q(pp, float(y))
             writer.writerow(
                 [y, u[i], u1[i], u2[i], v[i]]
                 + list(sol.policy(float(y)))
@@ -171,10 +173,7 @@ def cmd_simulate(cfg: dict, seed: int | None, out: Path) -> int:
 
     summary: dict = {"scheme": scheme, "n_paths": n_paths}
     if scheme == "episode":
-        consts = exploratory_constants(params, gamma)
-        pp = qlearn.PolicyParams(
-            xi=consts.xi_star, psi1=consts.psi1_star, psi2=consts.psi2_star, gamma=gamma
-        )
+        pp = qlearn.PolicyParams.from_constants(exploratory_constants(params, gamma))
         mean_coef, cov_chol = pp.policy_coefficients()
         batch = sde.simulate_linear_gaussian_batch(
             params, mean_coef, cov_chol, n_paths, y0, T, dt, seed
@@ -231,7 +230,6 @@ def _schedule_from_cfg(block: dict | None) -> qlearn.ScheduleSpec:
                 "(step stat_xi / (c i)); remove coef_xi"
             )
         return qlearn.ScheduleRegime(
-            coef_xi=default.coef_xi,
             coef_psi1=float(b.get("coef_psi1", default.coef_psi1)),
             coef_psi2=float(b.get("coef_psi2", default.coef_psi2)),
             power=float(b.get("power", default.power)),
@@ -301,10 +299,7 @@ def cmd_diagnose(cfg: dict, seed: int | None, out: Path) -> int:
     y0 = float(dg.get("y0", 1.0))
     n_paths = int(dg.get("n_paths", 1000))
 
-    consts = exploratory_constants(params, gamma)
-    pp = qlearn.PolicyParams(
-        xi=consts.xi_star, psi1=consts.psi1_star, psi2=consts.psi2_star, gamma=gamma
-    )
+    pp = qlearn.PolicyParams.from_constants(exploratory_constants(params, gamma))
     if "params" in dg:
         blk = dg["params"]
         pp = qlearn.PolicyParams(
@@ -352,6 +347,23 @@ def cmd_diagnose(cfg: dict, seed: int | None, out: Path) -> int:
     return 0
 
 
+def _learned_gamma(snap_gamma, cfg_gamma, path: str) -> float:
+    """The snapshot's temperature; the strategy's `gamma` may only repeat it.
+
+    Snapshots written before train stored gamma need the config's value.
+    """
+    if snap_gamma is None and cfg_gamma is None:
+        raise ConfigError(f"{path} stores no gamma and the learned strategy gives none")
+    if snap_gamma is None:
+        return float(cfg_gamma)
+    if cfg_gamma is not None and not math.isclose(float(cfg_gamma), float(snap_gamma), rel_tol=1e-9):
+        raise ConfigError(
+            f"learned strategy gamma {cfg_gamma} differs from the gamma {snap_gamma} "
+            f"that {path} was trained at; remove it or make them agree"
+        )
+    return float(snap_gamma)
+
+
 def _strategy_from_cfg(blk: dict, prices: bt.PriceSeries, rho: float):
     kind = _require(blk, "type", "strategy")
     name = blk.get("name", kind)
@@ -372,9 +384,10 @@ def _strategy_from_cfg(blk: dict, prices: bt.PriceSeries, rho: float):
         sol = classical_solution(params)
         return name, sol.policy
     if kind == "learned":
-        with open(_require(blk, "params", "strategy")) as fh:
+        path = _require(blk, "params", "strategy")
+        with open(path) as fh:
             snap = json.load(fh)
-        gamma = float(blk.get("gamma", 0.2))
+        gamma = _learned_gamma(snap.get("gamma"), blk.get("gamma"), path)
         pp = qlearn.PolicyParams(
             xi=float(snap["xi"]),
             psi1=np.asarray(snap["psi1"], dtype=float),
@@ -441,7 +454,7 @@ def main(argv: list[str] | None = None) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         return COMMANDS[args.command](cfg, args.seed, out)
-    except (ConfigError, bt.ParseError, bt.ValidationError) as exc:
+    except (ConfigError, qlearn.SingularPsi2, bt.ParseError, bt.ValidationError) as exc:
         log.error("%s", exc)
         return 2
     except FileNotFoundError as exc:

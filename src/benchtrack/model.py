@@ -21,8 +21,12 @@ solution when the temperature equals ``rho / d``:
 
 with a Gaussian optimal policy whose mean is linear and whose covariance is
 quadratic in ``1 + y``.  This module houses those formulas, their
-derivatives, the q-function, and residual evaluators used to verify both
-HJB equations numerically.
+derivatives, the constants (xi*, psi1*, psi2*, psi3*) of the exact
+q-function, and residual evaluators used to verify both HJB equations
+numerically.  The q-function itself and its Gibbs policy are evaluated by
+``qlearn.q_value`` and ``qlearn.policy_from_q`` at
+``qlearn.PolicyParams.from_constants(...)``, the one formula that the
+closed form, the learner and the diagnostics share.
 """
 
 from __future__ import annotations
@@ -32,7 +36,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 __all__ = [
     "DomainError",
@@ -42,7 +45,6 @@ __all__ = [
     "DerivedConstants",
     "ClassicalSolution",
     "ExploratoryConstants",
-    "GaussianSpec",
     "derived_constants",
     "lambda_polynomial",
     "solve_lambda",
@@ -163,6 +165,9 @@ def solve_lambda(params: ModelParams) -> float:
     Raises NoBracket when kappa = 0 (the polynomial no longer crosses zero
     and the closed form as stated does not apply).
     """
+    # imported here: scipy.optimize is most of the package's import time
+    from scipy.optimize import brentq
+
     lo, hi = 1e-12, 1.0 - 1e-12
     f_hi = lambda_polynomial(params, 1.0)
     if f_hi >= 0.0 or lambda_polynomial(params, hi) >= 0.0:
@@ -229,14 +234,6 @@ def classical_solution(params: ModelParams) -> ClassicalSolution:
     return ClassicalSolution(lam=solve_lambda(params), params=params)
 
 
-@dataclass(frozen=True)
-class GaussianSpec:
-    """Mean vector and covariance matrix of a Gaussian action distribution."""
-
-    mean: np.ndarray
-    cov: np.ndarray
-
-
 def psi3_consistency(psi1: np.ndarray, psi2: np.ndarray, gamma: float) -> float:
     """Constant pinned by the Gibbs normalization of the quadratic q-function.
 
@@ -256,7 +253,9 @@ class ExploratoryConstants:
     """Explicit solution of the entropy-regularised problem at gamma = rho/d.
 
     psi3_star is never free: it is pinned by the normalization constraint
-    through (psi1_star, psi2_star, gamma).
+    through (psi1_star, psi2_star, gamma).  The q-function and the Gaussian
+    policy of this solution are qlearn.q_value and qlearn.policy_from_q at
+    qlearn.PolicyParams.from_constants(...).
     """
 
     gamma: float
@@ -265,10 +264,6 @@ class ExploratoryConstants:
     psi2_star: np.ndarray
     psi3_star: float
     params: ModelParams = field(repr=False)
-
-    @property
-    def rho(self) -> float:
-        return self.params.rho
 
     def value(self, y):
         """v(y) = ln(1 + y) + xi_star; Neumann condition v'(0) = 1."""
@@ -282,26 +277,6 @@ class ExploratoryConstants:
     def value_d2(self, y):
         y = _as_state(y)
         return -1.0 / (1.0 + y) ** 2
-
-    def policy(self, y) -> GaussianSpec:
-        """Gaussian policy: mean linear in (1+y), covariance in (1+y)^2."""
-        y = float(_as_state(y))
-        ppT = self.psi2_star @ self.psi2_star.T
-        mean = (1.0 + y) * np.linalg.solve(ppT, self.psi1_star)
-        cov = self.gamma * (1.0 + y) ** 2 * np.linalg.inv(ppT)
-        return GaussianSpec(mean=mean, cov=cov)
-
-    def q(self, y, a) -> float:
-        """q(y, a): strictly concave in a, maximised at the policy mean."""
-        y = float(_as_state(y))
-        a = np.atleast_1d(np.asarray(a, dtype=float))
-        ppT = self.psi2_star @ self.psi2_star.T
-        return (
-            float(self.psi1_star @ a) / (1.0 + y)
-            - float(a @ ppT @ a) / (2.0 * (1.0 + y) ** 2)
-            - self.rho * math.log1p(y)
-            + self.psi3_star
-        )
 
     def hjb_residual(self, y):
         """Residual of the exploratory HJB equation; ~0 when gamma = rho/d."""

@@ -9,7 +9,9 @@ solves the entropy-regularised problem at temperature rho/d:
 
 with psi3 always re-derived from (psi1, psi2) so that the Gibbs policy
 built from q integrates to one and the consistency condition
-E_pi[q - gamma ln pi] = 0 holds identically.
+E_pi[q - gamma ln pi] = 0 holds identically.  At the closed-form constants
+(PolicyParams.from_constants) this q is the exact q-function, so q_value and
+policy_from_q serve the closed form, the learner and the diagnostics alike.
 
 Learning enforces the martingale property of
 
@@ -24,7 +26,8 @@ discretized residuals
           - rho J(y_k) dt ,
 
 Each episode's orthogonality statistics are the sums
-sum_k e^{-rho t_k} grad * G_k.  psi1 and psi2 move along alpha times their
+sum_k e^{-rho t_k} grad * G_k (_episode_statistics, the one place where the
+psi-gradient of q is written).  psi1 and psi2 move along alpha times their
 statistics with episode-indexed decaying rates.  xi enters every G_k only
 through -rho xi dt, so its statistic is linear in xi,
 
@@ -42,16 +45,18 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import sde
-from .model import DomainError, GaussianSpec, ModelParams, psi3_consistency
+from .model import DomainError, ExploratoryConstants, ModelParams, psi3_consistency
 
 __all__ = [
     "SingularPsi2",
     "NonFiniteUpdate",
     "TooManyRejectedEpisodes",
+    "GaussianSpec",
     "PolicyParams",
     "Rates",
     "ScheduleRegime",
@@ -61,11 +66,8 @@ __all__ = [
     "TrainHistory",
     "OrthogonalityStats",
     "j_value",
-    "j_grad_xi",
     "q_value",
-    "q_grad",
     "policy_from_q",
-    "td_residual",
     "update_statistics",
     "update",
     "schedule",
@@ -90,8 +92,20 @@ class TooManyRejectedEpisodes(RuntimeError):
 
 
 @dataclass(frozen=True)
+class GaussianSpec:
+    """Mean vector and covariance matrix of a Gaussian action distribution."""
+
+    mean: np.ndarray
+    cov: np.ndarray
+
+
+@dataclass(frozen=True)
 class PolicyParams:
-    """Learnable tuple (xi, psi1, psi2); psi3 is derived, never free."""
+    """Learnable tuple (xi, psi1, psi2); psi3 is derived, never free.
+
+    psi3 and the precision are computed once per instance, so neither psi1,
+    psi2 nor the returned precision may be changed in place.
+    """
 
     xi: float
     psi1: np.ndarray
@@ -107,6 +121,11 @@ class PolicyParams:
         if not (self.gamma > 0.0):
             raise ValueError(f"gamma must be > 0, got {self.gamma}")
 
+    @classmethod
+    def from_constants(cls, consts: ExploratoryConstants) -> PolicyParams:
+        """The closed-form solution (xi*, psi1*, psi2*) at its temperature."""
+        return cls(xi=consts.xi_star, psi1=consts.psi1_star, psi2=consts.psi2_star, gamma=consts.gamma)
+
     @property
     def d(self) -> int:
         return self.psi1.shape[0]
@@ -115,10 +134,11 @@ class PolicyParams:
     def psi2_sq(self) -> np.ndarray:
         return self.psi2 @ self.psi2.T
 
-    @property
+    @cached_property
     def psi3(self) -> float:
         return psi3_consistency(self.psi1, self.psi2, self.gamma)
 
+    @cached_property
     def precision(self) -> np.ndarray:
         """(psi2 psi2')^-1 with conditioning and absolute-scale guards."""
         ppT = self.psi2_sq
@@ -129,7 +149,7 @@ class PolicyParams:
 
     def policy_coefficients(self) -> tuple[np.ndarray, np.ndarray]:
         """(mean_coef, cov_chol): a ~ N(mean_coef (1+y), (1+y)^2 chol chol')."""
-        prec = self.precision()
+        prec = self.precision
         mean_coef = prec @ self.psi1
         cov_chol = np.linalg.cholesky(self.gamma * prec)
         return mean_coef, cov_chol
@@ -144,90 +164,30 @@ def j_value(pp: PolicyParams, y):
     return out if out.ndim else float(out)
 
 
-def j_grad_xi(pp: PolicyParams, y) -> float:
+def q_value(pp: PolicyParams, rho: float, y, a):
+    """Parameterized q including the derived psi3.
+
+    At one state, y is a float and a has shape (d,); along a path, y has
+    shape (K,) and a shape (K, d), and the result has shape (K,).
+    """
     y = np.asarray(y, dtype=float)
     if np.any(y < 0.0):
         raise DomainError(f"state must be >= 0, got {y!r}")
-    return 1.0
-
-
-def q_value(pp: PolicyParams, rho: float, y: float, a) -> float:
-    """Parameterized q including the derived psi3."""
-    if y < 0.0:
-        raise DomainError(f"state must be >= 0, got {y!r}")
     a = np.atleast_1d(np.asarray(a, dtype=float))
     s = 1.0 + y
-    return (
-        float(pp.psi1 @ a) / s
-        - float(a @ pp.psi2_sq @ a) / (2.0 * s * s)
-        - rho * math.log1p(y)
-        + pp.psi3
-    )
-
-
-def _q_batch(pp: PolicyParams, rho: float, ys: np.ndarray, acts: np.ndarray) -> np.ndarray:
-    s = 1.0 + ys
-    ppT = pp.psi2_sq
-    lin = (acts @ pp.psi1) / s
-    quad = np.einsum("ke,ke->k", acts @ ppT, acts) / (2.0 * s * s)
-    return lin - quad - rho * np.log1p(ys) + pp.psi3
-
-
-def q_grad(
-    pp: PolicyParams, y: float, a, chain_rule: bool = True
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gradient of q in (psi1, psi2).
-
-    With chain_rule=True the derivative of the derived psi3 through
-    (psi1, psi2) is included, so the result is the total sensitivity of the
-    parameterization; with False only the explicit appearance of psi in q
-    counts.
-    """
-    if y < 0.0:
-        raise DomainError(f"state must be >= 0, got {y!r}")
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    s = 1.0 + y
-    g1 = a / s
-    g2 = -np.outer(a, a) @ pp.psi2 / (s * s)
-    if chain_rule:
-        prec = pp.precision()
-        b = prec @ pp.psi1
-        g1 = g1 - b
-        g2 = g2 + np.outer(b, b) @ pp.psi2 + pp.gamma * prec @ pp.psi2
-    return g1, g2
+    lin = (a @ pp.psi1) / s
+    quad = np.einsum("...e,...e->...", a @ pp.psi2_sq, a) / (2.0 * s * s)
+    out = lin - quad - rho * np.log1p(y) + pp.psi3
+    return out if out.ndim else float(out)
 
 
 def policy_from_q(pp: PolicyParams, y: float) -> GaussianSpec:
     """Gibbs renormalization exp(q/gamma) of the quadratic q is Gaussian."""
     if y < 0.0:
         raise DomainError(f"state must be >= 0, got {y!r}")
-    prec = pp.precision()
+    prec = pp.precision
     s = 1.0 + y
     return GaussianSpec(mean=s * (prec @ pp.psi1), cov=pp.gamma * s * s * prec)
-
-
-def td_residual(
-    pp: PolicyParams,
-    rho: float,
-    y_k: float,
-    a_k,
-    y_k1: float,
-    dL_k: float,
-    dt: float,
-) -> float:
-    """One-step residual G_k of the discretized martingale increment."""
-    if dt <= 0.0:
-        raise ValueError(f"dt must be > 0, got {dt}")
-    if dL_k < 0.0:
-        raise ValueError(f"dL must be >= 0, got {dL_k}")
-    jk = j_value(pp, y_k)
-    return (
-        j_value(pp, y_k1)
-        - jk
-        - q_value(pp, rho, y_k, a_k) * dt
-        - dL_k
-        - rho * jk * dt
-    )
 
 
 def _episode_statistics(
@@ -250,7 +210,7 @@ def _episode_statistics(
         np.log1p(y_next)
         + pp.xi
         - j
-        - _q_batch(pp, rho, ys, actions) * dt
+        - q_value(pp, rho, ys, actions) * dt
         - dL
         - rho * j * dt
     )
@@ -262,7 +222,9 @@ def _episode_statistics(
     outer_sum = np.einsum("k,kd,ke->de", weights2, actions, actions)
     stat_psi2 = -outer_sum @ pp.psi2
     if chain_rule:
-        prec = pp.precision()
+        # psi3's gradient, -b for psi1 and (b b' + gamma prec) psi2 for psi2,
+        # is the same at every step, so it enters weighted by sum_k w_k = stat_xi
+        prec = pp.precision
         b = prec @ pp.psi1
         stat_psi1 = stat_psi1 - b * stat_xi
         stat_psi2 = stat_psi2 + (np.outer(b, b) + pp.gamma * prec) @ pp.psi2 * stat_xi
@@ -292,7 +254,6 @@ def _xi_curvature(rho: float, times: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class Rates:
-    alpha_xi: float
     alpha_psi1: float
     alpha_psi2: float
 
@@ -317,36 +278,31 @@ def update(
     path: sde.EpisodePath,
     rates: Rates,
     rho: float,
+    xi_weight: float,
     chain_rule: bool = True,
     update_clip: float = 1.0,
-    xi_weight: float | None = None,
 ) -> tuple[PolicyParams, UpdateInfo]:
     """Apply one stochastic-approximation step from an on-policy episode.
 
-    Each parameter moves by its rate times its statistic, and the norm of
-    that step is capped at update_clip.  With xi_weight = w, xi instead
-    moves the fraction w of the way to the exact root xi + stat_xi / c of
-    its own condition (c from _xi_curvature); rates.alpha_xi is then unused,
-    and the xi step is neither clipped nor counted in the norm.  Non-finite
-    updates raise NonFiniteUpdate so the caller can skip and count them.
-    psi3 needs no explicit refresh because it is always derived.
+    xi moves the fraction xi_weight of the way to the exact root
+    xi + stat_xi / c of its own condition (c from _xi_curvature).  psi1 and
+    psi2 move by their rates times their statistics, and the norm of that
+    step is capped at update_clip; the xi step is neither clipped nor counted
+    in the norm.  Non-finite updates raise NonFiniteUpdate so the caller can
+    skip and count them.  psi3 needs no explicit refresh because it is always
+    derived.
     """
     stat_xi, stat_psi1, stat_psi2 = update_statistics(pp, path, rho, chain_rule)
-    if xi_weight is None:
-        d_xi = rates.alpha_xi * stat_xi
-    else:
-        d_xi = xi_weight * stat_xi / _xi_curvature(rho, path.times)
+    d_xi = xi_weight * stat_xi / _xi_curvature(rho, path.times)
     d_psi1 = rates.alpha_psi1 * stat_psi1
     d_psi2 = rates.alpha_psi2 * stat_psi2
-    vec = np.concatenate([[d_xi], d_psi1.ravel(), d_psi2.ravel()])
-    if not np.all(np.isfinite(vec)):
+    vec = np.concatenate([d_psi1.ravel(), d_psi2.ravel()])
+    if not (math.isfinite(d_xi) and np.all(np.isfinite(vec))):
         raise NonFiniteUpdate("episode produced a non-finite update")
-    norm = float(np.linalg.norm(vec if xi_weight is None else vec[1:]))
+    norm = float(np.linalg.norm(vec))
     clipped = False
     if update_clip is not None and norm > update_clip:
         factor = update_clip / norm
-        if xi_weight is None:
-            d_xi *= factor
         d_psi1 = d_psi1 * factor
         d_psi2 = d_psi2 * factor
         clipped = True
@@ -362,7 +318,6 @@ def update(
 
 @dataclass(frozen=True)
 class ScheduleRegime:
-    coef_xi: float
     coef_psi1: float
     coef_psi2: float
     power: float
@@ -370,24 +325,23 @@ class ScheduleRegime:
 
 @dataclass(frozen=True)
 class ScheduleSpec:
-    """Piecewise power decay of the learning rates over episodes."""
+    """Piecewise power decay of the psi learning rates over episodes."""
 
     switch_episode: int = 10_000
-    first: ScheduleRegime = ScheduleRegime(0.015, 0.1, 0.01, 0.61)
-    second: ScheduleRegime = ScheduleRegime(0.005, 0.05, 0.005, 0.81)
+    first: ScheduleRegime = ScheduleRegime(0.1, 0.01, 0.61)
+    second: ScheduleRegime = ScheduleRegime(0.05, 0.005, 0.81)
 
 
 DEFAULT_SCHEDULE = ScheduleSpec()
 
 
 def schedule(i: int, spec: ScheduleSpec = DEFAULT_SCHEDULE) -> Rates:
-    """Learning rates for episode i (1-based)."""
+    """psi learning rates for episode i (1-based)."""
     if i < 1:
         raise ValueError(f"episode index must be >= 1, got {i}")
     regime = spec.first if i <= spec.switch_episode else spec.second
     decay = float(i) ** (-regime.power)
     return Rates(
-        alpha_xi=regime.coef_xi * decay,
         alpha_psi1=regime.coef_psi1 * decay,
         alpha_psi2=regime.coef_psi2 * decay,
     )
@@ -397,8 +351,8 @@ def schedule(i: int, spec: ScheduleSpec = DEFAULT_SCHEDULE) -> Rates:
 class LearnConfig:
     """Offline training run configuration.
 
-    train reads only the psi rates of `schedule`; xi follows the running
-    mean of its per-episode roots (see the module docstring).
+    `schedule` sets the psi rates; xi follows the running mean of its
+    per-episode roots (see the module docstring).
     """
 
     y0: float
@@ -474,16 +428,17 @@ class TrainHistory:
             "psi1": self.final.psi1.tolist(),
             "psi2": self.final.psi2.tolist(),
             "psi3": float(self.final.psi3),
+            "gamma": float(self.final.gamma),
             "rejected_episodes": list(self.rejected_episodes),
             "clamp_events": int(self.clamp_events),
         }
 
 
 def train(config: LearnConfig, env: sde.Environment) -> TrainHistory:
-    """Run the offline learning loop against a black-box environment.
+    """Run the offline learning loop against a simulated environment.
 
-    The trainer sees only the environment's step interface and action
-    dimension; all market parameters stay inside `env`.  Episode i uses the
+    Episodes come from sde.rollout_linear_gaussian on `env`; the update
+    itself reads only the paths, never the market parameters.  Episode i uses the
     Philox stream keyed by (config.seed, i), so a run is reproducible and a
     resumed run continues the original stream sequence.
 
@@ -527,9 +482,9 @@ def train(config: LearnConfig, env: sde.Environment) -> TrainHistory:
                 path,
                 rates,
                 config.rho,
+                xi_weight=1.0 / i,
                 chain_rule=config.chain_rule,
                 update_clip=config.update_clip,
-                xi_weight=1.0 / i,
             )
             hist_norm[idx] = info.norm
             hist_clip[idx] = info.clipped

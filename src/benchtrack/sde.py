@@ -13,6 +13,10 @@ package is stated under.  Reflection at 0 uses the projection Euler scheme:
 the overshoot below 0 is credited to the non-decreasing local-time process
 ``L`` and the state is clamped to 0.
 
+The composite is Wk = kappa W0 + sqrt(1 - kappa^2) eta_hat' W with W0
+independent of W and eta_hat = eta / |eta|, so Wk is itself a standard
+Brownian motion.
+
 Under a state-linear Gaussian policy, a = (1+Y) u with u free of Y, and
 under the aggregated dynamics, a step is y' = max(y + (1+y) c_k, 0) with c_k
 free of y.  In H = ln(1+y) that is Lindley's recursion
@@ -40,7 +44,7 @@ import json
 import math
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -49,15 +53,11 @@ from .model import ModelParams, derived_constants
 __all__ = [
     "NonFinite",
     "InvalidVariance",
-    "NoiseIncrements",
     "EpisodePath",
     "BatchPaths",
     "LogPath",
     "episode_rng",
-    "draw_increments",
-    "step_reflected",
     "Environment",
-    "simulate_episode",
     "rollout_linear_gaussian",
     "simulate_linear_gaussian_batch",
     "aggregated_coefficients",
@@ -91,65 +91,12 @@ def episode_rng(seed: int, episode_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[seed & 0xFFFFFFFFFFFFFFFF, episode_index]))
 
 
-@dataclass(frozen=True)
-class NoiseIncrements:
-    """One step of driver increments: composite benchmark driver + asset drivers."""
-
-    dw_kappa: float
-    dw: np.ndarray
-
-
 def _eta_unit(params: ModelParams) -> np.ndarray:
     n = float(np.linalg.norm(params.eta))
     if n == 0.0:
         # uncorrelated limit: the eta-channel never enters (kappa carries it)
         return np.zeros_like(params.eta)
     return params.eta / n
-
-
-def draw_increments(params: ModelParams, dt: float, rng: np.random.Generator) -> NoiseIncrements:
-    """Draw correlated Brownian increments over one step of length dt.
-
-    The composite driver is kappa * g0 + sqrt(1-kappa^2) * eta_hat' g with
-    g0 independent of the asset increments g; eta is normalized so the
-    composite has variance dt and Cov(dw_kappa, dw_j) = sqrt(1-kappa^2)
-    eta_hat_j dt.
-    """
-    if dt < 0.0:
-        raise ValueError(f"dt must be >= 0, got {dt}")
-    if dt == 0.0:
-        return NoiseIncrements(dw_kappa=0.0, dw=np.zeros(params.d))
-    g = rng.standard_normal(params.d + 1) * math.sqrt(dt)
-    dw = g[1:]
-    dw_eta = float(_eta_unit(params) @ dw)
-    dw_kappa = params.kappa * g[0] + math.sqrt(1.0 - params.kappa**2) * dw_eta
-    return NoiseIncrements(dw_kappa=dw_kappa, dw=dw)
-
-
-def step_reflected(
-    y: float,
-    action: np.ndarray,
-    params: ModelParams,
-    dt: float,
-    inc: NoiseIncrements,
-) -> tuple[float, float]:
-    """One projection-Euler step of the reflected state.
-
-    Returns (y_next, dL) with y_next >= 0, dL >= 0 and y_next * dL = 0:
-    the unreflected proposal's overshoot below zero is booked as local time.
-    """
-    action = np.asarray(action, dtype=float)
-    proposal = (
-        y
-        - params.sigma_z * (y + 1.0) * inc.dw_kappa
-        + float(action @ params.mu) * dt
-        + float(action @ (params.sigma @ inc.dw))
-    )
-    if not math.isfinite(proposal):
-        raise NonFinite(f"state proposal is not finite (y={y}, action={action})")
-    if proposal >= 0.0:
-        return proposal, 0.0
-    return 0.0, -proposal
 
 
 @dataclass(frozen=True)
@@ -165,39 +112,24 @@ class EpisodePath:
     actions: np.ndarray | None  # (K, d); None for action-free aggregated paths
     local_time: np.ndarray  # (K+1,), L_0 = 0
     seed: tuple[int, int] | None = None
-    clamp_events: int = 0
 
     @property
     def n_steps(self) -> int:
         return len(self.times) - 1
 
-    @property
-    def dt(self) -> float:
-        return float(self.times[1] - self.times[0])
-
 
 @dataclass
 class Environment:
-    """Black-box one-step simulator handed to learners.
+    """The market, step and action cap that rollout_linear_gaussian simulates.
 
-    Hides the model parameters behind step(); callers observe only the new
-    state and the local-time increment, exactly what the offline learning
-    loop consumes.
+    clamp_events is a running total of the action clamps of every rollout
+    on this environment.
     """
 
     params: ModelParams
     dt: float
     action_cap: float = DEFAULT_ACTION_CAP
     clamp_events: int = 0
-
-    def step(self, y: float, action: np.ndarray, rng: np.random.Generator) -> tuple[float, float]:
-        action = np.asarray(action, dtype=float)
-        norm = float(np.linalg.norm(action))
-        if norm > self.action_cap:
-            action = action * (self.action_cap / norm)
-            self.clamp_events += 1
-        inc = draw_increments(self.params, self.dt, rng)
-        return step_reflected(y, action, self.params, self.dt, inc)
 
 
 def _grid(T: float, dt: float) -> np.ndarray:
@@ -207,47 +139,6 @@ def _grid(T: float, dt: float) -> np.ndarray:
     if n < 1:
         raise ValueError("need at least one step")
     return np.linspace(0.0, T, n + 1)
-
-
-def simulate_episode(
-    policy: Callable[[float, np.random.Generator], np.ndarray],
-    y0: float,
-    T: float,
-    dt: float,
-    params: ModelParams,
-    rng: np.random.Generator,
-    action_cap: float = DEFAULT_ACTION_CAP,
-    seed_info: tuple[int, int] | None = None,
-) -> EpisodePath:
-    """Roll one episode: sample action, step the reflected state, repeat."""
-    if y0 < 0.0:
-        raise ValueError(f"y0 must be >= 0, got {y0}")
-    times = _grid(T, dt)
-    K = len(times) - 1
-    env = Environment(params=params, dt=dt, action_cap=action_cap)
-    states = np.empty(K + 1)
-    local = np.empty(K + 1)
-    actions = np.empty((K, params.d))
-    states[0] = y0
-    local[0] = 0.0
-    y = float(y0)
-    for k in range(K):
-        a = np.asarray(policy(y, rng), dtype=float)
-        try:
-            y, dL = env.step(y, a, rng)
-        except NonFinite as exc:
-            raise NonFinite(f"episode {seed_info}, step {k}: {exc}") from exc
-        actions[k] = a
-        states[k + 1] = y
-        local[k + 1] = local[k] + dL
-    return EpisodePath(
-        times=times,
-        states=states,
-        actions=actions,
-        local_time=local,
-        seed=seed_info,
-        clamp_events=env.clamp_events,
-    )
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import math
 import sys
 from pathlib import Path
 
@@ -6,6 +7,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from benchtrack import qlearn, sde
 from benchtrack.model import ModelParams, classical_solution, exploratory_constants
 
 
@@ -23,6 +25,37 @@ def classical_ref(params_ref):
 @pytest.fixture(scope="session")
 def exploratory_ref(params_ref):
     return exploratory_constants(params_ref, 0.2)
+
+
+@pytest.fixture(scope="session")
+def pp_star(exploratory_ref) -> qlearn.PolicyParams:
+    """The closed-form constants as learner parameters (gamma = 0.2)."""
+    return qlearn.PolicyParams.from_constants(exploratory_ref)
+
+
+def one_step_path(y: float, a, y_next: float, dL: float, dt: float) -> sde.EpisodePath:
+    """A single transition y -> y_next under action a, with local time dL."""
+    return sde.EpisodePath(
+        times=np.array([0.0, dt]),
+        states=np.array([y, y_next]),
+        actions=np.atleast_2d(np.asarray(a, dtype=float)),
+        local_time=np.array([0.0, dL]),
+    )
+
+
+def q_gradient(pp: qlearn.PolicyParams, rho: float, y: float, a, chain_rule: bool = True):
+    """The psi-gradient of q at (y, a), read off the production update sums.
+
+    On a one-step path the discount is 1, so stat_xi is the residual G_0 and
+    (stat_psi1, stat_psi2) = G_0 * grad q; the transition is chosen with G_0
+    near 1 so that the ratio loses no precision.
+    """
+    dt = 0.01
+    j = qlearn.j_value(pp, y)
+    target = j + qlearn.q_value(pp, rho, y, a) * dt + rho * j * dt + 1.0
+    path = one_step_path(y, a, math.expm1(target - pp.xi), 0.0, dt)
+    g0, s1, s2 = qlearn.update_statistics(pp, path, rho, chain_rule)
+    return s1 / g0, s2 / g0
 
 
 def random_params(rng: np.random.Generator, d: int | None = None) -> ModelParams:

@@ -62,6 +62,11 @@ def test_malformed_config_fails_cleanly(tmp_path):
     missing = write_config(tmp_path, {"gamma": 0.2})  # no model block
     assert main(["solve", "--config", missing, "--out", str(tmp_path)]) == 2
     assert main(["solve", "--config", str(tmp_path / "nope.yaml"), "--out", str(tmp_path)]) == 2
+    # sigma passes ModelParams (cond 4e6) but psi2* = sigma fails the learner's precision guard
+    ill = write_config(tmp_path, {"model": {**MODEL_BLOCK["model"], "mu": [0.2, 0.2000001],
+                                            "sigma": [[1.0, 1.0], [1.0, 1.000001]], "eta": [0.6, 0.8]}},
+                       name="ill.yaml")
+    assert main(["solve", "--config", ill, "--out", str(tmp_path)]) == 2
 
 
 def test_simulate_deterministic_and_empty(tmp_path):
@@ -211,3 +216,44 @@ def test_backtest_command(tmp_path):
         name="missing.yaml",
     )
     assert main(["backtest", "--config", missing, "--out", str(out)]) == 2
+
+
+def _learned_backtest_config(tmp_path, snapshot, name, **strategy):
+    prices = tmp_path / "prices.csv"
+    rows = ["timestamp,benchmark,asset_1"] + [f"{i},{100.0 + i % 3},{50.0 + i % 5}" for i in range(30)]
+    prices.write_text("\n".join(rows) + "\n")
+    return write_config(tmp_path, {"backtest": {
+        "prices": str(prices), "v0": 95.0, "rho": 0.1,
+        "strategies": [{"name": "rl", "type": "learned", "params": str(snapshot), **strategy}],
+    }}, name=name)
+
+
+def test_backtest_rejects_mismatched_learned_gamma(tmp_path, caplog):
+    snapshot = tmp_path / "learned.json"
+    snapshot.write_text(json.dumps({"xi": 0.36, "psi1": [0.37], "psi2": [[1.0]], "gamma": 0.2}))
+    out = tmp_path / "out"
+    # the strategy's gamma may only repeat the temperature the snapshot was trained at
+    cfg = _learned_backtest_config(tmp_path, snapshot, "mismatch.yaml", gamma=0.1)
+    assert main(["backtest", "--config", cfg, "--out", str(out)]) == 2
+    assert "differs from the gamma 0.2" in caplog.text
+    assert not (out / "backtest_rl.csv").exists()
+    # and a snapshot without gamma needs one from the config
+    bare = tmp_path / "bare.json"
+    bare.write_text(json.dumps({"xi": 0.36, "psi1": [0.37], "psi2": [[1.0]]}))
+    cfg = _learned_backtest_config(tmp_path, bare, "none.yaml")
+    assert main(["backtest", "--config", cfg, "--out", str(out)]) == 2
+    assert "stores no gamma" in caplog.text
+
+
+def test_train_backtest_round_trip(tmp_path):
+    train = write_config(tmp_path, {**MODEL_BLOCK, "train": {"T": 1.0, "dt": 0.05, "episodes": 2}},
+                         name="train.yaml")
+    assert main(["train", "--config", train, "--seed", "1", "--out", str(tmp_path / "train")]) == 0
+    snapshot = tmp_path / "train" / "learned.json"
+    assert json.loads(snapshot.read_text())["gamma"] == 0.2   # rho / d
+    for name, strategy in (("plain.yaml", {}), ("same.yaml", {"gamma": 0.2}),
+                           ("sample.yaml", {"execution": "sample"})):
+        out = tmp_path / f"out_{name}"
+        cfg = _learned_backtest_config(tmp_path, snapshot, name, **strategy)
+        assert main(["backtest", "--config", cfg, "--out", str(out)]) == 0
+        assert len((out / "backtest_rl.csv").read_text().strip().splitlines()) == 31

@@ -20,6 +20,7 @@ from benchtrack.model import (
     psi3_consistency,
     solve_lambda,
 )
+from benchtrack.qlearn import PolicyParams, policy_from_q, q_value
 from conftest import random_params
 from oracles import REF, bisect_root, central_diff, gaussian_entropy, gaussian_expect_quadratic, rel_err
 
@@ -179,11 +180,14 @@ def test_exploratory_hjb_residual(exploratory_ref, params_ref):
     assert abs(off.hjb_residual(1.0)) > 1e-2
 
 
-def test_policy_spec_reference(exploratory_ref):
-    spec = exploratory_ref.policy(0.0)
+# The exact q-function and its Gibbs policy are qlearn's, at the closed-form
+# constants (the pp_star fixture is PolicyParams.from_constants(exploratory_ref)).
+
+def test_policy_spec_reference(pp_star):
+    spec = policy_from_q(pp_star, 0.0)
     assert spec.mean[0] == pytest.approx(REF["psi1_star"], abs=1e-12)
     assert spec.cov[0, 0] == pytest.approx(GAMMA, abs=1e-15)
-    spec1 = exploratory_ref.policy(1.0)
+    spec1 = policy_from_q(pp_star, 1.0)
     assert np.allclose(spec1.cov, 4.0 * spec.cov)
     # covariance stays symmetric positive definite
     assert np.all(np.linalg.eigvalsh(spec1.cov) > 0.0)
@@ -191,30 +195,29 @@ def test_policy_spec_reference(exploratory_ref):
 
 def test_policy_mean_drops_eta_at_kappa_one():
     params = ModelParams(mu=[0.2], sigma=[[1.0]], sigma_z=0.2, kappa=1.0, eta=[1.0], rho=0.2)
-    consts = exploratory_constants(params, 0.2)
-    spec = consts.policy(2.0)
+    spec = policy_from_q(PolicyParams.from_constants(exploratory_constants(params, 0.2)), 2.0)
     assert spec.mean[0] == pytest.approx(0.2 * 3.0, abs=1e-14)
 
 
-def test_q_argmax_equals_policy_mean(exploratory_ref):
+def test_q_argmax_equals_policy_mean(exploratory_ref, pp_star):
     rng = np.random.default_rng(11)
     ppT = exploratory_ref.psi2_star @ exploratory_ref.psi2_star.T
     for y in rng.uniform(0.0, 10.0, size=100):
         # quadratic maximiser solved independently of the policy code
         astar = np.linalg.solve(ppT, exploratory_ref.psi1_star) * (1.0 + y)
-        assert np.allclose(astar, exploratory_ref.policy(y).mean, atol=1e-10)
+        assert np.allclose(astar, policy_from_q(pp_star, y).mean, atol=1e-10)
         # and q is strictly smaller off the maximiser
-        assert exploratory_ref.q(y, astar) > exploratory_ref.q(y, astar + 0.1)
+        assert q_value(pp_star, RHO, y, astar) > q_value(pp_star, RHO, y, astar + 0.1)
 
 
-def test_q_reference_points(exploratory_ref):
-    assert exploratory_ref.q(0.0, [0.0]) == pytest.approx(exploratory_ref.psi3_star, abs=1e-15)
+def test_q_reference_points(exploratory_ref, pp_star):
+    assert q_value(pp_star, RHO, 0.0, [0.0]) == pytest.approx(exploratory_ref.psi3_star, abs=1e-15)
 
 
-def test_q_entropy_consistency(exploratory_ref):
+def test_q_entropy_consistency(exploratory_ref, pp_star):
     # E_pi[q - gamma ln pi] via closed-form Gaussian moments
     for y in (0.0, 0.7, 3.0, 9.5):
-        spec = exploratory_ref.policy(y)
+        spec = policy_from_q(pp_star, y)
         ppT = exploratory_ref.psi2_star @ exploratory_ref.psi2_star.T
         eq = (
             gaussian_expect_quadratic(exploratory_ref.psi1_star, ppT, spec.mean, spec.cov, y)
@@ -225,14 +228,14 @@ def test_q_entropy_consistency(exploratory_ref):
         assert abs(eq - expected) < 1e-8
 
 
-def test_q_derivative_in_action_matches_fd(exploratory_ref):
+def test_q_derivative_in_action_matches_fd(exploratory_ref, pp_star):
     rng = np.random.default_rng(5)
     for _ in range(100):
         y = float(rng.uniform(0.0, 5.0))
         a = float(rng.normal(0.0, 1.0))
         ppT = float(exploratory_ref.psi2_star[0, 0] ** 2)
         grad = exploratory_ref.psi1_star[0] / (1.0 + y) - ppT * a / (1.0 + y) ** 2
-        fd = central_diff(lambda x: exploratory_ref.q(y, [x]), a)
+        fd = central_diff(lambda x: q_value(pp_star, RHO, y, [x]), a)
         assert rel_err(fd, grad, floor=1e-4) < 1e-6
 
 

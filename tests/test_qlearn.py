@@ -8,20 +8,11 @@ from scipy.integrate import quad
 
 from benchtrack import qlearn, sde
 from benchtrack.model import DomainError, ModelParams
-from oracles import central_diff, gaussian_entropy, gaussian_expect_quadratic, gaussian_pdf, rel_err
+from conftest import one_step_path, q_gradient
+from oracles import REF, central_diff, gaussian_entropy, gaussian_expect_quadratic, gaussian_pdf, rel_err
 
 GAMMA = 0.2
 RHO = 0.2
-
-
-@pytest.fixture(scope="module")
-def pp_star(exploratory_ref):
-    return qlearn.PolicyParams(
-        xi=exploratory_ref.xi_star,
-        psi1=exploratory_ref.psi1_star,
-        psi2=exploratory_ref.psi2_star,
-        gamma=GAMMA,
-    )
 
 
 def random_pp(rng: np.random.Generator, d: int = 1) -> qlearn.PolicyParams:
@@ -38,7 +29,6 @@ def random_pp(rng: np.random.Generator, d: int = 1) -> qlearn.PolicyParams:
 
 def test_j_value_and_gradient(pp_star, exploratory_ref):
     assert qlearn.j_value(pp_star, 0.0) == pytest.approx(pp_star.xi, abs=1e-15)
-    assert qlearn.j_grad_xi(pp_star, 3.3) == 1.0
     rng = np.random.default_rng(0)
     for y in rng.uniform(0.0, 10.0, size=20):
         assert qlearn.j_value(pp_star, y) == pytest.approx(exploratory_ref.value(y), abs=1e-12)
@@ -49,24 +39,35 @@ def test_j_value_and_gradient(pp_star, exploratory_ref):
         qlearn.j_value(pp_star, -0.1)
 
 
-def test_q_value_matches_exact_q(pp_star, exploratory_ref):
+def test_q_value_matches_exact_q(pp_star):
+    # the exact q of the reference solution, transcribed with plain floats
+    def exact_q(y, a):
+        s = 1.0 + y
+        return REF["psi1_star"] * a / s - a * a / (2.0 * s * s) - RHO * math.log1p(y) + REF["psi3_star"]
+
     rng = np.random.default_rng(1)
-    for _ in range(50):
-        y = float(rng.uniform(0.0, 10.0))
-        a = rng.normal(size=1)
-        assert qlearn.q_value(pp_star, RHO, y, a) == pytest.approx(
-            exploratory_ref.q(y, a), abs=1e-12
-        )
+    ys = rng.uniform(0.0, 10.0, size=50)
+    acts = rng.normal(size=(50, 1))
+    for y, a in zip(ys, acts):
+        assert qlearn.q_value(pp_star, RHO, float(y), a) == pytest.approx(exact_q(y, a[0]), abs=1e-12)
+    # along a path, one call gives the same values as the per-state calls
+    along = qlearn.q_value(pp_star, RHO, ys, acts)
+    assert along.shape == (50,)
+    assert np.allclose(along, [qlearn.q_value(pp_star, RHO, float(y), a) for y, a in zip(ys, acts)],
+                       rtol=0.0, atol=1e-14)
+    with pytest.raises(DomainError):
+        qlearn.q_value(pp_star, RHO, [0.5, -0.1], [[0.0], [0.0]])
 
 
 def test_q_gradients_match_finite_differences():
+    # the gradient in the production update sums, read off one-step paths
     rng = np.random.default_rng(2)
     for chain in (True, False):
         for _ in range(100):
             pp = random_pp(rng)
             y = float(rng.uniform(0.0, 5.0))
             a = rng.normal(size=1)
-            g1, g2 = qlearn.q_grad(pp, y, a, chain_rule=chain)
+            g1, g2 = q_gradient(pp, RHO, y, a, chain_rule=chain)
 
             def q_of(psi1x, psi2x):
                 ppx = qlearn.PolicyParams(pp.xi, [psi1x], [[psi2x]], GAMMA)
@@ -90,7 +91,7 @@ def test_q_gradients_multidim_match_finite_differences():
         pp = random_pp(rng, d=d)
         y = float(rng.uniform(0.0, 3.0))
         a = rng.normal(size=d)
-        g1, g2 = qlearn.q_grad(pp, y, a, chain_rule=True)
+        g1, g2 = q_gradient(pp, RHO, y, a, chain_rule=True)
         for i in range(d):
             def f1(x, i=i):
                 p1 = pp.psi1.copy(); p1[i] = x
@@ -104,12 +105,12 @@ def test_q_gradients_multidim_match_finite_differences():
                 assert rel_err(central_diff(f2, pp.psi2[i, j]), g2[i, j]) < 1e-6
 
 
-def test_policy_from_q_matches_optimal_policy(pp_star, exploratory_ref):
+def test_policy_from_q_matches_optimal_policy(pp_star):
+    # the reference optimal policy: N((1+y) psi1* / psi2*^2, gamma (1+y)^2 / psi2*^2), psi2* = 1
     for y in (0.0, 1.0, 4.2):
         spec_q = qlearn.policy_from_q(pp_star, y)
-        spec_m = exploratory_ref.policy(y)
-        assert np.allclose(spec_q.mean, spec_m.mean, atol=1e-14)
-        assert np.allclose(spec_q.cov, spec_m.cov, atol=1e-14)
+        assert np.allclose(spec_q.mean, [(1.0 + y) * REF["psi1_star"]], rtol=0.0, atol=1e-14)
+        assert np.allclose(spec_q.cov, [[GAMMA * (1.0 + y) ** 2]], rtol=0.0, atol=1e-14)
     c0 = qlearn.policy_from_q(pp_star, 0.0).cov
     c1 = qlearn.policy_from_q(pp_star, 1.0).cov
     assert np.allclose(c1, 4.0 * c0)
@@ -156,23 +157,24 @@ def test_psi3_invariant_after_update(pp_star, params_ref):
         params_ref, mean_coef, cov_chol, 1, 1.0, 0.5, 0.01, seed=77
     )
     path = next(iter(batch))
-    new, _ = qlearn.update(pp_star, path, qlearn.Rates(0.1, 0.1, 0.1), RHO)
+    new, _ = qlearn.update(pp_star, path, qlearn.Rates(0.1, 0.1), RHO, xi_weight=1.0)
     from benchtrack.model import psi3_consistency
 
     assert new.psi3 == pytest.approx(psi3_consistency(new.psi1, new.psi2, GAMMA), abs=1e-15)
 
 
 # ------------------------------------------------------------ td residual
+# On a one-step path the discount is 1, so the xi statistic is the residual G_0.
 
 def test_td_residual_algebra(pp_star):
     y, a = 1.3, [0.4]
     q = qlearn.q_value(pp_star, RHO, y, a)
     j = qlearn.j_value(pp_star, y)
     # stationary fake transition: only the -(q + rho J) dt term remains
-    g = qlearn.td_residual(pp_star, RHO, y, a, y, 0.0, 0.05)
+    g = qlearn.update_statistics(pp_star, one_step_path(y, a, y, 0.0, 0.05), RHO)[0]
     assert g == pytest.approx(-(q + RHO * j) * 0.05, abs=1e-14)
     # local time enters with coefficient exactly -1
-    g_dl = qlearn.td_residual(pp_star, RHO, y, a, y, 0.1, 0.05)
+    g_dl = qlearn.update_statistics(pp_star, one_step_path(y, a, y, 0.1, 0.05), RHO)[0]
     assert g - g_dl == pytest.approx(0.1, abs=1e-14)
 
 
@@ -183,7 +185,7 @@ def test_td_residual_zero_at_compensating_q(pp_star):
     q = qlearn.q_value(pp_star, RHO, y, a)
     j = qlearn.j_value(pp_star, y)
     shift = qlearn.PolicyParams(pp_star.xi - (q + RHO * j) / RHO, pp_star.psi1, pp_star.psi2, GAMMA)
-    g = qlearn.td_residual(shift, RHO, y, a, y, 0.0, 0.05)
+    g = qlearn.update_statistics(shift, one_step_path(y, a, y, 0.0, 0.05), RHO)[0]
     assert abs(g) < 1e-12
 
 
@@ -197,7 +199,9 @@ FIXTURE_PATH = dict(
 )
 FIXTURE_PP = dict(xi=0.1, psi1=[0.5], psi2=[[1.2]], gamma=0.2)
 # hand-computed sums for the fixture (plain-float transcription of the
-# formulas, frozen; see the arithmetic in the repo history)
+# formulas, frozen; see the arithmetic in the repo history).  xi_next is the
+# root step at weight 1/2: 0.1 + 0.5 stat_xi / c with
+# c = 0.2 * 0.5 * (1 + e^-0.1 + e^-0.2) = 0.27235681711139414.
 FIXTURE_EXPECT = {
     "psi3": -0.07318515959428913,
     "stat_xi": -0.08435223740348197,
@@ -205,7 +209,7 @@ FIXTURE_EXPECT = {
     "stat_psi2_chain": -0.11492912405609965,
     "stat_psi1_plain": 0.28354126344075664,
     "stat_psi2_plain": -0.08866667977191375,
-    "xi_next": 0.09915647762596519,
+    "xi_next": -0.054856115404267325,
     "psi1_next": 0.5062566046952282,
     "psi2_next": 1.196552126278317,
 }
@@ -228,7 +232,7 @@ def test_update_statistics_hand_computed_fixture():
 def test_update_applies_rates_exactly():
     pp = qlearn.PolicyParams(**FIXTURE_PP)
     path = sde.EpisodePath(**FIXTURE_PATH)
-    new, info = qlearn.update(pp, path, qlearn.Rates(0.01, 0.02, 0.03), RHO)
+    new, info = qlearn.update(pp, path, qlearn.Rates(0.02, 0.03), RHO, xi_weight=0.5)
     assert new.xi == pytest.approx(FIXTURE_EXPECT["xi_next"], abs=1e-13)
     assert new.psi1[0] == pytest.approx(FIXTURE_EXPECT["psi1_next"], abs=1e-13)
     assert new.psi2[0, 0] == pytest.approx(FIXTURE_EXPECT["psi2_next"], abs=1e-13)
@@ -238,7 +242,7 @@ def test_update_applies_rates_exactly():
 def test_update_zero_rate_and_zero_residual_are_noops(pp_star):
     path = sde.EpisodePath(**FIXTURE_PATH)
     pp = qlearn.PolicyParams(**FIXTURE_PP)
-    new, _ = qlearn.update(pp, path, qlearn.Rates(0.0, 0.0, 0.0), RHO)
+    new, _ = qlearn.update(pp, path, qlearn.Rates(0.0, 0.0), RHO, xi_weight=0.0)
     assert new.xi == pp.xi
     assert np.array_equal(new.psi1, pp.psi1)
     assert np.array_equal(new.psi2, pp.psi2)
@@ -255,7 +259,7 @@ def test_update_zero_rate_and_zero_residual_are_noops(pp_star):
         actions=np.array([a, a]),
         local_time=np.zeros(3),
     )
-    new0, info0 = qlearn.update(ppz, path0, qlearn.Rates(0.5, 0.5, 0.5), RHO)
+    new0, info0 = qlearn.update(ppz, path0, qlearn.Rates(0.5, 0.5), RHO, xi_weight=1.0)
     assert new0.xi == pytest.approx(ppz.xi, abs=1e-12)
     assert np.allclose(new0.psi1, ppz.psi1, atol=1e-12)
     assert info0.norm < 1e-12
@@ -264,10 +268,12 @@ def test_update_zero_rate_and_zero_residual_are_noops(pp_star):
 def test_update_clips_and_projects():
     pp = qlearn.PolicyParams(**FIXTURE_PP)
     path = sde.EpisodePath(**FIXTURE_PATH)
-    new, info = qlearn.update(pp, path, qlearn.Rates(1e4, 1e4, 1e4), RHO, update_clip=1.0)
+    new, info = qlearn.update(pp, path, qlearn.Rates(1e4, 1e4), RHO, xi_weight=1.0, update_clip=1.0)
     assert info.clipped
-    step = np.array([new.xi - pp.xi, new.psi1[0] - pp.psi1[0], new.psi2[0, 0] - pp.psi2[0, 0]])
+    step = np.array([new.psi1[0] - pp.psi1[0], new.psi2[0, 0] - pp.psi2[0, 0]])
     assert np.linalg.norm(step) <= 1.0 + 1e-9
+    # the xi root step is not clipped: 0.1 + stat_xi / c, c as in FIXTURE_EXPECT
+    assert new.xi == pytest.approx(-0.20971223080853466, abs=1e-13)
     # psi2 projection floor
     tiny = qlearn.PolicyParams(0.0, [0.0], [[1e-9]], GAMMA)
     projected = qlearn._project_psi2(tiny.psi2)
@@ -279,7 +285,7 @@ def test_update_rejects_non_finite():
     bad = dict(FIXTURE_PATH)
     bad["states"] = np.array([1.0, 0.5, math.inf, 2.0])
     with pytest.raises(qlearn.NonFiniteUpdate), np.errstate(invalid="ignore"):
-        qlearn.update(pp, sde.EpisodePath(**bad), qlearn.Rates(0.1, 0.1, 0.1), RHO)
+        qlearn.update(pp, sde.EpisodePath(**bad), qlearn.Rates(0.1, 0.1), RHO, xi_weight=1.0)
 
 
 def test_update_xi_weight_one_solves_xi_condition(params_ref):
@@ -292,7 +298,7 @@ def test_update_xi_weight_one_solves_xi_condition(params_ref):
             params_ref, mean_coef, cov_chol, 1, 1.0, 3.0, 0.02, seed=trial
         )
         path = next(iter(batch))
-        new, info = qlearn.update(pp, path, qlearn.Rates(0.1, 0.1, 0.1), RHO, xi_weight=1.0)
+        new, info = qlearn.update(pp, path, qlearn.Rates(0.1, 0.1), RHO, xi_weight=1.0)
         at_root = qlearn.PolicyParams(new.xi, pp.psi1, pp.psi2, GAMMA)
         assert abs(qlearn.update_statistics(at_root, path, RHO)[0]) < 1e-12
         # the xi step stays out of the clipped norm
@@ -305,21 +311,22 @@ def test_update_xi_weight_rejects_non_finite_root():
     bad = dict(FIXTURE_PATH)
     bad["states"] = np.array([1.0, 0.5, math.inf, 2.0])
     with pytest.raises(qlearn.NonFiniteUpdate), np.errstate(invalid="ignore"):
-        qlearn.update(pp, sde.EpisodePath(**bad), qlearn.Rates(0.0, 0.0, 0.0), RHO, xi_weight=1.0)
+        qlearn.update(pp, sde.EpisodePath(**bad), qlearn.Rates(0.0, 0.0), RHO, xi_weight=1.0)
 
 
 # ---------------------------------------------------------------- schedule
 
 def test_schedule_reference_values():
     r1 = qlearn.schedule(1)
-    assert r1.alpha_xi == pytest.approx(0.015)
     assert r1.alpha_psi1 == pytest.approx(0.1)
     assert r1.alpha_psi2 == pytest.approx(0.01)
     r = qlearn.schedule(10_000)
-    assert r.alpha_xi == pytest.approx(0.015 / 10_000**0.61)
+    assert r.alpha_psi1 == pytest.approx(0.1 / 10_000**0.61)
+    assert r.alpha_psi2 == pytest.approx(0.01 / 10_000**0.61)
     r2 = qlearn.schedule(10_001)
-    assert r2.alpha_xi == pytest.approx(0.005 / 10_001**0.81)
-    assert r2.alpha_xi < r.alpha_xi
+    assert r2.alpha_psi1 == pytest.approx(0.05 / 10_001**0.81)
+    assert r2.alpha_psi2 == pytest.approx(0.005 / 10_001**0.81)
+    assert r2.alpha_psi1 < r.alpha_psi1
     rates = [qlearn.schedule(i).alpha_psi1 for i in range(1, 200)]
     assert all(a >= b for a, b in zip(rates, rates[1:]))
     with pytest.raises(ValueError):
@@ -387,8 +394,8 @@ def test_train_near_fixed_point_stays_close(params_ref, exploratory_ref):
     # tiny rates, initialized at the known solution: parameters barely move
     tiny = qlearn.ScheduleSpec(
         switch_episode=10_000,
-        first=qlearn.ScheduleRegime(0.0015, 0.01, 0.001, 0.61),
-        second=qlearn.ScheduleRegime(0.0005, 0.005, 0.0005, 0.81),
+        first=qlearn.ScheduleRegime(0.01, 0.001, 0.61),
+        second=qlearn.ScheduleRegime(0.005, 0.0005, 0.81),
     )
     env = sde.Environment(params=params_ref, dt=0.02)
     cfg = qlearn.LearnConfig(
@@ -408,8 +415,8 @@ def test_train_xi_is_mean_of_episode_roots(params_ref):
     # with psi frozen every episode has the same policy, so the per-episode
     # roots xi + stat_xi / c can be replayed from the batch simulator
     frozen = qlearn.ScheduleSpec(
-        first=qlearn.ScheduleRegime(0.015, 0.0, 0.0, 0.61),
-        second=qlearn.ScheduleRegime(0.005, 0.0, 0.0, 0.81),
+        first=qlearn.ScheduleRegime(0.0, 0.0, 0.61),
+        second=qlearn.ScheduleRegime(0.0, 0.0, 0.81),
     )
     n, T, dt = 30, 2.0, 0.05
     env = sde.Environment(params=params_ref, dt=dt)
@@ -474,6 +481,7 @@ def test_history_export(tmp_path, params_ref):
     assert len(lines) == 4
     s = hist.summary()
     assert s["episodes"] == 3 and "psi3" in s
+    assert s["gamma"] == GAMMA
 
 
 # ------------------------------------------------------------- diagnostics

@@ -1,5 +1,6 @@
 """Simulator layer: increments, reflection accounting, path laws, oracle."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -21,138 +22,115 @@ from oracles import (
 GAMMA = 0.2
 
 
-@pytest.fixture(scope="module")
-def pp_star(exploratory_ref):
-    return qlearn.PolicyParams(
-        xi=exploratory_ref.xi_star,
-        psi1=exploratory_ref.psi1_star,
-        psi2=exploratory_ref.psi2_star,
-        gamma=GAMMA,
-    )
-
-
 # ------------------------------------------------------------- increments
+# With cov_chol = 0 the action is (1 + y) m, so one step from far above the
+# boundary gives (y1 - y0) / (1 + y0) = c_0 = m' mu dt - sigma_z dWk + m' sigma dW
+# with mean m' mu dt and variance
+# dt (sigma_z^2 + |sigma' m|^2 - 2 sigma_z sqrt(1 - kappa^2) eta_hat' sigma' m),
+# eta_hat = eta / |eta|: the law of the Brownian increments, seen through the batch simulator.
 
-def test_increments_zero_dt(params_ref):
-    rng = sde.episode_rng(0, 0)
-    inc = sde.draw_increments(params_ref, 0.0, rng)
-    assert inc.dw_kappa == 0.0
-    assert np.all(inc.dw == 0.0)
+# d = 2 with a non-unit eta, so a benchmark noise built from the raw eta shows
+PARAMS_D2 = ModelParams(mu=[0.3, -0.2], sigma=[[0.8, 0.0], [0.3, 0.6]], sigma_z=0.5,
+                        kappa=0.4, eta=[0.6, -0.3], rho=0.2)
+
+
+def _one_step_increments(params, m, seed, n=60_000, dt=0.01, y0=50.0):
+    d = params.d
+    batch = sde.simulate_linear_gaussian_batch(params, m, np.zeros((d, d)), n, y0, dt, dt, seed)
+    assert np.all(batch.local_time == 0.0)  # no reflection this far from 0
+    return (batch.states[:, 1] - y0) / (1.0 + y0)
+
+
+def _assert_law(x, params, m, dt=0.01):
+    m = np.asarray(m, dtype=float)
+    eta_hat = params.eta / np.linalg.norm(params.eta)
+    sm = params.sigma.T @ m
+    mean = float(m @ params.mu) * dt
+    var = dt * (params.sigma_z**2 + float(sm @ sm)
+                - 2.0 * params.sigma_z * math.sqrt(1.0 - params.kappa**2) * float(eta_hat @ sm))
+    n = len(x)
+    assert abs(x.mean() - mean) < 3.0 * math.sqrt(var / n)
+    # standard error of the sample variance, from the sample fourth moment
+    se_var = math.sqrt((np.mean((x - x.mean()) ** 4) - x.var() ** 2) / n)
+    assert abs(x.var(ddof=1) - var) < 3.0 * se_var
+
+
+def test_increment_variances():
+    # no action: the benchmark's own noise, with variance sigma_z^2 dt whatever |eta|
+    _assert_law(_one_step_increments(PARAMS_D2, [0.0, 0.0], seed=1), PARAMS_D2, [0.0, 0.0])
+
+
+def test_increments_covariance_monte_carlo():
+    # the action loads the asset noise, which correlates with the benchmark's
+    m = [0.7, 0.4]
+    _assert_law(_one_step_increments(PARAMS_D2, m, seed=2), PARAMS_D2, m)
 
 
 def test_increments_kappa_one_independent_of_assets():
-    params = ModelParams(mu=[0.2], sigma=[[1.0]], sigma_z=0.2, kappa=1.0, eta=[1.0], rho=0.2)
-    rng = sde.episode_rng(1, 0)
-    cov_samples = []
-    for _ in range(20000):
-        inc = sde.draw_increments(params, 0.01, rng)
-        cov_samples.append(inc.dw_kappa * inc.dw[0])
-    # weight on the asset channel is zero, so the sample covariance is pure noise
-    m = np.mean(cov_samples)
-    se = np.std(cov_samples, ddof=1) / math.sqrt(len(cov_samples))
-    assert abs(m) < 3.0 * se
-
-
-def test_increments_covariance_monte_carlo(params_ref):
-    # Cov(dw_kappa, dw_1) should be sqrt(1-kappa^2) * dt for d=1, eta=1
-    dt = 0.5
-    rng = sde.episode_rng(2, 0)
-    n = 1_000_000
-    g = rng.standard_normal((n, 2)) * math.sqrt(dt)
-    dk = params_ref.kappa * g[:, 0] + math.sqrt(1 - params_ref.kappa**2) * g[:, 1]
-    prod = dk * g[:, 1]
-    target = math.sqrt(1 - params_ref.kappa**2) * dt
-    se = np.std(prod, ddof=1) / math.sqrt(n)
-    assert abs(np.mean(prod) - target) < 3.0 * se
-    # and the same covariance comes out of draw_increments itself
-    rng2 = sde.episode_rng(3, 0)
-    prods = []
-    for _ in range(200_000):
-        inc = sde.draw_increments(params_ref, dt, rng2)
-        prods.append(inc.dw_kappa * inc.dw[0])
-    se2 = np.std(prods, ddof=1) / math.sqrt(len(prods))
-    assert abs(np.mean(prods) - target) < 3.0 * se2
-
-
-def test_increment_variances(params_ref):
-    rng = sde.episode_rng(4, 0)
-    dt = 0.25
-    ks = [sde.draw_increments(params_ref, dt, rng).dw_kappa for _ in range(200_000)]
-    assert np.var(ks) == pytest.approx(dt, rel=0.02)
+    # at kappa = 1 the cross term vanishes: the variances simply add
+    params = ModelParams(mu=PARAMS_D2.mu, sigma=PARAMS_D2.sigma, sigma_z=0.5, kappa=1.0,
+                         eta=PARAMS_D2.eta, rho=0.2)
+    m = [0.7, 0.4]
+    _assert_law(_one_step_increments(params, m, seed=3), params, m)
 
 
 # ---------------------------------------------------------------- stepping
 
-def test_step_zero_noise_zero_action_is_noop(params_ref):
-    inc = sde.NoiseIncrements(dw_kappa=0.0, dw=np.zeros(1))
-    y_next, dL = sde.step_reflected(1.0, np.zeros(1), params_ref, 0.01, inc)
-    assert y_next == 1.0 and dL == 0.0
-    y_next, dL = sde.step_reflected(0.0, np.zeros(1), params_ref, 0.01, inc)
-    assert y_next == 0.0 and dL == 0.0
-
-
 def test_step_negative_drift_credits_local_time():
-    # sigma_z -> 0 surrogate: zero noise, action drift pushes below zero
-    params = ModelParams(mu=[-1.0], sigma=[[1.0]], sigma_z=1e-12, kappa=0.5, eta=[1.0], rho=0.2)
-    inc = sde.NoiseIncrements(dw_kappa=0.0, dw=np.zeros(1))
-    y_next, dL = sde.step_reflected(0.0, np.array([0.01]), params, 1.0, inc)
-    assert y_next == 0.0
-    assert dL == pytest.approx(0.01, abs=1e-12)
+    # near-zero noise: the action's drift pushes the state from 0 below zero
+    params = ModelParams(mu=[-1.0], sigma=[[1e-15]], sigma_z=1e-15, kappa=0.5, eta=[1.0], rho=0.2)
+    env = sde.Environment(params=params, dt=1.0)
+    states, _, local = sde.rollout_linear_gaussian(env, [0.01], [[0.0]], 0.0, 1, sde.episode_rng(0, 0))
+    assert states[1] == 0.0
+    assert local[1] == pytest.approx(0.01, abs=1e-12)
 
 
-def test_step_no_local_time_when_positive(params_ref):
-    inc = sde.NoiseIncrements(dw_kappa=-0.1, dw=np.array([0.05]))
-    y_next, dL = sde.step_reflected(0.5, np.array([0.3]), params_ref, 0.01, inc)
-    assert y_next > 0.0
-    assert dL == 0.0
+def test_step_no_local_time_when_positive(params_ref, pp_star):
+    env = sde.Environment(params=params_ref, dt=0.01)
+    mean_coef, cov_chol = pp_star.policy_coefficients()
+    states, _, local = sde.rollout_linear_gaussian(env, mean_coef, cov_chol, 50.0, 100, sde.episode_rng(1, 0))
+    assert np.all(states > 0.0)
+    assert np.all(local == 0.0)
 
 
 def test_step_rejects_non_finite(params_ref):
-    inc = sde.NoiseIncrements(dw_kappa=math.nan, dw=np.zeros(1))
-    with pytest.raises(sde.NonFinite):
-        sde.step_reflected(0.5, np.zeros(1), params_ref, 0.01, inc)
+    # with no cap, a mean action of 1e200 overflows y within a few steps
+    env = sde.Environment(params=params_ref, dt=0.01, action_cap=math.inf)
+    with pytest.raises(sde.NonFinite, match="path 0, step"), np.errstate(over="ignore", invalid="ignore"):
+        sde.rollout_linear_gaussian(env, [1e200], [[1.0]], 0.5, 10, sde.episode_rng(2, 0))
 
 
 # ---------------------------------------------------------------- episodes
 
-def test_episode_constant_when_dynamics_off():
-    params = ModelParams(mu=[0.2], sigma=[[1.0]], sigma_z=1e-300, kappa=0.5, eta=[1.0], rho=0.2)
-    rng = sde.episode_rng(5, 0)
-    path = sde.simulate_episode(lambda y, r: np.zeros(1), 0.7, 1.0, 0.01, params, rng)
-    assert np.allclose(path.states, 0.7, atol=1e-12)
-    assert np.all(path.local_time == 0.0)
-
-
 def test_episode_invariants_random_policies(params_ref):
     rng_master = np.random.default_rng(6)
+    env = sde.Environment(params=params_ref, dt=0.02)
     for i in range(1000):
         scale = float(rng_master.uniform(0.1, 2.0))
-        rng = sde.episode_rng(7, i)
-        path = sde.simulate_episode(
-            lambda y, r, s=scale: s * r.standard_normal(1), 0.2, 1.0, 0.02, params_ref, rng
+        states, _, local = sde.rollout_linear_gaussian(
+            env, [0.0], [[scale]], 0.2, 50, sde.episode_rng(7, i)
         )
-        assert np.all(path.states >= 0.0)
-        dL = np.diff(path.local_time)
+        assert np.all(states >= 0.0)
+        dL = np.diff(local)
         assert np.all(dL >= 0.0)
         # local time increments only push at the boundary
-        assert np.all(path.states[1:][dL > 0.0] == 0.0)
+        assert np.all(states[1:][dL > 0.0] == 0.0)
 
 
-def test_episode_determinism(params_ref):
-    def policy(y, r):
-        return r.standard_normal(1)
-
-    p1 = sde.simulate_episode(policy, 1.0, 2.0, 0.01, params_ref, sde.episode_rng(42, 3))
-    p2 = sde.simulate_episode(policy, 1.0, 2.0, 0.01, params_ref, sde.episode_rng(42, 3))
-    assert np.array_equal(p1.states, p2.states)
-    assert np.array_equal(p1.local_time, p2.local_time)
+def test_episode_determinism(params_ref, pp_star):
+    mean_coef, cov_chol = pp_star.policy_coefficients()
+    env = sde.Environment(params=params_ref, dt=0.01)
+    p1, p2 = (sde.rollout_linear_gaussian(env, mean_coef, cov_chol, 1.0, 200, sde.episode_rng(42, 3))
+              for _ in range(2))
+    for x, y in zip(p1, p2):
+        assert np.array_equal(x, y)
 
 
 def test_environment_clamps_huge_actions(params_ref):
     env = sde.Environment(params=params_ref, dt=0.01, action_cap=1.0)
-    rng = sde.episode_rng(8, 0)
-    env.step(0.5, np.array([50.0]), rng)
+    _, actions, _ = sde.rollout_linear_gaussian(env, [50.0], [[0.0]], 0.5, 1, sde.episode_rng(8, 0))
     assert env.clamp_events == 1
+    assert abs(actions[0, 0]) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_batch_matches_sequential_rollout(params_ref, pp_star):
@@ -171,12 +149,14 @@ def test_batch_matches_sequential_rollout(params_ref, pp_star):
 
 
 # The kernel against the step-by-step loops it replaced: the reference policy;
-# a small cap that clamps about a third of the steps; and a large step with a
-# large mean action, where 1 + c_k <= 0 reflects whatever the state.
+# a small cap that clamps about a third of the steps; a large step with a
+# large mean action, where 1 + c_k <= 0 reflects whatever the state; and no
+# action with a vanishing benchmark volatility, where nothing moves.
 KERNEL_CASES = {
-    "reference": (None, 0.01, sde.DEFAULT_ACTION_CAP),
-    "clamped": (None, 0.01, 1.5),
-    "certain_reflection": (([2.0], [[1.0]]), 0.25, sde.DEFAULT_ACTION_CAP),
+    "reference": (None, 0.01, sde.DEFAULT_ACTION_CAP, 0.2),
+    "clamped": (None, 0.01, 1.5, 0.2),
+    "certain_reflection": (([2.0], [[1.0]]), 0.25, sde.DEFAULT_ACTION_CAP, 0.2),
+    "zero_dynamics": (([0.0], [[0.0]]), 0.01, sde.DEFAULT_ACTION_CAP, 1e-300),
 }
 
 
@@ -187,12 +167,13 @@ def _assert_close(kernel, loop):
 
 @pytest.mark.parametrize("case", KERNEL_CASES)
 def test_kernel_matches_loop_oracles(params_ref, pp_star, case):
-    coefs, dt, cap = KERNEL_CASES[case]
+    coefs, dt, cap, sigma_z = KERNEL_CASES[case]
+    params = dataclasses.replace(params_ref, sigma_z=sigma_z)
     mean_coef, cov_chol = coefs or pp_star.policy_coefficients()
     n_steps = 200
     clamps, certain = 0, 0
     for i in range(10):
-        env, env_loop = (sde.Environment(params=params_ref, dt=dt, action_cap=cap) for _ in range(2))
+        env, env_loop = (sde.Environment(params=params, dt=dt, action_cap=cap) for _ in range(2))
         kernel = sde.rollout_linear_gaussian(env, mean_coef, cov_chol, 1.0, n_steps, sde.episode_rng(31, i))
         loop = rollout_linear_gaussian_loop(env_loop, mean_coef, cov_chol, 1.0, n_steps, sde.episode_rng(31, i))
         _assert_close(kernel, loop)
@@ -203,8 +184,16 @@ def test_kernel_matches_loop_oracles(params_ref, pp_star, case):
         certain += int(np.count_nonzero(np.diff(loop[2]) >= 1.0))
     assert (clamps > 0) == (case == "clamped")
     assert (certain > 0) == (case == "certain_reflection")
+    if case == "zero_dynamics":
+        # the state stays where it starts, on the boundary too
+        for y0 in (0.0, 0.7):
+            states, _, local = sde.rollout_linear_gaussian(
+                env, mean_coef, cov_chol, y0, n_steps, sde.episode_rng(33, 0)
+            )
+            assert np.allclose(states, y0, rtol=0.0, atol=1e-12)
+            assert np.allclose(local, 0.0, rtol=0.0, atol=1e-12)
 
-    args = (params_ref, mean_coef, cov_chol, 20, 1.0, n_steps * dt, dt, 32, cap)
+    args = (params, mean_coef, cov_chol, 20, 1.0, n_steps * dt, dt, 32, cap)
     batch, batch_loop = sde.simulate_linear_gaussian_batch(*args), simulate_linear_gaussian_batch_loop(*args)
     _assert_close(
         (batch.states, batch.actions, batch.local_time),
@@ -267,16 +256,7 @@ def test_discounted_local_time_matches_value_decomposition(params_ref, explorato
     )
     times = batch.times
     disc_mid = np.exp(-rho * times[:-1])
-    ys = batch.states[:, :-1]
-    s = 1.0 + ys
-    ppT = float(pp_star.psi2_sq[0, 0])
-    a = batch.actions[:, :, 0]
-    qvals = (
-        pp_star.psi1[0] * a / s
-        - ppT * a * a / (2.0 * s * s)
-        - rho * np.log1p(ys)
-        + pp_star.psi3
-    )
+    qvals = qlearn.q_value(pp_star, rho, batch.states[:, :-1], batch.actions)
     per_path = (
         math.exp(-rho * T) * (np.log1p(batch.states[:, -1]) + exploratory_ref.xi_star)
         - np.sum(disc_mid * qvals * dt, axis=1)
