@@ -76,6 +76,22 @@ def test_increments_kappa_one_independent_of_assets():
 
 # ---------------------------------------------------------------- stepping
 
+class _ZeroNoise:
+    """Stands in for a Generator whose every normal draw is exactly 0."""
+
+    def standard_normal(self, out):
+        out[...] = 0.0
+        return out
+
+
+def test_step_zero_noise_zero_action_is_noop(params_ref):
+    env = sde.Environment(params=params_ref, dt=0.01)
+    for y0 in (1.0, 0.0):
+        states, actions, local = sde.rollout_linear_gaussian(env, [0.0], [[0.0]], y0, 1, _ZeroNoise())
+        assert states[1] == y0 and local[1] == 0.0
+        assert actions[0, 0] == 0.0
+
+
 def test_step_negative_drift_credits_local_time():
     # near-zero noise: the action's drift pushes the state from 0 below zero
     params = ModelParams(mu=[-1.0], sigma=[[1e-15]], sigma_z=1e-15, kappa=0.5, eta=[1.0], rho=0.2)
@@ -101,6 +117,14 @@ def test_step_rejects_non_finite(params_ref):
 
 
 # ---------------------------------------------------------------- episodes
+
+def test_episode_constant_when_dynamics_off():
+    params = ModelParams(mu=[0.2], sigma=[[1.0]], sigma_z=1e-300, kappa=0.5, eta=[1.0], rho=0.2)
+    env = sde.Environment(params=params, dt=0.01)
+    states, _, local = sde.rollout_linear_gaussian(env, [0.0], [[0.0]], 0.7, 100, sde.episode_rng(5, 0))
+    assert np.allclose(states, 0.7, atol=1e-12)
+    assert np.all(local == 0.0)
+
 
 def test_episode_invariants_random_policies(params_ref):
     rng_master = np.random.default_rng(6)
@@ -184,14 +208,6 @@ def test_kernel_matches_loop_oracles(params_ref, pp_star, case):
         certain += int(np.count_nonzero(np.diff(loop[2]) >= 1.0))
     assert (clamps > 0) == (case == "clamped")
     assert (certain > 0) == (case == "certain_reflection")
-    if case == "zero_dynamics":
-        # the state stays where it starts, on the boundary too
-        for y0 in (0.0, 0.7):
-            states, _, local = sde.rollout_linear_gaussian(
-                env, mean_coef, cov_chol, y0, n_steps, sde.episode_rng(33, 0)
-            )
-            assert np.allclose(states, y0, rtol=0.0, atol=1e-12)
-            assert np.allclose(local, 0.0, rtol=0.0, atol=1e-12)
 
     args = (params, mean_coef, cov_chol, 20, 1.0, n_steps * dt, dt, 32, cap)
     batch, batch_loop = sde.simulate_linear_gaussian_batch(*args), simulate_linear_gaussian_batch_loop(*args)
