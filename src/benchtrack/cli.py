@@ -163,11 +163,12 @@ def cmd_simulate(cfg: dict, seed: int | None, out: Path) -> int:
     T = float(_require(sim, "T", "simulate"))
     dt = float(_require(sim, "dt", "simulate"))
     seed = 0 if seed is None else seed
+    meta = {"config": _resolved(cfg, seed), "scheme": scheme, "n_paths": n_paths}
 
     if n_paths == 0:
         log.warning("n_paths = 0: writing empty output")
-        sde.export_paths_csv([], out / "paths.csv", out / "paths.meta.json",
-                             {"config": _resolved(cfg, seed), "scheme": scheme, "n_paths": 0})
+        empty = sde.BatchPaths(np.empty(0), np.empty((0, 0)), np.empty((0, 0, 0)), np.empty((0, 0)))
+        sde.export_paths_csv(empty, out / "paths.csv", out / "paths.meta.json", meta)
         _write_json(out / "summary.json", {"n_paths": 0, "warning": "no paths requested"}, cfg, seed)
         return 0
 
@@ -175,33 +176,18 @@ def cmd_simulate(cfg: dict, seed: int | None, out: Path) -> int:
     if scheme == "episode":
         pp = qlearn.PolicyParams.from_constants(exploratory_constants(params, gamma))
         mean_coef, cov_chol = pp.policy_coefficients()
-        batch = sde.simulate_linear_gaussian_batch(
-            params, mean_coef, cov_chol, n_paths, y0, T, dt, seed
-        )
-        paths: list[sde.EpisodePath] | sde.BatchPaths = batch
-        summary["clamp_events"] = batch.clamp_events
-        summary["mean_terminal_state"] = float(batch.states[:, -1].mean())
-        summary["mean_local_time"] = float(batch.local_time[:, -1].mean())
+        paths = sde.simulate_linear_gaussian_batch(params, mean_coef, cov_chol, n_paths, y0, T, dt, seed)
+        summary["clamp_events"] = paths.clamp_events
     elif scheme == "aggregated":
-        paths = [
-            sde.simulate_aggregated(params, gamma, y0, T, dt, sde.episode_rng(seed, i))
-            for i in range(n_paths)
-        ]
-        summary["mean_terminal_state"] = float(np.mean([p.states[-1] for p in paths]))
+        paths = sde.simulate_aggregated(params, gamma, y0, T, dt, n_paths, seed)
     elif scheme == "skorokhod":
-        logs = [
-            sde.skorokhod_log_path(params, gamma, math.log1p(y0), T, dt, sde.episode_rng(seed, i))
-            for i in range(n_paths)
-        ]
-        paths = [
-            sde.EpisodePath(times=lp.times, states=np.expm1(lp.h), actions=None, local_time=lp.k)
-            for lp in logs
-        ]
-        summary["mean_terminal_state"] = float(np.mean([p.states[-1] for p in paths]))
+        paths = sde.skorokhod_paths(params, gamma, math.log1p(y0), T, dt, n_paths, seed)
     else:
         raise ConfigError(f"unknown scheme {scheme!r}")
+    summary["mean_terminal_state"] = float(paths.states[:, -1].mean())
+    if scheme == "episode":
+        summary["mean_local_time"] = float(paths.local_time[:, -1].mean())
 
-    meta = {"config": _resolved(cfg, seed), "scheme": scheme, "n_paths": n_paths}
     sde.export_paths_csv(paths, out / "paths.csv", out / "paths.meta.json", meta)
 
     if sim.get("ks_check", False):
@@ -247,6 +233,7 @@ def cmd_train(cfg: dict, seed: int | None, out: Path) -> int:
     tr = _require(cfg, "train")
     seed = int(tr.get("seed", 0)) if seed is None else seed
     dt = float(_require(tr, "dt", "train"))
+    gamma = float(tr.get("gamma", params.rho / params.d))
 
     init_xi, init_psi1, init_psi2 = 0.0, None, None
     start_episode = 1
@@ -254,10 +241,11 @@ def cmd_train(cfg: dict, seed: int | None, out: Path) -> int:
     if resume:
         with open(resume) as fh:
             snap = json.load(fh)
-        init_xi = float(snap["xi"])
-        init_psi1 = np.asarray(snap["psi1"], dtype=float)
-        init_psi2 = np.asarray(snap["psi2"], dtype=float)
-        start_episode = int(snap["episodes"]) + 1
+        if snap.get("gamma") is not None:  # a snapshot without gamma trains at the config's
+            gamma = _learned_gamma(snap["gamma"], tr.get("gamma"), resume)
+        start = _learned_params(snap, resume, gamma)
+        init_xi, init_psi1, init_psi2 = start.xi, start.psi1, start.psi2
+        start_episode = int(_require(snap, "episodes", resume)) + 1
         log.info("resuming from %s at episode %d", resume, start_episode)
 
     init = tr.get("init", {})
@@ -271,7 +259,7 @@ def cmd_train(cfg: dict, seed: int | None, out: Path) -> int:
         T=float(_require(tr, "T", "train")),
         dt=dt,
         n_episodes=int(_require(tr, "episodes", "train")),
-        gamma=float(tr.get("gamma", params.rho / params.d)),
+        gamma=gamma,
         rho=float(tr.get("rho", params.rho)),
         seed=seed,
         schedule=_schedule_from_cfg(tr.get("schedule")),
@@ -301,13 +289,7 @@ def cmd_diagnose(cfg: dict, seed: int | None, out: Path) -> int:
 
     pp = qlearn.PolicyParams.from_constants(exploratory_constants(params, gamma))
     if "params" in dg:
-        blk = dg["params"]
-        pp = qlearn.PolicyParams(
-            xi=float(blk["xi"]),
-            psi1=np.asarray(blk["psi1"], dtype=float),
-            psi2=np.asarray(blk["psi2"], dtype=float),
-            gamma=gamma,
-        )
+        pp = _learned_params(dg["params"], "diagnose.params", gamma)
 
     payload: dict = {}
     if "T" in dg and "dt" in dg:
@@ -347,18 +329,28 @@ def cmd_diagnose(cfg: dict, seed: int | None, out: Path) -> int:
     return 0
 
 
+def _learned_params(blk: dict, where: str, gamma: float) -> qlearn.PolicyParams:
+    """The learner parameters xi, psi1 and psi2 of a learned.json snapshot or a config block."""
+    return qlearn.PolicyParams(
+        xi=float(_require(blk, "xi", where)),
+        psi1=np.asarray(_require(blk, "psi1", where), dtype=float),
+        psi2=np.asarray(_require(blk, "psi2", where), dtype=float),
+        gamma=gamma,
+    )
+
+
 def _learned_gamma(snap_gamma, cfg_gamma, path: str) -> float:
-    """The snapshot's temperature; the strategy's `gamma` may only repeat it.
+    """The snapshot's temperature; the config's `gamma` may only repeat it.
 
     Snapshots written before train stored gamma need the config's value.
     """
     if snap_gamma is None and cfg_gamma is None:
-        raise ConfigError(f"{path} stores no gamma and the learned strategy gives none")
+        raise ConfigError(f"{path} stores no gamma and the config gives none")
     if snap_gamma is None:
         return float(cfg_gamma)
     if cfg_gamma is not None and not math.isclose(float(cfg_gamma), float(snap_gamma), rel_tol=1e-9):
         raise ConfigError(
-            f"learned strategy gamma {cfg_gamma} differs from the gamma {snap_gamma} "
+            f"gamma {cfg_gamma} differs from the gamma {snap_gamma} "
             f"that {path} was trained at; remove it or make them agree"
         )
     return float(snap_gamma)
@@ -387,13 +379,7 @@ def _strategy_from_cfg(blk: dict, prices: bt.PriceSeries, rho: float):
         path = _require(blk, "params", "strategy")
         with open(path) as fh:
             snap = json.load(fh)
-        gamma = _learned_gamma(snap.get("gamma"), blk.get("gamma"), path)
-        pp = qlearn.PolicyParams(
-            xi=float(snap["xi"]),
-            psi1=np.asarray(snap["psi1"], dtype=float),
-            psi2=np.asarray(snap["psi2"], dtype=float),
-            gamma=gamma,
-        )
+        pp = _learned_params(snap, path, _learned_gamma(snap.get("gamma"), blk.get("gamma"), path))
         execution = blk.get("execution", "mean")
         if execution == "mean":
             def strat(y, _pp=pp):

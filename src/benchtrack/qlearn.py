@@ -235,8 +235,6 @@ def update_statistics(
     pp: PolicyParams, path: sde.EpisodePath, rho: float, chain_rule: bool = True
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Expose the raw update sums (sum_k e^{-rho t_k} grad q * G_k)."""
-    if path.actions is None:
-        raise ValueError("episode has no recorded actions")
     return _episode_statistics(
         pp, rho, path.times, path.states, path.actions, path.local_time, chain_rule
     )
@@ -475,7 +473,6 @@ def train(config: LearnConfig, env: sde.Environment) -> TrainHistory:
                 states=states,
                 actions=actions,
                 local_time=local,
-                seed=(config.seed, int(i)),
             )
             pp, info = update(
                 pp,
@@ -556,8 +553,6 @@ def orthogonality_stats(
     d = pp.d
     rows = np.empty((len(episodes), 1 + d + d * d))
     for i, ep in enumerate(episodes):
-        if ep.actions is None:
-            raise ValueError("episode has no recorded actions")
         s_xi, s_p1, s_p2 = _episode_statistics(
             pp, rho, ep.times, ep.states, ep.actions, ep.local_time, chain_rule
         )

@@ -23,9 +23,10 @@ free of y.  In H = ln(1+y) that is Lindley's recursion
 H' = max(H + log1p(c_k), 0), the discrete Skorokhod map, which a cumulative
 sum and a running maximum solve with no loop over steps.  A clamp at the
 action cap depends on y, so it is found after the fact and the path is
-replayed from the clamped step.  Batches run in blocks of a few paths, each
-drawing its paths' own Philox streams, so a row equals a lone rollout; the
-blocks share one set of scratch arrays and write into the batch's outputs.
+replayed from the clamped step.  All three path samplers (policy, aggregated
+and Skorokhod) return a BatchPaths built in blocks of a few paths; row i
+draws the Philox stream (seed, i), so it equals a lone path on that stream.
+The blocks share one set of scratch arrays and write into the batch's outputs.
 
 The same map in continuous time gives an independent oracle for the
 policy-averaged dynamics: for H = ln(1 + Y),
@@ -40,6 +41,7 @@ the projection scheme distributionally.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -55,7 +57,6 @@ __all__ = [
     "InvalidVariance",
     "EpisodePath",
     "BatchPaths",
-    "LogPath",
     "episode_rng",
     "Environment",
     "rollout_linear_gaussian",
@@ -63,7 +64,7 @@ __all__ = [
     "aggregated_coefficients",
     "simulate_aggregated",
     "aggregated_terminal_sample",
-    "skorokhod_log_path",
+    "skorokhod_paths",
     "skorokhod_terminal_sample",
     "export_paths_csv",
 ]
@@ -109,13 +110,8 @@ class EpisodePath:
 
     times: np.ndarray       # (K+1,)
     states: np.ndarray      # (K+1,)
-    actions: np.ndarray | None  # (K, d); None for action-free aggregated paths
+    actions: np.ndarray     # (K, d)
     local_time: np.ndarray  # (K+1,), L_0 = 0
-    seed: tuple[int, int] | None = None
-
-    @property
-    def n_steps(self) -> int:
-        return len(self.times) - 1
 
 
 @dataclass
@@ -147,24 +143,13 @@ class BatchPaths:
 
     times: np.ndarray       # (K+1,)
     states: np.ndarray      # (n, K+1)
-    actions: np.ndarray     # (n, K, d)
+    actions: np.ndarray     # (n, K, d); d = 0 for the action-free schemes
     local_time: np.ndarray  # (n, K+1)
-    seed: int | None = None
     clamp_events: int = 0
 
-    @property
-    def n_paths(self) -> int:
-        return self.states.shape[0]
-
     def __iter__(self) -> Iterator[EpisodePath]:
-        for i in range(self.n_paths):
-            yield EpisodePath(
-                times=self.times,
-                states=self.states[i],
-                actions=self.actions[i],
-                local_time=self.local_time[i],
-                seed=(self.seed, i) if self.seed is not None else None,
-            )
+        for states, actions, local in zip(self.states, self.actions, self.local_time):
+            yield EpisodePath(times=self.times, states=states, actions=actions, local_time=local)
 
 
 def _workspace(rows: int, K: int, d: int) -> SimpleNamespace:
@@ -179,6 +164,23 @@ def _workspace(rows: int, K: int, d: int) -> SimpleNamespace:
     return SimpleNamespace(normals=e(K, 2 * d + 1), u=e(K, d), c=e(K), base=e(K), drive=e(K), unorm=e(K),
                            dL=e(K), t=e(K), w=e(K), x=e(K + 1), h=e(K + 1), push=e(K + 1),
                            reflect=np.empty((rows, K), dtype=bool))
+
+
+def _batch(times: np.ndarray, d: int, n_paths: int, seed: int, fill) -> BatchPaths:
+    """n_paths rows on `times`, written by fill(ws, states, actions, local, first_path) per block.
+
+    Row j of ws.normals holds the stream (seed, first_path + j); fill returns the block's clamp count.
+    """
+    K = len(times) - 1
+    states, local, actions = np.empty((n_paths, K + 1)), np.empty((n_paths, K + 1)), np.empty((n_paths, K, d))
+    ws = _workspace(min(n_paths, _BLOCK_ROWS), K, d)
+    clamp_events = 0
+    for start in range(0, n_paths, _BLOCK_ROWS):
+        block = slice(start, start + _BLOCK_ROWS)
+        for j, i in enumerate(range(n_paths)[block]):
+            episode_rng(seed, i).standard_normal(out=ws.normals[j])
+        clamp_events += fill(ws, states[block], actions[block], local[block], start)
+    return BatchPaths(times=times, states=states, actions=actions, local_time=local, clamp_events=clamp_events)
 
 
 def _reflect(c: np.ndarray, states: np.ndarray, dL: np.ndarray, ws: SimpleNamespace) -> None:
@@ -331,22 +333,8 @@ def simulate_linear_gaussian_batch(
     """
     if y0 < 0.0:
         raise ValueError(f"y0 must be >= 0, got {y0}")
-    times = _grid(T, dt)
-    K = len(times) - 1
-    d = params.d
-    states, local, actions = np.empty((n_paths, K + 1)), np.empty((n_paths, K + 1)), np.empty((n_paths, K, d))
-    ws = _workspace(min(n_paths, _BLOCK_ROWS), K, d)
-    clamp_events = 0
-    for start in range(0, n_paths, _BLOCK_ROWS):
-        block = slice(start, start + _BLOCK_ROWS)
-        for j, i in enumerate(range(n_paths)[block]):
-            episode_rng(seed, i).standard_normal(out=ws.normals[j])
-        clamp_events += _linear_gaussian_paths(
-            params, dt, mean_coef, cov_chol, y0, action_cap, ws, states[block], actions[block], local[block], start
-        )
-    return BatchPaths(
-        times=times, states=states, actions=actions, local_time=local, seed=seed, clamp_events=clamp_events
-    )
+    fill = functools.partial(_linear_gaussian_paths, params, dt, mean_coef, cov_chol, y0, action_cap)
+    return _batch(_grid(T, dt), params.d, n_paths, seed, fill)
 
 
 def aggregated_coefficients(params: ModelParams, gamma: float) -> tuple[float, float]:
@@ -374,19 +362,27 @@ def simulate_aggregated(
     y0: float,
     T: float,
     dt: float,
-    rng: np.random.Generator,
-) -> EpisodePath:
-    """Projection-Euler path of the one-factor aggregated dynamics, c_k = b dt + s sqrt(dt) z_k."""
+    n_paths: int,
+    seed: int,
+) -> BatchPaths:
+    """Projection-Euler paths of the one-factor aggregated dynamics, c_k = b dt + s sqrt(dt) z_k."""
     if y0 < 0.0:
         raise ValueError(f"y0 must be >= 0, got {y0}")
     b, s = aggregated_coefficients(params, gamma)
-    times = _grid(T, dt)
-    K = len(times) - 1
-    c = b * dt + s * math.sqrt(dt) * rng.standard_normal(K)[None]
-    states, dL = np.full((1, K + 1), float(y0)), np.empty((1, K))
-    _reflect(c, states, dL, _workspace(1, K, 0))
-    local = np.concatenate([[0.0], np.cumsum(dL[0])])
-    return EpisodePath(times=times, states=states[0], actions=None, local_time=local)
+    scale = s * math.sqrt(dt)
+
+    def fill(ws, states, actions, local, first_path):
+        n = len(states)
+        c, dL = ws.c[:n], ws.dL[:n]
+        np.multiply(ws.normals[:n, :, 0], scale, out=c)
+        c += b * dt
+        states[:, 0] = y0
+        _reflect(c, states, dL, ws)
+        local[:, 0] = 0.0
+        np.cumsum(dL, axis=1, out=local[:, 1:])
+        return 0
+
+    return _batch(_grid(T, dt), 0, n_paths, seed, fill)
 
 
 def aggregated_terminal_sample(
@@ -412,43 +408,45 @@ def aggregated_terminal_sample(
     return y
 
 
-@dataclass(frozen=True)
-class LogPath:
-    """Skorokhod-map representation of the log-state H = ln(1 + Y)."""
-
-    times: np.ndarray
-    h: np.ndarray   # reflected log-state, H >= 0
-    k: np.ndarray   # cumulative boundary push (local time of H)
-    b: np.ndarray   # the driving Brownian path (B_0 = 0)
-
-
-def skorokhod_log_path(
+def skorokhod_paths(
     params: ModelParams,
     gamma: float,
     h0: float,
     T: float,
     dt: float,
-    rng: np.random.Generator,
-) -> LogPath:
-    """Explicit running-max construction of the reflected log-state.
+    n_paths: int,
+    seed: int,
+) -> BatchPaths:
+    """Explicit running-max construction of the reflected log-state H = ln(1 + Y).
 
     H_t = h0 + mu_hat t + sigma_hat B_t + K_t, with K given by the closed
     Skorokhod formula; no Euler discretization of the reflection enters, so
-    this doubles as an oracle for the projection scheme.
+    this doubles as an oracle for the projection scheme.  Rows hold
+    states = expm1(H) and local_time = K, the push of H (not Y's local time).
     """
     if h0 < 0.0:
         raise ValueError(f"h0 must be >= 0, got {h0}")
     b, s = aggregated_coefficients(params, gamma)
     mu_hat = b - 0.5 * s * s
     times = _grid(T, dt)
-    K = len(times) - 1
-    db = math.sqrt(dt) * rng.standard_normal(K)
-    bpath = np.concatenate([[0.0], np.cumsum(db)])
-    free = -mu_hat * times - s * bpath
-    running_max = np.maximum.accumulate(np.maximum(free, 0.0))
-    k = np.maximum(0.0, -h0 + running_max)
-    h = h0 + mu_hat * times + s * bpath + k
-    return LogPath(times=times, h=h, k=k, b=bpath)
+    sqdt = math.sqrt(dt)
+    drift, neg_drift = h0 + mu_hat * times, -mu_hat * times
+
+    def fill(ws, states, actions, local, first_path):
+        # free = -mu_hat t - s B;  K = max(0, running max of max(free, 0) - h0);  H = h0 + mu_hat t + s B + K
+        n = len(states)
+        bpath, free, running_max = ws.x[:n], ws.h[:n], ws.push[:n]
+        bpath[:, 0] = 0.0
+        np.cumsum(np.multiply(ws.normals[:n, :, 0], sqdt, out=ws.c[:n]), axis=1, out=bpath[:, 1:])
+        np.subtract(neg_drift, np.multiply(bpath, s, out=free), out=free)
+        np.maximum.accumulate(np.maximum(free, 0.0, out=free), axis=1, out=running_max)
+        np.maximum(0.0, np.add(running_max, -h0, out=local), out=local)
+        np.add(drift, np.multiply(bpath, s, out=free), out=states)
+        states += local
+        np.expm1(states, out=states)
+        return 0
+
+    return _batch(times, 0, n_paths, seed, fill)
 
 
 def skorokhod_terminal_sample(
@@ -479,25 +477,21 @@ def skorokhod_terminal_sample(
     return h0 + mu_hat * T + s * bpath + k_T
 
 
-def export_paths_csv(paths: BatchPaths | list[EpisodePath], csv_path, meta_path=None, metadata: dict | None = None) -> None:
-    """Write paths as (episode, k, t, y, action..., dL, L) rows plus a metadata JSON."""
-    episodes = list(paths) if not isinstance(paths, list) else paths
+def export_paths_csv(paths: BatchPaths, csv_path, meta_path, metadata: dict) -> None:
+    """Write paths as (episode, k, t, y, action..., dL, L) rows plus a metadata JSON.
+
+    Row k carries the action taken at step k, so a path's last row has nan actions.
+    """
+    d = paths.actions.shape[2]
+    no_action = np.full((1, d), math.nan)
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        d = 0 if not episodes or episodes[0].actions is None else episodes[0].actions.shape[1]
-        header = ["episode", "k", "t", "y"] + [f"action_{i+1}" for i in range(d)] + ["dL", "L"]
-        writer.writerow(header)
-        for idx, ep in enumerate(episodes):
-            dL = np.diff(ep.local_time)
-            for k in range(ep.n_steps + 1):
-                acts = [] if ep.actions is None else (
-                    list(ep.actions[k]) if k < ep.n_steps else [math.nan] * d
-                )
-                writer.writerow(
-                    [idx, k, ep.times[k], ep.states[k]]
-                    + acts
-                    + [dL[k - 1] if k > 0 else 0.0, ep.local_time[k]]
-                )
-    if meta_path is not None:
-        with open(meta_path, "w") as fh:
-            json.dump(metadata or {}, fh, indent=2, default=str)
+        writer.writerow(["episode", "k", "t", "y"] + [f"action_{i+1}" for i in range(d)] + ["dL", "L"])
+        for i, local in enumerate(paths.local_time):
+            rows = np.column_stack([
+                paths.times, paths.states[i], np.vstack([paths.actions[i], no_action]),
+                np.diff(local, prepend=0.0), local,
+            ]).tolist()
+            writer.writerows([i, k, *row] for k, row in enumerate(rows))
+    with open(meta_path, "w") as fh:
+        json.dump(metadata, fh, indent=2, default=str)

@@ -1,11 +1,7 @@
 import math
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
-
-sys.path.insert(0, str(Path(__file__).parent))
 
 from benchtrack import qlearn, sde
 from benchtrack.model import ModelParams, classical_solution, exploratory_constants

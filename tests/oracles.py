@@ -5,12 +5,19 @@ finite differences, Gaussian moment identities, brute-force quadrature)
 and never calls the code paths it is used to verify.  The `*_loop`
 simulators step the projection-Euler scheme one step at a time, as the
 package did before its loop-free reflection kernel; they share only the
-grid, the random streams and the result types with `sde`.
+grid, the random streams and the result types with `sde`.  The `per_path`
+samplers, `skorokhod_log_path` and `export_paths_csv_per_row` are the
+package's API from before every sampler returned a BatchPaths: one path per
+call and one CSV row per write.  Each batch row and the bulk writer's bytes
+must equal theirs exactly.
 """
 
 from __future__ import annotations
 
+import csv
+import json
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -215,7 +222,6 @@ def simulate_linear_gaussian_batch_loop(
         states=states,
         actions=actions,
         local_time=local,
-        seed=seed,
         clamp_events=clamp_events,
     )
 
@@ -252,7 +258,94 @@ def simulate_aggregated_loop(
             y, dL = 0.0, -proposal
         states[k + 1] = y
         local[k + 1] = local[k] + dL
-    return sde.EpisodePath(times=times, states=states, actions=None, local_time=local)
+    return sde.EpisodePath(times=times, states=states, actions=np.empty((K, 0)), local_time=local)
+
+
+def simulate_aggregated_per_path(
+    params,
+    gamma: float,
+    y0: float,
+    T: float,
+    dt: float,
+    rng: np.random.Generator,
+) -> sde.EpisodePath:
+    """Projection-Euler path of the one-factor aggregated dynamics, c_k = b dt + s sqrt(dt) z_k."""
+    if y0 < 0.0:
+        raise ValueError(f"y0 must be >= 0, got {y0}")
+    b, s = sde.aggregated_coefficients(params, gamma)
+    times = sde._grid(T, dt)
+    K = len(times) - 1
+    c = b * dt + s * math.sqrt(dt) * rng.standard_normal(K)[None]
+    states, dL = np.full((1, K + 1), float(y0)), np.empty((1, K))
+    sde._reflect(c, states, dL, sde._workspace(1, K, 0))
+    local = np.concatenate([[0.0], np.cumsum(dL[0])])
+    return sde.EpisodePath(times=times, states=states[0], actions=np.empty((K, 0)), local_time=local)
+
+
+@dataclass(frozen=True)
+class LogPath:
+    """Skorokhod-map representation of the log-state H = ln(1 + Y)."""
+
+    times: np.ndarray
+    h: np.ndarray   # reflected log-state, H >= 0
+    k: np.ndarray   # cumulative boundary push (local time of H)
+    b: np.ndarray   # the driving Brownian path (B_0 = 0)
+
+
+def skorokhod_log_path(
+    params,
+    gamma: float,
+    h0: float,
+    T: float,
+    dt: float,
+    rng: np.random.Generator,
+) -> LogPath:
+    """Explicit running-max construction of the reflected log-state.
+
+    H_t = h0 + mu_hat t + sigma_hat B_t + K_t, with K given by the closed
+    Skorokhod formula; no Euler discretization of the reflection enters, so
+    this doubles as an oracle for the projection scheme.
+    """
+    if h0 < 0.0:
+        raise ValueError(f"h0 must be >= 0, got {h0}")
+    b, s = sde.aggregated_coefficients(params, gamma)
+    mu_hat = b - 0.5 * s * s
+    times = sde._grid(T, dt)
+    K = len(times) - 1
+    db = math.sqrt(dt) * rng.standard_normal(K)
+    bpath = np.concatenate([[0.0], np.cumsum(db)])
+    free = -mu_hat * times - s * bpath
+    running_max = np.maximum.accumulate(np.maximum(free, 0.0))
+    k = np.maximum(0.0, -h0 + running_max)
+    h = h0 + mu_hat * times + s * bpath + k
+    return LogPath(times=times, h=h, k=k, b=bpath)
+
+
+def export_paths_csv_per_row(
+    paths: sde.BatchPaths | list[sde.EpisodePath], csv_path, meta_path=None, metadata: dict | None = None
+) -> None:
+    """Write paths as (episode, k, t, y, action..., dL, L) rows plus a metadata JSON."""
+    episodes = list(paths) if not isinstance(paths, list) else paths
+    with open(csv_path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        d = 0 if not episodes or episodes[0].actions is None else episodes[0].actions.shape[1]
+        header = ["episode", "k", "t", "y"] + [f"action_{i+1}" for i in range(d)] + ["dL", "L"]
+        writer.writerow(header)
+        for idx, ep in enumerate(episodes):
+            dL = np.diff(ep.local_time)
+            n_steps = len(ep.times) - 1
+            for k in range(n_steps + 1):
+                acts = [] if ep.actions is None else (
+                    list(ep.actions[k]) if k < n_steps else [math.nan] * d
+                )
+                writer.writerow(
+                    [idx, k, ep.times[k], ep.states[k]]
+                    + acts
+                    + [dL[k - 1] if k > 0 else 0.0, ep.local_time[k]]
+                )
+    if meta_path is not None:
+        with open(meta_path, "w") as fh:
+            json.dump(metadata or {}, fh, indent=2, default=str)
 
 
 # Reference model: d = 1, mu = 0.2, sigma = 1, sigma_z = 0.2, kappa = 0.5,

@@ -145,6 +145,58 @@ def test_train_rejects_unused_xi_settings(tmp_path, caplog):
                "psi.yaml") == 0
 
 
+def test_train_resume_keeps_the_snapshot_gamma(tmp_path, caplog):
+    def run(train, name):
+        cfg = write_config(tmp_path, {**MODEL_BLOCK, "train": {"T": 1.0, "dt": 0.05, "episodes": 2, **train}},
+                           name=f"{name}.yaml")
+        return main(["train", "--config", cfg, "--seed", "1", "--out", str(tmp_path / name)])
+
+    def learned_gamma(name):
+        return json.loads((tmp_path / name / "learned.json").read_text())["gamma"]
+
+    assert run({"gamma": 0.1}, "first") == 0
+    snapshot = tmp_path / "first" / "learned.json"
+    # psi learned at one temperature is not continued at another
+    assert run({"gamma": 0.2, "resume": str(snapshot)}, "other") == 2
+    assert "differs from the gamma 0.1" in caplog.text
+    assert not (tmp_path / "other" / "learned.json").exists()
+    # with no train.gamma the run continues at the snapshot's
+    assert run({"resume": str(snapshot)}, "same") == 0
+    assert learned_gamma("same") == 0.1
+    # a snapshot without gamma takes the config's, or rho / d
+    bare = tmp_path / "bare.json"
+    bare.write_text(json.dumps({k: v for k, v in json.loads(snapshot.read_text()).items() if k != "gamma"}))
+    assert run({"resume": str(bare)}, "bare_default") == 0
+    assert learned_gamma("bare_default") == 0.2
+    assert run({"gamma": 0.1, "resume": str(bare)}, "bare_config") == 0
+    assert learned_gamma("bare_config") == 0.1
+
+
+def test_learned_parameters_missing_a_key_fail_cleanly(tmp_path, caplog):
+    out = tmp_path / "out"
+    params = {"xi": 0.36, "psi1": [0.37]}
+    diagnose = write_config(tmp_path, {**MODEL_BLOCK, "diagnose": {"T": 0.5, "dt": 0.05, "n_paths": 10,
+                                                                   "params": params}}, name="diagnose.yaml")
+    assert main(["diagnose", "--config", diagnose, "--out", str(out)]) == 2
+    assert "diagnose.params is missing required key 'psi2'" in caplog.text
+
+    for key in ("psi1", "episodes"):
+        snapshot = tmp_path / f"no_{key}.json"
+        full = {"xi": 0.36, "psi1": [0.37], "psi2": [[1.0]], "episodes": 3, "gamma": 0.2}
+        snapshot.write_text(json.dumps({k: v for k, v in full.items() if k != key}))
+        train = write_config(tmp_path, {**MODEL_BLOCK, "train": {"T": 1.0, "dt": 0.05, "episodes": 2,
+                                                                 "resume": str(snapshot)}}, name=f"{key}.yaml")
+        assert main(["train", "--config", train, "--out", str(out)]) == 2
+        assert f"no_{key}.json is missing required key '{key}'" in caplog.text
+
+    snapshot = tmp_path / "no_xi.json"
+    snapshot.write_text(json.dumps({"psi1": [0.37], "psi2": [[1.0]], "gamma": 0.2}))
+    assert main(["backtest", "--config", _learned_backtest_config(tmp_path, snapshot, "xi.yaml"),
+                 "--out", str(out)]) == 2
+    assert "no_xi.json is missing required key 'xi'" in caplog.text
+    assert not (out / "learned.json").exists() and not (out / "backtest_rl.csv").exists()
+
+
 def test_diagnose_and_empty_sweep(tmp_path):
     cfg = write_config(
         tmp_path,

@@ -10,13 +10,16 @@ from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
 from benchtrack import qlearn, sde
-from benchtrack.model import ModelParams
+from benchtrack.model import ModelParams, exploratory_constants
 from conftest import random_params
 from oracles import (
     REF,
+    export_paths_csv_per_row,
     rollout_linear_gaussian_loop,
     simulate_aggregated_loop,
+    simulate_aggregated_per_path,
     simulate_linear_gaussian_batch_loop,
+    skorokhod_log_path,
 )
 
 GAMMA = 0.2
@@ -302,12 +305,13 @@ def test_aggregated_rejects_negative_variance():
 def test_aggregated_path_invariants(params_ref):
     # dt = 2 makes 1 + c_k <= 0 on about 2% of the steps
     for dt in (0.01, 2.0):
-        path = sde.simulate_aggregated(params_ref, GAMMA, 0.0, 500 * dt, dt, sde.episode_rng(9, 0))
+        paths = sde.simulate_aggregated(params_ref, GAMMA, 0.0, 500 * dt, dt, 1, seed=9)
+        path = next(iter(paths))
         assert np.all(path.states >= 0.0)
         dL = np.diff(path.local_time)
         assert np.all(dL >= 0.0)
         assert np.all(path.states[1:][dL > 0.0] == 0.0)
-        assert path.actions is None
+        assert paths.actions.shape == (1, 500, 0)
         loop = simulate_aggregated_loop(params_ref, GAMMA, 0.0, 500 * dt, dt, sde.episode_rng(9, 0))
         _assert_close((path.states, path.local_time), (loop.states, loop.local_time))
         assert np.array_equal(dL > 0.0, np.diff(loop.local_time) > 0.0)
@@ -323,26 +327,31 @@ def test_aggregated_terminal_matches_path_version(params_ref):
 
 # -------------------------------------------------------------- skorokhod
 
+# A BatchPaths row holds Y = expm1(H) and the push K; the driving Brownian
+# path B of row i is the oracle's on the same stream (seed, i).
+
 def test_skorokhod_no_push_when_started_high(params_ref):
-    lp = sde.skorokhod_log_path(params_ref, GAMMA, 50.0, 1.0, 0.01, sde.episode_rng(12, 0))
-    assert np.all(lp.k == 0.0)
+    paths = sde.skorokhod_paths(params_ref, GAMMA, 50.0, 1.0, 0.01, 1, seed=12)
+    bpath = skorokhod_log_path(params_ref, GAMMA, 50.0, 1.0, 0.01, sde.episode_rng(12, 0)).b
+    assert np.all(paths.local_time == 0.0)
     # plain drifted Brownian motion then
     b, s = sde.aggregated_coefficients(params_ref, GAMMA)
     mu_hat = b - 0.5 * s * s
-    expected = 50.0 + mu_hat * lp.times + s * lp.b
-    assert np.allclose(lp.h, expected, atol=1e-12)
+    expected = 50.0 + mu_hat * paths.times + s * bpath
+    assert np.allclose(np.log1p(paths.states[0]), expected, atol=1e-12)
 
 
 def test_skorokhod_pathwise_bound(params_ref):
     b, s = sde.aggregated_coefficients(params_ref, GAMMA)
     mu_hat = b - 0.5 * s * s
     h0 = 0.3
-    for i in range(50):
-        lp = sde.skorokhod_log_path(params_ref, GAMMA, h0, 2.0, 0.01, sde.episode_rng(13, i))
-        run_max_minus_b = np.maximum.accumulate(np.maximum(-lp.b, 0.0))
-        bound = h0 + abs(mu_hat) * lp.times + s * run_max_minus_b
-        assert np.all(lp.k <= bound + 1e-12)
-        assert np.all(lp.h >= -1e-12)
+    paths = sde.skorokhod_paths(params_ref, GAMMA, h0, 2.0, 0.01, 50, seed=13)
+    for i, path in enumerate(paths):
+        bpath = skorokhod_log_path(params_ref, GAMMA, h0, 2.0, 0.01, sde.episode_rng(13, i)).b
+        run_max_minus_b = np.maximum.accumulate(np.maximum(-bpath, 0.0))
+        bound = h0 + abs(mu_hat) * path.times + s * run_max_minus_b
+        assert np.all(path.local_time <= bound + 1e-12)
+        assert np.all(np.log1p(path.states) >= -1e-12)
 
 
 def test_skorokhod_terminal_sampler_matches_path(params_ref):
@@ -372,3 +381,46 @@ def test_export_paths_csv(tmp_path, params_ref, pp_star):
     assert lines[0] == "episode,k,t,y,action_1,dL,L"
     assert len(lines) == 1 + 2 * 11
     assert meta_file.exists()
+
+
+@pytest.mark.parametrize("n_paths", [1, 37])   # 37 = two full blocks and a short one
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("scheme", ["episode", "aggregated", "skorokhod"])
+def test_batched_schemes_match_per_path_oracles(tmp_path, params_ref, scheme, d, n_paths):
+    params = params_ref if d == 1 else PARAMS_D2
+    gamma = params.rho / d   # where the explicit policy holds
+    y0, T, dt, seed = 0.0, 2.0, 0.02, 17
+    h0 = math.log1p(y0)
+    K = round(T / dt)
+    if scheme == "episode":
+        mean_coef, cov_chol = qlearn.PolicyParams.from_constants(
+            exploratory_constants(params, gamma)).policy_coefficients()
+        batch = sde.simulate_linear_gaussian_batch(params, mean_coef, cov_chol, n_paths, y0, T, dt, seed)
+        env = sde.Environment(params, dt)
+
+        def one(rng):
+            states, actions, local = sde.rollout_linear_gaussian(env, mean_coef, cov_chol, y0, K, rng)
+            return sde.EpisodePath(times=batch.times, states=states, actions=actions, local_time=local)
+    elif scheme == "aggregated":
+        batch = sde.simulate_aggregated(params, gamma, y0, T, dt, n_paths, seed)
+
+        def one(rng):
+            return simulate_aggregated_per_path(params, gamma, y0, T, dt, rng)
+    else:
+        batch = sde.skorokhod_paths(params, gamma, h0, T, dt, n_paths, seed)
+
+        def one(rng):
+            lp = skorokhod_log_path(params, gamma, h0, T, dt, rng)
+            return sde.EpisodePath(times=lp.times, states=np.expm1(lp.h), actions=np.empty((K, 0)), local_time=lp.k)
+
+    oracle = [one(sde.episode_rng(seed, i)) for i in range(n_paths)]
+    assert batch.actions.shape == (n_paths, K, d if scheme == "episode" else 0)
+    assert np.any(np.diff(batch.local_time) > 0.0)   # the boundary is exercised
+    for row, path in zip(batch, oracle, strict=True):
+        for field in ("times", "states", "actions", "local_time"):
+            assert np.array_equal(getattr(row, field), getattr(path, field)), field
+    meta = {"scheme": scheme, "n_paths": n_paths}
+    sde.export_paths_csv(batch, tmp_path / "bulk.csv", tmp_path / "bulk.json", meta)
+    export_paths_csv_per_row(oracle, tmp_path / "rows.csv", tmp_path / "rows.json", meta)
+    assert (tmp_path / "bulk.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+    assert (tmp_path / "bulk.json").read_bytes() == (tmp_path / "rows.json").read_bytes()

@@ -2,7 +2,8 @@
 
 The tracer wraps functions by name and binds their arguments, so a renamed
 function or a changed signature would only show in the slow benchmark
-self-test; this runs the same wrappers on a tiny train and diagnose.
+self-test; this runs the same wrappers on a tiny train, diagnose and
+simulate.
 """
 
 import importlib.util
@@ -50,3 +51,21 @@ def test_traced_train_and_diagnose_count_steps(tmp_path):
     metrics = tracing.per_layer(tr, [1.0], [1.0])
     assert set(metrics) == names
     assert metrics["sde.rollout_us_per_step"] > 0.0 and metrics["qlearn.update_us_per_episode"] > 0.0
+
+
+def test_traced_simulate_counts_terminal_sampler_steps(tmp_path):
+    tracing = _tracing()
+    originals = (sde.aggregated_terminal_sample, sde.skorokhod_terminal_sample, cli.main)
+    simulate = tmp_path / "simulate.yaml"
+    simulate.write_text(yaml.safe_dump({**MODEL_BLOCK, "simulate": {
+        "scheme": "aggregated", "n_paths": 30, "T": 0.5, "dt": 0.05, "ks_check": True}}))
+    tr = tracing.Tracer()
+    tr.install()
+    try:
+        assert cli.main(["simulate", "--config", str(simulate), "--out", str(tmp_path / "s")]) == 0
+    finally:
+        tr.restore()
+    assert (sde.aggregated_terminal_sample, sde.skorokhod_terminal_sample, cli.main) == originals
+    assert tr.failures == []
+    # the hooks bind n_paths, T and dt of both terminal samplers
+    assert tr.counts["terminal_path_steps"] == tr.counts["skorokhod_path_steps"] == 30 * 10
