@@ -165,13 +165,6 @@ def cmd_simulate(cfg: dict, seed: int | None, out: Path) -> int:
     seed = 0 if seed is None else seed
     meta = {"config": _resolved(cfg, seed), "scheme": scheme, "n_paths": n_paths}
 
-    if n_paths == 0:
-        log.warning("n_paths = 0: writing empty output")
-        empty = sde.BatchPaths(np.empty(0), np.empty((0, 0)), np.empty((0, 0, 0)), np.empty((0, 0)))
-        sde.export_paths_csv(empty, out / "paths.csv", out / "paths.meta.json", meta)
-        _write_json(out / "summary.json", {"n_paths": 0, "warning": "no paths requested"}, cfg, seed)
-        return 0
-
     summary: dict = {"scheme": scheme, "n_paths": n_paths}
     if scheme == "episode":
         pp = qlearn.PolicyParams.from_constants(exploratory_constants(params, gamma))
@@ -184,11 +177,14 @@ def cmd_simulate(cfg: dict, seed: int | None, out: Path) -> int:
         paths = sde.skorokhod_paths(params, gamma, math.log1p(y0), T, dt, n_paths, seed)
     else:
         raise ConfigError(f"unknown scheme {scheme!r}")
+    sde.export_paths_csv(paths, out / "paths.csv", out / "paths.meta.json", meta)
+    if n_paths == 0:
+        log.warning("n_paths = 0: writing empty output")
+        _write_json(out / "summary.json", {"n_paths": 0, "warning": "no paths requested"}, cfg, seed)
+        return 0
     summary["mean_terminal_state"] = float(paths.states[:, -1].mean())
     if scheme == "episode":
         summary["mean_local_time"] = float(paths.local_time[:, -1].mean())
-
-    sde.export_paths_csv(paths, out / "paths.csv", out / "paths.meta.json", meta)
 
     if sim.get("ks_check", False):
         from scipy.stats import ks_2samp
@@ -294,28 +290,23 @@ def cmd_diagnose(cfg: dict, seed: int | None, out: Path) -> int:
     payload: dict = {}
     if "T" in dg and "dt" in dg:
         T, dt = float(dg["T"]), float(dg["dt"])
+        _check_paths(n_paths, "diagnose.n_paths")
         mean_coef, cov_chol = pp.policy_coefficients()
-        batch = sde.simulate_linear_gaussian_batch(
-            params, mean_coef, cov_chol, n_paths, y0, T, dt, seed
-        )
-        stats = qlearn.orthogonality_stats(pp, batch, rho)
+        blocks = sde.linear_gaussian_blocks(params, mean_coef, cov_chol, n_paths, y0, T, dt, seed)
+        stats = qlearn.orthogonality_stats(pp, blocks, rho)
         payload["orthogonality"] = stats.as_dict()
         payload["all_within_3_sigma"] = bool(np.all(np.abs(stats.z_scores()) < 3.0))
         shift = dg.get("xi_shift")
         if shift is not None:
-            pp_shift = qlearn.PolicyParams(
-                xi=pp.xi + float(shift), psi1=pp.psi1, psi2=pp.psi2, gamma=gamma
-            )
-            s2 = qlearn.orthogonality_stats(pp_shift, batch, rho)
-            payload["xi_shift_control"] = s2.as_dict()
+            payload["xi_shift_control"] = stats.shifted(float(shift)).as_dict()
 
     sweep = dg.get("sweep")
     if sweep is not None:
         dt_list = [float(x) for x in sweep.get("dt_list", [])]
         T_list = [float(x) for x in sweep.get("T_list", [])]
-        rows = qlearn.convergence_study(
-            pp, params, dt_list, T_list, int(sweep.get("n_paths", n_paths)), y0, seed
-        )
+        sweep_paths = int(sweep.get("n_paths", n_paths))
+        _check_paths(sweep_paths, "diagnose.sweep.n_paths")
+        rows = qlearn.convergence_study(pp, params, dt_list, T_list, sweep_paths, y0, seed)
         payload["sweep"] = rows
         with open(out / "sweep.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -327,6 +318,11 @@ def cmd_diagnose(cfg: dict, seed: int | None, out: Path) -> int:
         raise ConfigError("diagnose block requests nothing: give (T, dt) and/or sweep")
     _write_json(out / "diagnostics.json", payload, cfg, seed)
     return 0
+
+
+def _check_paths(n_paths: int, where: str) -> None:
+    if n_paths < 2:
+        raise ConfigError(f"{where} is {n_paths}: a standard error needs at least 2 paths")
 
 
 def _learned_params(blk: dict, where: str, gamma: float) -> qlearn.PolicyParams:

@@ -26,9 +26,11 @@ discretized residuals
           - rho J(y_k) dt ,
 
 Each episode's orthogonality statistics are the sums
-sum_k e^{-rho t_k} grad * G_k (_episode_statistics, the one place where the
-psi-gradient of q is written).  psi1 and psi2 move along alpha times their
-statistics with episode-indexed decaying rates.  xi enters every G_k only
+sum_k e^{-rho t_k} grad * G_k (_test_sums, the one place where the
+psi-gradient of q is written), computed for a block of episodes at once by
+_episode_statistics: a 1-row block for each training update, blocks of
+sde.BLOCK_ROWS paths for the diagnostics.  psi1 and psi2 move along alpha
+times their statistics with episode-indexed decaying rates.  xi enters every G_k only
 through -rho xi dt, so its statistic is linear in xi,
 
     stat_xi(xi) = stat_xi(0) - c xi ,    c = rho dt sum_k e^{-rho t_k} ,
@@ -38,6 +40,10 @@ Training moves xi by stat_xi / (c i) at global episode i, which makes xi the
 running mean of the per-episode roots: the least-squares temporal-difference
 solve for a parameter that enters linearly, with the 1/i stochastic-Newton
 step.  c depends only on rho, dt and T, so the trainer stays model-free.
+The same linearity holds for every statistic, since no test function
+depends on xi: stat(xi + s) = stat(xi) + s dstat/dxi, where dstat/dxi are
+the sums of the constant residual -rho dt.  The diagnostics' xi-shifted
+control is therefore derived from the paths' one pass.
 """
 
 from __future__ import annotations
@@ -46,6 +52,7 @@ import csv
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -173,12 +180,18 @@ def q_value(pp: PolicyParams, rho: float, y, a):
     y = np.asarray(y, dtype=float)
     if np.any(y < 0.0):
         raise DomainError(f"state must be >= 0, got {y!r}")
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    s = 1.0 + y
-    lin = (a @ pp.psi1) / s
-    quad = np.einsum("...e,...e->...", a @ pp.psi2_sq, a) / (2.0 * s * s)
-    out = lin - quad - rho * np.log1p(y) + pp.psi3
+    out = _q(pp, rho, np.atleast_1d(np.asarray(a, dtype=float)), 1.0 + y, np.log1p(y))
     return out if out.ndim else float(out)
+
+
+def _q(pp: PolicyParams, rho: float, a, s, log_y, out=None, quad=None, den=None, a_psi2=None):
+    """q from the action a, s = 1 + y and ln(1 + y); the last four arguments are optional scratch arrays."""
+    lin = np.divide(np.matmul(a, pp.psi1, out=out), s, out=out)
+    sq = np.einsum("...e,...e->...", np.matmul(a, pp.psi2_sq, out=a_psi2), a, out=quad)
+    sq = np.divide(sq, np.multiply(np.multiply(2.0, s, out=den), s, out=den), out=quad)
+    q = np.subtract(lin, sq, out=out)
+    q = np.subtract(q, np.multiply(rho, log_y, out=den), out=out)
+    return np.add(q, pp.psi3, out=out)
 
 
 def policy_from_q(pp: PolicyParams, y: float) -> GaussianSpec:
@@ -190,6 +203,46 @@ def policy_from_q(pp: PolicyParams, y: float) -> GaussianSpec:
     return GaussianSpec(mean=s * (prec @ pp.psi1), cov=pp.gamma * s * s * prec)
 
 
+def _statistics_workspace(rows: int, K: int, d: int) -> SimpleNamespace:
+    """Scratch arrays for _episode_statistics on up to `rows` paths of K steps.
+
+    A stream of blocks reuses one set: fresh (rows, K) temporaries would be
+    handed back to the system after each block and faulted in again.
+    """
+    s, q, quad, den, j, g = np.empty((6, rows, K))
+    return SimpleNamespace(log=np.empty((rows, K + 1)), s=s, q=q, quad=quad, den=den, j=j, g=g,
+                           x=np.empty((rows, K, d)))
+
+
+def _test_sums(
+    pp: PolicyParams, w: np.ndarray, x: np.ndarray, s2: np.ndarray, actions: np.ndarray, chain_rule: bool,
+    tmp: np.ndarray,
+) -> np.ndarray:
+    """Per path, sum_k w_k times the test functions at step k, as rows ordered like _component_names.
+
+    The test functions are dJ/dxi = 1 and the psi-gradient of q.  w and
+    s2 = (1 + y_k)^2 are (n, K), actions and x = actions / (1 + y_k) are
+    (n, K, d), and tmp is (n, K) scratch.  Each path's sums take the
+    operations of a lone path, so a 1-row block reproduces the per-episode sums.
+    """
+    n, d = len(w), pp.d
+    rows = np.empty((n, 1 + d + d * d))
+    stat_xi = np.sum(w, axis=1, out=rows[:, 0])
+    stat_psi1 = np.matmul(x.transpose(0, 2, 1), w[..., None])[..., 0]
+    outer_sum = np.einsum("nk,nkd,nke->nde", np.divide(w, s2, out=tmp), actions, actions)
+    stat_psi2 = -outer_sum @ pp.psi2
+    if chain_rule:
+        # psi3's gradient, -b for psi1 and (b b' + gamma prec) psi2 for psi2,
+        # is the same at every step, so it enters weighted by sum_k w_k = stat_xi
+        prec = pp.precision
+        b = prec @ pp.psi1
+        stat_psi1 = stat_psi1 - b * stat_xi[:, None]
+        stat_psi2 = stat_psi2 + (np.outer(b, b) + pp.gamma * prec) @ pp.psi2 * stat_xi[:, None, None]
+    rows[:, 1 : 1 + d] = stat_psi1
+    rows[:, 1 + d :] = stat_psi2.reshape(n, d * d)
+    return rows
+
+
 def _episode_statistics(
     pp: PolicyParams,
     rho: float,
@@ -198,56 +251,61 @@ def _episode_statistics(
     actions: np.ndarray,
     local_time: np.ndarray,
     chain_rule: bool,
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Discount-weighted orthogonality sums of one episode, vectorized in k."""
+    ws: SimpleNamespace,
+    xi_derivative: bool = False,
+) -> tuple[np.ndarray, np.ndarray | None, float]:
+    """Discount-weighted orthogonality sums of a block of episodes, one row per path.
+
+    states and local_time are (n, K+1), actions (n, K, d), and ws a
+    _statistics_workspace of at least n rows.  Returns (rows, d_rows, c):
+    rows sum_k e^{-rho t_k} test_k G_k, c = rho dt sum_k e^{-rho t_k}, and
+    with xi_derivative the derivative of each row in xi (else None).  xi
+    enters each G_k only through -rho xi dt and no test function depends on
+    xi, so d_rows are the sums of the constant residual -rho dt and the rows
+    at xi + s are rows + s d_rows.
+    """
+    n = len(states)
+    log, s, q, quad, den, j, g, x = (a[:n] for a in (ws.log, ws.s, ws.q, ws.quad, ws.den, ws.j, ws.g, ws.x))
     dt = float(times[1] - times[0])
-    ys = states[:-1]
-    y_next = states[1:]
-    dL = np.diff(local_time)
     disc = np.exp(-rho * times[:-1])
-    j = np.log1p(ys) + pp.xi
-    g = (
-        np.log1p(y_next)
-        + pp.xi
-        - j
-        - q_value(pp, rho, ys, actions) * dt
-        - dL
-        - rho * j * dt
-    )
-    w = disc * g
-    stat_xi = float(np.sum(w))  # dJ/dxi = 1
-    scale = 1.0 + ys
-    stat_psi1 = (actions / scale[:, None]).T @ w
-    weights2 = w / (scale * scale)
-    outer_sum = np.einsum("k,kd,ke->de", weights2, actions, actions)
-    stat_psi2 = -outer_sum @ pp.psi2
-    if chain_rule:
-        # psi3's gradient, -b for psi1 and (b b' + gamma prec) psi2 for psi2,
-        # is the same at every step, so it enters weighted by sum_k w_k = stat_xi
-        prec = pp.precision
-        b = prec @ pp.psi1
-        stat_psi1 = stat_psi1 - b * stat_xi
-        stat_psi2 = stat_psi2 + (np.outer(b, b) + pp.gamma * prec) @ pp.psi2 * stat_xi
-    return stat_xi, stat_psi1, stat_psi2
+    ys = states[:, :-1]
+    if np.any(ys < 0.0):
+        raise DomainError(f"state must be >= 0, got {ys!r}")
+    np.log1p(states, out=log)
+    np.add(1.0, ys, out=s)
+    _q(pp, rho, actions, s, log[:, :-1], q, quad, den, x)
+    # G_k = J(y_{k+1}) - J(y_k) - q_k dt - (L_{k+1} - L_k) - rho J(y_k) dt, then discounted
+    np.add(log[:, :-1], pp.xi, out=j)
+    np.add(log[:, 1:], pp.xi, out=g)
+    g -= j
+    g -= np.multiply(q, dt, out=q)
+    g -= np.subtract(local_time[:, 1:], local_time[:, :-1], out=den)
+    g -= np.multiply(np.multiply(rho, j, out=j), dt, out=j)
+    g *= disc
+    np.divide(actions, s[..., None], out=x)
+    s2 = np.multiply(s, s, out=s)
+    rows = _test_sums(pp, g, x, s2, actions, chain_rule, quad)
+    d_rows = None
+    if xi_derivative:
+        d_rows = _test_sums(pp, np.broadcast_to(-rho * dt * disc, g.shape), x, s2, actions, chain_rule, quad)
+    return rows, d_rows, rho * dt * float(np.sum(disc))
 
 
 def update_statistics(
     pp: PolicyParams, path: sde.EpisodePath, rho: float, chain_rule: bool = True
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Expose the raw update sums (sum_k e^{-rho t_k} grad q * G_k)."""
-    return _episode_statistics(
-        pp, rho, path.times, path.states, path.actions, path.local_time, chain_rule
-    )
+) -> tuple[float, np.ndarray, np.ndarray, float]:
+    """One episode's raw update sums (sum_k e^{-rho t_k} grad q * G_k) and its xi slope c.
 
-
-def _xi_curvature(rho: float, times: np.ndarray) -> float:
-    """Slope c of the linear xi condition, stat_xi(xi) = stat_xi(0) - c xi.
-
-    c = rho dt sum_k e^{-rho t_k} over the steps of the time grid; it depends
-    on neither the path nor the parameters.
+    Returns (stat_xi, stat_psi1, stat_psi2, c).  stat_xi(xi) = stat_xi(0) - c xi
+    with c = rho dt sum_k e^{-rho t_k}, which depends on neither the path nor
+    the parameters.
     """
-    dt = float(times[1] - times[0])
-    return rho * dt * float(np.sum(np.exp(-rho * times[:-1])))
+    rows, _, c = _episode_statistics(
+        pp, rho, path.times, path.states[None], path.actions[None], path.local_time[None], chain_rule,
+        _statistics_workspace(1, *path.actions.shape),
+    )
+    d = pp.d
+    return float(rows[0, 0]), rows[0, 1 : 1 + d], rows[0, 1 + d :].reshape(d, d), c
 
 
 @dataclass(frozen=True)
@@ -283,15 +341,15 @@ def update(
     """Apply one stochastic-approximation step from an on-policy episode.
 
     xi moves the fraction xi_weight of the way to the exact root
-    xi + stat_xi / c of its own condition (c from _xi_curvature).  psi1 and
+    xi + stat_xi / c of its own condition (c from update_statistics).  psi1 and
     psi2 move by their rates times their statistics, and the norm of that
     step is capped at update_clip; the xi step is neither clipped nor counted
     in the norm.  Non-finite updates raise NonFiniteUpdate so the caller can
     skip and count them.  psi3 needs no explicit refresh because it is always
     derived.
     """
-    stat_xi, stat_psi1, stat_psi2 = update_statistics(pp, path, rho, chain_rule)
-    d_xi = xi_weight * stat_xi / _xi_curvature(rho, path.times)
+    stat_xi, stat_psi1, stat_psi2, c = update_statistics(pp, path, rho, chain_rule)
+    d_xi = xi_weight * stat_xi / c
     d_psi1 = rates.alpha_psi1 * stat_psi1
     d_psi2 = rates.alpha_psi2 * stat_psi2
     vec = np.concatenate([d_psi1.ravel(), d_psi2.ravel()])
@@ -457,6 +515,7 @@ def train(config: LearnConfig, env: sde.Environment) -> TrainHistory:
     hist_norm = np.zeros(n)
     hist_clip = np.zeros(n, dtype=bool)
     episodes = np.arange(config.start_episode, config.start_episode + n)
+    times = np.linspace(0.0, config.T, config.n_steps + 1)  # EpisodePath is frozen, so episodes share it
     clamps_before = env.clamp_events
     rejected: list[int] = []
     max_rejected = config.reject_fraction * n
@@ -468,12 +527,7 @@ def train(config: LearnConfig, env: sde.Environment) -> TrainHistory:
             states, actions, local = sde.rollout_linear_gaussian(
                 env, mean_coef, cov_chol, config.y0, config.n_steps, rng
             )
-            path = sde.EpisodePath(
-                times=np.linspace(0.0, config.T, config.n_steps + 1),
-                states=states,
-                actions=actions,
-                local_time=local,
-            )
+            path = sde.EpisodePath(times=times, states=states, actions=actions, local_time=local)
             pp, info = update(
                 pp,
                 path,
@@ -512,12 +566,27 @@ def train(config: LearnConfig, env: sde.Environment) -> TrainHistory:
 
 @dataclass(frozen=True)
 class OrthogonalityStats:
-    """Monte Carlo means and standard errors of the martingale statistics."""
+    """Per-path martingale statistics and their xi-derivatives, with Monte Carlo means and errors."""
 
     components: list[str]
-    means: np.ndarray
-    stderrs: np.ndarray
-    n_paths: int
+    rows: np.ndarray     # (n_paths, len(components))
+    d_rows: np.ndarray   # d rows / d xi, the same shape
+
+    @property
+    def n_paths(self) -> int:
+        return len(self.rows)
+
+    @cached_property
+    def means(self) -> np.ndarray:
+        return self.rows.mean(axis=0)
+
+    @cached_property
+    def stderrs(self) -> np.ndarray:
+        return self.rows.std(axis=0, ddof=1) / math.sqrt(self.n_paths)
+
+    def shifted(self, s: float) -> OrthogonalityStats:
+        """The statistics of the same paths at xi + s: every row is affine in xi."""
+        return OrthogonalityStats(self.components, self.rows + s * self.d_rows, self.d_rows)
 
     def z_scores(self) -> np.ndarray:
         return self.means / self.stderrs
@@ -544,27 +613,28 @@ def orthogonality_stats(
 ) -> OrthogonalityStats:
     """Estimate E[sum_k test * (M_{k+1} - M_k)] per test function.
 
-    At the correct (xi, psi1, psi2) every component is a centred martingale
-    statistic, so each mean should vanish within Monte Carlo error.
+    paths is a BatchPaths or an iterable of them, such as the blocks of
+    sde.linear_gaussian_blocks; each is reduced BLOCK_ROWS paths at a time
+    and only the per-path rows are kept.  At the correct (xi, psi1, psi2)
+    every component is a centred martingale statistic, so each mean should
+    vanish within Monte Carlo error.  A standard error needs two paths.
     """
-    episodes = list(paths)
-    if not episodes:
-        raise ValueError("need at least one episode path")
-    d = pp.d
-    rows = np.empty((len(episodes), 1 + d + d * d))
-    for i, ep in enumerate(episodes):
-        s_xi, s_p1, s_p2 = _episode_statistics(
-            pp, rho, ep.times, ep.states, ep.actions, ep.local_time, chain_rule
-        )
-        rows[i] = np.concatenate([[s_xi], s_p1.ravel(), s_p2.ravel()])
-    means = rows.mean(axis=0)
-    stderrs = rows.std(axis=0, ddof=1) / math.sqrt(len(episodes))
-    return OrthogonalityStats(
-        components=_component_names(d),
-        means=means,
-        stderrs=stderrs,
-        n_paths=len(episodes),
-    )
+    rows, d_rows, ws = [], [], None
+    for batch in [paths] if isinstance(paths, sde.BatchPaths) else paths:
+        if ws is None or ws.x.shape[1:] != batch.actions.shape[1:]:
+            ws = _statistics_workspace(sde.BLOCK_ROWS, *batch.actions.shape[1:])
+        for start in range(0, len(batch.states), sde.BLOCK_ROWS):
+            block = slice(start, start + sde.BLOCK_ROWS)
+            r, dr, _ = _episode_statistics(
+                pp, rho, batch.times, batch.states[block], batch.actions[block], batch.local_time[block],
+                chain_rule, ws, xi_derivative=True,
+            )
+            rows.append(r)
+            d_rows.append(dr)
+    n_paths = sum(len(r) for r in rows)
+    if n_paths < 2:
+        raise ValueError(f"need at least two episode paths for a standard error, got {n_paths}")
+    return OrthogonalityStats(_component_names(pp.d), np.concatenate(rows), np.concatenate(d_rows))
 
 
 def convergence_study(
@@ -592,10 +662,8 @@ def convergence_study(
     rows = []
     for dt in dt_list:
         for T in T_list:
-            batch = sde.simulate_linear_gaussian_batch(
-                params, mean_coef, cov_chol, n_paths, y0, T, dt, seed
-            )
-            stats = orthogonality_stats(pp, batch, params.rho, chain_rule)
+            blocks = sde.linear_gaussian_blocks(params, mean_coef, cov_chol, n_paths, y0, T, dt, seed)
+            stats = orthogonality_stats(pp, blocks, params.rho, chain_rule)
             tail = math.exp(-params.rho * T) * (
                 2.0 * h0 + 2.0 * abs(mu_hat) * T + s * math.sqrt(2.0 * T / math.pi)
             )

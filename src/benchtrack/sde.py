@@ -26,7 +26,9 @@ action cap depends on y, so it is found after the fact and the path is
 replayed from the clamped step.  All three path samplers (policy, aggregated
 and Skorokhod) return a BatchPaths built in blocks of a few paths; row i
 draws the Philox stream (seed, i), so it equals a lone path on that stream.
-The blocks share one set of scratch arrays and write into the batch's outputs.
+One generator (_blocks) yields the blocks over one set of reused buffers;
+the samplers copy them into their batch, and linear_gaussian_blocks hands
+them to a consumer that keeps only what it reduces them to.
 
 The same map in continuous time gives an independent oracle for the
 policy-averaged dynamics: for H = ln(1 + Y),
@@ -60,6 +62,7 @@ __all__ = [
     "episode_rng",
     "Environment",
     "rollout_linear_gaussian",
+    "linear_gaussian_blocks",
     "simulate_linear_gaussian_batch",
     "aggregated_coefficients",
     "simulate_aggregated",
@@ -72,7 +75,7 @@ __all__ = [
 DEFAULT_ACTION_CAP = 1e6
 # paths per kernel block: a block's arrays stay small (150 kB each at K = 1200)
 # while numpy's per-call cost is shared by several paths
-_BLOCK_ROWS = 16
+BLOCK_ROWS = 16
 
 
 class NonFinite(RuntimeError):
@@ -155,7 +158,7 @@ class BatchPaths:
 def _workspace(rows: int, K: int, d: int) -> SimpleNamespace:
     """Scratch arrays for the kernel on up to `rows` paths of K steps.
 
-    A batch allocates them once for all its blocks.  Fresh temporaries in each
+    A stream of blocks allocates them once.  Fresh temporaries in each
     block would go back to the system when the block ends and be faulted in
     again by the next one, a cost that swings with the machine's load.
     """
@@ -166,21 +169,35 @@ def _workspace(rows: int, K: int, d: int) -> SimpleNamespace:
                            reflect=np.empty((rows, K), dtype=bool))
 
 
-def _batch(times: np.ndarray, d: int, n_paths: int, seed: int, fill) -> BatchPaths:
+def _blocks(times: np.ndarray, d: int, n_paths: int, seed: int, fill) -> Iterator[BatchPaths]:
     """n_paths rows on `times`, written by fill(ws, states, actions, local, first_path) per block.
 
     Row j of ws.normals holds the stream (seed, first_path + j); fill returns the block's clamp count.
+    Every block is a view of the same buffers, so the next block overwrites it.
     """
     K = len(times) - 1
+    rows = min(n_paths, BLOCK_ROWS)
+    ws = _workspace(rows, K, d)
+    states, local, actions = np.empty((rows, K + 1)), np.empty((rows, K + 1)), np.empty((rows, K, d))
+    for start in range(0, n_paths, BLOCK_ROWS):
+        n = min(BLOCK_ROWS, n_paths - start)
+        for j in range(n):
+            episode_rng(seed, start + j).standard_normal(out=ws.normals[j])
+        clamp_events = fill(ws, states[:n], actions[:n], local[:n], start)
+        yield BatchPaths(times=times, states=states[:n], actions=actions[:n], local_time=local[:n],
+                         clamp_events=clamp_events)
+
+
+def _batch(blocks: Iterator[BatchPaths], times: np.ndarray, d: int, n_paths: int) -> BatchPaths:
+    """The n_paths rows that `blocks` yields on `times`, copied into one BatchPaths."""
+    K = len(times) - 1
     states, local, actions = np.empty((n_paths, K + 1)), np.empty((n_paths, K + 1)), np.empty((n_paths, K, d))
-    ws = _workspace(min(n_paths, _BLOCK_ROWS), K, d)
     clamp_events = 0
-    for start in range(0, n_paths, _BLOCK_ROWS):
-        block = slice(start, start + _BLOCK_ROWS)
-        for j, i in enumerate(range(n_paths)[block]):
-            episode_rng(seed, i).standard_normal(out=ws.normals[j])
-        clamp_events += fill(ws, states[block], actions[block], local[block], start)
-    return BatchPaths(times=times, states=states, actions=actions, local_time=local, clamp_events=clamp_events)
+    for start, block in zip(range(0, n_paths, BLOCK_ROWS), blocks):
+        rows = slice(start, start + BLOCK_ROWS)
+        states[rows], actions[rows], local[rows] = block.states, block.actions, block.local_time
+        clamp_events += block.clamp_events
+    return BatchPaths(times, states, actions, local, clamp_events)
 
 
 def _reflect(c: np.ndarray, states: np.ndarray, dL: np.ndarray, ws: SimpleNamespace) -> None:
@@ -313,6 +330,29 @@ def rollout_linear_gaussian(
     return states, actions, local
 
 
+def linear_gaussian_blocks(
+    params: ModelParams,
+    mean_coef: np.ndarray,
+    cov_chol: np.ndarray,
+    n_paths: int,
+    y0: float,
+    T: float,
+    dt: float,
+    seed: int,
+    action_cap: float = DEFAULT_ACTION_CAP,
+) -> Iterator[BatchPaths]:
+    """The rows of simulate_linear_gaussian_batch, streamed in blocks of at most BLOCK_ROWS paths.
+
+    Memory stays at one block whatever n_paths is.  A block's arrays are
+    overwritten by the next block, so read them before asking for it; a
+    NonFinite names the path by its index in the whole run.
+    """
+    if y0 < 0.0:
+        raise ValueError(f"y0 must be >= 0, got {y0}")
+    fill = functools.partial(_linear_gaussian_paths, params, dt, mean_coef, cov_chol, y0, action_cap)
+    return _blocks(_grid(T, dt), params.d, n_paths, seed, fill)
+
+
 def simulate_linear_gaussian_batch(
     params: ModelParams,
     mean_coef: np.ndarray,
@@ -331,10 +371,8 @@ def simulate_linear_gaussian_batch(
     policy used by the learner.  One Philox stream per episode keeps the
     result bit-identical to sequential generation path by path.
     """
-    if y0 < 0.0:
-        raise ValueError(f"y0 must be >= 0, got {y0}")
-    fill = functools.partial(_linear_gaussian_paths, params, dt, mean_coef, cov_chol, y0, action_cap)
-    return _batch(_grid(T, dt), params.d, n_paths, seed, fill)
+    blocks = linear_gaussian_blocks(params, mean_coef, cov_chol, n_paths, y0, T, dt, seed, action_cap)
+    return _batch(blocks, _grid(T, dt), params.d, n_paths)
 
 
 def aggregated_coefficients(params: ModelParams, gamma: float) -> tuple[float, float]:
@@ -382,7 +420,8 @@ def simulate_aggregated(
         np.cumsum(dL, axis=1, out=local[:, 1:])
         return 0
 
-    return _batch(_grid(T, dt), 0, n_paths, seed, fill)
+    times = _grid(T, dt)
+    return _batch(_blocks(times, 0, n_paths, seed, fill), times, 0, n_paths)
 
 
 def aggregated_terminal_sample(
@@ -446,7 +485,7 @@ def skorokhod_paths(
         np.expm1(states, out=states)
         return 0
 
-    return _batch(times, 0, n_paths, seed, fill)
+    return _batch(_blocks(times, 0, n_paths, seed, fill), times, 0, n_paths)
 
 
 def skorokhod_terminal_sample(

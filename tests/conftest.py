@@ -50,7 +50,7 @@ def q_gradient(pp: qlearn.PolicyParams, rho: float, y: float, a, chain_rule: boo
     j = qlearn.j_value(pp, y)
     target = j + qlearn.q_value(pp, rho, y, a) * dt + rho * j * dt + 1.0
     path = one_step_path(y, a, math.expm1(target - pp.xi), 0.0, dt)
-    g0, s1, s2 = qlearn.update_statistics(pp, path, rho, chain_rule)
+    g0, s1, s2, _ = qlearn.update_statistics(pp, path, rho, chain_rule)
     return s1 / g0, s2 / g0
 
 

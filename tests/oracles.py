@@ -9,7 +9,8 @@ grid, the random streams and the result types with `sde`.  The `per_path`
 samplers, `skorokhod_log_path` and `export_paths_csv_per_row` are the
 package's API from before every sampler returned a BatchPaths: one path per
 call and one CSV row per write.  Each batch row and the bulk writer's bytes
-must equal theirs exactly.
+must equal theirs exactly.  `orthogonality_rows_loop` is the per-episode
+statistics loop from before they were reduced block by block.
 """
 
 from __future__ import annotations
@@ -346,6 +347,45 @@ def export_paths_csv_per_row(
     if meta_path is not None:
         with open(meta_path, "w") as fh:
             json.dump(metadata or {}, fh, indent=2, default=str)
+
+
+def episode_statistics_loop(pp, rho: float, ep: sde.EpisodePath, chain_rule: bool = True) -> np.ndarray:
+    """One episode's orthogonality sums as a row (xi, psi1, psi2 raveled).
+
+    The package's per-episode statistics from before they were computed per
+    block, with q written out in place of qlearn.q_value.
+    """
+    times, states, actions, local_time = ep.times, ep.states, ep.actions, ep.local_time
+    dt = float(times[1] - times[0])
+    ys = states[:-1]
+    y_next = states[1:]
+    dL = np.diff(local_time)
+    disc = np.exp(-rho * times[:-1])
+    j = np.log1p(ys) + pp.xi
+    s = 1.0 + ys
+    q = (
+        (actions @ pp.psi1) / s
+        - np.einsum("...e,...e->...", actions @ pp.psi2_sq, actions) / (2.0 * s * s)
+        - rho * np.log1p(ys)
+        + pp.psi3
+    )
+    g = np.log1p(y_next) + pp.xi - j - q * dt - dL - rho * j * dt
+    w = disc * g
+    stat_xi = float(np.sum(w))
+    stat_psi1 = (actions / s[:, None]).T @ w
+    outer_sum = np.einsum("k,kd,ke->de", w / (s * s), actions, actions)
+    stat_psi2 = -outer_sum @ pp.psi2
+    if chain_rule:
+        prec = pp.precision
+        b = prec @ pp.psi1
+        stat_psi1 = stat_psi1 - b * stat_xi
+        stat_psi2 = stat_psi2 + (np.outer(b, b) + pp.gamma * prec) @ pp.psi2 * stat_xi
+    return np.concatenate([[stat_xi], stat_psi1.ravel(), stat_psi2.ravel()])
+
+
+def orthogonality_rows_loop(pp, paths, rho: float, chain_rule: bool = True) -> np.ndarray:
+    """Per-path sums, one episode at a time: the reference rows of qlearn.orthogonality_stats."""
+    return np.array([episode_statistics_loop(pp, rho, ep, chain_rule) for ep in paths])
 
 
 # Reference model: d = 1, mu = 0.2, sigma = 1, sigma_z = 0.2, kappa = 0.5,

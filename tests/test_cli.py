@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 import yaml
 
+from benchtrack import qlearn, sde
 from benchtrack.cli import main
-from oracles import REF
+from benchtrack.model import ModelParams, exploratory_constants
+from oracles import REF, orthogonality_rows_loop
 
 MODEL_BLOCK = {
     "model": {
@@ -88,6 +90,30 @@ def test_simulate_deterministic_and_empty(tmp_path):
     assert main(["simulate", "--config", empty_cfg, "--out", str(out3)]) == 0
     summary = json.loads((out3 / "summary.json").read_text())
     assert summary["n_paths"] == 0 and "warning" in summary
+
+
+@pytest.mark.parametrize("scheme", ["episode", "aggregated", "skorokhod"])
+def test_simulate_empty_output_keeps_the_scheme_columns(tmp_path, scheme):
+    model = {**MODEL_BLOCK["model"], "mu": [0.2, 0.1], "sigma": [[1.0, 0.0], [0.0, 1.0]], "eta": [0.6, 0.8]}
+    headers = {}
+    for n in (0, 37):
+        cfg = write_config(tmp_path, {"model": model, "simulate": {
+            "scheme": scheme, "n_paths": n, "T": 0.1, "dt": 0.01}}, name=f"{n}.yaml")
+        out = tmp_path / str(n)
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        headers[n] = (out / "paths.csv").read_text().splitlines()[0]
+    assert headers[0] == headers[37]
+    assert ("action_2" in headers[0]) == (scheme == "episode")
+    assert len((tmp_path / "0" / "paths.csv").read_text().splitlines()) == 1
+    summary = json.loads((tmp_path / "0" / "summary.json").read_text())
+    assert summary["n_paths"] == 0 and summary["warning"] == "no paths requested"
+
+
+def test_simulate_unknown_scheme_fails_cleanly(tmp_path):
+    for n in (0, 3):
+        cfg = write_config(tmp_path, {**MODEL_BLOCK, "simulate": {
+            "scheme": "bogus", "n_paths": n, "T": 0.1, "dt": 0.01}})
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / str(n))]) == 2
 
 
 def test_simulate_ks_check(tmp_path):
@@ -210,6 +236,38 @@ def test_diagnose_and_empty_sweep(tmp_path):
 
     bad = write_config(tmp_path, {**MODEL_BLOCK, "diagnose": {}}, name="bad.yaml")
     assert main(["diagnose", "--config", bad, "--out", str(out)]) == 2
+
+
+def test_diagnose_streams_the_stored_batch_result(tmp_path):
+    cfg = write_config(tmp_path, {**MODEL_BLOCK, "diagnose": {
+        "T": 1.0, "dt": 0.02, "n_paths": 37, "gamma": 0.2, "xi_shift": 0.5}})
+    out = tmp_path / "out"
+    assert main(["diagnose", "--config", cfg, "--seed", "9", "--out", str(out)]) == 0
+    payload = json.loads((out / "diagnostics.json").read_text())
+    params = ModelParams(**MODEL_BLOCK["model"])
+    pp = qlearn.PolicyParams.from_constants(exploratory_constants(params, 0.2))
+    mean_coef, cov_chol = pp.policy_coefficients()
+    batch = sde.simulate_linear_gaussian_batch(params, mean_coef, cov_chol, 37, 1.0, 1.0, 0.02, 9)
+    assert payload["orthogonality"] == qlearn.orthogonality_stats(pp, batch, params.rho).as_dict()
+    # the control against a second pass over the stored paths at xi + 0.5
+    shifted = qlearn.PolicyParams(pp.xi + 0.5, pp.psi1, pp.psi2, 0.2)
+    rows = orthogonality_rows_loop(shifted, batch, params.rho)
+    control = payload["xi_shift_control"]
+    for name, mean, stderr in zip(control, rows.mean(axis=0), rows.std(axis=0, ddof=1) / np.sqrt(37)):
+        assert control[name]["mean"] == pytest.approx(mean, rel=1e-12)
+        assert control[name]["stderr"] == pytest.approx(stderr, rel=1e-12)
+
+
+def test_diagnose_needs_two_paths(tmp_path, caplog):
+    out = tmp_path / "out"
+    for where, block in (
+        ("diagnose.n_paths", {"T": 0.5, "dt": 0.05, "n_paths": 1}),
+        ("diagnose.sweep.n_paths", {"n_paths": 1, "sweep": {"dt_list": [0.05], "T_list": [0.5]}}),
+    ):
+        cfg = write_config(tmp_path, {**MODEL_BLOCK, "diagnose": block})
+        assert main(["diagnose", "--config", cfg, "--out", str(out)]) == 2
+        assert f"{where} is 1: a standard error needs at least 2 paths" in caplog.text
+    assert not (out / "diagnostics.json").exists()
 
 
 def test_diagnose_sweep_table(tmp_path):

@@ -8,8 +8,16 @@ from scipy.integrate import quad
 
 from benchtrack import qlearn, sde
 from benchtrack.model import DomainError, ModelParams
-from conftest import one_step_path, q_gradient
-from oracles import REF, central_diff, gaussian_entropy, gaussian_expect_quadratic, gaussian_pdf, rel_err
+from conftest import one_step_path, q_gradient, random_params
+from oracles import (
+    REF,
+    central_diff,
+    gaussian_entropy,
+    gaussian_expect_quadratic,
+    gaussian_pdf,
+    orthogonality_rows_loop,
+    rel_err,
+)
 
 GAMMA = 0.2
 RHO = 0.2
@@ -219,11 +227,11 @@ def test_update_statistics_hand_computed_fixture():
     pp = qlearn.PolicyParams(**FIXTURE_PP)
     path = sde.EpisodePath(**FIXTURE_PATH)
     assert pp.psi3 == pytest.approx(FIXTURE_EXPECT["psi3"], abs=1e-14)
-    sx, s1, s2 = qlearn.update_statistics(pp, path, RHO, chain_rule=True)
+    sx, s1, s2, _ = qlearn.update_statistics(pp, path, RHO, chain_rule=True)
     assert sx == pytest.approx(FIXTURE_EXPECT["stat_xi"], abs=1e-13)
     assert s1[0] == pytest.approx(FIXTURE_EXPECT["stat_psi1_chain"], abs=1e-13)
     assert s2[0, 0] == pytest.approx(FIXTURE_EXPECT["stat_psi2_chain"], abs=1e-13)
-    sx, s1, s2 = qlearn.update_statistics(pp, path, RHO, chain_rule=False)
+    sx, s1, s2, _ = qlearn.update_statistics(pp, path, RHO, chain_rule=False)
     assert sx == pytest.approx(FIXTURE_EXPECT["stat_xi"], abs=1e-13)
     assert s1[0] == pytest.approx(FIXTURE_EXPECT["stat_psi1_plain"], abs=1e-13)
     assert s2[0, 0] == pytest.approx(FIXTURE_EXPECT["stat_psi2_plain"], abs=1e-13)
@@ -302,7 +310,7 @@ def test_update_xi_weight_one_solves_xi_condition(params_ref):
         at_root = qlearn.PolicyParams(new.xi, pp.psi1, pp.psi2, GAMMA)
         assert abs(qlearn.update_statistics(at_root, path, RHO)[0]) < 1e-12
         # the xi step stays out of the clipped norm
-        _, s1, s2 = qlearn.update_statistics(pp, path, RHO)
+        _, s1, s2, _ = qlearn.update_statistics(pp, path, RHO)
         assert info.norm == pytest.approx(0.1 * math.hypot(s1[0], s2[0, 0]), rel=1e-12)
 
 
@@ -489,6 +497,68 @@ def test_history_export(tmp_path, params_ref):
 def test_orthogonality_stats_empty_batch_errors(pp_star):
     with pytest.raises(ValueError):
         qlearn.orthogonality_stats(pp_star, [], RHO)
+
+
+def test_orthogonality_stats_need_two_paths(params_ref, pp_star):
+    mean_coef, cov_chol = pp_star.policy_coefficients()
+    one = sde.simulate_linear_gaussian_batch(params_ref, mean_coef, cov_chol, 1, 1.0, 0.5, 0.05, seed=2)
+    with pytest.raises(ValueError, match="two episode paths"):
+        qlearn.orthogonality_stats(pp_star, one, RHO)
+
+
+def _assert_rows_close(rows, reference, rel=1e-12):
+    """Every entry within rel of the largest |entry| of its component."""
+    scale = np.max(np.abs(reference), axis=0)
+    assert np.all(np.abs(rows - reference) <= rel * scale)
+
+
+@pytest.mark.parametrize("chain_rule", [True, False])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_block_statistics_match_the_per_episode_loop(d, chain_rule):
+    rng = np.random.default_rng(40 + d)
+    params = random_params(rng, d)
+    pp = random_pp(rng, d)
+    mean_coef, cov_chol = pp.policy_coefficients()
+    # 37 paths: two full blocks of 16 and a short one; starting at 0 makes reflections
+    batch = sde.simulate_linear_gaussian_batch(params, mean_coef, cov_chol, 37, 0.0, 1.0, 0.02, seed=d)
+    assert np.any(np.diff(batch.local_time, axis=1) > 0.0)
+    stats = qlearn.orthogonality_stats(pp, batch, params.rho, chain_rule)
+    loop = orthogonality_rows_loop(pp, batch, params.rho, chain_rule)
+    assert stats.n_paths == 37 and stats.components == qlearn._component_names(d)
+    _assert_rows_close(stats.rows, loop)
+    _assert_rows_close(stats.means, loop.mean(axis=0))
+    assert np.allclose(stats.stderrs, loop.std(axis=0, ddof=1) / math.sqrt(37), rtol=1e-12, atol=0.0)
+    # update reads a 1-row block, which repeats the per-episode arithmetic exactly
+    for path, row in zip(batch, loop):
+        sx, s1, s2, _ = qlearn.update_statistics(pp, path, params.rho, chain_rule)
+        assert np.array_equal(np.concatenate([[sx], s1, s2.ravel()]), row)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_xi_shift_control_matches_a_second_pass(d):
+    rng = np.random.default_rng(50 + d)
+    params = random_params(rng, d)
+    pp = random_pp(rng, d)
+    mean_coef, cov_chol = pp.policy_coefficients()
+    batch = sde.simulate_linear_gaussian_batch(params, mean_coef, cov_chol, 37, 1.0, 2.0, 0.02, seed=d)
+    derived = qlearn.orthogonality_stats(pp, batch, params.rho).shifted(0.5)
+    shifted = qlearn.PolicyParams(pp.xi + 0.5, pp.psi1, pp.psi2, GAMMA)
+    second = qlearn.orthogonality_stats(shifted, batch, params.rho)
+    _assert_rows_close(derived.rows, second.rows)
+    assert np.allclose(derived.means, second.means, rtol=1e-12, atol=0.0)
+    assert np.allclose(derived.stderrs, second.stderrs, rtol=1e-12, atol=0.0)
+
+
+def test_streamed_statistics_equal_the_stored_batch(params_ref, pp_star):
+    # 33 paths: the last block holds one path
+    mean_coef, cov_chol = pp_star.policy_coefficients()
+    args = (params_ref, mean_coef, cov_chol, 33, 1.0, 2.0, 0.02, 15)
+    streamed = qlearn.orthogonality_stats(pp_star, sde.linear_gaussian_blocks(*args), RHO)
+    batch = sde.simulate_linear_gaussian_batch(*args)
+    stored = qlearn.orthogonality_stats(pp_star, batch, RHO)
+    assert np.array_equal(streamed.rows, stored.rows)
+    assert np.array_equal(streamed.d_rows, stored.d_rows)
+    _assert_rows_close(streamed.rows, orthogonality_rows_loop(pp_star, batch, RHO))
 
 
 def test_orthogonality_stats_centered_at_truth(params_ref, pp_star):

@@ -234,6 +234,35 @@ def test_kernel_names_non_finite_path_and_step(params_ref):
     assert messages[0].startswith("path ")
 
 
+def test_linear_gaussian_blocks_stream_the_batch_rows(params_ref):
+    # 37 paths: two full blocks and a short one, all views of one set of buffers
+    args = (params_ref, [0.3], [[0.5]], 37, 0.0, 0.5, 0.01, 8)
+    batch = sde.simulate_linear_gaussian_batch(*args)
+    blocks = sde.linear_gaussian_blocks(*args)
+    first = next(blocks)
+    rows = [(first.states.copy(), first.actions.copy(), first.local_time.copy())]
+    for block in blocks:
+        assert np.shares_memory(block.states, first.states)
+        assert np.array_equal(block.times, batch.times)
+        rows.append((block.states.copy(), block.actions.copy(), block.local_time.copy()))
+    assert [len(r[0]) for r in rows] == [16, 16, 5]
+    for streamed, stored in zip(zip(*rows), (batch.states, batch.actions, batch.local_time)):
+        assert np.array_equal(np.concatenate(streamed), stored)
+    assert np.any(np.diff(batch.local_time, axis=1) > 0.0)
+
+
+def test_streamed_block_names_the_global_non_finite_path(params_ref):
+    # action scale 1e60 with no cap: a path overflows after five rising steps;
+    # on this stream the first to do so is path 36, in the short third block
+    args = (params_ref, [0.0], [[1e60]], 40, 1.0, 0.06, 0.01, 3, math.inf)
+    with pytest.raises(sde.NonFinite) as loop_err, np.errstate(over="ignore", invalid="ignore"):
+        simulate_linear_gaussian_batch_loop(*args)
+    with pytest.raises(sde.NonFinite) as err, np.errstate(over="ignore", invalid="ignore"):
+        for _ in sde.linear_gaussian_blocks(*args):
+            pass
+    assert str(err.value) == str(loop_err.value) == "path 36, step 5: non-finite state proposal"
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),

@@ -33,20 +33,24 @@ def test_traced_train_and_diagnose_count_steps(tmp_path):
     diagnose = tmp_path / "diagnose.yaml"
     diagnose.write_text(yaml.safe_dump(
         {**MODEL_BLOCK, "diagnose": {"T": 0.5, "dt": 0.05, "n_paths": 20, "xi_shift": 0.5}}))
+    simulate = tmp_path / "simulate.yaml"
+    simulate.write_text(yaml.safe_dump(
+        {**MODEL_BLOCK, "simulate": {"scheme": "episode", "n_paths": 20, "T": 0.5, "dt": 0.05}}))
     tr = tracing.Tracer()
     tr.install()
     try:
         # cli.main looked up after install, as the benchmark does
         assert cli.main(["train", "--config", str(train), "--out", str(tmp_path / "t")]) == 0
         assert cli.main(["diagnose", "--config", str(diagnose), "--out", str(tmp_path / "d")]) == 0
+        assert cli.main(["simulate", "--config", str(simulate), "--out", str(tmp_path / "s")]) == 0
     finally:
         tr.restore()
     assert (sde.rollout_linear_gaussian, sde.simulate_linear_gaussian_batch, qlearn.update, cli.main) == originals
     assert tr.failures == []
     assert tr.counts["episodes"] == 2
     assert tr.counts["rollout_steps"] == 2 * 10
-    assert tr.counts["batch_path_steps"] == 20 * 10
-    assert tr.counts["orth_paths"] == 2 * 20   # the constants and the xi-shifted control
+    assert tr.counts["batch_path_steps"] == 20 * 10   # simulate's batch; diagnose streams its blocks
+    assert tr.counts["orth_paths"] == 20   # one pass gives the constants and the xi-shifted control
     names = {m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]}
     metrics = tracing.per_layer(tr, [1.0], [1.0])
     assert set(metrics) == names
