@@ -166,18 +166,16 @@ class BacktestResult:
 
     def to_csv(self, path) -> None:
         d = self.actions.shape[1]
+        theta = np.vstack([self.actions, np.full((1, d), math.nan)])   # no position after the last bar
+        rows = np.column_stack(
+            [self.times, self.benchmark, self.wealth, self.injection, self.state, theta]
+        ).tolist()
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(
                 ["t", "Z", "V", "A", "Y"] + [f"theta_{i+1}" for i in range(d)]
             )
-            n = len(self.times)
-            for i in range(n):
-                theta = list(self.actions[i]) if i < n - 1 else [math.nan] * d
-                writer.writerow(
-                    [self.times[i], self.benchmark[i], self.wealth[i],
-                     self.injection[i], self.state[i]] + theta
-                )
+            writer.writerows(rows)
 
     def summary(self) -> dict:
         return {
@@ -202,34 +200,34 @@ def run_tracking(
     The strategy sees the normalized state and returns a normalized
     allocation; positions are scaled back by the benchmark level, wealth
     accrues simple per-bar returns, and injection tops the account up to
-    the benchmark whenever it falls behind.
+    the benchmark whenever it falls behind.  The state is clamped at 0:
+    right after an injection, V + A - Z can round to a tiny negative number
+    when V < 0.
     """
     if v0 < 0.0:
         raise ValueError(f"v0 must be >= 0, got {v0}")
-    n = len(prices)
-    z = prices.benchmark
+    z = prices.benchmark.tolist()
     rel = np.diff(prices.assets, axis=0) / prices.assets[:-1]
-    wealth = np.empty(n)
-    injection = np.empty(n)
-    state = np.empty(n)
-    actions = np.empty((n - 1, prices.d))
-    wealth[0] = v0
-    injection[0] = max(z[0] - v0, 0.0)
-    for i in range(n - 1):
-        y = (wealth[i] + injection[i] - z[i]) / z[i]
-        state[i] = y
-        theta = z[i] * np.atleast_1d(np.asarray(strategy(y), dtype=float))
+    actions = np.empty((len(z) - 1, prices.d))
+    w, a = float(v0), max(z[0] - v0, 0.0)
+    wealth, injection, state = [w], [a], []
+    for i, (z_i, z_next) in enumerate(zip(z, z[1:])):
+        y = max((w + a - z_i) / z_i, 0.0)
+        state.append(y)
+        theta = z_i * np.atleast_1d(np.asarray(strategy(y), dtype=float))
         actions[i] = theta
-        wealth[i + 1] = wealth[i] + float(theta @ rel[i])
-        injection[i + 1] = max(injection[i], z[i + 1] - wealth[i + 1])
-    state[n - 1] = (wealth[-1] + injection[-1] - z[-1]) / z[-1]
+        w += float(theta @ rel[i])
+        a = max(a, z_next - w)
+        wealth.append(w)
+        injection.append(a)
+    state.append(max((w + a - z[-1]) / z[-1], 0.0))
     return BacktestResult(
         name=name,
         times=prices.times.copy(),
-        benchmark=z.copy(),
-        wealth=wealth,
-        injection=injection,
-        state=state,
+        benchmark=prices.benchmark.copy(),
+        wealth=np.array(wealth),
+        injection=np.array(injection),
+        state=np.array(state),
         actions=actions,
         rho=rho,
         v0=v0,

@@ -107,14 +107,16 @@ def classical_strategy(
 
     Returns a closure y -> normalized allocation.  The default kappa = 1
     treats the benchmark driver as pure unhedgeable noise plus nothing
-    spanned by the assets, which removes the eta term entirely.
+    spanned by the assets, which removes the eta term entirely.  Under
+    another kappa the benchmark loads equally on every asset driver through
+    the unit vector eta = (1, ..., 1) / sqrt(d).
     """
     params = ModelParams(
         mu=est.mu_hat,
         sigma=est.sigma_hat,
         sigma_z=est.sigma_z_hat,
         kappa=kappa_assumption,
-        eta=np.ones(est.d),
+        eta=np.ones(est.d) / np.sqrt(est.d),
         rho=rho,
     )
     sol = classical_solution(params)

@@ -24,6 +24,7 @@ import yaml
 from . import backtest as bt
 from . import baseline, qlearn, sde
 from .model import (
+    DomainError,
     ModelParams,
     classical_solution,
     derived_constants,
@@ -63,6 +64,21 @@ def _require(cfg: dict, key: str, where: str = "config"):
     if key not in cfg:
         raise ConfigError(f"{where} is missing required key {key!r}")
     return cfg[key]
+
+
+def _horizon(blk: dict, where: str) -> tuple[float, float]:
+    """(T, dt) of a config block; T must be a positive whole number of dt steps."""
+    T = float(_require(blk, "T", where))
+    dt = float(_require(blk, "dt", where))
+    _check_horizon(T, dt, where)
+    return T, dt
+
+
+def _check_horizon(T: float, dt: float, where: str) -> None:
+    try:
+        sde.grid_steps(T, dt)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 def _model_params(cfg: dict) -> ModelParams:
@@ -159,9 +175,10 @@ def cmd_simulate(cfg: dict, seed: int | None, out: Path) -> int:
     gamma = float(sim.get("gamma", params.rho / params.d))
     scheme = sim.get("scheme", "episode")
     n_paths = int(sim.get("n_paths", 1))
+    if n_paths < 0:
+        raise ConfigError(f"simulate.n_paths is {n_paths}: it must be >= 0")
     y0 = float(sim.get("y0", 1.0))
-    T = float(_require(sim, "T", "simulate"))
-    dt = float(_require(sim, "dt", "simulate"))
+    T, dt = _horizon(sim, "simulate")
     seed = 0 if seed is None else seed
     meta = {"config": _resolved(cfg, seed), "scheme": scheme, "n_paths": n_paths}
 
@@ -228,7 +245,7 @@ def cmd_train(cfg: dict, seed: int | None, out: Path) -> int:
     params = _model_params(cfg)
     tr = _require(cfg, "train")
     seed = int(tr.get("seed", 0)) if seed is None else seed
-    dt = float(_require(tr, "dt", "train"))
+    T, dt = _horizon(tr, "train")
     gamma = float(tr.get("gamma", params.rho / params.d))
 
     init_xi, init_psi1, init_psi2 = 0.0, None, None
@@ -252,7 +269,7 @@ def cmd_train(cfg: dict, seed: int | None, out: Path) -> int:
         )
     config = qlearn.LearnConfig(
         y0=float(tr.get("y0", 1.0)),
-        T=float(_require(tr, "T", "train")),
+        T=T,
         dt=dt,
         n_episodes=int(_require(tr, "episodes", "train")),
         gamma=gamma,
@@ -289,7 +306,7 @@ def cmd_diagnose(cfg: dict, seed: int | None, out: Path) -> int:
 
     payload: dict = {}
     if "T" in dg and "dt" in dg:
-        T, dt = float(dg["T"]), float(dg["dt"])
+        T, dt = _horizon(dg, "diagnose")
         _check_paths(n_paths, "diagnose.n_paths")
         mean_coef, cov_chol = pp.policy_coefficients()
         blocks = sde.linear_gaussian_blocks(params, mean_coef, cov_chol, n_paths, y0, T, dt, seed)
@@ -306,6 +323,9 @@ def cmd_diagnose(cfg: dict, seed: int | None, out: Path) -> int:
         T_list = [float(x) for x in sweep.get("T_list", [])]
         sweep_paths = int(sweep.get("n_paths", n_paths))
         _check_paths(sweep_paths, "diagnose.sweep.n_paths")
+        for dt in dt_list:
+            for T in T_list:
+                _check_horizon(T, dt, "diagnose.sweep")
         rows = qlearn.convergence_study(pp, params, dt_list, T_list, sweep_paths, y0, seed)
         payload["sweep"] = rows
         with open(out / "sweep.csv", "w", newline="") as fh:
@@ -352,6 +372,11 @@ def _learned_gamma(snap_gamma, cfg_gamma, path: str) -> float:
     return float(snap_gamma)
 
 
+def _check_state(y: float) -> None:
+    if y < 0.0:
+        raise DomainError(f"state must be >= 0, got {y!r}")
+
+
 def _strategy_from_cfg(blk: dict, prices: bt.PriceSeries, rho: float):
     kind = _require(blk, "type", "strategy")
     name = blk.get("name", kind)
@@ -377,15 +402,22 @@ def _strategy_from_cfg(blk: dict, prices: bt.PriceSeries, rho: float):
             snap = json.load(fh)
         pp = _learned_params(snap, path, _learned_gamma(snap.get("gamma"), blk.get("gamma"), path))
         execution = blk.get("execution", "mean")
+        mean = pp.precision @ pp.psi1   # the mean of policy_from_q at y = 0
         if execution == "mean":
-            def strat(y, _pp=pp):
-                return qlearn.policy_from_q(_pp, y).mean
+            def strat(y):
+                _check_state(y)
+                return (1.0 + y) * mean
             return name, strat
         if execution == "sample":
-            rng = np.random.default_rng(int(blk.get("sample_seed", 0)))
-            def strat(y, _pp=pp, _rng=rng):
-                spec = qlearn.policy_from_q(_pp, y)
-                return _rng.multivariate_normal(spec.mean, spec.cov)
+            # the bar-by-bar multivariate_normal(policy mean, policy cov) draws: the normals in
+            # the same order, and the SVD factor of the covariance at y = 0, which scales by 1 + y
+            normals = np.random.default_rng(int(blk.get("sample_seed", 0))).standard_normal(
+                (len(prices) - 1, pp.d))
+            u, sv, _ = np.linalg.svd(pp.gamma * pp.precision)
+            draws = iter(mean + normals @ (u * np.sqrt(sv)).T)   # one row per bar of one run
+            def strat(y):
+                _check_state(y)
+                return (1.0 + y) * next(draws)
             return name, strat
         raise ConfigError(f"unknown execution mode {execution!r}")
     raise ConfigError(f"unknown strategy type {kind!r}")
@@ -393,17 +425,26 @@ def _strategy_from_cfg(blk: dict, prices: bt.PriceSeries, rho: float):
 
 def cmd_backtest(cfg: dict, seed: int | None, out: Path) -> int:
     blk = _require(cfg, "backtest")
-    prices = bt.load_prices(_require(blk, "prices", "backtest"))
     v0 = float(_require(blk, "v0", "backtest"))
     rho = float(_require(blk, "rho", "backtest"))
+    strategies = _require(blk, "strategies", "backtest")
+    if not strategies:
+        raise ConfigError("backtest.strategies is empty: give at least one strategy")
+    baseline_index = int(blk.get("baseline_index", 0))
+    if not 0 <= baseline_index < len(strategies):
+        raise ConfigError(
+            f"backtest.baseline_index is {baseline_index}: it must index the "
+            f"{len(strategies)} strategies (0 to {len(strategies) - 1})"
+        )
+    prices = bt.load_prices(_require(blk, "prices", "backtest"))
     results = []
-    for sblk in _require(blk, "strategies", "backtest"):
+    for sblk in strategies:
         name, strat = _strategy_from_cfg(sblk, prices, rho)
         res = bt.run_tracking(prices, strat, v0, rho, name=name)
         res.to_csv(out / f"backtest_{name}.csv")
         _write_json(out / f"backtest_{name}.meta.json", res.summary(), cfg, seed)
         results.append(res)
-    report = bt.compare(results, baseline=int(blk.get("baseline_index", 0)))
+    report = bt.compare(results, baseline=baseline_index)
     _write_json(out / "comparison.json", report, cfg, seed)
     return 0
 

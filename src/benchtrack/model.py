@@ -34,6 +34,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -71,6 +72,10 @@ class InvalidGamma(ValueError):
 
 def _as_state(y):
     """Validate y >= 0 and return it as a float or float array."""
+    if type(y) is float:   # a backtest asks at every bar
+        if y < 0.0:
+            raise DomainError(f"state must be >= 0, got {y!r}")
+        return y
     arr = np.asarray(y, dtype=float)
     if np.any(arr < 0.0):
         raise DomainError(f"state must be >= 0, got {y!r}")
@@ -202,9 +207,12 @@ class ClassicalSolution:
         lam = self.lam
         return (1.0 + y) ** ((2.0 - lam) / (lam - 1.0)) / (lam - 1.0)
 
-    def policy(self, y) -> np.ndarray:
-        """Optimal normalized allocation at a single state; linear in (1 + y)."""
-        y = float(_as_state(y))
+    @cached_property
+    def policy_coef(self) -> np.ndarray:
+        """(1-lam)(sigma sigma')^-1 mu + sqrt(1-kappa^2) sigma_z (sigma sigma')^-1 sigma eta.
+
+        Computed once per instance; the returned array may not be changed in place.
+        """
         p = self.params
         ssT = p.sigma_sigma_t
         base = (1.0 - self.lam) * np.linalg.solve(ssT, p.mu)
@@ -213,7 +221,12 @@ class ClassicalSolution:
             * p.sigma_z
             * np.linalg.solve(ssT, p.sigma @ p.eta)
         )
-        return (1.0 + y) * (base + hedge)
+        return base + hedge
+
+    def policy(self, y) -> np.ndarray:
+        """Optimal normalized allocation at a single state; linear in (1 + y)."""
+        y = float(_as_state(y))
+        return (1.0 + y) * self.policy_coef
 
     def hjb_residual(self, y):
         """Residual of the reduced HJB equation; ~0 at the solved lam."""

@@ -432,10 +432,7 @@ class LearnConfig:
             raise ValueError("need at least one episode")
         if not (self.gamma > 0.0 and self.rho > 0.0):
             raise ValueError("gamma and rho must be > 0")
-        k = round(self.T / self.dt)
-        if not math.isclose(k * self.dt, self.T, rel_tol=1e-9, abs_tol=1e-12):
-            raise ValueError(f"T={self.T} must be an integer multiple of dt={self.dt}")
-        self.n_steps = k
+        self.n_steps = sde.grid_steps(self.T, self.dt)
 
     def initial_params(self, d: int) -> PolicyParams:
         psi1 = np.zeros(d) if self.psi1_0 is None else np.asarray(self.psi1_0, dtype=float)

@@ -60,6 +60,7 @@ __all__ = [
     "EpisodePath",
     "BatchPaths",
     "episode_rng",
+    "grid_steps",
     "Environment",
     "rollout_linear_gaussian",
     "linear_gaussian_blocks",
@@ -131,13 +132,20 @@ class Environment:
     clamp_events: int = 0
 
 
-def _grid(T: float, dt: float) -> np.ndarray:
+def grid_steps(T: float, dt: float) -> int:
+    """The number of steps of length dt in the horizon T, which must be a positive whole number."""
+    if not dt > 0.0:
+        raise ValueError(f"dt must be > 0, got {dt}")
     n = round(T / dt)
     if not math.isclose(n * dt, T, rel_tol=1e-9, abs_tol=1e-12):
         raise ValueError(f"horizon T={T} is not an integer multiple of dt={dt}")
     if n < 1:
         raise ValueError("need at least one step")
-    return np.linspace(0.0, T, n + 1)
+    return n
+
+
+def _grid(T: float, dt: float) -> np.ndarray:
+    return np.linspace(0.0, T, grid_steps(T, dt) + 1)
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,9 @@ package's API from before every sampler returned a BatchPaths: one path per
 call and one CSV row per write.  Each batch row and the bulk writer's bytes
 must equal theirs exactly.  `orthogonality_rows_loop` is the per-episode
 statistics loop from before they were reduced block by block.
+`run_tracking_loop` and `backtest_csv_per_row` are the backtest from before
+it stepped over Python floats and wrote its CSV in one call: numpy scalars
+at every bar and one CSV row per write.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from benchtrack import sde
+from benchtrack import backtest, sde
 
 
 def bisect_root(f, lo: float, hi: float, width: float = 1e-14) -> float:
@@ -386,6 +389,63 @@ def episode_statistics_loop(pp, rho: float, ep: sde.EpisodePath, chain_rule: boo
 def orthogonality_rows_loop(pp, paths, rho: float, chain_rule: bool = True) -> np.ndarray:
     """Per-path sums, one episode at a time: the reference rows of qlearn.orthogonality_stats."""
     return np.array([episode_statistics_loop(pp, rho, ep, chain_rule) for ep in paths])
+
+
+def run_tracking_loop(
+    prices: backtest.PriceSeries,
+    strategy,
+    v0: float,
+    rho: float,
+    name: str = "strategy",
+) -> backtest.BacktestResult:
+    """Step the tracking rule through a price series, one numpy scalar at a time."""
+    if v0 < 0.0:
+        raise ValueError(f"v0 must be >= 0, got {v0}")
+    n = len(prices)
+    z = prices.benchmark
+    rel = np.diff(prices.assets, axis=0) / prices.assets[:-1]
+    wealth = np.empty(n)
+    injection = np.empty(n)
+    state = np.empty(n)
+    actions = np.empty((n - 1, prices.d))
+    wealth[0] = v0
+    injection[0] = max(z[0] - v0, 0.0)
+    for i in range(n - 1):
+        y = (wealth[i] + injection[i] - z[i]) / z[i]
+        state[i] = y
+        theta = z[i] * np.atleast_1d(np.asarray(strategy(y), dtype=float))
+        actions[i] = theta
+        wealth[i + 1] = wealth[i] + float(theta @ rel[i])
+        injection[i + 1] = max(injection[i], z[i + 1] - wealth[i + 1])
+    state[n - 1] = (wealth[-1] + injection[-1] - z[-1]) / z[-1]
+    return backtest.BacktestResult(
+        name=name,
+        times=prices.times.copy(),
+        benchmark=z.copy(),
+        wealth=wealth,
+        injection=injection,
+        state=state,
+        actions=actions,
+        rho=rho,
+        v0=v0,
+    )
+
+
+def backtest_csv_per_row(result: backtest.BacktestResult, path) -> None:
+    """Write a backtest result as (t, Z, V, A, Y, theta...) rows, one row per write."""
+    d = result.actions.shape[1]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(
+            ["t", "Z", "V", "A", "Y"] + [f"theta_{i+1}" for i in range(d)]
+        )
+        n = len(result.times)
+        for i in range(n):
+            theta = list(result.actions[i]) if i < n - 1 else [math.nan] * d
+            writer.writerow(
+                [result.times[i], result.benchmark[i], result.wealth[i],
+                 result.injection[i], result.state[i]] + theta
+            )
 
 
 # Reference model: d = 1, mu = 0.2, sigma = 1, sigma_z = 0.2, kappa = 0.5,

@@ -1,5 +1,6 @@
 """Backtest layer: ingestion, running-sup injection, comparisons."""
 
+import json
 import math
 
 import numpy as np
@@ -7,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from benchtrack import cli, qlearn
+from benchtrack.model import DomainError, ModelParams, classical_solution
 from benchtrack.backtest import (
     MismatchedInputs,
     ParseError,
@@ -17,7 +20,7 @@ from benchtrack.backtest import (
     relative_difference,
     run_tracking,
 )
-from oracles import running_sup_injection, simulate_gbm
+from oracles import backtest_csv_per_row, run_tracking_loop, running_sup_injection, simulate_gbm
 
 
 def write_csv(path, rows, header="timestamp,benchmark,asset_1"):
@@ -150,6 +153,87 @@ def test_injection_monotone_under_arbitrary_returns(rets):
     res = run_tracking(series, lambda y: np.array([0.3]), v0=80.0, rho=0.1)
     assert np.all(np.diff(res.injection) >= -1e-12)
     assert np.all(res.wealth + res.injection >= res.benchmark - 1e-9)
+
+
+def test_state_after_an_injection_is_clamped_at_zero(tmp_path):
+    # a leveraged position takes the wealth below zero at bar 1, where the
+    # injection A = Z - V makes V + A - Z round to a negative number
+    sol = classical_solution(ModelParams(mu=[0.2], sigma=[[1.0]], sigma_z=0.2, kappa=0.5, eta=[1.0], rho=0.2))
+
+    def strat(y):
+        return 30.0 * sol.policy(y)   # raises DomainError on a negative state
+
+    series = load_prices(write_csv(tmp_path / "p.csv", ["0,100,100", "1,100.2,50", "2,100.2,50"]))
+    res = run_tracking(series, strat, v0=100.0, rho=0.1)
+    w, z = res.wealth[1], res.benchmark[1]
+    assert w < 0.0 and res.injection[1] == z - w
+    assert w + (z - w) < z   # the rounding that the clamp absorbs
+    assert np.all(res.state >= 0.0) and res.state[1] == 0.0
+    with pytest.raises(DomainError):
+        run_tracking_loop(series, strat, v0=100.0, rho=0.1)
+
+
+def _gbm_series(n: int, d: int, seed: int) -> PriceSeries:
+    rng = np.random.default_rng(seed)
+    z = simulate_gbm(0.0, 0.15, 100.0, 1.0 / 252, n - 1, rng)
+    assets = np.column_stack([simulate_gbm(0.1, 0.25, 50.0, 1.0 / 252, n - 1, rng) for _ in range(d)])
+    return PriceSeries(times=np.arange(n, dtype=float), benchmark=z, assets=assets)
+
+
+def _learned_strategy(tmp_path, series, **blk):
+    d = series.d
+    pp = qlearn.PolicyParams(xi=0.3, psi1=np.linspace(0.1, 0.4, d),
+                             psi2=np.eye(d) + 0.1 * np.tril(np.ones((d, d)), -1), gamma=0.2 / d)
+    snapshot = tmp_path / "learned.json"
+    snapshot.write_text(json.dumps({"xi": pp.xi, "psi1": pp.psi1.tolist(), "psi2": pp.psi2.tolist(),
+                                    "gamma": pp.gamma}))
+    _, strat = cli._strategy_from_cfg({"type": "learned", "params": str(snapshot), **blk}, series, 0.1)
+    return strat, pp
+
+
+def _strategies(tmp_path, series):
+    d = series.d
+    model = {"mu": [0.1] * d, "sigma": np.diag([0.25] * d).tolist(), "sigma_z": 0.15,
+             "kappa": 0.5, "eta": (np.ones(d) / np.sqrt(d)).tolist(), "rho": 0.1}
+    return {
+        "constant": lambda y: np.full(d, 0.5),
+        "lambda": lambda y: 0.8 * (1.0 + y) * np.ones(d),
+        "mle": cli._strategy_from_cfg({"type": "mle", "train_fraction": 0.5, "kappa": 0.5}, series, 0.1)[1],
+        "classical": cli._strategy_from_cfg({"type": "classical", "model": model}, series, 0.1)[1],
+        "learned_mean": _learned_strategy(tmp_path, series, execution="mean")[0],
+    }
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_tracking_equals_the_per_bar_loop(tmp_path, d):
+    series = _gbm_series(300, d, seed=11 + d)
+    for name, strat in _strategies(tmp_path, series).items():
+        res = run_tracking(series, strat, v0=95.0, rho=0.1, name=name)
+        ref = run_tracking_loop(series, strat, v0=95.0, rho=0.1, name=name)
+        assert np.all(ref.state >= 0.0), name   # no clamp, so the two agree exactly
+        assert res.injection[-1] > res.injection[0], name   # the account falls behind at least once
+        for field in ("times", "benchmark", "wealth", "injection", "state", "actions"):
+            assert np.array_equal(getattr(res, field), getattr(ref, field)), (name, field)
+        res.to_csv(tmp_path / "bulk.csv")
+        backtest_csv_per_row(ref, tmp_path / "rows.csv")
+        assert (tmp_path / "bulk.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes(), name
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_sampled_execution_matches_per_bar_multivariate_normal(tmp_path, d):
+    series = _gbm_series(300, d, seed=21 + d)
+    strat, pp = _learned_strategy(tmp_path, series, execution="sample", sample_seed=7)
+    rng = np.random.default_rng(7)
+
+    def per_bar(y):
+        spec = qlearn.policy_from_q(pp, y)
+        return rng.multivariate_normal(spec.mean, spec.cov)
+
+    res = run_tracking(series, strat, v0=95.0, rho=0.1)
+    ref = run_tracking_loop(series, per_bar, v0=95.0, rho=0.1)
+    assert np.all(ref.state >= 0.0)
+    for field in ("wealth", "injection", "state", "actions"):
+        assert np.allclose(getattr(res, field), getattr(ref, field), rtol=1e-9, atol=0.0), field
 
 
 # -------------------------------------------------------------- comparison

@@ -13,6 +13,7 @@ from benchtrack.baseline import (
     classical_strategy,
     mle_estimate,
 )
+from benchtrack.model import ModelParams, classical_solution
 from oracles import simulate_gbm
 
 
@@ -91,3 +92,20 @@ def test_classical_strategy_structure():
     ys = np.linspace(0.0, 5.0, 11)
     norms = [abs(strat(float(y))[0]) for y in ys]
     assert all(b > a for a, b in zip(norms, norms[1:]))
+
+
+def test_classical_strategy_uses_a_unit_eta():
+    # the hedge term sqrt(1 - kappa^2) sigma_z (sigma sigma')^-1 sigma eta is live
+    # only when kappa < 1; the closed forms assume |eta| = 1
+    est = MleEstimate(
+        mu_hat=np.array([0.08, 0.05]),
+        sigma_hat=np.array([[0.2, 0.0], [0.05, 0.15]]),
+        sigma_z_hat=0.1,
+        dt=1.0,
+    )
+    eta = np.ones(2) / math.sqrt(2.0)
+    sol = classical_solution(ModelParams(mu=est.mu_hat, sigma=est.sigma_hat, sigma_z=0.1,
+                                         kappa=0.5, eta=eta, rho=0.1))
+    strat = classical_strategy(est, rho=0.1, kappa_assumption=0.5)
+    for y in (0.0, 1.5):
+        assert np.allclose(strat(y), sol.policy(y), rtol=1e-12, atol=0.0)

@@ -328,10 +328,48 @@ def test_backtest_command(tmp_path):
     assert main(["backtest", "--config", missing, "--out", str(out)]) == 2
 
 
-def _learned_backtest_config(tmp_path, snapshot, name, **strategy):
+@pytest.mark.parametrize("command, block, message", [
+    ("simulate", {"simulate": {"n_paths": 3, "T": 0.25, "dt": 0.1}},
+     "simulate: horizon T=0.25 is not an integer multiple of dt=0.1"),
+    ("simulate", {"simulate": {"n_paths": -1, "T": 0.2, "dt": 0.1}}, "simulate.n_paths is -1"),
+    ("train", {"train": {"T": 0.25, "dt": 0.1, "episodes": 2}},
+     "train: horizon T=0.25 is not an integer multiple of dt=0.1"),
+    ("diagnose", {"diagnose": {"T": 0.25, "dt": 0.1, "n_paths": 10}},
+     "diagnose: horizon T=0.25 is not an integer multiple of dt=0.1"),
+    ("diagnose", {"diagnose": {"n_paths": 10, "sweep": {"dt_list": [0.1], "T_list": [0.25]}}},
+     "diagnose.sweep: horizon T=0.25 is not an integer multiple of dt=0.1"),
+])
+def test_bad_horizon_or_path_count_exits_2(tmp_path, caplog, command, block, message):
+    cfg = write_config(tmp_path, {**MODEL_BLOCK, **block})
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert message in caplog.text
+    assert [p.name for p in out.iterdir()] == []
+
+
+@pytest.mark.parametrize("backtest, message", [
+    ({"strategies": []}, "backtest.strategies is empty"),
+    ({"strategies": [{"type": "mle"}, {"type": "mle", "name": "other"}], "baseline_index": 2},
+     "backtest.baseline_index is 2: it must index the 2 strategies (0 to 1)"),
+])
+def test_backtest_bad_strategy_list_exits_2(tmp_path, caplog, backtest, message):
+    prices = _prices_csv(tmp_path)
+    cfg = write_config(tmp_path, {"backtest": {"prices": str(prices), "v0": 95.0, "rho": 0.1, **backtest}})
+    out = tmp_path / "out"
+    assert main(["backtest", "--config", cfg, "--out", str(out)]) == 2
+    assert message in caplog.text
+    assert [p.name for p in out.iterdir()] == []   # no strategy ran
+
+
+def _prices_csv(tmp_path):
     prices = tmp_path / "prices.csv"
     rows = ["timestamp,benchmark,asset_1"] + [f"{i},{100.0 + i % 3},{50.0 + i % 5}" for i in range(30)]
     prices.write_text("\n".join(rows) + "\n")
+    return prices
+
+
+def _learned_backtest_config(tmp_path, snapshot, name, **strategy):
+    prices = _prices_csv(tmp_path)
     return write_config(tmp_path, {"backtest": {
         "prices": str(prices), "v0": 95.0, "rho": 0.1,
         "strategies": [{"name": "rl", "type": "learned", "params": str(snapshot), **strategy}],

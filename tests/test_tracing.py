@@ -2,8 +2,8 @@
 
 The tracer wraps functions by name and binds their arguments, so a renamed
 function or a changed signature would only show in the slow benchmark
-self-test; this runs the same wrappers on a tiny train, diagnose and
-simulate.
+self-test; this runs the same wrappers on a tiny train, diagnose,
+simulate and backtest.
 """
 
 import importlib.util
@@ -12,7 +12,7 @@ from pathlib import Path
 
 import yaml
 
-from benchtrack import cli, qlearn, sde
+from benchtrack import backtest, cli, qlearn, sde
 from test_cli import MODEL_BLOCK
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -73,3 +73,38 @@ def test_traced_simulate_counts_terminal_sampler_steps(tmp_path):
     assert tr.failures == []
     # the hooks bind n_paths, T and dt of both terminal samplers
     assert tr.counts["terminal_path_steps"] == tr.counts["skorokhod_path_steps"] == 30 * 10
+
+
+def test_traced_backtest_counts_bars_and_rows(tmp_path):
+    tracing = _tracing()
+    originals = (backtest.load_prices, backtest.run_tracking, backtest.BacktestResult.to_csv,
+                 cli._strategy_from_cfg, cli.main)
+    prices = tmp_path / "prices.csv"
+    prices.write_text("\n".join(["timestamp,benchmark,asset_1,asset_2"] + [
+        f"2000-01-{i + 1:02d},{100.0 + i % 3},{50.0 + i % 5},{20.0 + i % 4}" for i in range(25)]) + "\n")
+    snapshot = tmp_path / "learned.json"
+    snapshot.write_text(json.dumps({"xi": 0.3, "psi1": [0.2, 0.3], "psi2": [[1.0, 0.0], [0.1, 1.0]],
+                                    "gamma": 0.1}))
+    learned = {"type": "learned", "params": str(snapshot)}
+    cfg = tmp_path / "backtest.yaml"
+    cfg.write_text(yaml.safe_dump({"backtest": {"prices": str(prices), "v0": 95.0, "rho": 0.1, "strategies": [
+        {"type": "mle", "name": "mle"},
+        dict(learned, name="learned_mean", execution="mean"),
+        dict(learned, name="learned_sample", execution="sample", sample_seed=3),
+    ]}}))
+    tr = tracing.Tracer()
+    tr.install()
+    try:
+        assert cli.main(["backtest", "--config", str(cfg), "--out", str(tmp_path / "b")]) == 0
+    finally:
+        tr.restore()
+    assert (backtest.load_prices, backtest.run_tracking, backtest.BacktestResult.to_csv,
+            cli._strategy_from_cfg, cli.main) == originals
+    assert tr.failures == []
+    assert tr.counts["rows_loaded"] == 25
+    assert tr.counts["bars"] == 3 * 24
+    assert tr.counts["rows_written"] == 3 * 25
+    metrics = tracing.per_layer(tr, [1.0], [1.0])
+    for name in ("mle", "learned_mean", "learned_sample"):
+        assert metrics[f"backtest.strategy_us_per_bar.{name}"] > 0.0
+    assert metrics["model.policy_us"] > 0.0 and metrics["backtest.write_us_per_bar"] > 0.0
