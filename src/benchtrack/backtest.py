@@ -19,6 +19,8 @@ from typing import Callable
 
 import numpy as np
 
+from .sde import _write_csv
+
 __all__ = [
     "ParseError",
     "ValidationError",
@@ -170,12 +172,7 @@ class BacktestResult:
         rows = np.column_stack(
             [self.times, self.benchmark, self.wealth, self.injection, self.state, theta]
         ).tolist()
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["t", "Z", "V", "A", "Y"] + [f"theta_{i+1}" for i in range(d)]
-            )
-            writer.writerows(rows)
+        _write_csv(path, ["t", "Z", "V", "A", "Y"] + [f"theta_{i+1}" for i in range(d)], rows)
 
     def summary(self) -> dict:
         return {

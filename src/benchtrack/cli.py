@@ -84,7 +84,7 @@ def _check_horizon(T: float, dt: float, where: str) -> None:
 def _model_params(cfg: dict) -> ModelParams:
     m = _require(cfg, "model")
     try:
-        return ModelParams(
+        params = ModelParams(
             mu=np.asarray(_require(m, "mu", "model"), dtype=float),
             sigma=np.asarray(_require(m, "sigma", "model"), dtype=float),
             sigma_z=float(_require(m, "sigma_z", "model")),
@@ -94,6 +94,11 @@ def _model_params(cfg: dict) -> ModelParams:
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid model block: {exc}") from exc
+    # the closed forms take eta as given while the simulator normalises it, so they agree only at |eta| = 1
+    norm = float(np.linalg.norm(params.eta))
+    if not abs(norm - 1.0) <= 1e-9:
+        raise ConfigError(f"model.eta must have norm 1, got {params.eta.tolist()} (norm {norm!r})")
+    return params
 
 
 def _resolved(cfg: dict, seed: int | None) -> dict:

@@ -48,7 +48,6 @@ control is therefore derived from the paths' one pass.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -110,8 +109,9 @@ class GaussianSpec:
 class PolicyParams:
     """Learnable tuple (xi, psi1, psi2); psi3 is derived, never free.
 
-    psi3 and the precision are computed once per instance, so neither psi1,
-    psi2 nor the returned precision may be changed in place.
+    psi3, psi2_sq and the precision are computed once per instance, so
+    neither psi1, psi2 nor the returned psi2_sq or precision may be changed
+    in place.
     """
 
     xi: float
@@ -137,7 +137,7 @@ class PolicyParams:
     def d(self) -> int:
         return self.psi1.shape[0]
 
-    @property
+    @cached_property
     def psi2_sq(self) -> np.ndarray:
         return self.psi2 @ self.psi2.T
 
@@ -227,7 +227,7 @@ def _test_sums(
     """
     n, d = len(w), pp.d
     rows = np.empty((n, 1 + d + d * d))
-    stat_xi = np.sum(w, axis=1, out=rows[:, 0])
+    stat_xi = w.sum(axis=1, out=rows[:, 0])
     stat_psi1 = np.matmul(x.transpose(0, 2, 1), w[..., None])[..., 0]
     outer_sum = np.einsum("nk,nkd,nke->nde", np.divide(w, s2, out=tmp), actions, actions)
     stat_psi2 = -outer_sum @ pp.psi2
@@ -237,7 +237,7 @@ def _test_sums(
         prec = pp.precision
         b = prec @ pp.psi1
         stat_psi1 = stat_psi1 - b * stat_xi[:, None]
-        stat_psi2 = stat_psi2 + (np.outer(b, b) + pp.gamma * prec) @ pp.psi2 * stat_xi[:, None, None]
+        stat_psi2 = stat_psi2 + (b[:, None] * b + pp.gamma * prec) @ pp.psi2 * stat_xi[:, None, None]
     rows[:, 1 : 1 + d] = stat_psi1
     rows[:, 1 + d :] = stat_psi2.reshape(n, d * d)
     return rows
@@ -269,7 +269,7 @@ def _episode_statistics(
     dt = float(times[1] - times[0])
     disc = np.exp(-rho * times[:-1])
     ys = states[:, :-1]
-    if np.any(ys < 0.0):
+    if (ys < 0.0).any():
         raise DomainError(f"state must be >= 0, got {ys!r}")
     np.log1p(states, out=log)
     np.add(1.0, ys, out=s)
@@ -288,7 +288,7 @@ def _episode_statistics(
     d_rows = None
     if xi_derivative:
         d_rows = _test_sums(pp, np.broadcast_to(-rho * dt * disc, g.shape), x, s2, actions, chain_rule, quad)
-    return rows, d_rows, rho * dt * float(np.sum(disc))
+    return rows, d_rows, rho * dt * float(disc.sum())
 
 
 def update_statistics(
@@ -353,9 +353,9 @@ def update(
     d_psi1 = rates.alpha_psi1 * stat_psi1
     d_psi2 = rates.alpha_psi2 * stat_psi2
     vec = np.concatenate([d_psi1.ravel(), d_psi2.ravel()])
-    if not (math.isfinite(d_xi) and np.all(np.isfinite(vec))):
+    if not (math.isfinite(d_xi) and np.isfinite(vec).all()):
         raise NonFiniteUpdate("episode produced a non-finite update")
-    norm = float(np.linalg.norm(vec))
+    norm = math.sqrt(vec.dot(vec))   # np.linalg.norm's formula for a real vector
     clipped = False
     if update_clip is not None and norm > update_clip:
         factor = update_clip / norm
@@ -456,23 +456,16 @@ class TrainHistory:
     final: PolicyParams
 
     def to_csv(self, path) -> None:
-        d = self.psi1.shape[1]
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            header = (
-                ["episode", "xi"]
-                + [f"psi1_{i+1}" for i in range(d)]
-                + [f"psi2_{i+1}{j+1}" for i in range(d) for j in range(d)]
-                + ["psi3", "update_norm", "clipped"]
-            )
-            writer.writerow(header)
-            for n in range(len(self.episodes)):
-                writer.writerow(
-                    [int(self.episodes[n]), self.xi[n]]
-                    + list(self.psi1[n])
-                    + list(self.psi2[n].ravel())
-                    + [self.psi3[n], self.update_norms[n], int(self.clipped[n])]
-                )
+        n, d = self.psi1.shape
+        header = (
+            ["episode", "xi"]
+            + [f"psi1_{i+1}" for i in range(d)]
+            + [f"psi2_{i+1}{j+1}" for i in range(d) for j in range(d)]
+            + ["psi3", "update_norm", "clipped"]
+        )
+        columns = [self.episodes, self.xi, *self.psi1.T, *self.psi2.reshape(n, d * d).T,
+                   self.psi3, self.update_norms, self.clipped.astype(int)]
+        sde._write_csv(path, header, zip(*(column.tolist() for column in columns)))
 
     def summary(self) -> dict:
         return {
@@ -492,8 +485,8 @@ def train(config: LearnConfig, env: sde.Environment) -> TrainHistory:
 
     Episodes come from sde.rollout_linear_gaussian on `env`; the update
     itself reads only the paths, never the market parameters.  Episode i uses the
-    Philox stream keyed by (config.seed, i), so a run is reproducible and a
-    resumed run continues the original stream sequence.
+    Philox stream keyed by (config.seed, i) (sde.episode_rng), so a run is
+    reproducible and a resumed run continues the original stream sequence.
 
     xi moves by stat_xi / (c i) at global episode i, so it is the running
     mean of the per-episode roots of its condition: a run from episode 1
@@ -513,16 +506,19 @@ def train(config: LearnConfig, env: sde.Environment) -> TrainHistory:
     hist_clip = np.zeros(n, dtype=bool)
     episodes = np.arange(config.start_episode, config.start_episode + n)
     times = np.linspace(0.0, config.T, config.n_steps + 1)  # EpisodePath is frozen, so episodes share it
+    # set up once per run: the rollouts share one workspace, and one Philox is re-keyed per episode
+    workspace = sde.rollout_workspace(env, config.n_steps)
+    stream = sde.episode_streams()
     clamps_before = env.clamp_events
     rejected: list[int] = []
     max_rejected = config.reject_fraction * n
     for idx, i in enumerate(episodes):
-        rng = sde.episode_rng(config.seed, int(i))
+        rng = stream(config.seed, int(i))
         rates = schedule(int(i), config.schedule)
         try:
             mean_coef, cov_chol = pp.policy_coefficients()
             states, actions, local = sde.rollout_linear_gaussian(
-                env, mean_coef, cov_chol, config.y0, config.n_steps, rng
+                env, mean_coef, cov_chol, config.y0, config.n_steps, rng, workspace=workspace
             )
             path = sde.EpisodePath(times=times, states=states, actions=actions, local_time=local)
             pp, info = update(

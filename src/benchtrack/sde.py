@@ -28,7 +28,10 @@ and Skorokhod) return a BatchPaths built in blocks of a few paths; row i
 draws the Philox stream (seed, i), so it equals a lone path on that stream.
 One generator (_blocks) yields the blocks over one set of reused buffers;
 the samplers copy them into their batch, and linear_gaussian_blocks hands
-them to a consumer that keeps only what it reduces them to.
+them to a consumer that keeps only what it reduces them to.  A run pays its
+setup once: one re-keyed Philox serves every stream (episode_streams), and a
+training run's rollouts share one workspace with the market's constants
+(rollout_workspace).
 
 The same map in continuous time gives an independent oracle for the
 policy-averaged dynamics: for H = ln(1 + Y),
@@ -42,13 +45,12 @@ the projection scheme distributionally.
 
 from __future__ import annotations
 
-import csv
 import functools
 import json
 import math
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -60,8 +62,10 @@ __all__ = [
     "EpisodePath",
     "BatchPaths",
     "episode_rng",
+    "episode_streams",
     "grid_steps",
     "Environment",
+    "rollout_workspace",
     "rollout_linear_gaussian",
     "linear_gaussian_blocks",
     "simulate_linear_gaussian_batch",
@@ -74,6 +78,7 @@ __all__ = [
 ]
 
 DEFAULT_ACTION_CAP = 1e6
+_KEY_MASK = 0xFFFFFFFFFFFFFFFF
 # paths per kernel block: a block's arrays stay small (150 kB each at K = 1200)
 # while numpy's per-call cost is shared by several paths
 BLOCK_ROWS = 16
@@ -91,9 +96,34 @@ def episode_rng(seed: int, episode_index: int) -> np.random.Generator:
     """Counter-based stream keyed by (run seed, episode index).
 
     Streams for distinct episodes are independent and reproducible, so
-    batches of episodes can be generated in any order or in parallel.
+    batches of episodes can be generated in any order or in parallel.  The
+    key is (seed mod 2^64, episode_index), so every seed has its own streams.
     """
-    return np.random.Generator(np.random.Philox(key=[seed & 0xFFFFFFFFFFFFFFFF, episode_index]))
+    key = np.array([seed & _KEY_MASK, episode_index], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+def episode_streams() -> Callable[[int, int], np.random.Generator]:
+    """A function stream(seed, episode_index) that draws what episode_rng(seed, episode_index) draws.
+
+    One Philox is re-keyed per stream: its key is set and its counter,
+    buffer and cached word reset to those of a new Philox.  That skips the
+    constructor, which seeds itself from os.urandom before the key replaces
+    that seed.  Every call returns the same Generator, so a stream must be
+    finished before the next is asked for.
+    """
+    bitgen = np.random.Philox(0)
+    gen = np.random.Generator(bitgen)
+    fresh = np.random.Philox(key=0).state   # the counter, buffer and positions of a new stream
+    key = fresh["state"]["key"]
+
+    def stream(seed: int, episode_index: int) -> np.random.Generator:
+        key[0] = seed & _KEY_MASK
+        key[1] = episode_index
+        bitgen.state = fresh
+        return gen
+
+    return stream
 
 
 def _eta_unit(params: ModelParams) -> np.ndarray:
@@ -102,6 +132,15 @@ def _eta_unit(params: ModelParams) -> np.ndarray:
         # uncorrelated limit: the eta-channel never enters (kappa carries it)
         return np.zeros_like(params.eta)
     return params.eta / n
+
+
+def _market(params: ModelParams, dt: float) -> SimpleNamespace:
+    """The per-step constants of the policy kernel, computed once per run."""
+    sqdt = math.sqrt(dt)
+    return SimpleNamespace(
+        d=params.d, eta_hat=_eta_unit(params), kappa=params.kappa, root=math.sqrt(1.0 - params.kappa**2),
+        noise=-params.sigma_z * sqdt, sqdt=sqdt, sigma=params.sigma, mu_dt=[m * dt for m in params.mu.tolist()],
+    )
 
 
 @dataclass(frozen=True)
@@ -186,11 +225,12 @@ def _blocks(times: np.ndarray, d: int, n_paths: int, seed: int, fill) -> Iterato
     K = len(times) - 1
     rows = min(n_paths, BLOCK_ROWS)
     ws = _workspace(rows, K, d)
+    stream = episode_streams()
     states, local, actions = np.empty((rows, K + 1)), np.empty((rows, K + 1)), np.empty((rows, K, d))
     for start in range(0, n_paths, BLOCK_ROWS):
         n = min(BLOCK_ROWS, n_paths - start)
         for j in range(n):
-            episode_rng(seed, start + j).standard_normal(out=ws.normals[j])
+            stream(seed, start + j).standard_normal(out=ws.normals[j])
         clamp_events = fill(ws, states[:n], actions[:n], local[:n], start)
         yield BatchPaths(times=times, states=states[:n], actions=actions[:n], local_time=local[:n],
                          clamp_events=clamp_events)
@@ -214,9 +254,11 @@ def _reflect(c: np.ndarray, states: np.ndarray, dL: np.ndarray, ws: SimpleNamesp
     With S the partial sums of log1p(c), H = S + max_{j<=k} max(-S_j, 0).  The
     push grows exactly on the reflecting steps; there it equals -S, so H and y
     are exactly 0.  A step with 1 + c_k <= 0 reflects whatever the state (its
-    log1p is -inf or nan), so its row restarts there.
+    log1p is -inf or nan), so its row restarts there; those steps are
+    looked for only when the smallest c_k (nan if any is) is not above -1.
     """
-    for r, k in [(slice(None), -1), *zip(*np.nonzero(c <= -1.0))]:
+    restarts = () if c.min() > -1.0 else zip(*np.nonzero(c <= -1.0))
+    for r, k in [(slice(None), -1), *restarts]:
         if k >= 0:
             y = states[r, k]
             dL[r, k] = -(y + (1.0 + y) * c[r, k])
@@ -245,43 +287,44 @@ def _reflect(c: np.ndarray, states: np.ndarray, dL: np.ndarray, ws: SimpleNamesp
 
 
 def _linear_gaussian_paths(
-    params: ModelParams, dt: float, mean_coef: np.ndarray, cov_chol: np.ndarray, y0: float,
-    action_cap: float, ws: SimpleNamespace, states: np.ndarray, actions: np.ndarray, local: np.ndarray,
-    first_path: int = 0,
+    m: SimpleNamespace, mean_coef: np.ndarray, cov_chol: np.ndarray, y0: float, action_cap: float,
+    ws: SimpleNamespace, states: np.ndarray, actions: np.ndarray, local: np.ndarray, first_path: int = 0,
 ) -> int:
     """Fill the states, actions and local time of a block of policy paths; return its clamp count.
 
-    The block's n rows read ws.normals[:n], (n, K, 2d+1): per step d action
-    normals, the benchmark's own normal and d asset normals.  Contractions
-    over d are explicit sums, so an element's rounding does not depend on the
-    block's shape.
+    m holds the market's constants (_market), mean_coef is (d,) and cov_chol
+    (d, d).  The block's n rows read ws.normals[:n], (n, K, 2d+1): per step d
+    action normals, the benchmark's own normal and d asset normals.
+    Contractions over d are explicit sums, so an element's rounding does not
+    depend on the block's shape.
     """
-    n, d = len(states), params.d
-    mean_coef = np.asarray(mean_coef, dtype=float).reshape(d)
-    cov_chol = np.asarray(cov_chol, dtype=float).reshape(d, d)
+    n, d = len(states), m.d
     normals = ws.normals[:n]
     z, g0, g = normals[..., :d], normals[..., d], normals[..., d + 1 :]
     u, c, base, drive, unorm, dL, t, w = (a[:n] for a in (ws.u, ws.c, ws.base, ws.drive, ws.unorm, ws.dL, ws.t, ws.w))
-    sqdt = math.sqrt(dt)
 
-    def dot(coef, v, out):  # sum_j coef[j] v[..., j], summed from 0 like the builtin sum
-        out[...] = 0.0
+    def accumulate(out, x, first):  # out = 0 + x_0 + x_1 + ..., the builtin sum's order (0 + x is x + 0)
+        if first:
+            np.add(x, 0.0, out=out)
+        else:
+            out += x
+
+    def dot(coef, v, out):  # sum_j coef[j] v[..., j]
         for j in range(d):
-            out += np.multiply(v[..., j], coef[j], out=w)
+            accumulate(out, np.multiply(v[..., j], coef[j], out=w), j == 0)
 
-    dot(_eta_unit(params), g, t)
-    np.multiply(g0, params.kappa, out=base)
-    base += np.multiply(t, math.sqrt(1.0 - params.kappa**2), out=t)
-    base *= -params.sigma_z * sqdt
-    drive[...] = unorm[...] = 0.0
+    dot(m.eta_hat, g, t)
+    np.multiply(g0, m.kappa, out=base)
+    base += np.multiply(t, m.root, out=t)
+    base *= m.noise
     for i in range(d):
         dot(cov_chol[i], z, u[..., i])
         u[..., i] += mean_coef[i]
-        dot(params.sigma[i], g, t)
-        t *= sqdt
-        t += params.mu[i] * dt
-        drive += np.multiply(t, u[..., i], out=t)
-        unorm += np.square(u[..., i], out=w)
+        dot(m.sigma[i], g, t)
+        t *= m.sqdt
+        t += m.mu_dt[i]
+        accumulate(drive, np.multiply(t, u[..., i], out=t), i == 0)
+        accumulate(unorm, np.square(u[..., i], out=w), i == 0)
     np.sqrt(unorm, out=unorm)
     np.add(base, drive, out=c)
     states[:, 0] = y0
@@ -290,26 +333,46 @@ def _linear_gaussian_paths(
     # A clamp scales the action by cap / |(1+y_k) u_k|, which depends on y_k.
     # The first clamp of a row is found after the fact; that step is redone
     # with its clamped c_k and the row replayed from there, until no new clamp.
-    clamped = np.zeros(c.shape, dtype=bool)
-    over = np.multiply(np.add(states[:, :-1], 1.0, out=t), unorm, out=w) > action_cap
-    for r in np.flatnonzero(over.any(axis=1)):
-        k = int(np.argmax(over[r]))
-        while k >= 0:
-            clamped[r, k] = True
-            c[r, k] = base[r, k] + action_cap / ((1.0 + states[r, k]) * unorm[r, k]) * drive[r, k]
-            _reflect(c[r : r + 1, k:], states[r : r + 1, k:], dL[r : r + 1, k:], ws)
-            later = np.flatnonzero((1.0 + states[r, k + 1 : -1]) * unorm[r, k + 1 :] > action_cap)
-            k = k + 1 + int(later[0]) if later.size else -1
+    # The mask is built only when the largest (1+y_k)|u_k| (nan if any is nan) is not at or below the cap.
+    clamped = None
+    np.add(states[:, :-1], 1.0, out=t)
+    if not np.multiply(t, unorm, out=w).max() <= action_cap:
+        over = w > action_cap
+        clamped = np.zeros(c.shape, dtype=bool)
+        for r in np.flatnonzero(over.any(axis=1)):
+            k = int(np.argmax(over[r]))
+            while k >= 0:
+                clamped[r, k] = True
+                c[r, k] = base[r, k] + action_cap / ((1.0 + states[r, k]) * unorm[r, k]) * drive[r, k]
+                _reflect(c[r : r + 1, k:], states[r : r + 1, k:], dL[r : r + 1, k:], ws)
+                later = np.flatnonzero((1.0 + states[r, k + 1 : -1]) * unorm[r, k + 1 :] > action_cap)
+                k = k + 1 + int(later[0]) if later.size else -1
+        np.add(states[:, :-1], 1.0, out=t)   # the replays used t as scratch
 
-    bad = ~(np.isfinite(c) & np.isfinite(states[:, 1:]) & np.isfinite(dL))
-    if bad.any():
-        k = int(np.argmax(bad.any(axis=0)))
-        raise NonFinite(f"path {first_path + int(np.argmax(bad[:, k]))}, step {k}: non-finite state proposal")
-    np.multiply(np.add(states[:, :-1], 1.0, out=t)[..., None], u, out=actions)
-    actions[clamped] = u[clamped] * (action_cap / unorm[clamped])[:, None]
+    # a sum is finite only if every term is, so the mask is built only when a value may be bad
+    if not math.isfinite(c.sum() + states[:, 1:].sum() + dL.sum()):
+        bad = ~(np.isfinite(c) & np.isfinite(states[:, 1:]) & np.isfinite(dL))
+        if bad.any():
+            k = int(np.argmax(bad.any(axis=0)))
+            raise NonFinite(f"path {first_path + int(np.argmax(bad[:, k]))}, step {k}: non-finite state proposal")
+    np.multiply(t[..., None], u, out=actions)
     local[:, 0] = 0.0
     np.cumsum(dL, axis=1, out=local[:, 1:])
+    if clamped is None:
+        return 0
+    actions[clamped] = u[clamped] * (action_cap / unorm[clamped])[:, None]
     return int(np.count_nonzero(clamped))
+
+
+def rollout_workspace(env: Environment, n_steps: int) -> SimpleNamespace:
+    """Buffers and market constants that rollouts of n_steps on env can share across a run.
+
+    A rollout returns fresh arrays, so its result stays valid after the
+    next rollout on the same workspace.
+    """
+    ws = _workspace(1, n_steps, env.params.d)
+    ws.params, ws.dt, ws.market = env.params, env.dt, _market(env.params, env.dt)
+    return ws
 
 
 def rollout_linear_gaussian(
@@ -319,21 +382,30 @@ def rollout_linear_gaussian(
     y0: float,
     n_steps: int,
     rng: np.random.Generator,
+    *,
+    workspace: SimpleNamespace | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Single fast episode of a state-linear Gaussian policy.
 
     Draws the episode's normals in one block of shape (K, 2d+1) and runs
     the same kernel as simulate_linear_gaussian_batch, so the result is
     bit-identical to the corresponding row of a batch under the same stream.
+    workspace, from rollout_workspace(env, n_steps), saves building the
+    buffers and constants on every call.
     """
     if y0 < 0.0:
         raise ValueError(f"y0 must be >= 0, got {y0}")
     d = env.params.d
-    ws = _workspace(1, n_steps, d)
-    rng.standard_normal(out=ws.normals[0])
+    if workspace is None:
+        workspace = rollout_workspace(env, n_steps)
+    elif workspace.params is not env.params or workspace.dt != env.dt or workspace.c.shape[1] != n_steps:
+        raise ValueError("the workspace was built for another environment or step count")
+    rng.standard_normal(out=workspace.normals[0])
     states, actions, local = np.empty(n_steps + 1), np.empty((n_steps, d)), np.empty(n_steps + 1)
     env.clamp_events += _linear_gaussian_paths(
-        env.params, env.dt, mean_coef, cov_chol, y0, env.action_cap, ws, states[None], actions[None], local[None]
+        workspace.market, np.asarray(mean_coef, dtype=float).reshape(d),
+        np.asarray(cov_chol, dtype=float).reshape(d, d), y0, env.action_cap, workspace,
+        states[None], actions[None], local[None],
     )
     return states, actions, local
 
@@ -357,8 +429,11 @@ def linear_gaussian_blocks(
     """
     if y0 < 0.0:
         raise ValueError(f"y0 must be >= 0, got {y0}")
-    fill = functools.partial(_linear_gaussian_paths, params, dt, mean_coef, cov_chol, y0, action_cap)
-    return _blocks(_grid(T, dt), params.d, n_paths, seed, fill)
+    d = params.d
+    mean_coef = np.asarray(mean_coef, dtype=float).reshape(d)
+    cov_chol = np.asarray(cov_chol, dtype=float).reshape(d, d)
+    fill = functools.partial(_linear_gaussian_paths, _market(params, dt), mean_coef, cov_chol, y0, action_cap)
+    return _blocks(_grid(T, dt), d, n_paths, seed, fill)
 
 
 def simulate_linear_gaussian_batch(
@@ -524,6 +599,17 @@ def skorokhod_terminal_sample(
     return h0 + mu_hat * T + s * bpath + k_T
 
 
+def _write_csv(path, header: list[str], rows) -> None:
+    """Write the header and the rows of numbers in the bytes that csv.writer gives them, one join a row.
+
+    str of a number is what csv.writer writes (a float's shortest repr), and
+    no header name needs quoting.
+    """
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(",".join(map(str, row)) + "\r\n" for row in rows)
+
+
 def export_paths_csv(paths: BatchPaths, csv_path, meta_path, metadata: dict) -> None:
     """Write paths as (episode, k, t, y, action..., dL, L) rows plus a metadata JSON.
 
@@ -531,14 +617,16 @@ def export_paths_csv(paths: BatchPaths, csv_path, meta_path, metadata: dict) -> 
     """
     d = paths.actions.shape[2]
     no_action = np.full((1, d), math.nan)
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["episode", "k", "t", "y"] + [f"action_{i+1}" for i in range(d)] + ["dL", "L"])
+
+    def rows():
         for i, local in enumerate(paths.local_time):
-            rows = np.column_stack([
+            block = np.column_stack([
                 paths.times, paths.states[i], np.vstack([paths.actions[i], no_action]),
                 np.diff(local, prepend=0.0), local,
             ]).tolist()
-            writer.writerows([i, k, *row] for k, row in enumerate(rows))
+            for k, row in enumerate(block):
+                yield [i, k, *row]
+
+    _write_csv(csv_path, ["episode", "k", "t", "y"] + [f"action_{i+1}" for i in range(d)] + ["dL", "L"], rows())
     with open(meta_path, "w") as fh:
         json.dump(metadata, fh, indent=2, default=str)

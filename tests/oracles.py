@@ -13,7 +13,10 @@ must equal theirs exactly.  `orthogonality_rows_loop` is the per-episode
 statistics loop from before they were reduced block by block.
 `run_tracking_loop` and `backtest_csv_per_row` are the backtest from before
 it stepped over Python floats and wrote its CSV in one call: numpy scalars
-at every bar and one CSV row per write.
+at every bar and one CSV row per write.  `train_loop` is the trainer from
+before a run shared one rollout workspace and one re-keyed Philox: a new
+generator and new buffers every episode.  `history_csv_per_row` is the
+history writer from before the bulk CSV writer.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from benchtrack import backtest, sde
+from benchtrack import backtest, qlearn, sde
 
 
 def bisect_root(f, lo: float, hi: float, width: float = 1e-14) -> float:
@@ -447,6 +450,90 @@ def backtest_csv_per_row(result: backtest.BacktestResult, path) -> None:
                  result.injection[i], result.state[i]] + theta
             )
 
+
+
+def train_loop(config: qlearn.LearnConfig, env: sde.Environment) -> qlearn.TrainHistory:
+    """The offline learning loop with every episode's generator and rollout buffers built anew."""
+    if not math.isclose(env.dt, config.dt, rel_tol=1e-12):
+        raise ValueError(f"environment step {env.dt} != config step {config.dt}")
+    d = env.params.d
+    pp = config.initial_params(d)
+    n = config.n_episodes
+    hist_xi = np.empty(n)
+    hist_psi1 = np.empty((n, d))
+    hist_psi2 = np.empty((n, d, d))
+    hist_psi3 = np.empty(n)
+    hist_norm = np.zeros(n)
+    hist_clip = np.zeros(n, dtype=bool)
+    episodes = np.arange(config.start_episode, config.start_episode + n)
+    times = np.linspace(0.0, config.T, config.n_steps + 1)
+    clamps_before = env.clamp_events
+    rejected: list[int] = []
+    max_rejected = config.reject_fraction * n
+    for idx, i in enumerate(episodes):
+        rng = sde.episode_rng(config.seed, int(i))
+        rates = qlearn.schedule(int(i), config.schedule)
+        try:
+            mean_coef, cov_chol = pp.policy_coefficients()
+            states, actions, local = sde.rollout_linear_gaussian(
+                env, mean_coef, cov_chol, config.y0, config.n_steps, rng
+            )
+            path = sde.EpisodePath(times=times, states=states, actions=actions, local_time=local)
+            pp, info = qlearn.update(
+                pp,
+                path,
+                rates,
+                config.rho,
+                xi_weight=1.0 / i,
+                chain_rule=config.chain_rule,
+                update_clip=config.update_clip,
+            )
+            hist_norm[idx] = info.norm
+            hist_clip[idx] = info.clipped
+        except (qlearn.NonFiniteUpdate, sde.NonFinite, qlearn.SingularPsi2):
+            rejected.append(int(i))
+            if len(rejected) > max_rejected:
+                raise qlearn.TooManyRejectedEpisodes(
+                    f"{len(rejected)} of {idx + 1} episodes rejected "
+                    f"(limit {config.reject_fraction:.0%} of {n})"
+                )
+        hist_xi[idx] = pp.xi
+        hist_psi1[idx] = pp.psi1
+        hist_psi2[idx] = pp.psi2
+        hist_psi3[idx] = pp.psi3
+    return qlearn.TrainHistory(
+        episodes=episodes,
+        xi=hist_xi,
+        psi1=hist_psi1,
+        psi2=hist_psi2,
+        psi3=hist_psi3,
+        update_norms=hist_norm,
+        clipped=hist_clip,
+        rejected_episodes=rejected,
+        clamp_events=env.clamp_events - clamps_before,
+        final=pp,
+    )
+
+
+def history_csv_per_row(history: qlearn.TrainHistory, path) -> None:
+    """Write a training history as (episode, xi, psi1..., psi2..., psi3, update_norm, clipped) rows, one per write."""
+    d = history.psi1.shape[1]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        header = (
+            ["episode", "xi"]
+            + [f"psi1_{i+1}" for i in range(d)]
+            + [f"psi2_{i+1}{j+1}" for i in range(d) for j in range(d)]
+            + ["psi3", "update_norm", "clipped"]
+        )
+        writer.writerow(header)
+        for n in range(len(history.episodes)):
+            writer.writerow(
+                [int(history.episodes[n]), history.xi[n]]
+                + list(history.psi1[n])
+                + list(history.psi2[n].ravel())
+                + [history.psi3[n], history.update_norms[n], int(history.clipped[n])]
+            )
 
 # Reference model: d = 1, mu = 0.2, sigma = 1, sigma_z = 0.2, kappa = 0.5,
 # eta = 1, rho = gamma = 0.2.  Frozen values below were produced with the

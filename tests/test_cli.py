@@ -347,6 +347,26 @@ def test_bad_horizon_or_path_count_exits_2(tmp_path, caplog, command, block, mes
     assert [p.name for p in out.iterdir()] == []
 
 
+D2_MODEL = {"mu": [0.2, 0.1], "sigma": [[1.0, 0.0], [0.0, 1.0]]}
+
+
+@pytest.mark.parametrize("model, code", [
+    ({"eta": [0.5]}, 2),
+    ({**D2_MODEL, "eta": [1.0, 1.0]}, 2),
+    ({**D2_MODEL, "eta": [0.6, 0.8]}, 0),
+])
+def test_model_eta_must_have_unit_norm(tmp_path, caplog, model, code):
+    # the closed forms read eta as given and the simulator normalises it; they agree only at |eta| = 1
+    cfg = write_config(tmp_path, {"model": {**MODEL_BLOCK["model"], **model},
+                                  "train": {"T": 0.2, "dt": 0.1, "episodes": 2}})
+    out = tmp_path / "out"
+    assert main(["train", "--config", cfg, "--out", str(out)]) == code
+    if code:
+        assert "model.eta must have norm 1" in caplog.text
+        assert [p.name for p in out.iterdir()] == []
+    else:
+        assert (out / "learned.json").exists()
+
 @pytest.mark.parametrize("backtest, message", [
     ({"strategies": []}, "backtest.strategies is empty"),
     ({"strategies": [{"type": "mle"}, {"type": "mle", "name": "other"}], "baseline_index": 2},

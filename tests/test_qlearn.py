@@ -15,8 +15,10 @@ from oracles import (
     gaussian_entropy,
     gaussian_expect_quadratic,
     gaussian_pdf,
+    history_csv_per_row,
     orthogonality_rows_loop,
     rel_err,
+    train_loop,
 )
 
 GAMMA = 0.2
@@ -490,6 +492,55 @@ def test_history_export(tmp_path, params_ref):
     s = hist.summary()
     assert s["episodes"] == 3 and "psi3" in s
     assert s["gamma"] == GAMMA
+
+
+PARAMS_D2 = ModelParams(mu=[0.2, 0.1], sigma=[[1.0, 0.3], [0.0, 0.8]], sigma_z=0.2, kappa=0.5, eta=[0.6, 0.8],
+                        rho=0.2)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_history_csv_bytes_equal_the_row_writer(tmp_path, params_ref, d):
+    env = sde.Environment(params=params_ref if d == 1 else PARAMS_D2, dt=0.05)
+    cfg = qlearn.LearnConfig(y0=1.0, T=1.0, dt=0.05, n_episodes=25, gamma=GAMMA, rho=RHO, seed=2, update_clip=0.02)
+    hist = qlearn.train(cfg, env)
+    assert hist.clipped.any() and not hist.clipped.all()
+    hist.to_csv(tmp_path / "bulk.csv")
+    history_csv_per_row(hist, tmp_path / "rows.csv")
+    assert (tmp_path / "bulk.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+@pytest.mark.parametrize("case", ["d1", "d2", "action_cap", "resumed", "rejected"])
+def test_train_equals_the_per_episode_loop(params_ref, monkeypatch, case):
+    # one workspace and one re-keyed Philox per run give the histories of fresh ones per episode
+    params = PARAMS_D2 if case == "d2" else params_ref
+    cap = 0.5 if case == "action_cap" else sde.DEFAULT_ACTION_CAP
+    kwargs = dict(y0=1.0, T=2.0, dt=0.01, n_episodes=30, gamma=GAMMA, rho=RHO, seed=11)
+    if case == "resumed":
+        first = qlearn.train(qlearn.LearnConfig(**kwargs), sde.Environment(params=params, dt=0.01))
+        kwargs.update(xi0=first.final.xi, psi1_0=first.final.psi1, psi2_0=first.final.psi2, start_episode=31)
+    real = qlearn.update_statistics
+
+    def run(trainer):
+        if case == "rejected":
+            calls = []
+
+            def nan_on_seventh(pp, path, rho, chain_rule=True):
+                calls.append(1)
+                stats = real(pp, path, rho, chain_rule)
+                return (math.nan, *stats[1:]) if len(calls) == 7 else stats
+
+            monkeypatch.setattr(qlearn, "update_statistics", nan_on_seventh)
+        env = sde.Environment(params=params, dt=0.01, action_cap=cap)
+        return trainer(qlearn.LearnConfig(**kwargs), env)
+
+    fast, loop = run(qlearn.train), run(train_loop)
+    for field in ("episodes", "xi", "psi1", "psi2", "psi3", "update_norms", "clipped"):
+        assert np.array_equal(getattr(fast, field), getattr(loop, field)), field
+    assert np.array_equal(fast.rejected_episodes, loop.rejected_episodes)
+    assert np.array_equal(fast.clamp_events, loop.clamp_events)
+    assert fast.rejected_episodes == ([7] if case == "rejected" else [])
+    assert (fast.clamp_events > 0) == (case == "action_cap")
+    assert fast.episodes[0] == (31 if case == "resumed" else 1)
 
 
 # ------------------------------------------------------------- diagnostics

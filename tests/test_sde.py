@@ -160,6 +160,51 @@ def test_environment_clamps_huge_actions(params_ref):
     assert abs(actions[0, 0]) == pytest.approx(1.0, abs=1e-15)
 
 
+def test_episode_streams_draw_what_episode_rng_draws():
+    stream = sde.episode_streams()
+    rng = stream(5, 5)
+    for seed in (0, 1, -1, 2**63 + 5, 2**64 - 1):
+        for i in (0, 1, 37, 2**40):
+            # leave the previous key part-way through its buffer and with a cached 32-bit word
+            rng.standard_normal(3)
+            rng.integers(0, 2**32, dtype=np.uint32)
+            rng = stream(seed, i)
+            assert np.array_equal(rng.standard_normal(101), sde.episode_rng(seed, i).standard_normal(101))
+
+
+def test_episode_rng_keys_every_seed_apart():
+    # the key is (seed mod 2^64, index) exactly, so no two seeds mod 2^64 share a stream
+    def draws(seed):
+        return sde.episode_rng(seed, 0).standard_normal(4).tobytes()
+
+    assert draws(-1) == draws(2**64 - 1)
+    assert len({draws(s) for s in (0, -1, 2**63, 2**63 + 5)}) == 4
+    assert sde.episode_rng(2**63 + 5, 7).bit_generator.state["state"]["key"].tolist() == [2**63 + 5, 7]
+
+
+def test_rollout_workspace_reuse_leaves_earlier_results_alone(params_ref, pp_star):
+    mean_coef, cov_chol = pp_star.policy_coefficients()
+    env = sde.Environment(params=params_ref, dt=0.01)
+    ws = sde.rollout_workspace(env, 100)
+    first = sde.rollout_linear_gaussian(env, mean_coef, cov_chol, 1.0, 100, sde.episode_rng(3, 1), workspace=ws)
+    kept = [a.copy() for a in first]
+    second = sde.rollout_linear_gaussian(env, mean_coef, cov_chol, 0.5, 100, sde.episode_rng(3, 2), workspace=ws)
+    for a, b in zip(first, kept):
+        assert np.array_equal(a, b)
+    assert not np.array_equal(first[0], second[0])
+    for got, y0, i in ((first, 1.0, 1), (second, 0.5, 2)):
+        fresh = sde.rollout_linear_gaussian(env, mean_coef, cov_chol, y0, 100, sde.episode_rng(3, i))
+        for a, b in zip(got, fresh):
+            assert np.array_equal(a, b)
+
+
+def test_rollout_refuses_a_workspace_of_another_run(params_ref):
+    env = sde.Environment(params=params_ref, dt=0.01)
+    ws = sde.rollout_workspace(env, 100)
+    for other, n_steps in ((sde.Environment(params=params_ref, dt=0.02), 100), (env, 50)):
+        with pytest.raises(ValueError, match="workspace"):
+            sde.rollout_linear_gaussian(other, [0.1], [[0.1]], 1.0, n_steps, sde.episode_rng(0, 0), workspace=ws)
+
 def test_batch_matches_sequential_rollout(params_ref, pp_star):
     mean_coef, cov_chol = pp_star.policy_coefficients()
     batch = sde.simulate_linear_gaussian_batch(

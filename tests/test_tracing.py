@@ -57,6 +57,25 @@ def test_traced_train_and_diagnose_count_steps(tmp_path):
     assert metrics["sde.rollout_us_per_step"] > 0.0 and metrics["qlearn.update_us_per_episode"] > 0.0
 
 
+def test_traced_train_records_each_layer_once_per_episode(tmp_path):
+    # the per-layer train metrics divide by these spans, so each must stay one call per episode
+    tracing = _tracing()
+    train = tmp_path / "train.yaml"
+    train.write_text(yaml.safe_dump({**MODEL_BLOCK, "train": {"T": 0.5, "dt": 0.05, "episodes": 2}}))
+    tr = tracing.Tracer()
+    tr.install()
+    try:
+        assert cli.main(["train", "--config", str(train), "--out", str(tmp_path / "t")]) == 0
+    finally:
+        tr.restore()
+    assert tr.failures == []
+    per_episode = ["qlearn.PolicyParams.policy_coefficients", "sde.rollout_linear_gaussian", "qlearn.update"]
+    names = [span[0] for span in tr.spans]
+    assert [name for name in names if name in per_episode] == per_episode * 2
+    train_span = names.index("qlearn.train")
+    assert all(span[3] == train_span for span in tr.spans if span[0] in per_episode)
+    assert tr.counts["rollout_steps"] == 2 * 10
+
 def test_traced_simulate_counts_terminal_sampler_steps(tmp_path):
     tracing = _tracing()
     originals = (sde.aggregated_terminal_sample, sde.skorokhod_terminal_sample, cli.main)
