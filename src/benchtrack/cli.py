@@ -10,7 +10,6 @@ by the BENCHTRACK_LOG environment variable (DEBUG, INFO, WARNING, ...).
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import logging
 import math
@@ -26,6 +25,7 @@ from . import baseline, qlearn, sde
 from .model import (
     DomainError,
     ModelParams,
+    NoBracket,
     classical_solution,
     derived_constants,
     exploratory_constants,
@@ -151,25 +151,18 @@ def cmd_solve(cfg: dict, seed: int | None, out: Path) -> int:
     }
     _write_json(out / "constants.json", payload, cfg, seed)
 
-    with open(out / "value_tables.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        d = params.d
-        writer.writerow(
-            ["y", "u", "u_prime", "u_second", "v"]
-            + [f"theta_star_{i+1}" for i in range(d)]
-            + [f"policy_mean_{i+1}" for i in range(d)]
-            + ["policy_var_scale"]
-        )
-        u1 = sol.value_d1(ys)
-        u2 = sol.value_d2(ys)
+    d = params.d
+    u1 = sol.value_d1(ys)
+    u2 = sol.value_d2(ys)
+
+    def rows():
         for i, y in enumerate(ys):
             spec = qlearn.policy_from_q(pp, float(y))
-            writer.writerow(
-                [y, u[i], u1[i], u2[i], v[i]]
-                + list(sol.policy(float(y)))
-                + list(spec.mean)
-                + [float(np.trace(spec.cov))]
-            )
+            yield [y, u[i], u1[i], u2[i], v[i], *sol.policy(float(y)), *spec.mean, float(np.trace(spec.cov))]
+
+    header = (["y", "u", "u_prime", "u_second", "v"] + [f"theta_star_{i+1}" for i in range(d)]
+              + [f"policy_mean_{i+1}" for i in range(d)] + ["policy_var_scale"])
+    sde._write_csv(out / "value_tables.csv", header, rows())
     _write_json(out / "value_tables.meta.json", {"rows": len(ys)}, cfg, seed)
     return 0
 
@@ -195,10 +188,9 @@ def cmd_simulate(cfg: dict, seed: int | None, out: Path) -> int:
         summary["clamp_events"] = paths.clamp_events
     elif scheme == "aggregated":
         paths = sde.simulate_aggregated(params, gamma, y0, T, dt, n_paths, seed)
-    elif scheme == "skorokhod":
-        paths = sde.skorokhod_paths(params, gamma, math.log1p(y0), T, dt, n_paths, seed)
     else:
-        raise ConfigError(f"unknown scheme {scheme!r}")
+        raise ConfigError(f"unknown scheme {scheme!r}: give episode or aggregated "
+                          "(aggregated paths are the Skorokhod map of ln(1+y) on the grid)")
     sde.export_paths_csv(paths, out / "paths.csv", out / "paths.meta.json", meta)
     if n_paths == 0:
         log.warning("n_paths = 0: writing empty output")
@@ -333,11 +325,8 @@ def cmd_diagnose(cfg: dict, seed: int | None, out: Path) -> int:
                 _check_horizon(T, dt, "diagnose.sweep")
         rows = qlearn.convergence_study(pp, params, dt_list, T_list, sweep_paths, y0, seed)
         payload["sweep"] = rows
-        with open(out / "sweep.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["dt", "T", "max_abs_mean", "tail_bound"])
-            for r in rows:
-                writer.writerow([r["dt"], r["T"], r["max_abs_mean"], r["tail_bound"]])
+        keys = ["dt", "T", "max_abs_mean", "tail_bound"]
+        sde._write_csv(out / "sweep.csv", keys, ([r[k] for k in keys] for r in rows))
 
     if not payload:
         raise ConfigError("diagnose block requests nothing: give (T, dt) and/or sweep")
@@ -398,7 +387,7 @@ def _strategy_from_cfg(blk: dict, prices: bt.PriceSeries, rho: float):
         )
         return name, baseline.classical_strategy(est, rho, float(blk.get("kappa", 1.0)))
     if kind == "classical":
-        params = _model_params({"model": blk["model"]})
+        params = _model_params({"model": _require(blk, "model", "strategy")})
         sol = classical_solution(params)
         return name, sol.policy
     if kind == "learned":
@@ -482,7 +471,8 @@ def main(argv: list[str] | None = None) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         return COMMANDS[args.command](cfg, args.seed, out)
-    except (ConfigError, qlearn.SingularPsi2, bt.ParseError, bt.ValidationError) as exc:
+    except (ConfigError, qlearn.SingularPsi2, bt.ParseError, bt.ValidationError, NoBracket,
+            baseline.InsufficientData, baseline.DegenerateSeries, baseline.NonPositivePrice) as exc:
         log.error("%s", exc)
         return 2
     except FileNotFoundError as exc:

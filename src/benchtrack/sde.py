@@ -9,29 +9,33 @@ driver and ``Wk`` the composite benchmark driver correlated with ``W``
 through ``kappa`` and ``eta``.  All drivers are simulated as standard
 Brownian increments under the benchmark-normalized pricing measure, which
 is the measure every value function and martingale statistic in this
-package is stated under.  Reflection at 0 uses the projection Euler scheme:
-the overshoot below 0 is credited to the non-decreasing local-time process
-``L`` and the state is clamped to 0.
+package is stated under.
 
 The composite is Wk = kappa W0 + sqrt(1 - kappa^2) eta_hat' W with W0
 independent of W and eta_hat = eta / |eta|, so Wk is itself a standard
 Brownian motion.
 
-Under a state-linear Gaussian policy, a = (1+Y) u with u free of Y, and
-under the aggregated dynamics, a step is y' = max(y + (1+y) c_k, 0) with c_k
-free of y.  In H = ln(1+y) that is Lindley's recursion
-H' = max(H + log1p(c_k), 0), the discrete Skorokhod map, which a cumulative
-sum and a running maximum solve with no loop over steps.  A clamp at the
-action cap depends on y, so it is found after the fact and the path is
-replayed from the clamped step.  All three path samplers (policy, aggregated
-and Skorokhod) return a BatchPaths built in blocks of a few paths; row i
-draws the Philox stream (seed, i), so it equals a lone path on that stream.
-One generator (_blocks) yields the blocks over one set of reused buffers;
-the samplers copy them into their batch, and linear_gaussian_blocks hands
-them to a consumer that keeps only what it reduces them to.  A run pays its
-setup once: one re-keyed Philox serves every stream (episode_streams), and a
-training run's rollouts share one workspace with the market's constants
-(rollout_workspace).
+Under a state-linear Gaussian policy, a = (1+Y) u with u free of Y.  Holding
+u_k over a step makes H = ln(1+Y) a Brownian motion with drift until it
+reflects, so its step is exact: X_k = c_k - v_k dt / 2, with c_k the step's
+relative increment u'mu dt + (sigma'u - sigma_z sqrt(1-kappa^2) eta_hat)'dW
+- sigma_z kappa dW0 and v_k = |sigma'u - sigma_z sqrt(1-kappa^2) eta_hat|^2
++ sigma_z^2 kappa^2 its variance rate.  The aggregated dynamics step H by
+X_k = (b - s^2/2) dt + s sqrt(dt) z_k.  Reflection at 0 is Lindley's
+recursion H' = max(H + X_k, 0), the discrete Skorokhod map, which a
+cumulative sum and a running maximum of the push solve with no loop over
+steps; the local time L is the push (Y's local time, since 1 + Y = 1 where
+it grows), so H and y are exactly 0 on the steps where L grows.  A clamp at
+the action cap depends on y, so it is found after the fact: that step's c_k
+and v_k are recomputed for the clamped u and the path is replayed from there.
+Both path samplers (policy and aggregated) return a BatchPaths built in
+blocks of a few paths; row i draws the Philox stream (seed, i), so it equals
+a lone path on that stream.  One generator (_blocks) yields the blocks over
+one set of reused buffers; the samplers copy them into their batch, and
+linear_gaussian_blocks hands them to a consumer that keeps only what it
+reduces them to.  A run pays its setup once: one re-keyed Philox serves
+every stream (episode_streams), and a training run's rollouts share one
+workspace with the market's constants (rollout_workspace).
 
 The same map in continuous time gives an independent oracle for the
 policy-averaged dynamics: for H = ln(1 + Y),
@@ -39,8 +43,8 @@ policy-averaged dynamics: for H = ln(1 + Y),
     H_t = h0 + mu_hat t + sigma_hat B_t + K_t ,
     K_t = max(0, -h0 + max_{s<=t} (-mu_hat s - sigma_hat B_s)) ,
 
-which involves no Euler stepping of the reflection and is used to validate
-the projection scheme distributionally.
+whose terminal law (skorokhod_terminal_sample) validates the projection
+Euler scheme of aggregated_terminal_sample distributionally.
 """
 
 from __future__ import annotations
@@ -72,7 +76,6 @@ __all__ = [
     "aggregated_coefficients",
     "simulate_aggregated",
     "aggregated_terminal_sample",
-    "skorokhod_paths",
     "skorokhod_terminal_sample",
     "export_paths_csv",
 ]
@@ -136,10 +139,12 @@ def _eta_unit(params: ModelParams) -> np.ndarray:
 
 def _market(params: ModelParams, dt: float) -> SimpleNamespace:
     """The per-step constants of the policy kernel, computed once per run."""
-    sqdt = math.sqrt(dt)
+    sqdt, eta_hat, root = math.sqrt(dt), _eta_unit(params), math.sqrt(1.0 - params.kappa**2)
     return SimpleNamespace(
-        d=params.d, eta_hat=_eta_unit(params), kappa=params.kappa, root=math.sqrt(1.0 - params.kappa**2),
-        noise=-params.sigma_z * sqdt, sqdt=sqdt, sigma=params.sigma, mu_dt=[m * dt for m in params.mu.tolist()],
+        d=params.d, eta_hat=eta_hat, kappa=params.kappa, root=root, noise=-params.sigma_z * sqdt, sqdt=sqdt,
+        sigma=params.sigma, mu_dt=[m * dt for m in params.mu.tolist()], half_dt=0.5 * dt,
+        # v = |sigma'u - bench|^2 + own: the benchmark's loading on the asset normals and its own variance
+        bench=params.sigma_z * root * eta_hat, own=(params.sigma_z * params.kappa) ** 2,
     )
 
 
@@ -147,8 +152,9 @@ def _market(params: ModelParams, dt: float) -> SimpleNamespace:
 class EpisodePath:
     """A discretized reflected trajectory on a uniform grid.
 
-    states[k] >= 0 everywhere; local_time is cumulative, non-decreasing and
-    increases only at steps whose post-step state sits exactly at 0.
+    states[k] >= 0 everywhere; local_time is the cumulative push of
+    ln(1 + y) at 0, non-decreasing, and increases only at steps whose
+    post-step state sits exactly at 0.
     """
 
     times: np.ndarray       # (K+1,)
@@ -212,8 +218,7 @@ def _workspace(rows: int, K: int, d: int) -> SimpleNamespace:
     def e(*shape):
         return np.empty((rows, *shape))
     return SimpleNamespace(normals=e(K, 2 * d + 1), u=e(K, d), c=e(K), base=e(K), drive=e(K), unorm=e(K),
-                           dL=e(K), t=e(K), w=e(K), x=e(K + 1), h=e(K + 1), push=e(K + 1),
-                           reflect=np.empty((rows, K), dtype=bool))
+                           v=e(K), dL=e(K), t=e(K), w=e(K), h=e(K + 1), push=e(K + 1))
 
 
 def _blocks(times: np.ndarray, d: int, n_paths: int, seed: int, fill) -> Iterator[BatchPaths]:
@@ -248,42 +253,24 @@ def _batch(blocks: Iterator[BatchPaths], times: np.ndarray, d: int, n_paths: int
     return BatchPaths(times, states, actions, local, clamp_events)
 
 
-def _reflect(c: np.ndarray, states: np.ndarray, dL: np.ndarray, ws: SimpleNamespace) -> None:
-    """Fill states[:, 1:] and dL for y' = max(y + (1+y) c_k, 0) from states[:, 0], per row.
+def _reflect(x: np.ndarray, states: np.ndarray, dL: np.ndarray, ws: SimpleNamespace) -> None:
+    """Fill states[:, 1:] and dL for H' = max(H + x_k, 0), H = ln(1+y), from states[:, 0], per row.
 
-    With S the partial sums of log1p(c), H = S + max_{j<=k} max(-S_j, 0).  The
-    push grows exactly on the reflecting steps; there it equals -S, so H and y
-    are exactly 0.  A step with 1 + c_k <= 0 reflects whatever the state (its
-    log1p is -inf or nan), so its row restarts there; those steps are
-    looked for only when the smallest c_k (nan if any is) is not above -1.
+    With S the partial sums of x from ln(1 + y_0), H = S + P for the push
+    P_k = max_{j<=k} max(-S_j, 0), and dL is P's increment.  P grows exactly
+    on the reflecting steps; there it equals -S, so H and y are exactly 0.
     """
-    restarts = () if c.min() > -1.0 else zip(*np.nonzero(c <= -1.0))
-    for r, k in [(slice(None), -1), *restarts]:
-        if k >= 0:
-            y = states[r, k]
-            dL[r, k] = -(y + (1.0 + y) * c[r, k])
-            states[r, k + 1] = 0.0
-            r = slice(r, r + 1)
-        cs, ys, dls = c[r, k + 1 :], states[r, k + 1 :], dL[r, k + 1 :]
-        n, m = cs.shape
-        x, h, push = ws.x[:n, : m + 1], ws.h[:n, : m + 1], ws.push[:n, : m + 1]
-        t, reflect = ws.t[:n, :m], ws.reflect[:n, :m]
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            np.log1p(ys[:, 0], out=x[:, 0])
-            np.log1p(cs, out=x[:, 1:])
-            np.cumsum(x, axis=1, out=h)
-            np.maximum(np.negative(h, out=x), 0.0, out=x)
-            np.maximum.accumulate(x, axis=1, out=push)
-            h += push
-            np.expm1(h[:, 1:], out=ys[:, 1:])
-            np.greater(push[:, 1:], push[:, :-1], out=reflect)
-            # dL = max(-(y + (1+y) c), 0) on the reflecting steps, else 0
-            np.add(ys[:, :-1], 1.0, out=t)
-            t *= cs
-            t += ys[:, :-1]
-            np.maximum(np.negative(t, out=t), 0.0, out=t)
-            dls[...] = 0.0
-            np.copyto(dls, t, where=reflect)
+    n, m = x.shape
+    h, push = ws.h[:n, : m + 1], ws.push[:n, : m + 1]
+    with np.errstate(invalid="ignore", over="ignore"):
+        np.log1p(states[:, 0], out=h[:, 0])
+        h[:, 1:] = x
+        np.cumsum(h, axis=1, out=h)
+        np.maximum(np.negative(h, out=push), 0.0, out=push)
+        np.maximum.accumulate(push, axis=1, out=push)
+        h += push
+        np.expm1(h[:, 1:], out=states[:, 1:])
+        np.subtract(push[:, 1:], push[:, :-1], out=dL)
 
 
 def _linear_gaussian_paths(
@@ -294,14 +281,16 @@ def _linear_gaussian_paths(
 
     m holds the market's constants (_market), mean_coef is (d,) and cov_chol
     (d, d).  The block's n rows read ws.normals[:n], (n, K, 2d+1): per step d
-    action normals, the benchmark's own normal and d asset normals.
-    Contractions over d are explicit sums, so an element's rounding does not
-    depend on the block's shape.
+    action normals, the benchmark's own normal and d asset normals.  c
+    holds each step's exact increment of ln(1 + y) before reflection,
+    X_k = c_k - v_k dt / 2.  Contractions over d are explicit sums, so an
+    element's rounding does not depend on the block's shape.
     """
     n, d = len(states), m.d
     normals = ws.normals[:n]
     z, g0, g = normals[..., :d], normals[..., d], normals[..., d + 1 :]
-    u, c, base, drive, unorm, dL, t, w = (a[:n] for a in (ws.u, ws.c, ws.base, ws.drive, ws.unorm, ws.dL, ws.t, ws.w))
+    u, c, base, drive, unorm, v, dL, t, w = (
+        a[:n] for a in (ws.u, ws.c, ws.base, ws.drive, ws.unorm, ws.v, ws.dL, ws.t, ws.w))
 
     def accumulate(out, x, first):  # out = 0 + x_0 + x_1 + ..., the builtin sum's order (0 + x is x + 0)
         if first:
@@ -326,13 +315,20 @@ def _linear_gaussian_paths(
         accumulate(drive, np.multiply(t, u[..., i], out=t), i == 0)
         accumulate(unorm, np.square(u[..., i], out=w), i == 0)
     np.sqrt(unorm, out=unorm)
+    for j in range(d):
+        dot(m.sigma[:, j], u, t)
+        t -= m.bench[j]
+        accumulate(v, np.square(t, out=t), j == 0)
+    v += m.own
+    v *= m.half_dt
     np.add(base, drive, out=c)
+    c -= v
     states[:, 0] = y0
     _reflect(c, states, dL, ws)
 
     # A clamp scales the action by cap / |(1+y_k) u_k|, which depends on y_k.
     # The first clamp of a row is found after the fact; that step is redone
-    # with its clamped c_k and the row replayed from there, until no new clamp.
+    # with its clamped c_k and v_k and the row replayed from there, until no new clamp.
     # The mask is built only when the largest (1+y_k)|u_k| (nan if any is nan) is not at or below the cap.
     clamped = None
     np.add(states[:, :-1], 1.0, out=t)
@@ -343,7 +339,9 @@ def _linear_gaussian_paths(
             k = int(np.argmax(over[r]))
             while k >= 0:
                 clamped[r, k] = True
-                c[r, k] = base[r, k] + action_cap / ((1.0 + states[r, k]) * unorm[r, k]) * drive[r, k]
+                f = action_cap / ((1.0 + states[r, k]) * unorm[r, k])
+                e = (f * u[r, k]) @ m.sigma - m.bench
+                c[r, k] = base[r, k] + f * drive[r, k] - (e @ e + m.own) * m.half_dt
                 _reflect(c[r : r + 1, k:], states[r : r + 1, k:], dL[r : r + 1, k:], ws)
                 later = np.flatnonzero((1.0 + states[r, k + 1 : -1]) * unorm[r, k + 1 :] > action_cap)
                 k = k + 1 + int(later[0]) if later.size else -1
@@ -486,19 +484,25 @@ def simulate_aggregated(
     n_paths: int,
     seed: int,
 ) -> BatchPaths:
-    """Projection-Euler paths of the one-factor aggregated dynamics, c_k = b dt + s sqrt(dt) z_k."""
+    """Paths of the one-factor aggregated dynamics, exact on the grid.
+
+    ln(1 + Y) is a Brownian motion with drift b - s^2/2, reflected at 0, so
+    the kernel's reflection map on X_k = (b - s^2/2) dt + s sqrt(dt) z_k
+    gives the Skorokhod map's H at the grid times: states = expm1(H) and
+    local_time = its push K, which is Y's local time (1 + Y = 1 where K grows).
+    """
     if y0 < 0.0:
         raise ValueError(f"y0 must be >= 0, got {y0}")
     b, s = aggregated_coefficients(params, gamma)
-    scale = s * math.sqrt(dt)
+    drift, scale = (b - 0.5 * s * s) * dt, s * math.sqrt(dt)
 
     def fill(ws, states, actions, local, first_path):
         n = len(states)
-        c, dL = ws.c[:n], ws.dL[:n]
-        np.multiply(ws.normals[:n, :, 0], scale, out=c)
-        c += b * dt
+        x, dL = ws.c[:n], ws.dL[:n]
+        np.multiply(ws.normals[:n, :, 0], scale, out=x)
+        x += drift
         states[:, 0] = y0
-        _reflect(c, states, dL, ws)
+        _reflect(x, states, dL, ws)
         local[:, 0] = 0.0
         np.cumsum(dL, axis=1, out=local[:, 1:])
         return 0
@@ -528,47 +532,6 @@ def aggregated_terminal_sample(
         proposal = y + b * (1.0 + y) * dt + s * (1.0 + y) * sqdt * z
         y = np.maximum(proposal, 0.0)
     return y
-
-
-def skorokhod_paths(
-    params: ModelParams,
-    gamma: float,
-    h0: float,
-    T: float,
-    dt: float,
-    n_paths: int,
-    seed: int,
-) -> BatchPaths:
-    """Explicit running-max construction of the reflected log-state H = ln(1 + Y).
-
-    H_t = h0 + mu_hat t + sigma_hat B_t + K_t, with K given by the closed
-    Skorokhod formula; no Euler discretization of the reflection enters, so
-    this doubles as an oracle for the projection scheme.  Rows hold
-    states = expm1(H) and local_time = K, the push of H (not Y's local time).
-    """
-    if h0 < 0.0:
-        raise ValueError(f"h0 must be >= 0, got {h0}")
-    b, s = aggregated_coefficients(params, gamma)
-    mu_hat = b - 0.5 * s * s
-    times = _grid(T, dt)
-    sqdt = math.sqrt(dt)
-    drift, neg_drift = h0 + mu_hat * times, -mu_hat * times
-
-    def fill(ws, states, actions, local, first_path):
-        # free = -mu_hat t - s B;  K = max(0, running max of max(free, 0) - h0);  H = h0 + mu_hat t + s B + K
-        n = len(states)
-        bpath, free, running_max = ws.x[:n], ws.h[:n], ws.push[:n]
-        bpath[:, 0] = 0.0
-        np.cumsum(np.multiply(ws.normals[:n, :, 0], sqdt, out=ws.c[:n]), axis=1, out=bpath[:, 1:])
-        np.subtract(neg_drift, np.multiply(bpath, s, out=free), out=free)
-        np.maximum.accumulate(np.maximum(free, 0.0, out=free), axis=1, out=running_max)
-        np.maximum(0.0, np.add(running_max, -h0, out=local), out=local)
-        np.add(drift, np.multiply(bpath, s, out=free), out=states)
-        states += local
-        np.expm1(states, out=states)
-        return 0
-
-    return _batch(_blocks(times, 0, n_paths, seed, fill), times, 0, n_paths)
 
 
 def skorokhod_terminal_sample(

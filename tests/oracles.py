@@ -3,14 +3,17 @@
 Everything here is deliberately written from first principles (bisection,
 finite differences, Gaussian moment identities, brute-force quadrature)
 and never calls the code paths it is used to verify.  The `*_loop`
-simulators step the projection-Euler scheme one step at a time, as the
-package did before its loop-free reflection kernel; they share only the
+simulators take one step at a time: they advance H = ln(1+y) by its exact
+increment X_k (the relative action held over the step) and reflect it by
+H' = max(H + X_k, 0), crediting the shortfall to L; they share only the
 grid, the random streams and the result types with `sde`.  The `per_path`
 samplers, `skorokhod_log_path` and `export_paths_csv_per_row` are the
 package's API from before every sampler returned a BatchPaths: one path per
 call and one CSV row per write.  Each batch row and the bulk writer's bytes
 must equal theirs exactly.  `orthogonality_rows_loop` is the per-episode
-statistics loop from before they were reduced block by block.
+statistics loop from before they were reduced block by block;
+`increment_statistics` builds the same sums from a path's relative actions
+and exact increments alone.
 `run_tracking_loop` and `backtest_csv_per_row` are the backtest from before
 it stepped over Python floats and wrote its CSV in one call: numpy scalars
 at every bar and one CSV row per write.  `train_loop` is the trainer from
@@ -97,6 +100,27 @@ def _eta_unit(params) -> np.ndarray:
     return np.zeros_like(params.eta) if n == 0.0 else params.eta / n
 
 
+def exact_increment(params, dt: float, u: np.ndarray, normals: np.ndarray):
+    """X = c - v dt / 2, the step of ln(1+y) with the relative action u held over it.
+
+    u is (..., d) and normals (..., 2d+1): d action normals, the benchmark's
+    own normal and d asset normals.  c is the step's dY / (1+Y) and v its
+    variance rate |sigma'u - sigma_z sqrt(1-kappa^2) eta_hat|^2 + sigma_z^2 kappa^2.
+    """
+    d = params.d
+    loading = u @ params.sigma - params.sigma_z * math.sqrt(1.0 - params.kappa**2) * _eta_unit(params)
+    noise = (loading * normals[..., d + 1 :]).sum(axis=-1) - params.sigma_z * params.kappa * normals[..., d]
+    c = (u @ params.mu) * dt + math.sqrt(dt) * noise
+    v = (loading * loading).sum(axis=-1) + (params.sigma_z * params.kappa) ** 2
+    return c - 0.5 * v * dt
+
+
+def _lindley_step(H, x):
+    """H' = max(H + x, 0) and the push max(-(H + x), 0) that it takes; a nan H + x is kept as H'."""
+    h = H + x
+    return (0.0, -h) if h < 0.0 else (h, 0.0)
+
+
 def rollout_linear_gaussian_loop(
     env: sde.Environment,
     mean_coef: np.ndarray,
@@ -105,7 +129,7 @@ def rollout_linear_gaussian_loop(
     n_steps: int,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Step-by-step projection-Euler episode of a state-linear Gaussian policy.
+    """Step-by-step episode of a state-linear Gaussian policy, exact in ln(1+y).
 
     The reference for sde.rollout_linear_gaussian: same stream, same draws.
     """
@@ -116,9 +140,6 @@ def rollout_linear_gaussian_loop(
     d = params.d
     K = n_steps
     normals = rng.standard_normal((K, 2 * d + 1))
-    sqdt = math.sqrt(dt)
-    eta_hat = _eta_unit(params)
-    ck = math.sqrt(1.0 - params.kappa**2)
     mean_coef = np.asarray(mean_coef, dtype=float).reshape(d)
     cov_chol = np.asarray(cov_chol, dtype=float).reshape(d, d)
 
@@ -127,32 +148,21 @@ def rollout_linear_gaussian_loop(
     actions = np.empty((K, d))
     states[0] = y0
     local[0] = 0.0
-    y = float(y0)
-    L = 0.0
+    y, H, L = float(y0), math.log1p(y0), 0.0
     cap = env.action_cap
     for k in range(K):
         scale = 1.0 + y
-        a = scale * (mean_coef + cov_chol @ normals[k, :d])
-        norm = float(np.linalg.norm(a))
+        u = mean_coef + cov_chol @ normals[k, :d]
+        norm = float(np.linalg.norm(scale * u))
         if norm > cap:
-            a *= cap / norm
+            u *= cap / norm
             env.clamp_events += 1
-        dw = normals[k, d + 1 :] * sqdt
-        dw_kappa = params.kappa * normals[k, d] * sqdt + ck * float(eta_hat @ dw)
-        proposal = (
-            y
-            - params.sigma_z * scale * dw_kappa
-            + float(a @ params.mu) * dt
-            + float((a @ params.sigma) @ dw)
-        )
-        if not math.isfinite(proposal):
+        H, dL = _lindley_step(H, float(exact_increment(params, dt, u, normals[k])))
+        y = math.expm1(H)
+        if not (math.isfinite(y) and math.isfinite(dL)):
             raise sde.NonFinite(f"step {k}: non-finite state proposal")
-        if proposal >= 0.0:
-            y = proposal
-        else:
-            L -= proposal
-            y = 0.0
-        actions[k] = a
+        L += dL
+        actions[k] = scale * u
         states[k + 1] = y
         local[k + 1] = L
     return states, actions, local
@@ -169,7 +179,7 @@ def simulate_linear_gaussian_batch_loop(
     seed: int,
     action_cap: float = sde.DEFAULT_ACTION_CAP,
 ) -> sde.BatchPaths:
-    """Step-by-step batch of a state-linear Gaussian policy, all paths per step.
+    """Step-by-step batch of a state-linear Gaussian policy, all paths per step, exact in ln(1+y).
 
     The reference for sde.simulate_linear_gaussian_batch: same streams.
     """
@@ -185,12 +195,6 @@ def simulate_linear_gaussian_batch_loop(
     # one block per episode, concatenated: (n, K, 2d+1) standard normals
     normals = np.stack([r.standard_normal((K, 2 * d + 1)) for r in rngs])
     z_act = normals[:, :, :d]
-    g0 = normals[:, :, d]
-    g = normals[:, :, d + 1 :]
-
-    sqdt = math.sqrt(dt)
-    eta_hat = _eta_unit(params)
-    ck = math.sqrt(1.0 - params.kappa**2)
 
     states = np.empty((n_paths, K + 1))
     local = np.empty((n_paths, K + 1))
@@ -200,28 +204,24 @@ def simulate_linear_gaussian_batch_loop(
     clamp_events = 0
 
     y = np.full(n_paths, float(y0))
+    H = np.log1p(y)
     for k in range(K):
         scale = 1.0 + y
-        a = scale[:, None] * (mean_coef[None, :] + z_act[:, k, :] @ cov_chol.T)
-        norms = np.linalg.norm(a, axis=1)
+        u = mean_coef[None, :] + z_act[:, k, :] @ cov_chol.T
+        norms = np.linalg.norm(scale[:, None] * u, axis=1)
         over = norms > action_cap
         if np.any(over):
-            a[over] *= (action_cap / norms[over])[:, None]
+            u[over] *= (action_cap / norms[over])[:, None]
             clamp_events += int(np.count_nonzero(over))
-        dw = g[:, k, :] * sqdt
-        dw_kappa = params.kappa * g0[:, k] * sqdt + ck * (dw @ eta_hat)
-        proposal = (
-            y
-            - params.sigma_z * scale * dw_kappa
-            + (a @ params.mu) * dt
-            + np.einsum("ne,ne->n", a @ params.sigma, dw)
-        )
-        if not np.all(np.isfinite(proposal)):
-            bad = int(np.flatnonzero(~np.isfinite(proposal))[0])
+        with np.errstate(invalid="ignore", over="ignore"):
+            h = H + exact_increment(params, dt, u, normals[:, k])
+            H = np.maximum(h, 0.0)
+            dL = np.maximum(-h, 0.0)
+            y = np.expm1(H)
+        if not np.all(np.isfinite(y) & np.isfinite(dL)):
+            bad = int(np.flatnonzero(~(np.isfinite(y) & np.isfinite(dL)))[0])
             raise sde.NonFinite(f"path {bad}, step {k}: non-finite state proposal")
-        y = np.maximum(proposal, 0.0)
-        dL = np.maximum(-proposal, 0.0)
-        actions[:, k, :] = a
+        actions[:, k, :] = scale[:, None] * u
         states[:, k + 1] = y
         local[:, k + 1] = local[:, k] + dL
     return sde.BatchPaths(
@@ -241,7 +241,7 @@ def simulate_aggregated_loop(
     dt: float,
     rng: np.random.Generator,
 ) -> sde.EpisodePath:
-    """Step-by-step projection-Euler path of the aggregated dynamics.
+    """Step-by-step path of the aggregated dynamics, exact in ln(1+y).
 
     The reference for sde.simulate_aggregated: same stream.
     """
@@ -254,16 +254,12 @@ def simulate_aggregated_loop(
     local = np.empty(K + 1)
     states[0] = y0
     local[0] = 0.0
-    y = float(y0)
+    H = math.log1p(y0)
     sqdt = math.sqrt(dt)
     shocks = rng.standard_normal(K)
     for k in range(K):
-        proposal = y + b * (1.0 + y) * dt + s * (1.0 + y) * sqdt * shocks[k]
-        if proposal >= 0.0:
-            y, dL = proposal, 0.0
-        else:
-            y, dL = 0.0, -proposal
-        states[k + 1] = y
+        H, dL = _lindley_step(H, (b - 0.5 * s * s) * dt + s * sqdt * shocks[k])
+        states[k + 1] = math.expm1(H)
         local[k + 1] = local[k] + dL
     return sde.EpisodePath(times=times, states=states, actions=np.empty((K, 0)), local_time=local)
 
@@ -276,15 +272,15 @@ def simulate_aggregated_per_path(
     dt: float,
     rng: np.random.Generator,
 ) -> sde.EpisodePath:
-    """Projection-Euler path of the one-factor aggregated dynamics, c_k = b dt + s sqrt(dt) z_k."""
+    """Path of the one-factor aggregated dynamics by the reflection map on X_k = (b - s^2/2) dt + s sqrt(dt) z_k."""
     if y0 < 0.0:
         raise ValueError(f"y0 must be >= 0, got {y0}")
     b, s = sde.aggregated_coefficients(params, gamma)
     times = sde._grid(T, dt)
     K = len(times) - 1
-    c = b * dt + s * math.sqrt(dt) * rng.standard_normal(K)[None]
+    x = s * math.sqrt(dt) * rng.standard_normal(K)[None] + (b - 0.5 * s * s) * dt
     states, dL = np.full((1, K + 1), float(y0)), np.empty((1, K))
-    sde._reflect(c, states, dL, sde._workspace(1, K, 0))
+    sde._reflect(x, states, dL, sde._workspace(1, K, 0))
     local = np.concatenate([[0.0], np.cumsum(dL[0])])
     return sde.EpisodePath(times=times, states=states[0], actions=np.empty((K, 0)), local_time=local)
 
@@ -380,7 +376,27 @@ def episode_statistics_loop(pp, rho: float, ep: sde.EpisodePath, chain_rule: boo
     stat_xi = float(np.sum(w))
     stat_psi1 = (actions / s[:, None]).T @ w
     outer_sum = np.einsum("k,kd,ke->de", w / (s * s), actions, actions)
-    stat_psi2 = -outer_sum @ pp.psi2
+    return _statistics_row(pp, stat_xi, stat_psi1, -outer_sum @ pp.psi2, chain_rule)
+
+
+def increment_statistics(pp, rho: float, times: np.ndarray, u: np.ndarray, x: np.ndarray,
+                         chain_rule: bool = True) -> np.ndarray:
+    """One path's orthogonality sums from its relative actions u (K, d) and log-increments x (K,) alone.
+
+    J = ln(1+y) + xi makes q + rho J = psi1'u - |psi2'u|^2 / 2 + psi3 + rho xi,
+    so when dJ - dL = X_k on every step the residual is
+    G_k = X_k - (psi1'u_k - |psi2'u_k|^2 / 2 + psi3 + rho xi) dt.
+    """
+    dt = float(times[1] - times[0])
+    pu = u @ pp.psi2
+    g = x - (u @ pp.psi1 - 0.5 * (pu * pu).sum(axis=1) + pp.psi3 + rho * pp.xi) * dt
+    w = np.exp(-rho * times[:-1]) * g
+    stat_psi2 = -np.einsum("k,kd,ke->de", w, u, u) @ pp.psi2
+    return _statistics_row(pp, float(np.sum(w)), u.T @ w, stat_psi2, chain_rule)
+
+
+def _statistics_row(pp, stat_xi, stat_psi1, stat_psi2, chain_rule):
+    """(xi, psi1, psi2 raveled), with psi3's gradient added through the chain rule."""
     if chain_rule:
         prec = pp.precision
         b = prec @ pp.psi1

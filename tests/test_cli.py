@@ -1,5 +1,7 @@
 """End-to-end command-line runs against temporary configs and outputs."""
 
+import csv
+import io
 import json
 
 import numpy as np
@@ -69,6 +71,10 @@ def test_malformed_config_fails_cleanly(tmp_path):
                                             "sigma": [[1.0, 1.0], [1.0, 1.000001]], "eta": [0.6, 0.8]}},
                        name="ill.yaml")
     assert main(["solve", "--config", ill, "--out", str(tmp_path)]) == 2
+    # at kappa = 0 the lambda polynomial has no root in (0, 1)
+    flat = write_config(tmp_path, {"model": {**MODEL_BLOCK["model"], "kappa": 0.0}}, name="flat.yaml")
+    assert main(["solve", "--config", flat, "--out", str(tmp_path / "flat")]) == 2
+    assert not (tmp_path / "flat" / "constants.json").exists()
 
 
 def test_simulate_deterministic_and_empty(tmp_path):
@@ -92,7 +98,7 @@ def test_simulate_deterministic_and_empty(tmp_path):
     assert summary["n_paths"] == 0 and "warning" in summary
 
 
-@pytest.mark.parametrize("scheme", ["episode", "aggregated", "skorokhod"])
+@pytest.mark.parametrize("scheme", ["episode", "aggregated"])
 def test_simulate_empty_output_keeps_the_scheme_columns(tmp_path, scheme):
     model = {**MODEL_BLOCK["model"], "mu": [0.2, 0.1], "sigma": [[1.0, 0.0], [0.0, 1.0]], "eta": [0.6, 0.8]}
     headers = {}
@@ -109,11 +115,16 @@ def test_simulate_empty_output_keeps_the_scheme_columns(tmp_path, scheme):
     assert summary["n_paths"] == 0 and summary["warning"] == "no paths requested"
 
 
-def test_simulate_unknown_scheme_fails_cleanly(tmp_path):
-    for n in (0, 3):
-        cfg = write_config(tmp_path, {**MODEL_BLOCK, "simulate": {
-            "scheme": "bogus", "n_paths": n, "T": 0.1, "dt": 0.01}})
-        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / str(n))]) == 2
+def test_simulate_unknown_scheme_fails_cleanly(tmp_path, caplog):
+    # skorokhod is refused too: the aggregated scheme's paths are the Skorokhod map on the grid
+    for scheme in ("bogus", "skorokhod"):
+        for n in (0, 3):
+            cfg = write_config(tmp_path, {**MODEL_BLOCK, "simulate": {
+                "scheme": scheme, "n_paths": n, "T": 0.1, "dt": 0.01}})
+            out = tmp_path / f"{scheme}{n}"
+            assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+            assert [p.name for p in out.iterdir()] == []
+    assert "unknown scheme 'skorokhod': give episode or aggregated" in caplog.text
 
 
 def test_simulate_ks_check(tmp_path):
@@ -283,6 +294,13 @@ def test_diagnose_sweep_table(tmp_path):
     rows = (out / "sweep.csv").read_text().strip().splitlines()
     assert rows[0] == "dt,T,max_abs_mean,tail_bound"
     assert len(rows) == 3
+    # the bytes csv.writer writes for the rows that diagnostics.json records
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["dt", "T", "max_abs_mean", "tail_bound"])
+    for r in json.loads((out / "diagnostics.json").read_text())["sweep"]:
+        writer.writerow([r["dt"], r["T"], r["max_abs_mean"], r["tail_bound"]])
+    assert (out / "sweep.csv").read_bytes() == buf.getvalue().encode()
 
 
 def test_backtest_command(tmp_path):
@@ -371,9 +389,12 @@ def test_model_eta_must_have_unit_norm(tmp_path, caplog, model, code):
     ({"strategies": []}, "backtest.strategies is empty"),
     ({"strategies": [{"type": "mle"}, {"type": "mle", "name": "other"}], "baseline_index": 2},
      "backtest.baseline_index is 2: it must index the 2 strategies (0 to 1)"),
+    ({"strategies": [{"type": "classical"}]}, "strategy is missing required key 'model'"),
+    ({"strategies": [{"type": "mle"}], "rows": 2}, "need at least 3 observations, got 2"),
 ])
 def test_backtest_bad_strategy_list_exits_2(tmp_path, caplog, backtest, message):
-    prices = _prices_csv(tmp_path)
+    backtest = dict(backtest)
+    prices = _prices_csv(tmp_path, backtest.pop("rows", 30))
     cfg = write_config(tmp_path, {"backtest": {"prices": str(prices), "v0": 95.0, "rho": 0.1, **backtest}})
     out = tmp_path / "out"
     assert main(["backtest", "--config", cfg, "--out", str(out)]) == 2
@@ -381,9 +402,9 @@ def test_backtest_bad_strategy_list_exits_2(tmp_path, caplog, backtest, message)
     assert [p.name for p in out.iterdir()] == []   # no strategy ran
 
 
-def _prices_csv(tmp_path):
+def _prices_csv(tmp_path, n_rows=30):
     prices = tmp_path / "prices.csv"
-    rows = ["timestamp,benchmark,asset_1"] + [f"{i},{100.0 + i % 3},{50.0 + i % 5}" for i in range(30)]
+    rows = ["timestamp,benchmark,asset_1"] + [f"{i},{100.0 + i % 3},{50.0 + i % 5}" for i in range(n_rows)]
     prices.write_text("\n".join(rows) + "\n")
     return prices
 

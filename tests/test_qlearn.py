@@ -7,15 +7,17 @@ import pytest
 from scipy.integrate import quad
 
 from benchtrack import qlearn, sde
-from benchtrack.model import DomainError, ModelParams
+from benchtrack.model import DomainError, ModelParams, exploratory_constants
 from conftest import one_step_path, q_gradient, random_params
 from oracles import (
     REF,
     central_diff,
+    exact_increment,
     gaussian_entropy,
     gaussian_expect_quadratic,
     gaussian_pdf,
     history_csv_per_row,
+    increment_statistics,
     orthogonality_rows_loop,
     rel_err,
     train_loop,
@@ -610,6 +612,24 @@ def test_streamed_statistics_equal_the_stored_batch(params_ref, pp_star):
     assert np.array_equal(streamed.rows, stored.rows)
     assert np.array_equal(streamed.d_rows, stored.d_rows)
     _assert_rows_close(streamed.rows, orthogonality_rows_loop(pp_star, batch, RHO))
+
+
+@pytest.mark.parametrize("d, cap", [(1, sde.DEFAULT_ACTION_CAP), (2, sde.DEFAULT_ACTION_CAP), (1, 0.5)])
+def test_statistics_come_from_the_relative_action_and_exact_increment(params_ref, d, cap):
+    # dJ - dL = X_k on every step, reflecting or clamped, so each residual depends on (u_k, X_k) alone
+    params = params_ref if d == 1 else PARAMS_D2
+    pp = qlearn.PolicyParams.from_constants(exploratory_constants(params, params.rho / d))
+    mean_coef, cov_chol = pp.policy_coefficients()
+    n, T, dt, seed = 20, 2.0, 0.02, 6
+    batch = sde.simulate_linear_gaussian_batch(params, mean_coef, cov_chol, n, 0.0, T, dt, seed, cap)
+    assert np.count_nonzero(np.diff(batch.local_time, axis=1) > 0.0) > 100
+    assert (batch.clamp_events > 100) == (cap < 1.0)
+    stats = qlearn.orthogonality_stats(pp, batch, params.rho)
+    K = round(T / dt)
+    for i, row in enumerate(stats.rows):
+        u = batch.actions[i] / (1.0 + batch.states[i, :-1, None])
+        x = exact_increment(params, dt, u, sde.episode_rng(seed, i).standard_normal((K, 2 * d + 1)))
+        assert np.allclose(row, increment_statistics(pp, params.rho, batch.times, u, x), rtol=1e-12, atol=1e-13)
 
 
 def test_orthogonality_stats_centered_at_truth(params_ref, pp_star):
