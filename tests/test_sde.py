@@ -503,7 +503,6 @@ def test_batched_schemes_match_per_path_oracles(tmp_path, params_ref, scheme, d,
         def one(rng):
             return simulate_aggregated_per_path(params, gamma, y0, T, dt, rng)
     else:
-        # the aggregated rows against the closed Skorokhod map, which sums the same increments in another order
         batch = sde.simulate_aggregated(params, gamma, y0, T, dt, n_paths, seed)
 
         def one(rng):
@@ -511,16 +510,16 @@ def test_batched_schemes_match_per_path_oracles(tmp_path, params_ref, scheme, d,
             return sde.EpisodePath(times=lp.times, states=np.expm1(lp.h), actions=np.empty((K, 0)), local_time=lp.k)
 
     oracle = [one(sde.episode_rng(seed, i)) for i in range(n_paths)]
+    exact = scheme != "skorokhod"   # the closed Skorokhod map sums the same increments in another order
     assert batch.actions.shape == (n_paths, K, d if scheme == "episode" else 0)
     assert np.any(np.diff(batch.local_time) > 0.0)   # the boundary is exercised
     for row, path in zip(batch, oracle, strict=True):
         assert np.array_equal(np.diff(row.local_time) > 0.0, np.diff(path.local_time) > 0.0)
         for field in ("times", "states", "actions", "local_time"):
             got, want = getattr(row, field), getattr(path, field)
-            assert np.array_equal(got, want) if scheme != "skorokhod" else np.allclose(got, want, 3e-13, 3e-13), field
+            assert np.array_equal(got, want) if exact else np.allclose(got, want, 3e-13, 3e-13), field
     meta = {"scheme": scheme, "n_paths": n_paths}
     sde.export_paths_csv(batch, tmp_path / "bulk.csv", tmp_path / "bulk.json", meta)
-    export_paths_csv_per_row(oracle if scheme != "skorokhod" else list(batch), tmp_path / "rows.csv",
-                             tmp_path / "rows.json", meta)
+    export_paths_csv_per_row(oracle if exact else list(batch), tmp_path / "rows.csv", tmp_path / "rows.json", meta)
     assert (tmp_path / "bulk.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
     assert (tmp_path / "bulk.json").read_bytes() == (tmp_path / "rows.json").read_bytes()
