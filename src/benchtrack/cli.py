@@ -10,6 +10,7 @@ by the BENCHTRACK_LOG environment variable (DEBUG, INFO, WARNING, ...).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import math
@@ -52,7 +53,8 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"config file not found: {path}")
     try:
         with open(p) as fh:
-            cfg = yaml.safe_load(fh)
+            # libyaml's parser, where PyYAML was built with it, is several times faster
+            cfg = yaml.load(fh, Loader=yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader)
     except yaml.YAMLError as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
     if not isinstance(cfg, dict):
@@ -396,7 +398,7 @@ def _strategy_from_cfg(blk: dict, prices: bt.PriceSeries, rho: float):
             snap = json.load(fh)
         pp = _learned_params(snap, path, _learned_gamma(snap.get("gamma"), blk.get("gamma"), path))
         execution = blk.get("execution", "mean")
-        mean = pp.precision @ pp.psi1   # the mean of policy_from_q at y = 0
+        mean = pp.mean_coef   # the mean of policy_from_q at y = 0
         if execution == "mean":
             def strat(y):
                 _check_state(y)
@@ -452,8 +454,8 @@ COMMANDS = {
 }
 
 
-def main(argv: list[str] | None = None) -> int:
-    _setup_logging()
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:   # built on the first call to main, not at import
     parser = argparse.ArgumentParser(
         prog="benchtrack",
         description="Benchmark-tracking with capital injection: closed forms, "
@@ -465,7 +467,12 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--config", required=True, help="YAML/JSON config file")
         p.add_argument("--seed", type=int, default=None, help="override RNG seed")
         p.add_argument("--out", default=".", help="output directory")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    _setup_logging()
+    args = _parser().parse_args(argv)
     try:
         cfg = _load_config(args.config)
         out = Path(args.out)

@@ -53,6 +53,7 @@ __all__ = [
     "exploratory_constants",
     "denormalize_value",
     "psi3_consistency",
+    "gibbs_psi3",
 ]
 
 COND_GUARD = 1e12
@@ -254,10 +255,13 @@ def psi3_consistency(psi1: np.ndarray, psi2: np.ndarray, gamma: float) -> float:
     """
     psi1 = np.atleast_1d(np.asarray(psi1, dtype=float))
     psi2 = np.atleast_2d(np.asarray(psi2, dtype=float))
-    d = psi1.shape[0]
     ppT = psi2 @ psi2.T
-    quad = float(psi1 @ np.linalg.solve(ppT, psi1))
-    logdet = float(np.linalg.slogdet(ppT)[1])
+    return gibbs_psi3(float(psi1 @ np.linalg.solve(ppT, psi1)), float(np.linalg.slogdet(ppT)[1]),
+                      psi1.shape[0], gamma)
+
+
+def gibbs_psi3(quad: float, logdet: float, d: int, gamma: float) -> float:
+    """psi3_consistency from quad = psi1'(psi2 psi2')^-1 psi1 and logdet = ln det(psi2 psi2')."""
     return -0.5 * quad - 0.5 * gamma * (d * math.log(2.0 * math.pi * gamma) - logdet)
 
 

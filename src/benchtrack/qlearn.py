@@ -4,34 +4,32 @@ The value function and q-function are parameterized in the exact form that
 solves the entropy-regularised problem at temperature rho/d:
 
     J(y; xi)    = ln(1 + y) + xi
-    q(y, a; psi) = psi1' a / (1+y) - a' psi2 psi2' a / (2 (1+y)^2)
-                   - rho ln(1 + y) + psi3 ,
+    q(y, a; psi) = psi1'u - |psi2'u|^2 / 2 + psi3 - rho ln(1 + y) ,   u = a / (1 + y) ,
 
 with psi3 always re-derived from (psi1, psi2) so that the Gibbs policy
 built from q integrates to one and the consistency condition
 E_pi[q - gamma ln pi] = 0 holds identically.  At the closed-form constants
-(PolicyParams.from_constants) this q is the exact q-function, so q_value and
-policy_from_q serve the closed form, the learner and the diagnostics alike.
+(PolicyParams.from_constants) this q is the exact q-function.  Its relative
+part psi1'u - |psi2'u|^2 / 2 + psi3 is written once, in _relative_q, which
+q_value and the statistics share.
 
 Learning enforces the martingale property of
 
     M_t = e^{-rho t} J(Y_t) - int_0^t e^{-rho s} q(Y_s, a_s) ds
           - int_0^t e^{-rho s} dL_s
 
-through its orthogonality against the conventional test functions (the
-parameter gradients of J and q).  Each episode contributes the truncated,
-discretized residuals
+through its orthogonality against the parameter gradients of J and q.
+q + rho J has no y in it, so an episode's discretized residuals are
 
-    G_k = J(y_{k+1}) - J(y_k) - q(y_k, a_k) dt - (L_{k+1} - L_k)
-          - rho J(y_k) dt ,
+    G_k = X_k - (psi1'u_k - |psi2'u_k|^2 / 2 + psi3 + rho xi) dt ,
+    X_k = ln(1 + y_{k+1}) - ln(1 + y_k) - (L_{k+1} - L_k) ,
 
-Each episode's orthogonality statistics are the sums
-sum_k e^{-rho t_k} grad * G_k (_test_sums, the one place where the
-psi-gradient of q is written), computed for a block of episodes at once by
-_episode_statistics: a 1-row block for each training update, blocks of
-sde.BLOCK_ROWS paths for the diagnostics.  psi1 and psi2 move along alpha
-times their statistics with episode-indexed decaying rates.  xi enters every G_k only
-through -rho xi dt, so its statistic is linear in xi,
+read off the path alone.  Its statistics are the sums of w_k = e^{-rho t_k} G_k
+times the tests 1, u_k and -u_k u_k' psi2 (_test_sums), computed for a block
+of episodes at once by _episode_statistics: a 1-row block for each training
+update, blocks of sde.BLOCK_ROWS paths for the diagnostics.  psi1 and psi2
+move along alpha times their statistics with episode-indexed decaying rates.
+xi enters every G_k only through -rho xi dt, so its statistic is linear in xi,
 
     stat_xi(xi) = stat_xi(0) - c xi ,    c = rho dt sum_k e^{-rho t_k} ,
 
@@ -39,24 +37,23 @@ and the root xi + stat_xi / c of its condition is exact for the episode.
 Training moves xi by stat_xi / (c i) at global episode i, which makes xi the
 running mean of the per-episode roots: the least-squares temporal-difference
 solve for a parameter that enters linearly, with the 1/i stochastic-Newton
-step.  c depends only on rho, dt and T, so the trainer stays model-free.
-The same linearity holds for every statistic, since no test function
-depends on xi: stat(xi + s) = stat(xi) + s dstat/dxi, where dstat/dxi are
-the sums of the constant residual -rho dt.  The diagnostics' xi-shifted
-control is therefore derived from the paths' one pass.
+step.  c depends only on rho, dt and T, so the trainer stays model-free.  No
+test function depends on xi either, so every statistic is affine in xi, with
+the slope given by the same sums at the weights -rho dt e^{-rho t_k}; the
+diagnostics' xi-shifted control is derived from the paths' one pass.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache, partial
 from types import SimpleNamespace
 
 import numpy as np
 
 from . import sde
-from .model import DomainError, ExploratoryConstants, ModelParams, psi3_consistency
+from .model import DomainError, ExploratoryConstants, ModelParams, gibbs_psi3, psi3_consistency
 
 __all__ = [
     "SingularPsi2",
@@ -109,9 +106,9 @@ class GaussianSpec:
 class PolicyParams:
     """Learnable tuple (xi, psi1, psi2); psi3 is derived, never free.
 
-    psi3, psi2_sq and the precision are computed once per instance, so
-    neither psi1, psi2 nor the returned psi2_sq or precision may be changed
-    in place.
+    psi3, psi2_sq, the precision and mean_coef are computed once per
+    instance, so neither psi1, psi2 nor any array returned from them (the
+    policy_coefficients included) may be changed in place.
     """
 
     xi: float
@@ -142,24 +139,34 @@ class PolicyParams:
         return self.psi2 @ self.psi2.T
 
     @cached_property
-    def psi3(self) -> float:
-        return psi3_consistency(self.psi1, self.psi2, self.gamma)
+    def _eigs(self) -> np.ndarray:
+        return np.linalg.eigvalsh(self.psi2_sq)
 
     @cached_property
     def precision(self) -> np.ndarray:
         """(psi2 psi2')^-1 with conditioning and absolute-scale guards."""
-        ppT = self.psi2_sq
-        eigs = np.linalg.eigvalsh(ppT)
+        eigs = self._eigs
         if eigs[0] < PSI2_FLOOR**2 or eigs[-1] / eigs[0] > 1e12:
-            raise SingularPsi2(f"psi2 psi2' is singular or ill-conditioned: {ppT!r}")
-        return np.linalg.inv(ppT)
+            raise SingularPsi2(f"psi2 psi2' is singular or ill-conditioned: {self.psi2_sq!r}")
+        return np.linalg.inv(self.psi2_sq)
+
+    @cached_property
+    def mean_coef(self) -> np.ndarray:
+        """precision psi1, the Gibbs policy's mean per unit of 1 + y."""
+        return self.precision @ self.psi1
+
+    @cached_property
+    def psi3(self) -> float:
+        """From the factors that the policy uses: psi1'(psi2 psi2')^-1 psi1 = psi1'mean_coef and the eigenvalues."""
+        try:
+            quad = float(self.psi1 @ self.mean_coef)
+        except SingularPsi2:   # no Gibbs policy, but the normalization formula still has a value
+            return psi3_consistency(self.psi1, self.psi2, self.gamma)
+        return gibbs_psi3(quad, float(np.log(self._eigs).sum()), self.d, self.gamma)
 
     def policy_coefficients(self) -> tuple[np.ndarray, np.ndarray]:
         """(mean_coef, cov_chol): a ~ N(mean_coef (1+y), (1+y)^2 chol chol')."""
-        prec = self.precision
-        mean_coef = prec @ self.psi1
-        cov_chol = np.linalg.cholesky(self.gamma * prec)
-        return mean_coef, cov_chol
+        return self.mean_coef, np.linalg.cholesky(self.gamma * self.precision)
 
 
 def j_value(pp: PolicyParams, y):
@@ -172,7 +179,7 @@ def j_value(pp: PolicyParams, y):
 
 
 def q_value(pp: PolicyParams, rho: float, y, a):
-    """Parameterized q including the derived psi3.
+    """Parameterized q including the derived psi3: the relative q at u = a / (1+y), minus rho ln(1+y).
 
     At one state, y is a float and a has shape (d,); along a path, y has
     shape (K,) and a shape (K, d), and the result has shape (K,).
@@ -180,79 +187,84 @@ def q_value(pp: PolicyParams, rho: float, y, a):
     y = np.asarray(y, dtype=float)
     if np.any(y < 0.0):
         raise DomainError(f"state must be >= 0, got {y!r}")
-    out = _q(pp, rho, np.atleast_1d(np.asarray(a, dtype=float)), 1.0 + y, np.log1p(y))
+    u = np.atleast_1d(np.asarray(a, dtype=float)) / (1.0 + y)[..., None]
+    out = _relative_q(pp, np.moveaxis(u, -1, 0)) - rho * np.log1p(y)
     return out if out.ndim else float(out)
 
 
-def _q(pp: PolicyParams, rho: float, a, s, log_y, out=None, quad=None, den=None, a_psi2=None):
-    """q from the action a, s = 1 + y and ln(1 + y); the last four arguments are optional scratch arrays."""
-    lin = np.divide(np.matmul(a, pp.psi1, out=out), s, out=out)
-    sq = np.einsum("...e,...e->...", np.matmul(a, pp.psi2_sq, out=a_psi2), a, out=quad)
-    sq = np.divide(sq, np.multiply(np.multiply(2.0, s, out=den), s, out=den), out=quad)
-    q = np.subtract(lin, sq, out=out)
-    q = np.subtract(q, np.multiply(rho, log_y, out=den), out=out)
-    return np.add(q, pp.psi3, out=out)
+def _relative_q(pp: PolicyParams, u, out=None, t=None, tmp=None):
+    """psi1'u - |psi2'u|^2 / 2 + psi3 at u = a / (1+y), from its components u[i] and optional scratch arrays.
+
+    It sums u_i (psi1_i - P_ii u_i / 2 - sum_{j<i} P_ij u_j) with P = psi2 psi2'
+    term by term, so an element rounds alike in any block shape.
+    """
+    if out is None:   # at one state u[i] is a scalar, so these are 0-d
+        out, t = np.empty(np.shape(u[0])), np.empty(np.shape(u[0]))
+    P = pp.psi2_sq
+    for i in range(pp.d):
+        t = np.multiply(u[i], -0.5 * P[i, i], out=t)
+        t += pp.psi1[i]
+        for j in range(i):
+            t -= np.multiply(u[j], P[i, j], out=tmp)
+        t *= u[i]
+        out = np.add(out if i else pp.psi3, t, out=out)   # psi3 + the i = 0 term, then the others
+    return out
 
 
 def policy_from_q(pp: PolicyParams, y: float) -> GaussianSpec:
     """Gibbs renormalization exp(q/gamma) of the quadratic q is Gaussian."""
     if y < 0.0:
         raise DomainError(f"state must be >= 0, got {y!r}")
-    prec = pp.precision
     s = 1.0 + y
-    return GaussianSpec(mean=s * (prec @ pp.psi1), cov=pp.gamma * s * s * prec)
+    return GaussianSpec(mean=s * pp.mean_coef, cov=pp.gamma * s * s * pp.precision)
 
 
 def _statistics_workspace(rows: int, K: int, d: int) -> SimpleNamespace:
-    """Scratch arrays for _episode_statistics on up to `rows` paths of K steps.
+    """Scratch arrays for _episode_statistics on up to `rows` paths of K steps, u for the d components of u_k.
 
     A stream of blocks reuses one set: fresh (rows, K) temporaries would be
     handed back to the system after each block and faulted in again.
     """
-    s, q, quad, den, j, g = np.empty((6, rows, K))
-    return SimpleNamespace(log=np.empty((rows, K + 1)), s=s, q=q, quad=quad, den=den, j=j, g=g,
-                           x=np.empty((rows, K, d)))
+    g, p, t, w = np.empty((4, rows, K))
+    return SimpleNamespace(log=np.empty((rows, K + 1)), u=np.empty((d, rows, K)), g=g, p=p, t=t, w=w)
 
 
-def _test_sums(
-    pp: PolicyParams, w: np.ndarray, x: np.ndarray, s2: np.ndarray, actions: np.ndarray, chain_rule: bool,
-    tmp: np.ndarray,
-) -> np.ndarray:
-    """Per path, sum_k w_k times the test functions at step k, as rows ordered like _component_names.
+# the one-row workspace (K, d) -> ws that update_statistics reuses for every episode
+_episode_workspace = lru_cache(maxsize=4)(partial(_statistics_workspace, 1))
 
-    The test functions are dJ/dxi = 1 and the psi-gradient of q.  w and
-    s2 = (1 + y_k)^2 are (n, K), actions and x = actions / (1 + y_k) are
-    (n, K, d), and tmp is (n, K) scratch.  Each path's sums take the
-    operations of a lone path, so a 1-row block reproduces the per-episode sums.
+
+def _test_sums(pp: PolicyParams, w: np.ndarray, u: np.ndarray, chain_rule: bool, wu: np.ndarray,
+               wuu: np.ndarray) -> np.ndarray:
+    """Per path, sum_k w_k times the tests 1, u_k and -u_k u_k' psi2, as rows ordered like _component_names.
+
+    w is (n, K), or (K,) when every path shares it, u holds d (n, K)
+    components, and wu and wuu are (n, K) scratch.  Each sum runs along one
+    contiguous row, so a 1-row block gives a row of a larger block bit for bit.
     """
-    n, d = len(w), pp.d
+    n, d = len(u[0]), pp.d
     rows = np.empty((n, 1 + d + d * d))
-    stat_xi = w.sum(axis=1, out=rows[:, 0])
-    stat_psi1 = np.matmul(x.transpose(0, 2, 1), w[..., None])[..., 0]
-    outer_sum = np.einsum("nk,nkd,nke->nde", np.divide(w, s2, out=tmp), actions, actions)
+    rows[:, 0] = stat_xi = w.sum(axis=-1)
+    stat_psi1 = rows[:, 1 : 1 + d]
+    outer_sum = np.empty((n, d, d))
+    for i in range(d):
+        np.multiply(w, u[i], out=wu).sum(axis=1, out=stat_psi1[:, i])
+        for j in range(i + 1):
+            outer_sum[:, j, i] = outer_sum[:, i, j] = np.multiply(wu, u[j], out=wuu).sum(axis=1)
     stat_psi2 = -outer_sum @ pp.psi2
     if chain_rule:
         # psi3's gradient, -b for psi1 and (b b' + gamma prec) psi2 for psi2,
         # is the same at every step, so it enters weighted by sum_k w_k = stat_xi
-        prec = pp.precision
-        b = prec @ pp.psi1
-        stat_psi1 = stat_psi1 - b * stat_xi[:, None]
-        stat_psi2 = stat_psi2 + (b[:, None] * b + pp.gamma * prec) @ pp.psi2 * stat_xi[:, None, None]
-    rows[:, 1 : 1 + d] = stat_psi1
+        stat_xi = rows[:, :1]
+        b = pp.mean_coef
+        stat_psi1 -= b * stat_xi
+        stat_psi2 = stat_psi2 + (b[:, None] * b + pp.gamma * pp.precision) @ pp.psi2 * stat_xi[..., None]
     rows[:, 1 + d :] = stat_psi2.reshape(n, d * d)
     return rows
 
 
 def _episode_statistics(
-    pp: PolicyParams,
-    rho: float,
-    times: np.ndarray,
-    states: np.ndarray,
-    actions: np.ndarray,
-    local_time: np.ndarray,
-    chain_rule: bool,
-    ws: SimpleNamespace,
-    xi_derivative: bool = False,
+    pp: PolicyParams, rho: float, times: np.ndarray, states: np.ndarray, actions: np.ndarray,
+    local_time: np.ndarray, chain_rule: bool, ws: SimpleNamespace, xi_derivative: bool = False,
 ) -> tuple[np.ndarray, np.ndarray | None, float]:
     """Discount-weighted orthogonality sums of a block of episodes, one row per path.
 
@@ -264,30 +276,27 @@ def _episode_statistics(
     xi, so d_rows are the sums of the constant residual -rho dt and the rows
     at xi + s are rows + s d_rows.
     """
-    n = len(states)
-    log, s, q, quad, den, j, g, x = (a[:n] for a in (ws.log, ws.s, ws.q, ws.quad, ws.den, ws.j, ws.g, ws.x))
+    n, d = len(states), pp.d
+    log, u, g, p, t, w = ws.log[:n], ws.u[:, :n], ws.g[:n], ws.p[:n], ws.t[:n], ws.w[:n]
     dt = float(times[1] - times[0])
     disc = np.exp(-rho * times[:-1])
     ys = states[:, :-1]
-    if (ys < 0.0).any():
+    if ys.min() < 0.0:
         raise DomainError(f"state must be >= 0, got {ys!r}")
+    np.add(ys, 1.0, out=t)
+    for i in range(d):
+        np.divide(actions[..., i], t, out=u[i])
+    # G_k = X_k - (relative q_k + rho xi) dt with X_k = ln(1+y_{k+1}) - ln(1+y_k) - (L_{k+1} - L_k), discounted
     np.log1p(states, out=log)
-    np.add(1.0, ys, out=s)
-    _q(pp, rho, actions, s, log[:, :-1], q, quad, den, x)
-    # G_k = J(y_{k+1}) - J(y_k) - q_k dt - (L_{k+1} - L_k) - rho J(y_k) dt, then discounted
-    np.add(log[:, :-1], pp.xi, out=j)
-    np.add(log[:, 1:], pp.xi, out=g)
-    g -= j
-    g -= np.multiply(q, dt, out=q)
-    g -= np.subtract(local_time[:, 1:], local_time[:, :-1], out=den)
-    g -= np.multiply(np.multiply(rho, j, out=j), dt, out=j)
+    np.subtract(log[:, 1:], log[:, :-1], out=g)
+    g -= np.subtract(local_time[:, 1:], local_time[:, :-1], out=p)
+    _relative_q(pp, u, p, t, w)
+    p += rho * pp.xi
+    p *= dt
+    g -= p
     g *= disc
-    np.divide(actions, s[..., None], out=x)
-    s2 = np.multiply(s, s, out=s)
-    rows = _test_sums(pp, g, x, s2, actions, chain_rule, quad)
-    d_rows = None
-    if xi_derivative:
-        d_rows = _test_sums(pp, np.broadcast_to(-rho * dt * disc, g.shape), x, s2, actions, chain_rule, quad)
+    rows = _test_sums(pp, g, u, chain_rule, p, t)
+    d_rows = _test_sums(pp, -rho * dt * disc, u, chain_rule, p, t) if xi_derivative else None
     return rows, d_rows, rho * dt * float(disc.sum())
 
 
@@ -302,7 +311,7 @@ def update_statistics(
     """
     rows, _, c = _episode_statistics(
         pp, rho, path.times, path.states[None], path.actions[None], path.local_time[None], chain_rule,
-        _statistics_workspace(1, *path.actions.shape),
+        _episode_workspace(*path.actions.shape),
     )
     d = pp.d
     return float(rows[0, 0]), rows[0, 1 : 1 + d], rows[0, 1 + d :].reshape(d, d), c
@@ -330,12 +339,7 @@ def _project_psi2(psi2: np.ndarray) -> np.ndarray:
 
 
 def update(
-    pp: PolicyParams,
-    path: sde.EpisodePath,
-    rates: Rates,
-    rho: float,
-    xi_weight: float,
-    chain_rule: bool = True,
+    pp: PolicyParams, path: sde.EpisodePath, rates: Rates, rho: float, xi_weight: float, chain_rule: bool = True,
     update_clip: float = 1.0,
 ) -> tuple[PolicyParams, UpdateInfo]:
     """Apply one stochastic-approximation step from an on-policy episode.
@@ -362,13 +366,7 @@ def update(
         d_psi1 = d_psi1 * factor
         d_psi2 = d_psi2 * factor
         clipped = True
-    new_psi2 = _project_psi2(pp.psi2 + d_psi2)
-    new = PolicyParams(
-        xi=pp.xi + d_xi,
-        psi1=pp.psi1 + d_psi1,
-        psi2=new_psi2,
-        gamma=pp.gamma,
-    )
+    new = PolicyParams(xi=pp.xi + d_xi, psi1=pp.psi1 + d_psi1, psi2=_project_psi2(pp.psi2 + d_psi2), gamma=pp.gamma)
     return new, UpdateInfo(norm=norm, clipped=clipped)
 
 
@@ -521,15 +519,8 @@ def train(config: LearnConfig, env: sde.Environment) -> TrainHistory:
                 env, mean_coef, cov_chol, config.y0, config.n_steps, rng, workspace=workspace
             )
             path = sde.EpisodePath(times=times, states=states, actions=actions, local_time=local)
-            pp, info = update(
-                pp,
-                path,
-                rates,
-                config.rho,
-                xi_weight=1.0 / i,
-                chain_rule=config.chain_rule,
-                update_clip=config.update_clip,
-            )
+            pp, info = update(pp, path, rates, config.rho, xi_weight=1.0 / i, chain_rule=config.chain_rule,
+                              update_clip=config.update_clip)
             hist_norm[idx] = info.norm
             hist_clip[idx] = info.clipped
         except (NonFiniteUpdate, sde.NonFinite, SingularPsi2):
@@ -543,18 +534,9 @@ def train(config: LearnConfig, env: sde.Environment) -> TrainHistory:
         hist_psi1[idx] = pp.psi1
         hist_psi2[idx] = pp.psi2
         hist_psi3[idx] = pp.psi3
-    return TrainHistory(
-        episodes=episodes,
-        xi=hist_xi,
-        psi1=hist_psi1,
-        psi2=hist_psi2,
-        psi3=hist_psi3,
-        update_norms=hist_norm,
-        clipped=hist_clip,
-        rejected_episodes=rejected,
-        clamp_events=env.clamp_events - clamps_before,
-        final=pp,
-    )
+    return TrainHistory(episodes=episodes, xi=hist_xi, psi1=hist_psi1, psi2=hist_psi2, psi3=hist_psi3,
+                        update_norms=hist_norm, clipped=hist_clip, rejected_episodes=rejected,
+                        clamp_events=env.clamp_events - clamps_before, final=pp)
 
 
 @dataclass(frozen=True)
@@ -614,8 +596,9 @@ def orthogonality_stats(
     """
     rows, d_rows, ws = [], [], None
     for batch in [paths] if isinstance(paths, sde.BatchPaths) else paths:
-        if ws is None or ws.x.shape[1:] != batch.actions.shape[1:]:
-            ws = _statistics_workspace(sde.BLOCK_ROWS, *batch.actions.shape[1:])
+        K, d = batch.actions.shape[1:]
+        if ws is None or ws.u.shape != (d, sde.BLOCK_ROWS, K):
+            ws = _statistics_workspace(sde.BLOCK_ROWS, K, d)
         for start in range(0, len(batch.states), sde.BLOCK_ROWS):
             block = slice(start, start + sde.BLOCK_ROWS)
             r, dr, _ = _episode_statistics(

@@ -24,10 +24,11 @@ relative increment u'mu dt + (sigma'u - sigma_z sqrt(1-kappa^2) eta_hat)'dW
 X_k = (b - s^2/2) dt + s sqrt(dt) z_k.  Reflection at 0 is Lindley's
 recursion H' = max(H + X_k, 0), the discrete Skorokhod map, which a
 cumulative sum and a running maximum of the push solve with no loop over
-steps; the local time L is the push (Y's local time, since 1 + Y = 1 where
-it grows), so H and y are exactly 0 on the steps where L grows.  A clamp at
-the action cap depends on y, so it is found after the fact: that step's c_k
-and v_k are recomputed for the clamped u and the path is replayed from there.
+steps; the local time L is the push itself (Y's local time, since 1 + Y = 1
+where it grows), so H and y are exactly 0 on the steps where L grows and
+diff(L) is the push's increment.  A clamp at the action cap depends on y, so
+it is found after the fact: that step's c_k and v_k are recomputed for the
+clamped u and the path is replayed from there, its push added to L_k.
 Both path samplers (policy and aggregated) return a BatchPaths built in
 blocks of a few paths; row i draws the Philox stream (seed, i), so it equals
 a lone path on that stream.  One generator (_blocks) yields the blocks over
@@ -152,9 +153,9 @@ def _market(params: ModelParams, dt: float) -> SimpleNamespace:
 class EpisodePath:
     """A discretized reflected trajectory on a uniform grid.
 
-    states[k] >= 0 everywhere; local_time is the cumulative push of
-    ln(1 + y) at 0, non-decreasing, and increases only at steps whose
-    post-step state sits exactly at 0.
+    states[k] >= 0 everywhere; local_time is the push of ln(1 + y) at 0 from
+    L_0 = 0.0, non-decreasing, and increases only at steps whose post-step
+    state sits exactly at 0.
     """
 
     times: np.ndarray       # (K+1,)
@@ -218,7 +219,7 @@ def _workspace(rows: int, K: int, d: int) -> SimpleNamespace:
     def e(*shape):
         return np.empty((rows, *shape))
     return SimpleNamespace(normals=e(K, 2 * d + 1), u=e(K, d), c=e(K), base=e(K), drive=e(K), unorm=e(K),
-                           v=e(K), dL=e(K), t=e(K), w=e(K), h=e(K + 1), push=e(K + 1))
+                           v=e(K), t=e(K), w=e(K), h=e(K + 1), push=e(K + 1))
 
 
 def _blocks(times: np.ndarray, d: int, n_paths: int, seed: int, fill) -> Iterator[BatchPaths]:
@@ -253,12 +254,13 @@ def _batch(blocks: Iterator[BatchPaths], times: np.ndarray, d: int, n_paths: int
     return BatchPaths(times, states, actions, local, clamp_events)
 
 
-def _reflect(x: np.ndarray, states: np.ndarray, dL: np.ndarray, ws: SimpleNamespace) -> None:
-    """Fill states[:, 1:] and dL for H' = max(H + x_k, 0), H = ln(1+y), from states[:, 0], per row.
+def _reflect(x: np.ndarray, states: np.ndarray, local: np.ndarray, ws: SimpleNamespace) -> None:
+    """Fill states[:, 1:] and local[:, 1:] for H' = max(H + x_k, 0), H = ln(1+y), from column 0, per row.
 
     With S the partial sums of x from ln(1 + y_0), H = S + P for the push
-    P_k = max_{j<=k} max(-S_j, 0), and dL is P's increment.  P grows exactly
-    on the reflecting steps; there it equals -S, so H and y are exactly 0.
+    P_k = max_{j<=k} max(-S_j, 0), and local = local[:, 0] + P.  P grows
+    exactly on the reflecting steps; there it equals -S, so H and y are
+    exactly 0.  From local[:, 0] = +0.0, local is P itself, with no -0.0.
     """
     n, m = x.shape
     h, push = ws.h[:n, : m + 1], ws.push[:n, : m + 1]
@@ -270,7 +272,7 @@ def _reflect(x: np.ndarray, states: np.ndarray, dL: np.ndarray, ws: SimpleNamesp
         np.maximum.accumulate(push, axis=1, out=push)
         h += push
         np.expm1(h[:, 1:], out=states[:, 1:])
-        np.subtract(push[:, 1:], push[:, :-1], out=dL)
+        np.add(push[:, 1:], local[:, :1], out=local[:, 1:])
 
 
 def _linear_gaussian_paths(
@@ -289,8 +291,7 @@ def _linear_gaussian_paths(
     n, d = len(states), m.d
     normals = ws.normals[:n]
     z, g0, g = normals[..., :d], normals[..., d], normals[..., d + 1 :]
-    u, c, base, drive, unorm, v, dL, t, w = (
-        a[:n] for a in (ws.u, ws.c, ws.base, ws.drive, ws.unorm, ws.v, ws.dL, ws.t, ws.w))
+    u, c, base, drive, unorm, v, t, w = (a[:n] for a in (ws.u, ws.c, ws.base, ws.drive, ws.unorm, ws.v, ws.t, ws.w))
 
     def accumulate(out, x, first):  # out = 0 + x_0 + x_1 + ..., the builtin sum's order (0 + x is x + 0)
         if first:
@@ -314,7 +315,6 @@ def _linear_gaussian_paths(
         t += m.mu_dt[i]
         accumulate(drive, np.multiply(t, u[..., i], out=t), i == 0)
         accumulate(unorm, np.square(u[..., i], out=w), i == 0)
-    np.sqrt(unorm, out=unorm)
     for j in range(d):
         dot(m.sigma[:, j], u, t)
         t -= m.bench[j]
@@ -324,16 +324,20 @@ def _linear_gaussian_paths(
     np.add(base, drive, out=c)
     c -= v
     states[:, 0] = y0
-    _reflect(c, states, dL, ws)
+    local[:, 0] = 0.0
+    _reflect(c, states, local, ws)
 
     # A clamp scales the action by cap / |(1+y_k) u_k|, which depends on y_k.
     # The first clamp of a row is found after the fact; that step is redone
-    # with its clamped c_k and v_k and the row replayed from there, until no new clamp.
-    # The mask is built only when the largest (1+y_k)|u_k| (nan if any is nan) is not at or below the cap.
+    # with its clamped c_k and v_k and the row replayed from there, until no
+    # new clamp; a replay adds its push to L_k, so L stays continuous.  The
+    # norms and the mask are built only when max(1+y) max|u|, which bounds
+    # every (1+y_k)|u_k| (nan if any is nan), is not at or below the cap.
     clamped = None
     np.add(states[:, :-1], 1.0, out=t)
-    if not np.multiply(t, unorm, out=w).max() <= action_cap:
-        over = w > action_cap
+    if not t.max() * math.sqrt(unorm.max()) <= action_cap:
+        np.sqrt(unorm, out=unorm)
+        over = np.multiply(t, unorm, out=w) > action_cap
         clamped = np.zeros(c.shape, dtype=bool)
         for r in np.flatnonzero(over.any(axis=1)):
             k = int(np.argmax(over[r]))
@@ -342,20 +346,19 @@ def _linear_gaussian_paths(
                 f = action_cap / ((1.0 + states[r, k]) * unorm[r, k])
                 e = (f * u[r, k]) @ m.sigma - m.bench
                 c[r, k] = base[r, k] + f * drive[r, k] - (e @ e + m.own) * m.half_dt
-                _reflect(c[r : r + 1, k:], states[r : r + 1, k:], dL[r : r + 1, k:], ws)
+                _reflect(c[r : r + 1, k:], states[r : r + 1, k:], local[r : r + 1, k:], ws)
                 later = np.flatnonzero((1.0 + states[r, k + 1 : -1]) * unorm[r, k + 1 :] > action_cap)
                 k = k + 1 + int(later[0]) if later.size else -1
         np.add(states[:, :-1], 1.0, out=t)   # the replays used t as scratch
 
-    # a sum is finite only if every term is, so the mask is built only when a value may be bad
-    if not math.isfinite(c.sum() + states[:, 1:].sum() + dL.sum()):
-        bad = ~(np.isfinite(c) & np.isfinite(states[:, 1:]) & np.isfinite(dL))
+    # a sum is finite only if every term is, so the mask is built only when a value may be bad;
+    # a non-finite c_k makes y_{k+1} or L_{k+1} non-finite
+    if not math.isfinite(states[:, 1:].sum() + local[:, 1:].sum()):
+        bad = ~(np.isfinite(states[:, 1:]) & np.isfinite(local[:, 1:]))
         if bad.any():
             k = int(np.argmax(bad.any(axis=0)))
             raise NonFinite(f"path {first_path + int(np.argmax(bad[:, k]))}, step {k}: non-finite state proposal")
     np.multiply(t[..., None], u, out=actions)
-    local[:, 0] = 0.0
-    np.cumsum(dL, axis=1, out=local[:, 1:])
     if clamped is None:
         return 0
     actions[clamped] = u[clamped] * (action_cap / unorm[clamped])[:, None]
@@ -497,14 +500,12 @@ def simulate_aggregated(
     drift, scale = (b - 0.5 * s * s) * dt, s * math.sqrt(dt)
 
     def fill(ws, states, actions, local, first_path):
-        n = len(states)
-        x, dL = ws.c[:n], ws.dL[:n]
-        np.multiply(ws.normals[:n, :, 0], scale, out=x)
+        x = ws.c[: len(states)]
+        np.multiply(ws.normals[: len(states), :, 0], scale, out=x)
         x += drift
         states[:, 0] = y0
-        _reflect(x, states, dL, ws)
         local[:, 0] = 0.0
-        np.cumsum(dL, axis=1, out=local[:, 1:])
+        _reflect(x, states, local, ws)
         return 0
 
     times = _grid(T, dt)

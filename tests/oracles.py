@@ -279,10 +279,9 @@ def simulate_aggregated_per_path(
     times = sde._grid(T, dt)
     K = len(times) - 1
     x = s * math.sqrt(dt) * rng.standard_normal(K)[None] + (b - 0.5 * s * s) * dt
-    states, dL = np.full((1, K + 1), float(y0)), np.empty((1, K))
-    sde._reflect(x, states, dL, sde._workspace(1, K, 0))
-    local = np.concatenate([[0.0], np.cumsum(dL[0])])
-    return sde.EpisodePath(times=times, states=states[0], actions=np.empty((K, 0)), local_time=local)
+    states, local = np.full((1, K + 1), float(y0)), np.zeros((1, K + 1))
+    sde._reflect(x, states, local, sde._workspace(1, K, 0))
+    return sde.EpisodePath(times=times, states=states[0], actions=np.empty((K, 0)), local_time=local[0])
 
 
 @dataclass(frozen=True)

@@ -71,6 +71,22 @@ def test_q_value_matches_exact_q(pp_star):
         qlearn.q_value(pp_star, RHO, [0.5, -0.1], [[0.0], [0.0]])
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_q_value_equals_the_states_form(d):
+    # q_value evaluates q at u = a / (1+y); the states form divides a by 1+y and a'Pa by (1+y)^2
+    rng = np.random.default_rng(60 + d)
+    pp = random_pp(rng, d)
+    ys = rng.exponential(2.0, size=40)
+    acts = rng.normal(size=(40, d)) * (1.0 + ys[:, None])
+    for y, a in zip(ys, acts):
+        s = 1.0 + y
+        terms = [pp.psi1 @ a / s, -(a @ pp.psi2_sq @ a) / (2.0 * s * s), -RHO * math.log1p(y), pp.psi3]
+        # relative to the size of the terms, since they may cancel
+        assert abs(qlearn.q_value(pp, RHO, float(y), a) - sum(terms)) <= 1e-13 * sum(map(abs, terms))
+    along = qlearn.q_value(pp, RHO, ys, acts)
+    assert np.array_equal(along, [qlearn.q_value(pp, RHO, float(y), a) for y, a in zip(ys, acts)])
+
+
 def test_q_gradients_match_finite_differences():
     # the gradient in the production update sums, read off one-step paths
     rng = np.random.default_rng(2)
@@ -239,6 +255,18 @@ def test_update_statistics_hand_computed_fixture():
     assert sx == pytest.approx(FIXTURE_EXPECT["stat_xi"], abs=1e-13)
     assert s1[0] == pytest.approx(FIXTURE_EXPECT["stat_psi1_plain"], abs=1e-13)
     assert s2[0, 0] == pytest.approx(FIXTURE_EXPECT["stat_psi2_plain"], abs=1e-13)
+
+
+def test_update_statistics_results_outlive_the_next_episode():
+    # every episode of one (K, d) reuses one workspace, but the returned arrays are the caller's
+    pp = qlearn.PolicyParams(**FIXTURE_PP)
+    first = qlearn.update_statistics(pp, sde.EpisodePath(**FIXTURE_PATH), RHO)
+    kept = [np.copy(x) for x in first]
+    other = dict(FIXTURE_PATH, states=np.array([0.3, 0.0, 1.0, 0.2]), actions=np.array([[1.0], [2.0], [-1.0]]))
+    second = qlearn.update_statistics(pp, sde.EpisodePath(**other), RHO)
+    assert not np.array_equal(second[1], kept[1])
+    for got, want in zip(first, kept):
+        assert np.array_equal(got, want)
 
 
 def test_update_applies_rates_exactly():
@@ -576,13 +604,20 @@ def test_block_statistics_match_the_per_episode_loop(d, chain_rule):
     batch = sde.simulate_linear_gaussian_batch(params, mean_coef, cov_chol, 37, 0.0, 1.0, 0.02, seed=d)
     assert np.any(np.diff(batch.local_time, axis=1) > 0.0)
     stats = qlearn.orthogonality_stats(pp, batch, params.rho, chain_rule)
-    loop = orthogonality_rows_loop(pp, batch, params.rho, chain_rule)
     assert stats.n_paths == 37 and stats.components == qlearn._component_names(d)
-    _assert_rows_close(stats.rows, loop)
-    _assert_rows_close(stats.means, loop.mean(axis=0))
-    assert np.allclose(stats.stderrs, loop.std(axis=0, ddof=1) / math.sqrt(37), rtol=1e-12, atol=0.0)
-    # update reads a 1-row block, which repeats the per-episode arithmetic exactly
-    for path, row in zip(batch, loop):
+    # the states-form q of the per-episode loop, and the (u_k, X_k) form read off each path
+    loop = orthogonality_rows_loop(pp, batch, params.rho, chain_rule)
+    increments = np.array([
+        increment_statistics(pp, params.rho, path.times, path.actions / (1.0 + path.states[:-1, None]),
+                             np.diff(np.log1p(path.states)) - np.diff(path.local_time), chain_rule)
+        for path in batch
+    ])
+    for reference in (loop, increments):
+        _assert_rows_close(stats.rows, reference)
+        _assert_rows_close(stats.means, reference.mean(axis=0))
+        assert np.allclose(stats.stderrs, reference.std(axis=0, ddof=1) / math.sqrt(37), rtol=1e-12, atol=0.0)
+    # update reads a 1-row block, which rounds like its row of a 16-row or a 5-row block
+    for path, row in zip(batch, stats.rows):
         sx, s1, s2, _ = qlearn.update_statistics(pp, path, params.rho, chain_rule)
         assert np.array_equal(np.concatenate([[sx], s1, s2.ravel()]), row)
 

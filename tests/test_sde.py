@@ -273,6 +273,27 @@ def test_kernel_matches_loop_oracles(params_ref, pp_star, case):
     assert batch.clamp_events == batch_loop.clamp_events
 
 
+@pytest.mark.parametrize("cap", [sde.DEFAULT_ACTION_CAP, 1.5])
+def test_local_time_is_the_push(params_ref, pp_star, cap):
+    # L is the push of the Lindley recursion from L_0 = +0.0, and a replay after a clamp
+    # adds its push to L_k, so L stays continuous and non-decreasing across the replay
+    mean_coef, cov_chol = pp_star.policy_coefficients()
+    args = (params_ref, mean_coef, cov_chol, 20, 0.0, 4.0, 0.01, 33, cap)
+    batch, loop = sde.simulate_linear_gaussian_batch(*args), simulate_linear_gaussian_batch_loop(*args)
+    L = batch.local_time
+    _assert_close((L,), (loop.local_time,))
+    dL = np.diff(L, axis=1)
+    assert np.array_equal(dL > 0.0, np.diff(loop.local_time, axis=1) > 0.0)
+    assert not np.signbit(L).any()   # zeros are 0.0, never -0.0
+    assert np.all(dL >= 0.0)
+    assert np.all(batch.states[:, 1:][dL > 0.0] == 0.0)
+    clamped = np.linalg.norm(batch.actions, axis=2) >= cap * (1.0 - 1e-12)
+    assert (batch.clamp_events > 0) == (cap < 10.0) == clamped.any()
+    if cap < 10.0:   # replays start after some local time has built up
+        assert batch.clamp_events == np.count_nonzero(clamped)
+        assert np.count_nonzero(L[:, :-1][clamped] > 0.0) > 10
+
+
 def test_kernel_names_non_finite_path_and_step(params_ref):
     # with no cap, a mean action of 1e200 overflows y within a few steps
     args = (params_ref, [1e200], [[1.0]], 20, 1.0, 0.1, 0.01, 5, math.inf)
