@@ -133,8 +133,6 @@ def load_prices(path) -> PriceSeries:
         if not all(isinstance(t, float) for t in stamps):
             raise ValidationError("mixed numeric and date timestamps")
         times = np.array(stamps, dtype=float)
-    if np.any(np.diff(times) <= 0.0):
-        raise ValidationError("timestamps must be strictly increasing")
     return PriceSeries(
         times=times,
         benchmark=np.array(bench),

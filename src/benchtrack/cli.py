@@ -39,6 +39,24 @@ class ConfigError(ValueError):
     """Missing or malformed configuration."""
 
 
+# Every key that a command reads, per config block.  A key outside its block's
+# set is refused, so a misspelt or retired option fails instead of being
+# ignored.  The top level, diagnose.params and learned snapshots may carry
+# other keys.  One set serves every strategy type.
+CONFIG_KEYS = {
+    "model": {"mu", "sigma", "sigma_z", "kappa", "eta", "rho"},
+    "grid": {"y_max", "step"},
+    "simulate": {"gamma", "scheme", "n_paths", "y0", "T", "dt", "ks_check"},
+    "train": {"seed", "T", "dt", "gamma", "resume", "init", "y0", "episodes"},
+    "train.init": {"xi", "psi1", "psi2"},
+    "diagnose": {"seed", "gamma", "y0", "n_paths", "params", "T", "dt", "xi_shift", "sweep"},
+    "diagnose.sweep": {"dt_list", "T_list", "n_paths"},
+    "backtest": {"prices", "v0", "rho", "strategies", "baseline_index"},
+    "strategy": {"type", "name", "train_fraction", "kappa", "model", "params", "gamma", "execution",
+                 "sample_seed"},
+}
+
+
 def _setup_logging() -> None:
     level = os.environ.get("BENCHTRACK_LOG", "INFO").upper()
     logging.basicConfig(
@@ -68,6 +86,18 @@ def _require(cfg: dict, key: str, where: str = "config"):
     return cfg[key]
 
 
+def _known(blk, block: str, where: str | None = None) -> dict:
+    """blk, once it is a mapping with no key outside CONFIG_KEYS[block]; where names it in errors."""
+    where = where or block
+    if not isinstance(blk, dict):
+        raise ConfigError(f"{where} must be a mapping, got {blk!r}")
+    for key in blk:
+        if key not in CONFIG_KEYS[block]:
+            raise ConfigError(f"{where} has unknown key {key!r}: it reads only "
+                              f"{', '.join(sorted(CONFIG_KEYS[block]))}")
+    return blk
+
+
 def _horizon(blk: dict, where: str) -> tuple[float, float]:
     """(T, dt) of a config block; T must be a positive whole number of dt steps."""
     T = float(_require(blk, "T", where))
@@ -84,7 +114,7 @@ def _check_horizon(T: float, dt: float, where: str) -> None:
 
 
 def _model_params(cfg: dict) -> ModelParams:
-    m = _require(cfg, "model")
+    m = _known(_require(cfg, "model"), "model")
     try:
         params = ModelParams(
             mu=np.asarray(_require(m, "mu", "model"), dtype=float),
@@ -128,7 +158,7 @@ def _json_default(obj):
 def cmd_solve(cfg: dict, seed: int | None, out: Path) -> int:
     params = _model_params(cfg)
     gamma = float(cfg.get("gamma", params.rho / params.d))
-    grid_cfg = cfg.get("grid", {})
+    grid_cfg = _known(cfg.get("grid", {}), "grid")
     y_max = float(grid_cfg.get("y_max", 10.0))
     step = float(grid_cfg.get("step", 0.01))
 
@@ -171,7 +201,7 @@ def cmd_solve(cfg: dict, seed: int | None, out: Path) -> int:
 
 def cmd_simulate(cfg: dict, seed: int | None, out: Path) -> int:
     params = _model_params(cfg)
-    sim = _require(cfg, "simulate")
+    sim = _known(_require(cfg, "simulate"), "simulate")
     gamma = float(sim.get("gamma", params.rho / params.d))
     scheme = sim.get("scheme", "episode")
     n_paths = int(sim.get("n_paths", 1))
@@ -217,32 +247,10 @@ def cmd_simulate(cfg: dict, seed: int | None, out: Path) -> int:
     return 0
 
 
-def _schedule_from_cfg(block: dict | None) -> qlearn.ScheduleSpec:
-    if not block:
-        return qlearn.DEFAULT_SCHEDULE
-    def regime(b, default):
-        if "coef_xi" in b:
-            raise ConfigError(
-                "train.schedule coef_xi is not used: xi moves by the running mean of "
-                "the exact per-episode roots of its orthogonality condition "
-                "(step stat_xi / (c i)); remove coef_xi"
-            )
-        return qlearn.ScheduleRegime(
-            coef_psi1=float(b.get("coef_psi1", default.coef_psi1)),
-            coef_psi2=float(b.get("coef_psi2", default.coef_psi2)),
-            power=float(b.get("power", default.power)),
-        )
-    d = qlearn.DEFAULT_SCHEDULE
-    return qlearn.ScheduleSpec(
-        switch_episode=int(block.get("switch_episode", d.switch_episode)),
-        first=regime(block.get("first", {}), d.first),
-        second=regime(block.get("second", {}), d.second),
-    )
-
-
 def cmd_train(cfg: dict, seed: int | None, out: Path) -> int:
     params = _model_params(cfg)
-    tr = _require(cfg, "train")
+    tr = _known(_require(cfg, "train"), "train")
+    init = _known(tr.get("init", {}), "train.init")
     seed = int(tr.get("seed", 0)) if seed is None else seed
     T, dt = _horizon(tr, "train")
     gamma = float(tr.get("gamma", params.rho / params.d))
@@ -260,7 +268,6 @@ def cmd_train(cfg: dict, seed: int | None, out: Path) -> int:
         start_episode = int(_require(snap, "episodes", resume)) + 1
         log.info("resuming from %s at episode %d", resume, start_episode)
 
-    init = tr.get("init", {})
     if "xi" in init and start_episode == 1:
         raise ConfigError(
             "train.init.xi has no effect on a run from episode 1: xi is the running mean "
@@ -272,18 +279,14 @@ def cmd_train(cfg: dict, seed: int | None, out: Path) -> int:
         dt=dt,
         n_episodes=int(_require(tr, "episodes", "train")),
         gamma=gamma,
-        rho=float(tr.get("rho", params.rho)),
+        rho=params.rho,
         seed=seed,
-        schedule=_schedule_from_cfg(tr.get("schedule")),
         xi0=float(init.get("xi", init_xi)),
         psi1_0=np.asarray(init["psi1"], dtype=float) if "psi1" in init else init_psi1,
         psi2_0=np.asarray(init["psi2"], dtype=float) if "psi2" in init else init_psi2,
-        chain_rule=bool(tr.get("chain_rule", True)),
-        update_clip=float(tr.get("update_clip", 1.0)),
         start_episode=start_episode,
     )
-    env = sde.Environment(params=params, dt=dt, action_cap=float(tr.get("action_cap", sde.DEFAULT_ACTION_CAP)))
-    history = qlearn.train(config, env)
+    history = qlearn.train(config, sde.Environment(params=params, dt=dt))
     history.to_csv(out / "history.csv")
     _write_json(out / "history.meta.json", {"rows": len(history.episodes)}, cfg, seed)
     _write_json(out / "learned.json", history.summary(), cfg, seed)
@@ -292,10 +295,12 @@ def cmd_train(cfg: dict, seed: int | None, out: Path) -> int:
 
 def cmd_diagnose(cfg: dict, seed: int | None, out: Path) -> int:
     params = _model_params(cfg)
-    dg = _require(cfg, "diagnose")
+    dg = _known(_require(cfg, "diagnose"), "diagnose")
+    sweep = dg.get("sweep")
+    if sweep is not None:
+        _known(sweep, "diagnose.sweep")
     seed = int(dg.get("seed", 0)) if seed is None else seed
     gamma = float(dg.get("gamma", params.rho / params.d))
-    rho = float(dg.get("rho", params.rho))
     y0 = float(dg.get("y0", 1.0))
     n_paths = int(dg.get("n_paths", 1000))
 
@@ -309,14 +314,13 @@ def cmd_diagnose(cfg: dict, seed: int | None, out: Path) -> int:
         _check_paths(n_paths, "diagnose.n_paths")
         mean_coef, cov_chol = pp.policy_coefficients()
         blocks = sde.linear_gaussian_blocks(params, mean_coef, cov_chol, n_paths, y0, T, dt, seed)
-        stats = qlearn.orthogonality_stats(pp, blocks, rho)
+        stats = qlearn.orthogonality_stats(pp, blocks, params.rho)
         payload["orthogonality"] = stats.as_dict()
         payload["all_within_3_sigma"] = bool(np.all(np.abs(stats.z_scores()) < 3.0))
         shift = dg.get("xi_shift")
         if shift is not None:
             payload["xi_shift_control"] = stats.shifted(float(shift)).as_dict()
 
-    sweep = dg.get("sweep")
     if sweep is not None:
         dt_list = [float(x) for x in sweep.get("dt_list", [])]
         T_list = [float(x) for x in sweep.get("T_list", [])]
@@ -373,8 +377,8 @@ def _check_state(y: float) -> None:
         raise DomainError(f"state must be >= 0, got {y!r}")
 
 
-def _strategy_from_cfg(blk: dict, prices: bt.PriceSeries, rho: float):
-    kind = _require(blk, "type", "strategy")
+def _strategy_from_cfg(blk, prices: bt.PriceSeries, rho: float, where: str = "strategy"):
+    kind = _require(_known(blk, "strategy", where), "type", "strategy")
     name = blk.get("name", kind)
     if kind == "mle":
         frac = float(blk.get("train_fraction", 0.5))
@@ -420,7 +424,7 @@ def _strategy_from_cfg(blk: dict, prices: bt.PriceSeries, rho: float):
 
 
 def cmd_backtest(cfg: dict, seed: int | None, out: Path) -> int:
-    blk = _require(cfg, "backtest")
+    blk = _known(_require(cfg, "backtest"), "backtest")
     v0 = float(_require(blk, "v0", "backtest"))
     rho = float(_require(blk, "rho", "backtest"))
     strategies = _require(blk, "strategies", "backtest")
@@ -433,9 +437,11 @@ def cmd_backtest(cfg: dict, seed: int | None, out: Path) -> int:
             f"{len(strategies)} strategies (0 to {len(strategies) - 1})"
         )
     prices = bt.load_prices(_require(blk, "prices", "backtest"))
+    # every strategy is built before the first one runs, so a bad one writes nothing
+    built = [_strategy_from_cfg(sblk, prices, rho, f"backtest.strategies[{i}]")
+             for i, sblk in enumerate(strategies)]
     results = []
-    for sblk in strategies:
-        name, strat = _strategy_from_cfg(sblk, prices, rho)
+    for name, strat in built:
         res = bt.run_tracking(prices, strat, v0, rho, name=name)
         res.to_csv(out / f"backtest_{name}.csv")
         _write_json(out / f"backtest_{name}.meta.json", res.summary(), cfg, seed)

@@ -62,9 +62,6 @@ __all__ = [
     "GaussianSpec",
     "PolicyParams",
     "Rates",
-    "ScheduleRegime",
-    "ScheduleSpec",
-    "DEFAULT_SCHEDULE",
     "LearnConfig",
     "TrainHistory",
     "OrthogonalityStats",
@@ -80,6 +77,13 @@ __all__ = [
 ]
 
 PSI2_FLOOR = 1e-6
+# the psi learning rates coef i^-power at episode i: (coef_psi1, coef_psi2, power) up to
+# SWITCH_EPISODE, then the second regime
+SWITCH_EPISODE = 10_000
+FIRST_RATES = (0.1, 0.01, 0.61)
+SECOND_RATES = (0.05, 0.005, 0.81)
+UPDATE_CLIP = 1.0       # the largest norm of one (psi1, psi2) step
+REJECT_FRACTION = 0.1   # train stops once more than this share of its episodes is rejected
 
 
 class SingularPsi2(ValueError):
@@ -233,8 +237,7 @@ def _statistics_workspace(rows: int, K: int, d: int) -> SimpleNamespace:
 _episode_workspace = lru_cache(maxsize=4)(partial(_statistics_workspace, 1))
 
 
-def _test_sums(pp: PolicyParams, w: np.ndarray, u: np.ndarray, chain_rule: bool, wu: np.ndarray,
-               wuu: np.ndarray) -> np.ndarray:
+def _test_sums(pp: PolicyParams, w: np.ndarray, u: np.ndarray, wu: np.ndarray, wuu: np.ndarray) -> np.ndarray:
     """Per path, sum_k w_k times the tests 1, u_k and -u_k u_k' psi2, as rows ordered like _component_names.
 
     w is (n, K), or (K,) when every path shares it, u holds d (n, K)
@@ -250,21 +253,19 @@ def _test_sums(pp: PolicyParams, w: np.ndarray, u: np.ndarray, chain_rule: bool,
         np.multiply(w, u[i], out=wu).sum(axis=1, out=stat_psi1[:, i])
         for j in range(i + 1):
             outer_sum[:, j, i] = outer_sum[:, i, j] = np.multiply(wu, u[j], out=wuu).sum(axis=1)
-    stat_psi2 = -outer_sum @ pp.psi2
-    if chain_rule:
-        # psi3's gradient, -b for psi1 and (b b' + gamma prec) psi2 for psi2,
-        # is the same at every step, so it enters weighted by sum_k w_k = stat_xi
-        stat_xi = rows[:, :1]
-        b = pp.mean_coef
-        stat_psi1 -= b * stat_xi
-        stat_psi2 = stat_psi2 + (b[:, None] * b + pp.gamma * pp.precision) @ pp.psi2 * stat_xi[..., None]
+    # psi3's gradient, -b for psi1 and (b b' + gamma prec) psi2 for psi2,
+    # is the same at every step, so it enters weighted by sum_k w_k = stat_xi
+    stat_xi = rows[:, :1]
+    b = pp.mean_coef
+    stat_psi1 -= b * stat_xi
+    stat_psi2 = -outer_sum @ pp.psi2 + (b[:, None] * b + pp.gamma * pp.precision) @ pp.psi2 * stat_xi[..., None]
     rows[:, 1 + d :] = stat_psi2.reshape(n, d * d)
     return rows
 
 
 def _episode_statistics(
     pp: PolicyParams, rho: float, times: np.ndarray, states: np.ndarray, actions: np.ndarray,
-    local_time: np.ndarray, chain_rule: bool, ws: SimpleNamespace, xi_derivative: bool = False,
+    local_time: np.ndarray, ws: SimpleNamespace, xi_derivative: bool = False,
 ) -> tuple[np.ndarray, np.ndarray | None, float]:
     """Discount-weighted orthogonality sums of a block of episodes, one row per path.
 
@@ -295,13 +296,13 @@ def _episode_statistics(
     p *= dt
     g -= p
     g *= disc
-    rows = _test_sums(pp, g, u, chain_rule, p, t)
-    d_rows = _test_sums(pp, -rho * dt * disc, u, chain_rule, p, t) if xi_derivative else None
+    rows = _test_sums(pp, g, u, p, t)
+    d_rows = _test_sums(pp, -rho * dt * disc, u, p, t) if xi_derivative else None
     return rows, d_rows, rho * dt * float(disc.sum())
 
 
 def update_statistics(
-    pp: PolicyParams, path: sde.EpisodePath, rho: float, chain_rule: bool = True
+    pp: PolicyParams, path: sde.EpisodePath, rho: float
 ) -> tuple[float, np.ndarray, np.ndarray, float]:
     """One episode's raw update sums (sum_k e^{-rho t_k} grad q * G_k) and its xi slope c.
 
@@ -310,7 +311,7 @@ def update_statistics(
     the parameters.
     """
     rows, _, c = _episode_statistics(
-        pp, rho, path.times, path.states[None], path.actions[None], path.local_time[None], chain_rule,
+        pp, rho, path.times, path.states[None], path.actions[None], path.local_time[None],
         _episode_workspace(*path.actions.shape),
     )
     d = pp.d
@@ -339,20 +340,19 @@ def _project_psi2(psi2: np.ndarray) -> np.ndarray:
 
 
 def update(
-    pp: PolicyParams, path: sde.EpisodePath, rates: Rates, rho: float, xi_weight: float, chain_rule: bool = True,
-    update_clip: float = 1.0,
+    pp: PolicyParams, path: sde.EpisodePath, rates: Rates, rho: float, xi_weight: float
 ) -> tuple[PolicyParams, UpdateInfo]:
     """Apply one stochastic-approximation step from an on-policy episode.
 
     xi moves the fraction xi_weight of the way to the exact root
     xi + stat_xi / c of its own condition (c from update_statistics).  psi1 and
     psi2 move by their rates times their statistics, and the norm of that
-    step is capped at update_clip; the xi step is neither clipped nor counted
+    step is capped at UPDATE_CLIP; the xi step is neither clipped nor counted
     in the norm.  Non-finite updates raise NonFiniteUpdate so the caller can
     skip and count them.  psi3 needs no explicit refresh because it is always
     derived.
     """
-    stat_xi, stat_psi1, stat_psi2, c = update_statistics(pp, path, rho, chain_rule)
+    stat_xi, stat_psi1, stat_psi2, c = update_statistics(pp, path, rho)
     d_xi = xi_weight * stat_xi / c
     d_psi1 = rates.alpha_psi1 * stat_psi1
     d_psi2 = rates.alpha_psi2 * stat_psi2
@@ -361,8 +361,8 @@ def update(
         raise NonFiniteUpdate("episode produced a non-finite update")
     norm = math.sqrt(vec.dot(vec))   # np.linalg.norm's formula for a real vector
     clipped = False
-    if update_clip is not None and norm > update_clip:
-        factor = update_clip / norm
+    if norm > UPDATE_CLIP:
+        factor = UPDATE_CLIP / norm
         d_psi1 = d_psi1 * factor
         d_psi2 = d_psi2 * factor
         clipped = True
@@ -370,42 +370,20 @@ def update(
     return new, UpdateInfo(norm=norm, clipped=clipped)
 
 
-@dataclass(frozen=True)
-class ScheduleRegime:
-    coef_psi1: float
-    coef_psi2: float
-    power: float
-
-
-@dataclass(frozen=True)
-class ScheduleSpec:
-    """Piecewise power decay of the psi learning rates over episodes."""
-
-    switch_episode: int = 10_000
-    first: ScheduleRegime = ScheduleRegime(0.1, 0.01, 0.61)
-    second: ScheduleRegime = ScheduleRegime(0.05, 0.005, 0.81)
-
-
-DEFAULT_SCHEDULE = ScheduleSpec()
-
-
-def schedule(i: int, spec: ScheduleSpec = DEFAULT_SCHEDULE) -> Rates:
-    """psi learning rates for episode i (1-based)."""
+def schedule(i: int) -> Rates:
+    """psi learning rates for episode i (1-based): piecewise power decay."""
     if i < 1:
         raise ValueError(f"episode index must be >= 1, got {i}")
-    regime = spec.first if i <= spec.switch_episode else spec.second
-    decay = float(i) ** (-regime.power)
-    return Rates(
-        alpha_psi1=regime.coef_psi1 * decay,
-        alpha_psi2=regime.coef_psi2 * decay,
-    )
+    coef_psi1, coef_psi2, power = FIRST_RATES if i <= SWITCH_EPISODE else SECOND_RATES
+    decay = float(i) ** (-power)
+    return Rates(alpha_psi1=coef_psi1 * decay, alpha_psi2=coef_psi2 * decay)
 
 
 @dataclass
 class LearnConfig:
     """Offline training run configuration.
 
-    `schedule` sets the psi rates; xi follows the running mean of its
+    schedule() sets the psi rates; xi follows the running mean of its
     per-episode roots (see the module docstring).
     """
 
@@ -416,14 +394,10 @@ class LearnConfig:
     gamma: float
     rho: float
     seed: int
-    schedule: ScheduleSpec = DEFAULT_SCHEDULE
     xi0: float = 0.0
     psi1_0: np.ndarray | None = None
     psi2_0: np.ndarray | None = None
-    chain_rule: bool = True
-    update_clip: float = 1.0
     start_episode: int = 1
-    reject_fraction: float = 0.1
 
     def __post_init__(self):
         if self.n_episodes < 1:
@@ -489,12 +463,15 @@ def train(config: LearnConfig, env: sde.Environment) -> TrainHistory:
     xi moves by stat_xi / (c i) at global episode i, so it is the running
     mean of the per-episode roots of its condition: a run from episode 1
     gives xi0 no weight, and a resumed run treats xi0 as the mean of the
-    i - 1 earlier roots.  psi1 and psi2 follow the schedule's rates.
+    i - 1 earlier roots.  psi1 and psi2 follow schedule()'s rates.  A start
+    whose psi2 psi2' the policy cannot invert raises SingularPsi2 before the
+    first episode.
     """
     if not math.isclose(env.dt, config.dt, rel_tol=1e-12):
         raise ValueError(f"environment step {env.dt} != config step {config.dt}")
     d = env.params.d
     pp = config.initial_params(d)
+    pp.precision   # raises SingularPsi2 for a start that would reject every episode
     n = config.n_episodes
     hist_xi = np.empty(n)
     hist_psi1 = np.empty((n, d))
@@ -509,18 +486,17 @@ def train(config: LearnConfig, env: sde.Environment) -> TrainHistory:
     stream = sde.episode_streams()
     clamps_before = env.clamp_events
     rejected: list[int] = []
-    max_rejected = config.reject_fraction * n
+    max_rejected = REJECT_FRACTION * n
     for idx, i in enumerate(episodes):
         rng = stream(config.seed, int(i))
-        rates = schedule(int(i), config.schedule)
+        rates = schedule(int(i))
         try:
             mean_coef, cov_chol = pp.policy_coefficients()
             states, actions, local = sde.rollout_linear_gaussian(
                 env, mean_coef, cov_chol, config.y0, config.n_steps, rng, workspace=workspace
             )
             path = sde.EpisodePath(times=times, states=states, actions=actions, local_time=local)
-            pp, info = update(pp, path, rates, config.rho, xi_weight=1.0 / i, chain_rule=config.chain_rule,
-                              update_clip=config.update_clip)
+            pp, info = update(pp, path, rates, config.rho, xi_weight=1.0 / i)
             hist_norm[idx] = info.norm
             hist_clip[idx] = info.clipped
         except (NonFiniteUpdate, sde.NonFinite, SingularPsi2):
@@ -528,7 +504,7 @@ def train(config: LearnConfig, env: sde.Environment) -> TrainHistory:
             if len(rejected) > max_rejected:
                 raise TooManyRejectedEpisodes(
                     f"{len(rejected)} of {idx + 1} episodes rejected "
-                    f"(limit {config.reject_fraction:.0%} of {n})"
+                    f"(limit {REJECT_FRACTION:.0%} of {n})"
                 )
         hist_xi[idx] = pp.xi
         hist_psi1[idx] = pp.psi1
@@ -580,12 +556,7 @@ def _component_names(d: int) -> list[str]:
     return names
 
 
-def orthogonality_stats(
-    pp: PolicyParams,
-    paths,
-    rho: float,
-    chain_rule: bool = True,
-) -> OrthogonalityStats:
+def orthogonality_stats(pp: PolicyParams, paths, rho: float) -> OrthogonalityStats:
     """Estimate E[sum_k test * (M_{k+1} - M_k)] per test function.
 
     paths is a BatchPaths or an iterable of them, such as the blocks of
@@ -602,8 +573,8 @@ def orthogonality_stats(
         for start in range(0, len(batch.states), sde.BLOCK_ROWS):
             block = slice(start, start + sde.BLOCK_ROWS)
             r, dr, _ = _episode_statistics(
-                pp, rho, batch.times, batch.states[block], batch.actions[block], batch.local_time[block],
-                chain_rule, ws, xi_derivative=True,
+                pp, rho, batch.times, batch.states[block], batch.actions[block], batch.local_time[block], ws,
+                xi_derivative=True,
             )
             rows.append(r)
             d_rows.append(dr)
@@ -621,7 +592,6 @@ def convergence_study(
     n_paths: int,
     y0: float,
     seed: int,
-    chain_rule: bool = True,
 ) -> list[dict]:
     """Orthogonality statistics at a frozen pp across (dt, T) cells.
 
@@ -639,7 +609,7 @@ def convergence_study(
     for dt in dt_list:
         for T in T_list:
             blocks = sde.linear_gaussian_blocks(params, mean_coef, cov_chol, n_paths, y0, T, dt, seed)
-            stats = orthogonality_stats(pp, blocks, params.rho, chain_rule)
+            stats = orthogonality_stats(pp, blocks, params.rho)
             tail = math.exp(-params.rho * T) * (
                 2.0 * h0 + 2.0 * abs(mu_hat) * T + s * math.sqrt(2.0 * T / math.pi)
             )

@@ -39,7 +39,7 @@ def one_step_path(y: float, a, y_next: float, dL: float, dt: float) -> sde.Episo
     )
 
 
-def q_gradient(pp: qlearn.PolicyParams, rho: float, y: float, a, chain_rule: bool = True):
+def q_gradient(pp: qlearn.PolicyParams, rho: float, y: float, a):
     """The psi-gradient of q at (y, a), read off the production update sums.
 
     On a one-step path the discount is 1, so stat_xi is the residual G_0 and
@@ -50,7 +50,7 @@ def q_gradient(pp: qlearn.PolicyParams, rho: float, y: float, a, chain_rule: boo
     j = qlearn.j_value(pp, y)
     target = j + qlearn.q_value(pp, rho, y, a) * dt + rho * j * dt + 1.0
     path = one_step_path(y, a, math.expm1(target - pp.xi), 0.0, dt)
-    g0, s1, s2, _ = qlearn.update_statistics(pp, path, rho, chain_rule)
+    g0, s1, s2, _ = qlearn.update_statistics(pp, path, rho)
     return s1 / g0, s2 / g0
 
 

@@ -350,7 +350,7 @@ def export_paths_csv_per_row(
             json.dump(metadata or {}, fh, indent=2, default=str)
 
 
-def episode_statistics_loop(pp, rho: float, ep: sde.EpisodePath, chain_rule: bool = True) -> np.ndarray:
+def episode_statistics_loop(pp, rho: float, ep: sde.EpisodePath) -> np.ndarray:
     """One episode's orthogonality sums as a row (xi, psi1, psi2 raveled).
 
     The package's per-episode statistics from before they were computed per
@@ -375,11 +375,10 @@ def episode_statistics_loop(pp, rho: float, ep: sde.EpisodePath, chain_rule: boo
     stat_xi = float(np.sum(w))
     stat_psi1 = (actions / s[:, None]).T @ w
     outer_sum = np.einsum("k,kd,ke->de", w / (s * s), actions, actions)
-    return _statistics_row(pp, stat_xi, stat_psi1, -outer_sum @ pp.psi2, chain_rule)
+    return _statistics_row(pp, stat_xi, stat_psi1, -outer_sum @ pp.psi2)
 
 
-def increment_statistics(pp, rho: float, times: np.ndarray, u: np.ndarray, x: np.ndarray,
-                         chain_rule: bool = True) -> np.ndarray:
+def increment_statistics(pp, rho: float, times: np.ndarray, u: np.ndarray, x: np.ndarray) -> np.ndarray:
     """One path's orthogonality sums from its relative actions u (K, d) and log-increments x (K,) alone.
 
     J = ln(1+y) + xi makes q + rho J = psi1'u - |psi2'u|^2 / 2 + psi3 + rho xi,
@@ -391,22 +390,21 @@ def increment_statistics(pp, rho: float, times: np.ndarray, u: np.ndarray, x: np
     g = x - (u @ pp.psi1 - 0.5 * (pu * pu).sum(axis=1) + pp.psi3 + rho * pp.xi) * dt
     w = np.exp(-rho * times[:-1]) * g
     stat_psi2 = -np.einsum("k,kd,ke->de", w, u, u) @ pp.psi2
-    return _statistics_row(pp, float(np.sum(w)), u.T @ w, stat_psi2, chain_rule)
+    return _statistics_row(pp, float(np.sum(w)), u.T @ w, stat_psi2)
 
 
-def _statistics_row(pp, stat_xi, stat_psi1, stat_psi2, chain_rule):
+def _statistics_row(pp, stat_xi, stat_psi1, stat_psi2):
     """(xi, psi1, psi2 raveled), with psi3's gradient added through the chain rule."""
-    if chain_rule:
-        prec = pp.precision
-        b = prec @ pp.psi1
-        stat_psi1 = stat_psi1 - b * stat_xi
-        stat_psi2 = stat_psi2 + (np.outer(b, b) + pp.gamma * prec) @ pp.psi2 * stat_xi
+    prec = pp.precision
+    b = prec @ pp.psi1
+    stat_psi1 = stat_psi1 - b * stat_xi
+    stat_psi2 = stat_psi2 + (np.outer(b, b) + pp.gamma * prec) @ pp.psi2 * stat_xi
     return np.concatenate([[stat_xi], stat_psi1.ravel(), stat_psi2.ravel()])
 
 
-def orthogonality_rows_loop(pp, paths, rho: float, chain_rule: bool = True) -> np.ndarray:
+def orthogonality_rows_loop(pp, paths, rho: float) -> np.ndarray:
     """Per-path sums, one episode at a time: the reference rows of qlearn.orthogonality_stats."""
-    return np.array([episode_statistics_loop(pp, rho, ep, chain_rule) for ep in paths])
+    return np.array([episode_statistics_loop(pp, rho, ep) for ep in paths])
 
 
 def run_tracking_loop(
@@ -473,6 +471,7 @@ def train_loop(config: qlearn.LearnConfig, env: sde.Environment) -> qlearn.Train
         raise ValueError(f"environment step {env.dt} != config step {config.dt}")
     d = env.params.d
     pp = config.initial_params(d)
+    pp.precision   # a start with no Gibbs policy raises SingularPsi2, as in qlearn.train
     n = config.n_episodes
     hist_xi = np.empty(n)
     hist_psi1 = np.empty((n, d))
@@ -484,25 +483,17 @@ def train_loop(config: qlearn.LearnConfig, env: sde.Environment) -> qlearn.Train
     times = np.linspace(0.0, config.T, config.n_steps + 1)
     clamps_before = env.clamp_events
     rejected: list[int] = []
-    max_rejected = config.reject_fraction * n
+    max_rejected = qlearn.REJECT_FRACTION * n
     for idx, i in enumerate(episodes):
         rng = sde.episode_rng(config.seed, int(i))
-        rates = qlearn.schedule(int(i), config.schedule)
+        rates = qlearn.schedule(int(i))
         try:
             mean_coef, cov_chol = pp.policy_coefficients()
             states, actions, local = sde.rollout_linear_gaussian(
                 env, mean_coef, cov_chol, config.y0, config.n_steps, rng
             )
             path = sde.EpisodePath(times=times, states=states, actions=actions, local_time=local)
-            pp, info = qlearn.update(
-                pp,
-                path,
-                rates,
-                config.rho,
-                xi_weight=1.0 / i,
-                chain_rule=config.chain_rule,
-                update_clip=config.update_clip,
-            )
+            pp, info = qlearn.update(pp, path, rates, config.rho, xi_weight=1.0 / i)
             hist_norm[idx] = info.norm
             hist_clip[idx] = info.clipped
         except (qlearn.NonFiniteUpdate, sde.NonFinite, qlearn.SingularPsi2):
@@ -510,7 +501,7 @@ def train_loop(config: qlearn.LearnConfig, env: sde.Environment) -> qlearn.Train
             if len(rejected) > max_rejected:
                 raise qlearn.TooManyRejectedEpisodes(
                     f"{len(rejected)} of {idx + 1} episodes rejected "
-                    f"(limit {config.reject_fraction:.0%} of {n})"
+                    f"(limit {qlearn.REJECT_FRACTION:.0%} of {n})"
                 )
         hist_xi[idx] = pp.xi
         hist_psi1[idx] = pp.psi1

@@ -275,33 +275,28 @@ def test_criterion_9_gradient_checks(classical_ref, exploratory_ref, pp_star):
 
     # parameterized q and the test functions; the analytic gradient is the one
     # in the production update sums, read off one-step paths
-    for chain in (True, False):
-        for _ in range(100):
-            pp = qlearn.PolicyParams(
-                xi=float(rng.normal()),
-                psi1=rng.normal(size=1),
-                psi2=[[float(rng.uniform(0.5, 1.5))]],
-                gamma=GAMMA,
-            )
-            y = float(rng.uniform(0.0, 5.0))
-            a = rng.normal(size=1)
-            g1, g2 = q_gradient(pp, RHO, y, a, chain_rule=chain)
+    for _ in range(100):
+        pp = qlearn.PolicyParams(
+            xi=float(rng.normal()),
+            psi1=rng.normal(size=1),
+            psi2=[[float(rng.uniform(0.5, 1.5))]],
+            gamma=GAMMA,
+        )
+        y = float(rng.uniform(0.0, 5.0))
+        a = rng.normal(size=1)
+        g1, g2 = q_gradient(pp, RHO, y, a)
 
-            def q_of(p1, p2, pp=pp, y=y, a=a, chain=chain):
-                ppx = qlearn.PolicyParams(pp.xi, [p1], [[p2]], GAMMA)
-                val = qlearn.q_value(ppx, RHO, y, a)
-                if not chain:
-                    val += pp.psi3 - ppx.psi3
-                return val
+        def q_of(p1, p2, pp=pp, y=y, a=a):
+            return qlearn.q_value(qlearn.PolicyParams(pp.xi, [p1], [[p2]], GAMMA), RHO, y, a)
 
-            worst = max(worst, rel_err(central_diff(lambda x: q_of(x, pp.psi2[0, 0]),
-                                                    pp.psi1[0]), g1[0], floor=1e-4))
-            worst = max(worst, rel_err(central_diff(lambda x: q_of(pp.psi1[0], x),
-                                                    pp.psi2[0, 0]), g2[0, 0], floor=1e-4))
-            # dJ/dxi is identically 1
-            jfd = (qlearn.j_value(qlearn.PolicyParams(pp.xi + 1e-5, pp.psi1, pp.psi2, GAMMA), y)
-                   - qlearn.j_value(qlearn.PolicyParams(pp.xi - 1e-5, pp.psi1, pp.psi2, GAMMA), y)) / 2e-5
-            worst = max(worst, abs(jfd - 1.0))
+        worst = max(worst, rel_err(central_diff(lambda x: q_of(x, pp.psi2[0, 0]),
+                                                pp.psi1[0]), g1[0], floor=1e-4))
+        worst = max(worst, rel_err(central_diff(lambda x: q_of(pp.psi1[0], x),
+                                                pp.psi2[0, 0]), g2[0, 0], floor=1e-4))
+        # dJ/dxi is identically 1
+        jfd = (qlearn.j_value(qlearn.PolicyParams(pp.xi + 1e-5, pp.psi1, pp.psi2, GAMMA), y)
+               - qlearn.j_value(qlearn.PolicyParams(pp.xi - 1e-5, pp.psi1, pp.psi2, GAMMA), y)) / 2e-5
+        worst = max(worst, abs(jfd - 1.0))
 
     ok = worst < 1e-6
     report(9, ok, f"worst relative derivative error {worst:.2e}")

@@ -3,12 +3,14 @@
 import csv
 import io
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
-from benchtrack import qlearn, sde
+from benchtrack import cli, qlearn, sde
 from benchtrack.cli import main
 from benchtrack.model import ModelParams, exploratory_constants
 from oracles import REF, orthogonality_rows_loop
@@ -170,16 +172,83 @@ def test_train_rejects_unused_xi_settings(tmp_path, caplog):
         return main(["train", "--config", write_config(tmp_path, {**MODEL_BLOCK, "train": train},
                                                       name=name), "--out", str(out)])
 
-    # xi moves to the mean of its per-episode roots, so an xi rate would be ignored
+    # the learning rates are not configurable, so an xi rate is refused with the rest of the schedule
     assert run({**base, "schedule": {"first": {"coef_xi": 0.03}}}, "rate.yaml") == 2
-    assert "coef_xi" in caplog.text and "roots of its orthogonality condition" in caplog.text
+    assert "train has unknown key 'schedule'" in caplog.text
     # and a start value for xi would get weight zero on a run from episode 1
     assert run({**base, "init": {"xi": 0.3}}, "init.yaml") == 2
     assert "init.xi" in caplog.text
     assert not (out / "learned.json").exists()
-    # the psi settings stay configurable
-    assert run({**base, "schedule": {"first": {"coef_psi1": 0.05}}, "init": {"psi1": [0.1]}},
-               "psi.yaml") == 0
+    # the psi start values stay configurable
+    assert run({**base, "init": {"psi1": [0.1]}}, "psi.yaml") == 0
+
+
+TRAIN_BLOCK = {"T": 1.0, "dt": 0.05, "episodes": 2}
+DIAGNOSE_BLOCK = {"T": 0.5, "dt": 0.05, "n_paths": 10, "sweep": {"dt_list": [0.05], "T_list": [0.5]}}
+
+
+@pytest.mark.parametrize("command, payload, where, key", [
+    # options that the learner no longer has, and rho, which always comes from model
+    ("train", {"train": {**TRAIN_BLOCK, "schedule": {"switch_episode": 5}}}, "train", "schedule"),
+    ("train", {"train": {**TRAIN_BLOCK, "chain_rule": False}}, "train", "chain_rule"),
+    ("train", {"train": {**TRAIN_BLOCK, "update_clip": 0.5}}, "train", "update_clip"),
+    ("train", {"train": {**TRAIN_BLOCK, "rho": 0.5}}, "train", "rho"),
+    ("train", {"train": {**TRAIN_BLOCK, "action_cap": 10.0}}, "train", "action_cap"),
+    ("diagnose", {"diagnose": {**DIAGNOSE_BLOCK, "rho": 0.5}}, "diagnose", "rho"),
+    # misspelt keys, one in each checked block
+    ("train", {"train": {"T": 1.0, "dt": 0.05, "epsiodes": 2}}, "train", "epsiodes"),
+    ("train", {"train": {**TRAIN_BLOCK, "init": {"psi_1": [0.1]}}}, "train.init", "psi_1"),
+    ("train", {"model": {**MODEL_BLOCK["model"], "sigmaz": 0.2}, "train": TRAIN_BLOCK}, "model", "sigmaz"),
+    ("solve", {"grid": {"y_max": 1.0, "stpe": 0.5}}, "grid", "stpe"),
+    ("simulate", {"simulate": {"n_paths": 2, "T": 0.1, "dt": 0.05, "ks_chek": True}}, "simulate", "ks_chek"),
+    ("diagnose", {"diagnose": {**DIAGNOSE_BLOCK, "xi_shfit": 0.5}}, "diagnose", "xi_shfit"),
+    ("diagnose", {"diagnose": {**DIAGNOSE_BLOCK, "sweep": {"dt_list": [0.05], "Tlist": [0.5]}}},
+     "diagnose.sweep", "Tlist"),
+])
+def test_unread_config_key_exits_2(tmp_path, caplog, command, payload, where, key):
+    cfg = write_config(tmp_path, {**MODEL_BLOCK, **payload})
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert f"{where} has unknown key {key!r}" in caplog.text
+    assert [p.name for p in out.iterdir()] == []
+
+
+def test_readme_configs_use_only_read_keys():
+    # the YAML files that the README's CLI quick start writes, block by block
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    quick_start = readme.split("## CLI quick start", 1)[1].split("\n## ", 1)[0]
+    configs = [yaml.safe_load(body) for body in re.findall(r"<<EOF\n(.*?)\nEOF\n", quick_start, re.S)]
+    assert len(configs) == 5
+    seen = set()
+    for cfg in configs:
+        blocks = {name: cfg.get(name) for name in ("model", "grid", "simulate", "train", "diagnose", "backtest")}
+        blocks["train.init"] = (blocks["train"] or {}).get("init")
+        blocks["diagnose.sweep"] = (blocks["diagnose"] or {}).get("sweep")
+        checked = [(block, blk) for block, blk in blocks.items() if blk is not None]
+        checked += [("strategy", s) for s in (blocks["backtest"] or {}).get("strategies", [])]
+        for block, blk in checked:
+            cli._known(blk, block)
+            seen.add(block)
+    # every checked block but train.init appears in the README
+    assert seen == set(cli.CONFIG_KEYS) - {"train.init"}
+
+
+@pytest.mark.parametrize("start", ["init", "resume"])
+def test_train_refuses_a_start_without_a_policy(tmp_path, caplog, start):
+    # psi2 psi2' = 1e-14 is under PSI2_FLOOR^2, so no episode could draw an action
+    train = dict(TRAIN_BLOCK)
+    if start == "init":
+        train["init"] = {"psi2": [[1.0e-7]]}
+    else:
+        snapshot = tmp_path / "learned.json"
+        snapshot.write_text(json.dumps({"xi": 0.36, "psi1": [0.37], "psi2": [[1.0e-7]], "episodes": 3,
+                                        "gamma": 0.2}))
+        train["resume"] = str(snapshot)
+    cfg = write_config(tmp_path, {**MODEL_BLOCK, "train": train})
+    out = tmp_path / "out"
+    assert main(["train", "--config", cfg, "--out", str(out)]) == 2
+    assert "psi2 psi2' is singular or ill-conditioned" in caplog.text
+    assert not (out / "learned.json").exists()
 
 
 def test_train_resume_keeps_the_snapshot_gamma(tmp_path, caplog):
@@ -391,6 +460,12 @@ def test_model_eta_must_have_unit_norm(tmp_path, caplog, model, code):
      "backtest.baseline_index is 2: it must index the 2 strategies (0 to 1)"),
     ({"strategies": [{"type": "classical"}]}, "strategy is missing required key 'model'"),
     ({"strategies": [{"type": "mle"}], "rows": 2}, "need at least 3 observations, got 2"),
+    # keys that the command does not read; a bad strategy after a good one stops both
+    ({"strategies": [{"type": "mle"}], "baseline": 0}, "backtest has unknown key 'baseline'"),
+    ({"strategies": [{"type": "mle"}, {"type": "mle", "name": "b", "excution": "mean"}]},
+     "backtest.strategies[1] has unknown key 'excution'"),
+    ({"strategies": [{"type": "mle"}, {"type": "classical", "model": {**MODEL_BLOCK["model"], "rh0": 1}}]},
+     "model has unknown key 'rh0'"),
 ])
 def test_backtest_bad_strategy_list_exits_2(tmp_path, caplog, backtest, message):
     backtest = dict(backtest)

@@ -90,26 +90,20 @@ def test_q_value_equals_the_states_form(d):
 def test_q_gradients_match_finite_differences():
     # the gradient in the production update sums, read off one-step paths
     rng = np.random.default_rng(2)
-    for chain in (True, False):
-        for _ in range(100):
-            pp = random_pp(rng)
-            y = float(rng.uniform(0.0, 5.0))
-            a = rng.normal(size=1)
-            g1, g2 = q_gradient(pp, RHO, y, a, chain_rule=chain)
+    for _ in range(100):
+        pp = random_pp(rng)
+        y = float(rng.uniform(0.0, 5.0))
+        a = rng.normal(size=1)
+        g1, g2 = q_gradient(pp, RHO, y, a)
 
-            def q_of(psi1x, psi2x):
-                ppx = qlearn.PolicyParams(pp.xi, [psi1x], [[psi2x]], GAMMA)
-                val = qlearn.q_value(ppx, RHO, y, a)
-                if not chain:
-                    # undo the psi3 recomputation: hold psi3 at the base value
-                    val += pp.psi3 - ppx.psi3
-                return val
+        def q_of(psi1x, psi2x):
+            return qlearn.q_value(qlearn.PolicyParams(pp.xi, [psi1x], [[psi2x]], GAMMA), RHO, y, a)
 
-            fd1 = central_diff(lambda x: q_of(x, pp.psi2[0, 0]), pp.psi1[0])
-            fd2 = central_diff(lambda x: q_of(pp.psi1[0], x), pp.psi2[0, 0])
-            # floor keeps the relative criterion meaningful near zero crossings
-            assert rel_err(fd1, g1[0], floor=1e-4) < 1e-6
-            assert rel_err(fd2, g2[0, 0], floor=1e-4) < 1e-6
+        fd1 = central_diff(lambda x: q_of(x, pp.psi2[0, 0]), pp.psi1[0])
+        fd2 = central_diff(lambda x: q_of(pp.psi1[0], x), pp.psi2[0, 0])
+        # floor keeps the relative criterion meaningful near zero crossings
+        assert rel_err(fd1, g1[0], floor=1e-4) < 1e-6
+        assert rel_err(fd2, g2[0, 0], floor=1e-4) < 1e-6
 
 
 def test_q_gradients_multidim_match_finite_differences():
@@ -119,7 +113,7 @@ def test_q_gradients_multidim_match_finite_differences():
         pp = random_pp(rng, d=d)
         y = float(rng.uniform(0.0, 3.0))
         a = rng.normal(size=d)
-        g1, g2 = q_gradient(pp, RHO, y, a, chain_rule=True)
+        g1, g2 = q_gradient(pp, RHO, y, a)
         for i in range(d):
             def f1(x, i=i):
                 p1 = pp.psi1.copy(); p1[i] = x
@@ -233,10 +227,8 @@ FIXTURE_PP = dict(xi=0.1, psi1=[0.5], psi2=[[1.2]], gamma=0.2)
 FIXTURE_EXPECT = {
     "psi3": -0.07318515959428913,
     "stat_xi": -0.08435223740348197,
-    "stat_psi1_chain": 0.3128302347614101,
-    "stat_psi2_chain": -0.11492912405609965,
-    "stat_psi1_plain": 0.28354126344075664,
-    "stat_psi2_plain": -0.08866667977191375,
+    "stat_psi1": 0.3128302347614101,
+    "stat_psi2": -0.11492912405609965,
     "xi_next": -0.054856115404267325,
     "psi1_next": 0.5062566046952282,
     "psi2_next": 1.196552126278317,
@@ -247,14 +239,10 @@ def test_update_statistics_hand_computed_fixture():
     pp = qlearn.PolicyParams(**FIXTURE_PP)
     path = sde.EpisodePath(**FIXTURE_PATH)
     assert pp.psi3 == pytest.approx(FIXTURE_EXPECT["psi3"], abs=1e-14)
-    sx, s1, s2, _ = qlearn.update_statistics(pp, path, RHO, chain_rule=True)
+    sx, s1, s2, _ = qlearn.update_statistics(pp, path, RHO)
     assert sx == pytest.approx(FIXTURE_EXPECT["stat_xi"], abs=1e-13)
-    assert s1[0] == pytest.approx(FIXTURE_EXPECT["stat_psi1_chain"], abs=1e-13)
-    assert s2[0, 0] == pytest.approx(FIXTURE_EXPECT["stat_psi2_chain"], abs=1e-13)
-    sx, s1, s2, _ = qlearn.update_statistics(pp, path, RHO, chain_rule=False)
-    assert sx == pytest.approx(FIXTURE_EXPECT["stat_xi"], abs=1e-13)
-    assert s1[0] == pytest.approx(FIXTURE_EXPECT["stat_psi1_plain"], abs=1e-13)
-    assert s2[0, 0] == pytest.approx(FIXTURE_EXPECT["stat_psi2_plain"], abs=1e-13)
+    assert s1[0] == pytest.approx(FIXTURE_EXPECT["stat_psi1"], abs=1e-13)
+    assert s2[0, 0] == pytest.approx(FIXTURE_EXPECT["stat_psi2"], abs=1e-13)
 
 
 def test_update_statistics_results_outlive_the_next_episode():
@@ -308,10 +296,10 @@ def test_update_zero_rate_and_zero_residual_are_noops(pp_star):
 def test_update_clips_and_projects():
     pp = qlearn.PolicyParams(**FIXTURE_PP)
     path = sde.EpisodePath(**FIXTURE_PATH)
-    new, info = qlearn.update(pp, path, qlearn.Rates(1e4, 1e4), RHO, xi_weight=1.0, update_clip=1.0)
+    new, info = qlearn.update(pp, path, qlearn.Rates(1e4, 1e4), RHO, xi_weight=1.0)
     assert info.clipped
     step = np.array([new.psi1[0] - pp.psi1[0], new.psi2[0, 0] - pp.psi2[0, 0]])
-    assert np.linalg.norm(step) <= 1.0 + 1e-9
+    assert np.linalg.norm(step) <= qlearn.UPDATE_CLIP + 1e-9
     # the xi root step is not clipped: 0.1 + stat_xi / c, c as in FIXTURE_EXPECT
     assert new.xi == pytest.approx(-0.20971223080853466, abs=1e-13)
     # psi2 projection floor
@@ -430,17 +418,12 @@ def test_train_counts_only_its_own_clamps(params_ref):
     assert env.clamp_events == 2 * first.clamp_events
 
 
-def test_train_near_fixed_point_stays_close(params_ref, exploratory_ref):
-    # tiny rates, initialized at the known solution: parameters barely move
-    tiny = qlearn.ScheduleSpec(
-        switch_episode=10_000,
-        first=qlearn.ScheduleRegime(0.01, 0.001, 0.61),
-        second=qlearn.ScheduleRegime(0.005, 0.0005, 0.81),
-    )
+def test_train_near_fixed_point_stays_close(params_ref, exploratory_ref, monkeypatch):
+    # a tenth of the first regime's rates, initialized at the known solution: parameters barely move
+    monkeypatch.setattr(qlearn, "schedule", lambda i: qlearn.Rates(0.01 * i ** -0.61, 0.001 * i ** -0.61))
     env = sde.Environment(params=params_ref, dt=0.02)
     cfg = qlearn.LearnConfig(
         y0=1.0, T=6.0, dt=0.02, n_episodes=2000, gamma=GAMMA, rho=RHO, seed=11,
-        schedule=tiny,
         xi0=exploratory_ref.xi_star,
         psi1_0=exploratory_ref.psi1_star,
         psi2_0=exploratory_ref.psi2_star,
@@ -451,19 +434,13 @@ def test_train_near_fixed_point_stays_close(params_ref, exploratory_ref):
     assert abs(hist.final.psi2[0, 0] - exploratory_ref.psi2_star[0, 0]) < 0.05
 
 
-def test_train_xi_is_mean_of_episode_roots(params_ref):
+def test_train_xi_is_mean_of_episode_roots(params_ref, monkeypatch):
     # with psi frozen every episode has the same policy, so the per-episode
     # roots xi + stat_xi / c can be replayed from the batch simulator
-    frozen = qlearn.ScheduleSpec(
-        first=qlearn.ScheduleRegime(0.0, 0.0, 0.61),
-        second=qlearn.ScheduleRegime(0.0, 0.0, 0.81),
-    )
+    monkeypatch.setattr(qlearn, "schedule", lambda i: qlearn.Rates(0.0, 0.0))
     n, T, dt = 30, 2.0, 0.05
     env = sde.Environment(params=params_ref, dt=dt)
-    cfg = qlearn.LearnConfig(
-        y0=1.0, T=T, dt=dt, n_episodes=n, gamma=GAMMA, rho=RHO, seed=4,
-        schedule=frozen, xi0=0.7,
-    )
+    cfg = qlearn.LearnConfig(y0=1.0, T=T, dt=dt, n_episodes=n, gamma=GAMMA, rho=RHO, seed=4, xi0=0.7)
     hist = qlearn.train(cfg, env)
     assert not hist.rejected_episodes
     pp0 = cfg.initial_params(1)
@@ -484,16 +461,15 @@ def test_train_counts_non_finite_xi_root_as_rejected(params_ref, monkeypatch):
     real = qlearn.update_statistics
     calls = []
 
-    def nan_on_third(pp, path, rho, chain_rule=True):
+    def nan_on_third(pp, path, rho):
         calls.append(1)
-        stats = real(pp, path, rho, chain_rule)
+        stats = real(pp, path, rho)
         return (math.nan, *stats[1:]) if len(calls) == 3 else stats
 
     monkeypatch.setattr(qlearn, "update_statistics", nan_on_third)
+    monkeypatch.setattr(qlearn, "REJECT_FRACTION", 0.5)
     env = sde.Environment(params=params_ref, dt=0.05)
-    cfg = qlearn.LearnConfig(
-        y0=1.0, T=1.0, dt=0.05, n_episodes=5, gamma=GAMMA, rho=RHO, seed=6, reject_fraction=0.5
-    )
+    cfg = qlearn.LearnConfig(y0=1.0, T=1.0, dt=0.05, n_episodes=5, gamma=GAMMA, rho=RHO, seed=6)
     hist = qlearn.train(cfg, env)
     assert hist.rejected_episodes == [3]
     assert hist.xi[2] == hist.xi[1]
@@ -529,9 +505,10 @@ PARAMS_D2 = ModelParams(mu=[0.2, 0.1], sigma=[[1.0, 0.3], [0.0, 0.8]], sigma_z=0
 
 
 @pytest.mark.parametrize("d", [1, 2])
-def test_history_csv_bytes_equal_the_row_writer(tmp_path, params_ref, d):
+def test_history_csv_bytes_equal_the_row_writer(tmp_path, params_ref, monkeypatch, d):
+    monkeypatch.setattr(qlearn, "UPDATE_CLIP", 0.02)   # so that some episodes are clipped and some not
     env = sde.Environment(params=params_ref if d == 1 else PARAMS_D2, dt=0.05)
-    cfg = qlearn.LearnConfig(y0=1.0, T=1.0, dt=0.05, n_episodes=25, gamma=GAMMA, rho=RHO, seed=2, update_clip=0.02)
+    cfg = qlearn.LearnConfig(y0=1.0, T=1.0, dt=0.05, n_episodes=25, gamma=GAMMA, rho=RHO, seed=2)
     hist = qlearn.train(cfg, env)
     assert hist.clipped.any() and not hist.clipped.all()
     hist.to_csv(tmp_path / "bulk.csv")
@@ -554,9 +531,9 @@ def test_train_equals_the_per_episode_loop(params_ref, monkeypatch, case):
         if case == "rejected":
             calls = []
 
-            def nan_on_seventh(pp, path, rho, chain_rule=True):
+            def nan_on_seventh(pp, path, rho):
                 calls.append(1)
-                stats = real(pp, path, rho, chain_rule)
+                stats = real(pp, path, rho)
                 return (math.nan, *stats[1:]) if len(calls) == 7 else stats
 
             monkeypatch.setattr(qlearn, "update_statistics", nan_on_seventh)
@@ -593,9 +570,8 @@ def _assert_rows_close(rows, reference, rel=1e-12):
     assert np.all(np.abs(rows - reference) <= rel * scale)
 
 
-@pytest.mark.parametrize("chain_rule", [True, False])
 @pytest.mark.parametrize("d", [1, 2, 3])
-def test_block_statistics_match_the_per_episode_loop(d, chain_rule):
+def test_block_statistics_match_the_per_episode_loop(d):
     rng = np.random.default_rng(40 + d)
     params = random_params(rng, d)
     pp = random_pp(rng, d)
@@ -603,13 +579,13 @@ def test_block_statistics_match_the_per_episode_loop(d, chain_rule):
     # 37 paths: two full blocks of 16 and a short one; starting at 0 makes reflections
     batch = sde.simulate_linear_gaussian_batch(params, mean_coef, cov_chol, 37, 0.0, 1.0, 0.02, seed=d)
     assert np.any(np.diff(batch.local_time, axis=1) > 0.0)
-    stats = qlearn.orthogonality_stats(pp, batch, params.rho, chain_rule)
+    stats = qlearn.orthogonality_stats(pp, batch, params.rho)
     assert stats.n_paths == 37 and stats.components == qlearn._component_names(d)
     # the states-form q of the per-episode loop, and the (u_k, X_k) form read off each path
-    loop = orthogonality_rows_loop(pp, batch, params.rho, chain_rule)
+    loop = orthogonality_rows_loop(pp, batch, params.rho)
     increments = np.array([
         increment_statistics(pp, params.rho, path.times, path.actions / (1.0 + path.states[:-1, None]),
-                             np.diff(np.log1p(path.states)) - np.diff(path.local_time), chain_rule)
+                             np.diff(np.log1p(path.states)) - np.diff(path.local_time))
         for path in batch
     ])
     for reference in (loop, increments):
@@ -618,7 +594,7 @@ def test_block_statistics_match_the_per_episode_loop(d, chain_rule):
         assert np.allclose(stats.stderrs, reference.std(axis=0, ddof=1) / math.sqrt(37), rtol=1e-12, atol=0.0)
     # update reads a 1-row block, which rounds like its row of a 16-row or a 5-row block
     for path, row in zip(batch, stats.rows):
-        sx, s1, s2, _ = qlearn.update_statistics(pp, path, params.rho, chain_rule)
+        sx, s1, s2, _ = qlearn.update_statistics(pp, path, params.rho)
         assert np.array_equal(np.concatenate([[sx], s1, s2.ravel()]), row)
 
 
