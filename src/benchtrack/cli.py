@@ -257,6 +257,7 @@ def cmd_train(cfg: dict, seed: int | None, out: Path) -> int:
 
     init_xi, init_psi1, init_psi2 = 0.0, None, None
     start_episode = 1
+    policy = None
     resume = tr.get("resume")
     if resume:
         with open(resume) as fh:
@@ -267,6 +268,13 @@ def cmd_train(cfg: dict, seed: int | None, out: Path) -> int:
         init_xi, init_psi1, init_psi2 = start.xi, start.psi1, start.psi2
         start_episode = int(_require(snap, "episodes", resume)) + 1
         log.info("resuming from %s at episode %d", resume, start_episode)
+        if (start_episode - 1) % sde.BLOCK_ROWS:   # the snapshot stopped inside a block of episodes
+            if "policy" in snap:
+                policy = _learned_params(snap["policy"], f"{resume} policy", gamma)
+            else:
+                block_end = (start_episode - 1) // sde.BLOCK_ROWS * sde.BLOCK_ROWS + sde.BLOCK_ROWS
+                log.warning("%s has no block-start policy: episodes %d-%d are drawn at its own parameters, "
+                            "so the run does not repeat an uninterrupted one", resume, start_episode, block_end)
 
     if "xi" in init and start_episode == 1:
         raise ConfigError(
@@ -286,7 +294,7 @@ def cmd_train(cfg: dict, seed: int | None, out: Path) -> int:
         psi2_0=np.asarray(init["psi2"], dtype=float) if "psi2" in init else init_psi2,
         start_episode=start_episode,
     )
-    history = qlearn.train(config, sde.Environment(params=params, dt=dt))
+    history = qlearn.train(config, sde.Environment(params=params, dt=dt), policy)
     history.to_csv(out / "history.csv")
     _write_json(out / "history.meta.json", {"rows": len(history.episodes)}, cfg, seed)
     _write_json(out / "learned.json", history.summary(), cfg, seed)
@@ -484,8 +492,8 @@ def main(argv: list[str] | None = None) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         return COMMANDS[args.command](cfg, args.seed, out)
-    except (ConfigError, qlearn.SingularPsi2, bt.ParseError, bt.ValidationError, NoBracket,
-            baseline.InsufficientData, baseline.DegenerateSeries, baseline.NonPositivePrice) as exc:
+    except (ConfigError, qlearn.SingularPsi2, qlearn.TooManyRejectedEpisodes, bt.ParseError, bt.ValidationError,
+            NoBracket, baseline.InsufficientData, baseline.DegenerateSeries, baseline.NonPositivePrice) as exc:
         log.error("%s", exc)
         return 2
     except FileNotFoundError as exc:

@@ -26,18 +26,19 @@ q + rho J has no y in it, so an episode's discretized residuals are
 
 read off the path alone.  Its statistics are the sums of w_k = e^{-rho t_k} G_k
 times the tests 1, u_k and -u_k u_k' psi2 (_test_sums), computed for a block
-of episodes at once by _episode_statistics: a 1-row block for each training
-update, blocks of sde.BLOCK_ROWS paths for the diagnostics.  psi1 and psi2
-move along alpha times their statistics with episode-indexed decaying rates.
-xi enters every G_k only through -rho xi dt, so its statistic is linear in xi,
+of sde.BLOCK_ROWS episodes at once by _episode_statistics, in training as in
+the diagnostics.  psi1 and psi2 move along alpha times their statistics with
+episode-indexed decaying rates.  xi enters every G_k only through -rho xi dt,
+so its statistic is linear in xi,
 
     stat_xi(xi) = stat_xi(0) - c xi ,    c = rho dt sum_k e^{-rho t_k} ,
 
-and the root xi + stat_xi / c of its condition is exact for the episode.
-Training moves xi by stat_xi / (c i) at global episode i, which makes xi the
-running mean of the per-episode roots: the least-squares temporal-difference
-solve for a parameter that enters linearly, with the 1/i stochastic-Newton
-step.  c depends only on rho, dt and T, so the trainer stays model-free.  No
+and the root xi + stat_xi / c of its condition is exact for the episode, the
+same at whatever xi the statistic was computed.  Training moves xi by
+(root_i - xi) / i at global episode i, which makes xi the running mean of the
+per-episode roots: the least-squares temporal-difference solve for a
+parameter that enters linearly, with the 1/i stochastic-Newton step.  c
+depends only on rho, dt and T, so the trainer stays model-free.  No
 test function depends on xi either, so every statistic is affine in xi, with
 the slope given by the same sums at the weights -rho dt e^{-rho t_k}; the
 diagnostics' xi-shifted control is derived from the paths' one pass.
@@ -47,7 +48,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from functools import cached_property
 from types import SimpleNamespace
 
 import numpy as np
@@ -68,7 +69,6 @@ __all__ = [
     "j_value",
     "q_value",
     "policy_from_q",
-    "update_statistics",
     "update",
     "schedule",
     "train",
@@ -143,14 +143,9 @@ class PolicyParams:
         return self.psi2 @ self.psi2.T
 
     @cached_property
-    def _eigs(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.psi2_sq)
-
-    @cached_property
     def precision(self) -> np.ndarray:
         """(psi2 psi2')^-1 with conditioning and absolute-scale guards."""
-        eigs = self._eigs
-        if eigs[0] < PSI2_FLOOR**2 or eigs[-1] / eigs[0] > 1e12:
+        if not _invertible(np.linalg.eigvalsh(self.psi2_sq)):
             raise SingularPsi2(f"psi2 psi2' is singular or ill-conditioned: {self.psi2_sq!r}")
         return np.linalg.inv(self.psi2_sq)
 
@@ -161,16 +156,38 @@ class PolicyParams:
 
     @cached_property
     def psi3(self) -> float:
-        """From the factors that the policy uses: psi1'(psi2 psi2')^-1 psi1 = psi1'mean_coef and the eigenvalues."""
-        try:
-            quad = float(self.psi1 @ self.mean_coef)
-        except SingularPsi2:   # no Gibbs policy, but the normalization formula still has a value
-            return psi3_consistency(self.psi1, self.psi2, self.gamma)
-        return gibbs_psi3(quad, float(np.log(self._eigs).sum()), self.d, self.gamma)
+        """The Gibbs normalization constant of (psi1, psi2) at gamma, as _psi3_rows gives it for one row."""
+        return float(_psi3_rows(self.psi1[None], self.psi2[None], self.gamma)[0])
 
     def policy_coefficients(self) -> tuple[np.ndarray, np.ndarray]:
         """(mean_coef, cov_chol): a ~ N(mean_coef (1+y), (1+y)^2 chol chol')."""
         return self.mean_coef, np.linalg.cholesky(self.gamma * self.precision)
+
+
+def _invertible(eigs: np.ndarray):
+    """Whether psi2 psi2' with these ascending eigenvalues (along the last axis) passes precision's guards."""
+    with np.errstate(divide="ignore", invalid="ignore"):   # a zero eigenvalue fails the first guard
+        return (eigs[..., 0] >= PSI2_FLOOR**2) & (eigs[..., -1] / eigs[..., 0] <= 1e12)
+
+
+def _psi3_rows(psi1: np.ndarray, psi2: np.ndarray, gamma: float) -> np.ndarray:
+    """psi3 of (psi1[r], psi2[r]) for every row r, from one eigvalsh and one inv over the stack.
+
+    psi1 is (n, d) and psi2 (n, d, d).  Each row takes the policy's own steps:
+    P = psi2 psi2', then psi1'(P^-1 psi1) and the sum of the logs of P's
+    eigenvalues, in model.gibbs_psi3.  A row without a Gibbs policy (see
+    PolicyParams.precision) still has the normalization formula's value.
+    """
+    n, d = psi1.shape
+    P = psi2 @ np.swapaxes(psi2, 1, 2)
+    eigs = np.linalg.eigvalsh(P)
+    ok = _invertible(eigs)
+    mean_coef = np.linalg.inv(P[ok]) @ psi1[ok, :, None]
+    out = np.empty(n)
+    out[ok] = gibbs_psi3((psi1[ok, None, :] @ mean_coef)[:, 0, 0], np.log(eigs[ok]).sum(axis=1), d, gamma)
+    for r in np.flatnonzero(~ok):
+        out[r] = psi3_consistency(psi1[r], psi2[r], gamma)
+    return out
 
 
 def j_value(pp: PolicyParams, y):
@@ -231,10 +248,6 @@ def _statistics_workspace(rows: int, K: int, d: int) -> SimpleNamespace:
     """
     g, p, t, w = np.empty((4, rows, K))
     return SimpleNamespace(log=np.empty((rows, K + 1)), u=np.empty((d, rows, K)), g=g, p=p, t=t, w=w)
-
-
-# the one-row workspace (K, d) -> ws that update_statistics reuses for every episode
-_episode_workspace = lru_cache(maxsize=4)(partial(_statistics_workspace, 1))
 
 
 def _test_sums(pp: PolicyParams, w: np.ndarray, u: np.ndarray, wu: np.ndarray, wuu: np.ndarray) -> np.ndarray:
@@ -301,23 +314,6 @@ def _episode_statistics(
     return rows, d_rows, rho * dt * float(disc.sum())
 
 
-def update_statistics(
-    pp: PolicyParams, path: sde.EpisodePath, rho: float
-) -> tuple[float, np.ndarray, np.ndarray, float]:
-    """One episode's raw update sums (sum_k e^{-rho t_k} grad q * G_k) and its xi slope c.
-
-    Returns (stat_xi, stat_psi1, stat_psi2, c).  stat_xi(xi) = stat_xi(0) - c xi
-    with c = rho dt sum_k e^{-rho t_k}, which depends on neither the path nor
-    the parameters.
-    """
-    rows, _, c = _episode_statistics(
-        pp, rho, path.times, path.states[None], path.actions[None], path.local_time[None],
-        _episode_workspace(*path.actions.shape),
-    )
-    d = pp.d
-    return float(rows[0, 0]), rows[0, 1 : 1 + d], rows[0, 1 + d :].reshape(d, d), c
-
-
 @dataclass(frozen=True)
 class Rates:
     alpha_psi1: float
@@ -340,23 +336,26 @@ def _project_psi2(psi2: np.ndarray) -> np.ndarray:
 
 
 def update(
-    pp: PolicyParams, path: sde.EpisodePath, rates: Rates, rho: float, xi_weight: float
+    pp: PolicyParams, root: float, row: np.ndarray, rates: Rates, xi_weight: float
 ) -> tuple[PolicyParams, UpdateInfo]:
-    """Apply one stochastic-approximation step from an on-policy episode.
+    """Apply one stochastic-approximation step from an on-policy episode's statistics.
 
-    xi moves the fraction xi_weight of the way to the exact root
-    xi + stat_xi / c of its own condition (c from update_statistics).  psi1 and
-    psi2 move by their rates times their statistics, and the norm of that
-    step is capped at UPDATE_CLIP; the xi step is neither clipped nor counted
-    in the norm.  Non-finite updates raise NonFiniteUpdate so the caller can
-    skip and count them.  psi3 needs no explicit refresh because it is always
-    derived.
+    row is the episode's row of _episode_statistics, [stat_xi, stat_psi1,
+    stat_psi2 (row-major)], computed at the policy that drew the episode,
+    which may lag pp.  root = xi_b + stat_xi / c is the exact root of the
+    episode's xi condition, with xi_b that policy's xi; it does not depend
+    on xi_b.  xi moves the fraction xi_weight of the way from pp.xi to root.
+    psi1 and psi2 move by their rates times their statistics, and the norm of
+    that step is capped at UPDATE_CLIP; the xi step is neither clipped nor
+    counted in the norm.  Non-finite updates raise NonFiniteUpdate so the
+    caller can skip and count them.  psi3 needs no explicit refresh because
+    it is always derived.
     """
-    stat_xi, stat_psi1, stat_psi2, c = update_statistics(pp, path, rho)
-    d_xi = xi_weight * stat_xi / c
-    d_psi1 = rates.alpha_psi1 * stat_psi1
-    d_psi2 = rates.alpha_psi2 * stat_psi2
-    vec = np.concatenate([d_psi1.ravel(), d_psi2.ravel()])
+    d = pp.d
+    d_xi = xi_weight * (root - pp.xi)
+    d_psi1 = rates.alpha_psi1 * row[1 : 1 + d]
+    d_psi2 = rates.alpha_psi2 * row[1 + d :].reshape(d, d)
+    vec = np.concatenate([d_psi1, d_psi2.ravel()])
     if not (math.isfinite(d_xi) and np.isfinite(vec).all()):
         raise NonFiniteUpdate("episode produced a non-finite update")
     norm = math.sqrt(vec.dot(vec))   # np.linalg.norm's formula for a real vector
@@ -426,6 +425,7 @@ class TrainHistory:
     rejected_episodes: list[int]
     clamp_events: int      # action clamps during this run only
     final: PolicyParams
+    policy: PolicyParams   # the block-start parameters that drew the last block
 
     def to_csv(self, path) -> None:
         n, d = self.psi1.shape
@@ -449,30 +449,40 @@ class TrainHistory:
             "gamma": float(self.final.gamma),
             "rejected_episodes": list(self.rejected_episodes),
             "clamp_events": int(self.clamp_events),
+            "policy": {"xi": float(self.policy.xi), "psi1": self.policy.psi1.tolist(),
+                       "psi2": self.policy.psi2.tolist()},
         }
 
 
-def train(config: LearnConfig, env: sde.Environment) -> TrainHistory:
+def train(config: LearnConfig, env: sde.Environment, policy: PolicyParams | None = None) -> TrainHistory:
     """Run the offline learning loop against a simulated environment.
 
-    Episodes come from sde.rollout_linear_gaussian on `env`; the update
-    itself reads only the paths, never the market parameters.  Episode i uses the
-    Philox stream keyed by (config.seed, i) (sde.episode_rng), so a run is
-    reproducible and a resumed run continues the original stream sequence.
+    Episodes run in blocks of sde.BLOCK_ROWS aligned to the global episode
+    index (episodes 16b+1 ... 16b+16).  The parameters at a block's start
+    draw all of its episodes: one kernel call simulates them on `env`, one
+    _episode_statistics call reduces them, and each row then updates the
+    parameters in episode order.  The update reads only the paths, never the
+    market parameters.  Episode i uses the Philox stream keyed by
+    (config.seed, i), so a run is reproducible.
 
-    xi moves by stat_xi / (c i) at global episode i, so it is the running
+    xi moves by (root_i - xi) / i at global episode i, so it is the running
     mean of the per-episode roots of its condition: a run from episode 1
     gives xi0 no weight, and a resumed run treats xi0 as the mean of the
     i - 1 earlier roots.  psi1 and psi2 follow schedule()'s rates.  A start
     whose psi2 psi2' the policy cannot invert raises SingularPsi2 before the
-    first episode.
+    first episode.  A non-finite path or update rejects its own episode, and
+    a block whose policy cannot be built rejects all of its episodes.
+
+    A run that starts inside a block draws the rest of it from `policy`, the
+    TrainHistory.policy of the run it resumes, so that it repeats an
+    uninterrupted run; without one, from the start parameters.
     """
     if not math.isclose(env.dt, config.dt, rel_tol=1e-12):
         raise ValueError(f"environment step {env.dt} != config step {config.dt}")
     d = env.params.d
     pp = config.initial_params(d)
     pp.precision   # raises SingularPsi2 for a start that would reject every episode
-    n = config.n_episodes
+    n, K, rows_max = config.n_episodes, config.n_steps, sde.BLOCK_ROWS
     hist_xi = np.empty(n)
     hist_psi1 = np.empty((n, d))
     hist_psi2 = np.empty((n, d, d))
@@ -480,39 +490,58 @@ def train(config: LearnConfig, env: sde.Environment) -> TrainHistory:
     hist_norm = np.zeros(n)
     hist_clip = np.zeros(n, dtype=bool)
     episodes = np.arange(config.start_episode, config.start_episode + n)
-    times = np.linspace(0.0, config.T, config.n_steps + 1)  # EpisodePath is frozen, so episodes share it
-    # set up once per run: the rollouts share one workspace, and one Philox is re-keyed per episode
-    workspace = sde.rollout_workspace(env, config.n_steps)
+    times = np.linspace(0.0, config.T, K + 1)
+    # set up once per run: one kernel and one statistics workspace, and one Philox re-keyed per episode
+    market = sde._market(env.params, env.dt)
+    ws, stats_ws = sde._workspace(rows_max, K, d), _statistics_workspace(rows_max, K, d)
+    states, actions, local = np.empty((rows_max, K + 1)), np.empty((rows_max, K, d)), np.empty((rows_max, K + 1))
     stream = sde.episode_streams()
     clamps_before = env.clamp_events
     rejected: list[int] = []
     max_rejected = REJECT_FRACTION * n
-    for idx, i in enumerate(episodes):
-        rng = stream(config.seed, int(i))
-        rates = schedule(int(i))
+    drawn_by = pp if policy is None else policy
+    lo = 0
+    while lo < n:
+        first = int(episodes[lo])
+        if (first - 1) % rows_max == 0:
+            drawn_by = pp
+        m = min(n - lo, rows_max - (first - 1) % rows_max)   # up to the block's end
         try:
-            mean_coef, cov_chol = pp.policy_coefficients()
-            states, actions, local = sde.rollout_linear_gaussian(
-                env, mean_coef, cov_chol, config.y0, config.n_steps, rng, workspace=workspace
-            )
-            path = sde.EpisodePath(times=times, states=states, actions=actions, local_time=local)
-            pp, info = update(pp, path, rates, config.rho, xi_weight=1.0 / i)
-            hist_norm[idx] = info.norm
-            hist_clip[idx] = info.clipped
-        except (NonFiniteUpdate, sde.NonFinite, SingularPsi2):
-            rejected.append(int(i))
-            if len(rejected) > max_rejected:
-                raise TooManyRejectedEpisodes(
-                    f"{len(rejected)} of {idx + 1} episodes rejected "
-                    f"(limit {REJECT_FRACTION:.0%} of {n})"
-                )
-        hist_xi[idx] = pp.xi
-        hist_psi1[idx] = pp.psi1
-        hist_psi2[idx] = pp.psi2
-        hist_psi3[idx] = pp.psi3
+            mean_coef, cov_chol = drawn_by.policy_coefficients()
+        except SingularPsi2:   # no policy to draw the block: its rows are NaN, so update rejects every episode
+            rows = np.full((m, 1 + d + d * d), math.nan)
+            roots = rows[:, 0]
+        else:
+            for j in range(m):
+                stream(config.seed, first + j).standard_normal(out=ws.normals[j])
+            # a non-finite path gives its row non-finite statistics, which update rejects
+            with np.errstate(over="ignore", invalid="ignore"):
+                env.clamp_events += sde._linear_gaussian_paths(
+                    market, mean_coef, cov_chol, config.y0, env.action_cap, ws, states[:m], actions[:m], local[:m])
+                rows, _, c = _episode_statistics(
+                    drawn_by, config.rho, times, states[:m], actions[:m], local[:m], stats_ws)
+                roots = drawn_by.xi + rows[:, 0] / c
+        for j in range(m):
+            idx, i = lo + j, first + j
+            try:
+                pp, info = update(pp, roots[j], rows[j], schedule(i), xi_weight=1.0 / i)
+                hist_norm[idx] = info.norm
+                hist_clip[idx] = info.clipped
+            except NonFiniteUpdate:
+                rejected.append(i)
+                if len(rejected) > max_rejected:
+                    raise TooManyRejectedEpisodes(
+                        f"{len(rejected)} of {idx + 1} episodes rejected "
+                        f"(limit {REJECT_FRACTION:.0%} of {n})"
+                    )
+            hist_xi[idx] = pp.xi
+            hist_psi1[idx] = pp.psi1
+            hist_psi2[idx] = pp.psi2
+        hist_psi3[lo : lo + m] = _psi3_rows(hist_psi1[lo : lo + m], hist_psi2[lo : lo + m], pp.gamma)
+        lo += m
     return TrainHistory(episodes=episodes, xi=hist_xi, psi1=hist_psi1, psi2=hist_psi2, psi3=hist_psi3,
                         update_norms=hist_norm, clipped=hist_clip, rejected_episodes=rejected,
-                        clamp_events=env.clamp_events - clamps_before, final=pp)
+                        clamp_events=env.clamp_events - clamps_before, final=pp, policy=drawn_by)
 
 
 @dataclass(frozen=True)

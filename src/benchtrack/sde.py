@@ -35,8 +35,9 @@ a lone path on that stream.  One generator (_blocks) yields the blocks over
 one set of reused buffers; the samplers copy them into their batch, and
 linear_gaussian_blocks hands them to a consumer that keeps only what it
 reduces them to.  A run pays its setup once: one re-keyed Philox serves
-every stream (episode_streams), and a training run's rollouts share one
-workspace with the market's constants (rollout_workspace).
+every stream (episode_streams), and its blocks share one workspace.
+qlearn.train runs the kernel on its own blocks of episodes, one policy per
+block; rollout_linear_gaussian runs it on a single path.
 
 The same map in continuous time gives an independent oracle for the
 policy-averaged dynamics: for H = ln(1 + Y),
@@ -50,7 +51,6 @@ Euler scheme of aggregated_terminal_sample distributionally.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass
@@ -166,10 +166,10 @@ class EpisodePath:
 
 @dataclass
 class Environment:
-    """The market, step and action cap that rollout_linear_gaussian simulates.
+    """The market, step and action cap that rollout_linear_gaussian and qlearn.train simulate.
 
     clamp_events is a running total of the action clamps of every rollout
-    on this environment.
+    and training run on this environment.
     """
 
     params: ModelParams
@@ -277,7 +277,7 @@ def _reflect(x: np.ndarray, states: np.ndarray, local: np.ndarray, ws: SimpleNam
 
 def _linear_gaussian_paths(
     m: SimpleNamespace, mean_coef: np.ndarray, cov_chol: np.ndarray, y0: float, action_cap: float,
-    ws: SimpleNamespace, states: np.ndarray, actions: np.ndarray, local: np.ndarray, first_path: int = 0,
+    ws: SimpleNamespace, states: np.ndarray, actions: np.ndarray, local: np.ndarray,
 ) -> int:
     """Fill the states, actions and local time of a block of policy paths; return its clamp count.
 
@@ -286,7 +286,9 @@ def _linear_gaussian_paths(
     action normals, the benchmark's own normal and d asset normals.  c
     holds each step's exact increment of ln(1 + y) before reflection,
     X_k = c_k - v_k dt / 2.  Contractions over d are explicit sums, so an
-    element's rounding does not depend on the block's shape.
+    element's rounding does not depend on the block's shape.  A non-finite
+    row is left as it is (the samplers raise on it through _check_finite,
+    the trainer rejects its episode), and the other rows are unaffected.
     """
     n, d = len(states), m.d
     normals = ws.normals[:n]
@@ -351,18 +353,24 @@ def _linear_gaussian_paths(
                 k = k + 1 + int(later[0]) if later.size else -1
         np.add(states[:, :-1], 1.0, out=t)   # the replays used t as scratch
 
-    # a sum is finite only if every term is, so the mask is built only when a value may be bad;
-    # a non-finite c_k makes y_{k+1} or L_{k+1} non-finite
-    if not math.isfinite(states[:, 1:].sum() + local[:, 1:].sum()):
-        bad = ~(np.isfinite(states[:, 1:]) & np.isfinite(local[:, 1:]))
-        if bad.any():
-            k = int(np.argmax(bad.any(axis=0)))
-            raise NonFinite(f"path {first_path + int(np.argmax(bad[:, k]))}, step {k}: non-finite state proposal")
     np.multiply(t[..., None], u, out=actions)
     if clamped is None:
         return 0
     actions[clamped] = u[clamped] * (action_cap / unorm[clamped])[:, None]
     return int(np.count_nonzero(clamped))
+
+
+def _check_finite(states: np.ndarray, local: np.ndarray, first_path: int) -> None:
+    """Raise NonFinite naming the first non-finite step of a block, its path counted from first_path.
+
+    A non-finite c_k makes y_{k+1} or L_{k+1} non-finite.  A sum is finite
+    only if every term is, so the mask is built only when a value may be bad.
+    """
+    if not math.isfinite(states[:, 1:].sum() + local[:, 1:].sum()):
+        bad = ~(np.isfinite(states[:, 1:]) & np.isfinite(local[:, 1:]))
+        if bad.any():
+            k = int(np.argmax(bad.any(axis=0)))
+            raise NonFinite(f"path {first_path + int(np.argmax(bad[:, k]))}, step {k}: non-finite state proposal")
 
 
 def rollout_workspace(env: Environment, n_steps: int) -> SimpleNamespace:
@@ -408,6 +416,7 @@ def rollout_linear_gaussian(
         np.asarray(cov_chol, dtype=float).reshape(d, d), y0, env.action_cap, workspace,
         states[None], actions[None], local[None],
     )
+    _check_finite(states[None], local[None], 0)
     return states, actions, local
 
 
@@ -433,7 +442,13 @@ def linear_gaussian_blocks(
     d = params.d
     mean_coef = np.asarray(mean_coef, dtype=float).reshape(d)
     cov_chol = np.asarray(cov_chol, dtype=float).reshape(d, d)
-    fill = functools.partial(_linear_gaussian_paths, _market(params, dt), mean_coef, cov_chol, y0, action_cap)
+    m = _market(params, dt)
+
+    def fill(ws, states, actions, local, first_path):
+        clamp_events = _linear_gaussian_paths(m, mean_coef, cov_chol, y0, action_cap, ws, states, actions, local)
+        _check_finite(states, local, first_path)
+        return clamp_events
+
     return _blocks(_grid(T, dt), d, n_paths, seed, fill)
 
 

@@ -50,8 +50,26 @@ def q_gradient(pp: qlearn.PolicyParams, rho: float, y: float, a):
     j = qlearn.j_value(pp, y)
     target = j + qlearn.q_value(pp, rho, y, a) * dt + rho * j * dt + 1.0
     path = one_step_path(y, a, math.expm1(target - pp.xi), 0.0, dt)
-    g0, s1, s2, _ = qlearn.update_statistics(pp, path, rho)
-    return s1 / g0, s2 / g0
+    row, _ = path_statistics(pp, path, rho)
+    d = pp.d
+    return row[1 : 1 + d] / row[0], row[1 + d :].reshape(d, d) / row[0]
+
+
+def path_statistics(pp: qlearn.PolicyParams, path: sde.EpisodePath, rho: float):
+    """(row, c): one path's orthogonality sums [stat_xi, stat_psi1, stat_psi2] as a 1-row block, and the xi slope."""
+    K, d = path.actions.shape
+    rows, _, c = qlearn._episode_statistics(
+        pp, rho, path.times, path.states[None], path.actions[None], path.local_time[None],
+        qlearn._statistics_workspace(1, K, d),
+    )
+    return rows[0], c
+
+
+def update_on_path(pp: qlearn.PolicyParams, path: sde.EpisodePath, rates: qlearn.Rates, rho: float,
+                   xi_weight: float):
+    """qlearn.update from a path drawn at pp: its statistics row and the root pp.xi + stat_xi / c."""
+    row, c = path_statistics(pp, path, rho)
+    return qlearn.update(pp, pp.xi + row[0] / c, row, rates, xi_weight)
 
 
 def random_params(rng: np.random.Generator, d: int | None = None) -> ModelParams:

@@ -17,9 +17,12 @@ and exact increments alone.
 `run_tracking_loop` and `backtest_csv_per_row` are the backtest from before
 it stepped over Python floats and wrote its CSV in one call: numpy scalars
 at every bar and one CSV row per write.  `train_loop` is the trainer from
-before a run shared one rollout workspace and one re-keyed Philox: a new
-generator and new buffers every episode.  `history_csv_per_row` is the
-history writer from before the bulk CSV writer.
+before it ran its episodes in blocks: per episode a new generator, one
+rollout and a 1-row statistics block, with the policy held at its
+block-start value for each block of sde.BLOCK_ROWS episodes, as `train`
+holds it.  `psi3_policy_steps` is PolicyParams.psi3 from before the history's
+psi3 was derived a block at a time.  `history_csv_per_row` is the history
+writer from before the bulk CSV writer.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from benchtrack import backtest, qlearn, sde
+from benchtrack.model import gibbs_psi3, psi3_consistency
 
 
 def bisect_root(f, lo: float, hi: float, width: float = 1e-14) -> float:
@@ -465,8 +469,29 @@ def backtest_csv_per_row(result: backtest.BacktestResult, path) -> None:
 
 
 
-def train_loop(config: qlearn.LearnConfig, env: sde.Environment) -> qlearn.TrainHistory:
-    """The offline learning loop with every episode's generator and rollout buffers built anew."""
+def psi3_policy_steps(psi1: np.ndarray, psi2: np.ndarray, gamma: float) -> float:
+    """psi3 of one (psi1, psi2) in the policy's own steps, as PolicyParams derived it before history blocks.
+
+    P = psi2 psi2', the guards of PolicyParams.precision on P's eigenvalues,
+    then psi1'(P^-1 psi1) and the sum of the log eigenvalues in gibbs_psi3;
+    without a Gibbs policy, the normalization formula.
+    """
+    P = psi2 @ psi2.T
+    eigs = np.linalg.eigvalsh(P)
+    if eigs[0] < qlearn.PSI2_FLOOR**2 or eigs[-1] / eigs[0] > 1e12:
+        return psi3_consistency(psi1, psi2, gamma)
+    return gibbs_psi3(float(psi1 @ (np.linalg.inv(P) @ psi1)), float(np.log(eigs).sum()), len(psi1), gamma)
+
+
+def train_loop(
+    config: qlearn.LearnConfig, env: sde.Environment, policy: qlearn.PolicyParams | None = None
+) -> qlearn.TrainHistory:
+    """The offline learning loop one episode at a time, with every episode's generator and buffers built anew.
+
+    Episode i is drawn by the parameters at the start of its block of
+    sde.BLOCK_ROWS episodes (episodes 16b+1 ... 16b+16); `policy` stands for
+    them on the rest of the block in which a resumed run starts.
+    """
     if not math.isclose(env.dt, config.dt, rel_tol=1e-12):
         raise ValueError(f"environment step {env.dt} != config step {config.dt}")
     d = env.params.d
@@ -484,20 +509,26 @@ def train_loop(config: qlearn.LearnConfig, env: sde.Environment) -> qlearn.Train
     clamps_before = env.clamp_events
     rejected: list[int] = []
     max_rejected = qlearn.REJECT_FRACTION * n
+    drawn_by = pp if policy is None else policy
     for idx, i in enumerate(episodes):
-        rng = sde.episode_rng(config.seed, int(i))
-        rates = qlearn.schedule(int(i))
+        i = int(i)
+        if (i - 1) % sde.BLOCK_ROWS == 0:
+            drawn_by = pp
+        rng = sde.episode_rng(config.seed, i)
         try:
-            mean_coef, cov_chol = pp.policy_coefficients()
+            mean_coef, cov_chol = drawn_by.policy_coefficients()
             states, actions, local = sde.rollout_linear_gaussian(
                 env, mean_coef, cov_chol, config.y0, config.n_steps, rng
             )
-            path = sde.EpisodePath(times=times, states=states, actions=actions, local_time=local)
-            pp, info = qlearn.update(pp, path, rates, config.rho, xi_weight=1.0 / i)
+            rows, _, c = qlearn._episode_statistics(
+                drawn_by, config.rho, times, states[None], actions[None], local[None],
+                qlearn._statistics_workspace(1, config.n_steps, d),
+            )
+            pp, info = qlearn.update(pp, drawn_by.xi + rows[0, 0] / c, rows[0], qlearn.schedule(i), xi_weight=1.0 / i)
             hist_norm[idx] = info.norm
             hist_clip[idx] = info.clipped
         except (qlearn.NonFiniteUpdate, sde.NonFinite, qlearn.SingularPsi2):
-            rejected.append(int(i))
+            rejected.append(i)
             if len(rejected) > max_rejected:
                 raise qlearn.TooManyRejectedEpisodes(
                     f"{len(rejected)} of {idx + 1} episodes rejected "
@@ -518,6 +549,7 @@ def train_loop(config: qlearn.LearnConfig, env: sde.Environment) -> qlearn.Train
         rejected_episodes=rejected,
         clamp_events=env.clamp_events - clamps_before,
         final=pp,
+        policy=drawn_by,
     )
 
 

@@ -164,6 +164,42 @@ def test_train_smoke_and_resume(tmp_path):
     assert h2[-1].split(",")[0] == "8"
 
 
+def test_train_resumed_mid_block_repeats_one_run(tmp_path, caplog):
+    # 20 episodes stop inside the second block of 16; the snapshot's policy draws the rest of it
+    def run(name, episodes, resume=None):
+        train = {"T": 1.0, "dt": 0.05, "episodes": episodes, **({"resume": str(resume)} if resume else {})}
+        cfg = write_config(tmp_path, {**MODEL_BLOCK, "train": train}, name=f"{name}.yaml")
+        assert main(["train", "--config", cfg, "--seed", "4", "--out", str(tmp_path / name)]) == 0
+        learned = json.loads((tmp_path / name / "learned.json").read_text())
+        del learned["config"]
+        return (tmp_path / name / "history.csv").read_text().splitlines(), learned
+
+    whole, whole_learned = run("whole", 40)
+    _, first_learned = run("first", 20)
+    assert first_learned["policy"] != {k: first_learned[k] for k in ("xi", "psi1", "psi2")}
+    rest, rest_learned = run("rest", 20, tmp_path / "first" / "learned.json")
+    assert rest == whole[:1] + whole[21:]
+    assert rest_learned == whole_learned
+    assert "no block-start policy" not in caplog.text
+
+    bare = tmp_path / "bare.json"
+    bare.write_text(json.dumps({k: v for k, v in first_learned.items() if k != "policy"}))
+    drifted, _ = run("bare", 20, bare)
+    assert "bare.json has no block-start policy: episodes 21-32 are drawn at its own parameters" in caplog.text
+    assert drifted[1] != whole[21]
+
+
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+def test_train_with_too_many_rejected_episodes_exits_2(tmp_path, caplog):
+    # an overflowing drift makes every path non-finite, so the run stops at the rejection limit
+    model = {"model": {**MODEL_BLOCK["model"], "mu": [1.0e308]}}
+    cfg = write_config(tmp_path, {**model, "train": {"T": 0.5, "dt": 0.05, "episodes": 50}})
+    out = tmp_path / "out"
+    assert main(["train", "--config", cfg, "--out", str(out)]) == 2
+    assert "6 of 6 episodes rejected (limit 10% of 50)" in caplog.text
+    assert not (out / "learned.json").exists()
+
+
 def test_train_rejects_unused_xi_settings(tmp_path, caplog):
     base = {"T": 1.0, "dt": 0.05, "episodes": 2}
     out = tmp_path / "out"

@@ -8,7 +8,7 @@ from scipy.integrate import quad
 
 from benchtrack import qlearn, sde
 from benchtrack.model import DomainError, ModelParams, exploratory_constants
-from conftest import one_step_path, q_gradient, random_params
+from conftest import one_step_path, path_statistics, q_gradient, random_params, update_on_path
 from oracles import (
     REF,
     central_diff,
@@ -19,6 +19,7 @@ from oracles import (
     history_csv_per_row,
     increment_statistics,
     orthogonality_rows_loop,
+    psi3_policy_steps,
     rel_err,
     train_loop,
 )
@@ -179,10 +180,24 @@ def test_psi3_invariant_after_update(pp_star, params_ref):
         params_ref, mean_coef, cov_chol, 1, 1.0, 0.5, 0.01, seed=77
     )
     path = next(iter(batch))
-    new, _ = qlearn.update(pp_star, path, qlearn.Rates(0.1, 0.1), RHO, xi_weight=1.0)
+    new, _ = update_on_path(pp_star, path, qlearn.Rates(0.1, 0.1), RHO, xi_weight=1.0)
     from benchtrack.model import psi3_consistency
 
     assert new.psi3 == pytest.approx(psi3_consistency(new.psi1, new.psi2, GAMMA), abs=1e-15)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_psi3_rows_equal_policy_psi3(d):
+    # train writes the history's psi3 a block at a time; each row equals PolicyParams.psi3 (a 1-row
+    # stack) and the per-row steps the policy used before, bit for bit
+    rng = np.random.default_rng(70 + d)
+    psi1 = rng.normal(size=(40, d))
+    psi2 = np.eye(d) + 0.5 * rng.normal(size=(40, d, d))
+    psi2[3] *= 1e-7   # under PSI2_FLOOR: no Gibbs policy, and psi3 falls back on the normalization formula
+    psi2[5] = np.diag([1e3] + [1e-4] * (d - 1))   # for d > 1, over precision's 1e12 condition number
+    got = qlearn._psi3_rows(psi1, psi2, GAMMA)
+    assert np.array_equal(got, [psi3_policy_steps(a, b, GAMMA) for a, b in zip(psi1, psi2)])
+    assert np.array_equal(got, [qlearn.PolicyParams(0.0, a, b, GAMMA).psi3 for a, b in zip(psi1, psi2)])
 
 
 # ------------------------------------------------------------ td residual
@@ -193,10 +208,10 @@ def test_td_residual_algebra(pp_star):
     q = qlearn.q_value(pp_star, RHO, y, a)
     j = qlearn.j_value(pp_star, y)
     # stationary fake transition: only the -(q + rho J) dt term remains
-    g = qlearn.update_statistics(pp_star, one_step_path(y, a, y, 0.0, 0.05), RHO)[0]
+    g = path_statistics(pp_star, one_step_path(y, a, y, 0.0, 0.05), RHO)[0][0]
     assert g == pytest.approx(-(q + RHO * j) * 0.05, abs=1e-14)
     # local time enters with coefficient exactly -1
-    g_dl = qlearn.update_statistics(pp_star, one_step_path(y, a, y, 0.1, 0.05), RHO)[0]
+    g_dl = path_statistics(pp_star, one_step_path(y, a, y, 0.1, 0.05), RHO)[0][0]
     assert g - g_dl == pytest.approx(0.1, abs=1e-14)
 
 
@@ -207,7 +222,7 @@ def test_td_residual_zero_at_compensating_q(pp_star):
     q = qlearn.q_value(pp_star, RHO, y, a)
     j = qlearn.j_value(pp_star, y)
     shift = qlearn.PolicyParams(pp_star.xi - (q + RHO * j) / RHO, pp_star.psi1, pp_star.psi2, GAMMA)
-    g = qlearn.update_statistics(shift, one_step_path(y, a, y, 0.0, 0.05), RHO)[0]
+    g = path_statistics(shift, one_step_path(y, a, y, 0.0, 0.05), RHO)[0][0]
     assert abs(g) < 1e-12
 
 
@@ -239,28 +254,33 @@ def test_update_statistics_hand_computed_fixture():
     pp = qlearn.PolicyParams(**FIXTURE_PP)
     path = sde.EpisodePath(**FIXTURE_PATH)
     assert pp.psi3 == pytest.approx(FIXTURE_EXPECT["psi3"], abs=1e-14)
-    sx, s1, s2, _ = qlearn.update_statistics(pp, path, RHO)
+    (sx, s1, s2), _ = path_statistics(pp, path, RHO)
     assert sx == pytest.approx(FIXTURE_EXPECT["stat_xi"], abs=1e-13)
-    assert s1[0] == pytest.approx(FIXTURE_EXPECT["stat_psi1"], abs=1e-13)
-    assert s2[0, 0] == pytest.approx(FIXTURE_EXPECT["stat_psi2"], abs=1e-13)
+    assert s1 == pytest.approx(FIXTURE_EXPECT["stat_psi1"], abs=1e-13)
+    assert s2 == pytest.approx(FIXTURE_EXPECT["stat_psi2"], abs=1e-13)
 
 
 def test_update_statistics_results_outlive_the_next_episode():
-    # every episode of one (K, d) reuses one workspace, but the returned arrays are the caller's
+    # every block of a training run reuses one workspace, but the returned rows are the caller's
     pp = qlearn.PolicyParams(**FIXTURE_PP)
-    first = qlearn.update_statistics(pp, sde.EpisodePath(**FIXTURE_PATH), RHO)
-    kept = [np.copy(x) for x in first]
+    ws = qlearn._statistics_workspace(1, 3, 1)
+
+    def rows(path):
+        return qlearn._episode_statistics(pp, RHO, path["times"], path["states"][None], path["actions"][None],
+                                          path["local_time"][None], ws)[0]
+
+    first = rows(FIXTURE_PATH)
+    kept = np.copy(first)
     other = dict(FIXTURE_PATH, states=np.array([0.3, 0.0, 1.0, 0.2]), actions=np.array([[1.0], [2.0], [-1.0]]))
-    second = qlearn.update_statistics(pp, sde.EpisodePath(**other), RHO)
-    assert not np.array_equal(second[1], kept[1])
-    for got, want in zip(first, kept):
-        assert np.array_equal(got, want)
+    second = rows(other)
+    assert not np.array_equal(second, kept)
+    assert np.array_equal(first, kept)
 
 
 def test_update_applies_rates_exactly():
     pp = qlearn.PolicyParams(**FIXTURE_PP)
     path = sde.EpisodePath(**FIXTURE_PATH)
-    new, info = qlearn.update(pp, path, qlearn.Rates(0.02, 0.03), RHO, xi_weight=0.5)
+    new, info = update_on_path(pp, path, qlearn.Rates(0.02, 0.03), RHO, xi_weight=0.5)
     assert new.xi == pytest.approx(FIXTURE_EXPECT["xi_next"], abs=1e-13)
     assert new.psi1[0] == pytest.approx(FIXTURE_EXPECT["psi1_next"], abs=1e-13)
     assert new.psi2[0, 0] == pytest.approx(FIXTURE_EXPECT["psi2_next"], abs=1e-13)
@@ -270,7 +290,7 @@ def test_update_applies_rates_exactly():
 def test_update_zero_rate_and_zero_residual_are_noops(pp_star):
     path = sde.EpisodePath(**FIXTURE_PATH)
     pp = qlearn.PolicyParams(**FIXTURE_PP)
-    new, _ = qlearn.update(pp, path, qlearn.Rates(0.0, 0.0), RHO, xi_weight=0.0)
+    new, _ = update_on_path(pp, path, qlearn.Rates(0.0, 0.0), RHO, xi_weight=0.0)
     assert new.xi == pp.xi
     assert np.array_equal(new.psi1, pp.psi1)
     assert np.array_equal(new.psi2, pp.psi2)
@@ -287,7 +307,7 @@ def test_update_zero_rate_and_zero_residual_are_noops(pp_star):
         actions=np.array([a, a]),
         local_time=np.zeros(3),
     )
-    new0, info0 = qlearn.update(ppz, path0, qlearn.Rates(0.5, 0.5), RHO, xi_weight=1.0)
+    new0, info0 = update_on_path(ppz, path0, qlearn.Rates(0.5, 0.5), RHO, xi_weight=1.0)
     assert new0.xi == pytest.approx(ppz.xi, abs=1e-12)
     assert np.allclose(new0.psi1, ppz.psi1, atol=1e-12)
     assert info0.norm < 1e-12
@@ -296,7 +316,7 @@ def test_update_zero_rate_and_zero_residual_are_noops(pp_star):
 def test_update_clips_and_projects():
     pp = qlearn.PolicyParams(**FIXTURE_PP)
     path = sde.EpisodePath(**FIXTURE_PATH)
-    new, info = qlearn.update(pp, path, qlearn.Rates(1e4, 1e4), RHO, xi_weight=1.0)
+    new, info = update_on_path(pp, path, qlearn.Rates(1e4, 1e4), RHO, xi_weight=1.0)
     assert info.clipped
     step = np.array([new.psi1[0] - pp.psi1[0], new.psi2[0, 0] - pp.psi2[0, 0]])
     assert np.linalg.norm(step) <= qlearn.UPDATE_CLIP + 1e-9
@@ -313,7 +333,7 @@ def test_update_rejects_non_finite():
     bad = dict(FIXTURE_PATH)
     bad["states"] = np.array([1.0, 0.5, math.inf, 2.0])
     with pytest.raises(qlearn.NonFiniteUpdate), np.errstate(invalid="ignore"):
-        qlearn.update(pp, sde.EpisodePath(**bad), qlearn.Rates(0.1, 0.1), RHO, xi_weight=1.0)
+        update_on_path(pp, sde.EpisodePath(**bad), qlearn.Rates(0.1, 0.1), RHO, xi_weight=1.0)
 
 
 def test_update_xi_weight_one_solves_xi_condition(params_ref):
@@ -326,12 +346,12 @@ def test_update_xi_weight_one_solves_xi_condition(params_ref):
             params_ref, mean_coef, cov_chol, 1, 1.0, 3.0, 0.02, seed=trial
         )
         path = next(iter(batch))
-        new, info = qlearn.update(pp, path, qlearn.Rates(0.1, 0.1), RHO, xi_weight=1.0)
+        new, info = update_on_path(pp, path, qlearn.Rates(0.1, 0.1), RHO, xi_weight=1.0)
         at_root = qlearn.PolicyParams(new.xi, pp.psi1, pp.psi2, GAMMA)
-        assert abs(qlearn.update_statistics(at_root, path, RHO)[0]) < 1e-12
+        assert abs(path_statistics(at_root, path, RHO)[0][0]) < 1e-12
         # the xi step stays out of the clipped norm
-        _, s1, s2, _ = qlearn.update_statistics(pp, path, RHO)
-        assert info.norm == pytest.approx(0.1 * math.hypot(s1[0], s2[0, 0]), rel=1e-12)
+        (_, s1, s2), _ = path_statistics(pp, path, RHO)
+        assert info.norm == pytest.approx(0.1 * math.hypot(s1, s2), rel=1e-12)
 
 
 def test_update_xi_weight_rejects_non_finite_root():
@@ -339,7 +359,7 @@ def test_update_xi_weight_rejects_non_finite_root():
     bad = dict(FIXTURE_PATH)
     bad["states"] = np.array([1.0, 0.5, math.inf, 2.0])
     with pytest.raises(qlearn.NonFiniteUpdate), np.errstate(invalid="ignore"):
-        qlearn.update(pp, sde.EpisodePath(**bad), qlearn.Rates(0.0, 0.0), RHO, xi_weight=1.0)
+        update_on_path(pp, sde.EpisodePath(**bad), qlearn.Rates(0.0, 0.0), RHO, xi_weight=1.0)
 
 
 # ---------------------------------------------------------------- schedule
@@ -384,6 +404,7 @@ def test_train_reproducible(params_ref):
 
 
 def test_train_resume_equals_single_run(params_ref):
+    # 5 of 10 episodes stops inside the first block; the rest of it is drawn by the block-start policy
     env = sde.Environment(params=params_ref, dt=0.05)
     full = qlearn.train(
         qlearn.LearnConfig(y0=1.0, T=2.0, dt=0.05, n_episodes=10, gamma=GAMMA, rho=RHO, seed=3),
@@ -401,11 +422,25 @@ def test_train_resume_equals_single_run(params_ref):
             start_episode=6,
         ),
         env2,
+        policy=first.policy,
     )
-    assert resumed.final.xi == pytest.approx(full.final.xi, abs=1e-14)
-    assert np.allclose(resumed.final.psi1, full.final.psi1, atol=1e-14)
-    assert np.allclose(resumed.final.psi2, full.final.psi2, atol=1e-14)
+    assert resumed.final.xi == full.final.xi
+    assert np.array_equal(resumed.final.psi1, full.final.psi1)
+    assert np.array_equal(resumed.final.psi2, full.final.psi2)
+    for field in ("xi", "psi1", "psi2", "psi3", "update_norms"):
+        assert np.array_equal(getattr(resumed, field), getattr(full, field)[5:]), field
     assert list(resumed.episodes) == list(range(6, 11))
+    # without the block-start policy the rest of the block is drawn at the resumed parameters
+    assert first.policy.xi == 0.0 and first.final.xi != 0.0
+    drifted = qlearn.train(
+        qlearn.LearnConfig(
+            y0=1.0, T=2.0, dt=0.05, n_episodes=5, gamma=GAMMA, rho=RHO, seed=3,
+            xi0=first.final.xi, psi1_0=first.final.psi1, psi2_0=first.final.psi2,
+            start_episode=6,
+        ),
+        sde.Environment(params=params_ref, dt=0.05),
+    )
+    assert not np.array_equal(drifted.psi1, resumed.psi1)
 
 
 def test_train_counts_only_its_own_clamps(params_ref):
@@ -450,23 +485,34 @@ def test_train_xi_is_mean_of_episode_roots(params_ref, monkeypatch):
     )
     paths = list(batch)[1:]  # train's episode i uses stream (seed, i), i >= 1
     c = RHO * dt * sum(math.exp(-RHO * k * dt) for k in range(round(T / dt)))
-    roots = np.array([pp0.xi + qlearn.update_statistics(pp0, p, RHO)[0] / c for p in paths])
+    roots = np.array([pp0.xi + path_statistics(pp0, p, RHO)[0][0] / c for p in paths])
     running = np.cumsum(roots) / np.arange(1, n + 1)
     assert np.allclose(hist.xi, running, rtol=0.0, atol=1e-12)
     assert abs(hist.final.xi - roots.mean()) < 1e-12
     assert np.array_equal(hist.psi1[:, 0], np.zeros(n))
 
 
+def nan_xi_statistic(monkeypatch, episode: int) -> None:
+    """Make the xi statistic of the episode-th row that _episode_statistics returns NaN.
+
+    train asks for a block's rows in one call and train_loop for one row per
+    call, so counting rows reaches the same episode in both.
+    """
+    real = qlearn._episode_statistics
+    seen = [0]
+
+    def stats(*args, **kwargs):
+        rows, d_rows, c = real(*args, **kwargs)
+        if seen[0] < episode <= seen[0] + len(rows):
+            rows[episode - 1 - seen[0], 0] = math.nan
+        seen[0] += len(rows)
+        return rows, d_rows, c
+
+    monkeypatch.setattr(qlearn, "_episode_statistics", stats)
+
+
 def test_train_counts_non_finite_xi_root_as_rejected(params_ref, monkeypatch):
-    real = qlearn.update_statistics
-    calls = []
-
-    def nan_on_third(pp, path, rho):
-        calls.append(1)
-        stats = real(pp, path, rho)
-        return (math.nan, *stats[1:]) if len(calls) == 3 else stats
-
-    monkeypatch.setattr(qlearn, "update_statistics", nan_on_third)
+    nan_xi_statistic(monkeypatch, 3)
     monkeypatch.setattr(qlearn, "REJECT_FRACTION", 0.5)
     env = sde.Environment(params=params_ref, dt=0.05)
     cfg = qlearn.LearnConfig(y0=1.0, T=1.0, dt=0.05, n_episodes=5, gamma=GAMMA, rho=RHO, seed=6)
@@ -474,6 +520,54 @@ def test_train_counts_non_finite_xi_root_as_rejected(params_ref, monkeypatch):
     assert hist.rejected_episodes == [3]
     assert hist.xi[2] == hist.xi[1]
     assert np.all(np.isfinite(hist.xi))
+
+
+class _NanAt:
+    """A generator whose next standard_normal(out=...) fill has a NaN action normal at one step."""
+
+    def __init__(self, gen, step: int):
+        self.gen, self.step = gen, step
+
+    def standard_normal(self, *, out):
+        self.gen.standard_normal(out=out)
+        out[self.step, 0] = math.nan
+        return out
+
+
+def test_train_rejects_only_the_non_finite_row(params_ref, monkeypatch):
+    # episode 5's path turns NaN at step 7 inside the first 16-episode block
+    streams, episode_rng = sde.episode_streams, sde.episode_rng
+
+    def poisoned_streams():
+        stream = streams()
+        return lambda seed, i: _NanAt(stream(seed, i), 7) if i == 5 else stream(seed, i)
+
+    monkeypatch.setattr(sde, "episode_streams", poisoned_streams)
+    monkeypatch.setattr(sde, "episode_rng", lambda seed, i: _NanAt(episode_rng(seed, i), 7) if i == 5
+                        else episode_rng(seed, i))
+    cfg = qlearn.LearnConfig(y0=1.0, T=1.0, dt=0.05, n_episodes=20, gamma=GAMMA, rho=RHO, seed=6)
+    with np.errstate(invalid="ignore"):
+        hist = qlearn.train(cfg, sde.Environment(params=params_ref, dt=0.05))
+        # the per-episode loop's rollout raises NonFinite on the same episode
+        loop = train_loop(cfg, sde.Environment(params=params_ref, dt=0.05))
+    assert hist.rejected_episodes == loop.rejected_episodes == [5]
+    assert hist.xi[4] == hist.xi[3] and np.array_equal(hist.psi1[4], hist.psi1[3])
+    # the other 15 rows of the block update
+    assert np.count_nonzero(hist.update_norms[:16]) == 15 and np.all(np.diff(hist.xi[5:16]) != 0.0)
+    for field in ("xi", "psi1", "psi2", "psi3", "update_norms"):
+        assert np.array_equal(getattr(hist, field), getattr(loop, field)), field
+
+
+def test_train_rejects_a_block_without_a_policy(params_ref):
+    # a run resumed at episode 15 whose block-start policy cannot be inverted rejects episodes 15 and 16
+    singular = qlearn.PolicyParams(0.3, [0.3], [[1e-7]], GAMMA)
+    kwargs = dict(y0=1.0, T=1.0, dt=0.05, n_episodes=20, gamma=GAMMA, rho=RHO, seed=8, start_episode=15)
+    hist = qlearn.train(qlearn.LearnConfig(**kwargs), sde.Environment(params=params_ref, dt=0.05), singular)
+    loop = train_loop(qlearn.LearnConfig(**kwargs), sde.Environment(params=params_ref, dt=0.05), singular)
+    assert hist.rejected_episodes == loop.rejected_episodes == [15, 16]
+    assert np.all(hist.xi[:2] == 0.0) and np.count_nonzero(hist.update_norms) == 18
+    for field in ("xi", "psi1", "psi2", "psi3", "update_norms"):
+        assert np.array_equal(getattr(hist, field), getattr(loop, field)), field
 
 
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
@@ -518,36 +612,34 @@ def test_history_csv_bytes_equal_the_row_writer(tmp_path, params_ref, monkeypatc
 
 @pytest.mark.parametrize("case", ["d1", "d2", "action_cap", "resumed", "rejected"])
 def test_train_equals_the_per_episode_loop(params_ref, monkeypatch, case):
-    # one workspace and one re-keyed Philox per run give the histories of fresh ones per episode
+    # one kernel call and one statistics call per 16-episode block give the histories of a
+    # per-episode loop that holds the policy at its block-start value, fresh generators and all
     params = PARAMS_D2 if case == "d2" else params_ref
     cap = 0.5 if case == "action_cap" else sde.DEFAULT_ACTION_CAP
     kwargs = dict(y0=1.0, T=2.0, dt=0.01, n_episodes=30, gamma=GAMMA, rho=RHO, seed=11)
-    if case == "resumed":
-        first = qlearn.train(qlearn.LearnConfig(**kwargs), sde.Environment(params=params, dt=0.01))
-        kwargs.update(xi0=first.final.xi, psi1_0=first.final.psi1, psi2_0=first.final.psi2, start_episode=31)
-    real = qlearn.update_statistics
+    policy = None
+    if case == "resumed":   # 21 episodes stop inside the second block
+        first = qlearn.train(qlearn.LearnConfig(**dict(kwargs, n_episodes=21)), sde.Environment(params=params, dt=0.01))
+        kwargs.update(xi0=first.final.xi, psi1_0=first.final.psi1, psi2_0=first.final.psi2, start_episode=22)
+        policy = first.policy
 
     def run(trainer):
         if case == "rejected":
-            calls = []
-
-            def nan_on_seventh(pp, path, rho):
-                calls.append(1)
-                stats = real(pp, path, rho)
-                return (math.nan, *stats[1:]) if len(calls) == 7 else stats
-
-            monkeypatch.setattr(qlearn, "update_statistics", nan_on_seventh)
+            nan_xi_statistic(monkeypatch, 7)
         env = sde.Environment(params=params, dt=0.01, action_cap=cap)
-        return trainer(qlearn.LearnConfig(**kwargs), env)
+        return trainer(qlearn.LearnConfig(**kwargs), env, policy)
 
     fast, loop = run(qlearn.train), run(train_loop)
     for field in ("episodes", "xi", "psi1", "psi2", "psi3", "update_norms", "clipped"):
         assert np.array_equal(getattr(fast, field), getattr(loop, field)), field
     assert np.array_equal(fast.rejected_episodes, loop.rejected_episodes)
     assert np.array_equal(fast.clamp_events, loop.clamp_events)
+    for name in ("final", "policy"):
+        a, b = getattr(fast, name), getattr(loop, name)
+        assert a.xi == b.xi and np.array_equal(a.psi1, b.psi1) and np.array_equal(a.psi2, b.psi2), name
     assert fast.rejected_episodes == ([7] if case == "rejected" else [])
     assert (fast.clamp_events > 0) == (case == "action_cap")
-    assert fast.episodes[0] == (31 if case == "resumed" else 1)
+    assert fast.episodes[0] == (22 if case == "resumed" else 1)
 
 
 # ------------------------------------------------------------- diagnostics
@@ -594,8 +686,7 @@ def test_block_statistics_match_the_per_episode_loop(d):
         assert np.allclose(stats.stderrs, reference.std(axis=0, ddof=1) / math.sqrt(37), rtol=1e-12, atol=0.0)
     # update reads a 1-row block, which rounds like its row of a 16-row or a 5-row block
     for path, row in zip(batch, stats.rows):
-        sx, s1, s2, _ = qlearn.update_statistics(pp, path, params.rho)
-        assert np.array_equal(np.concatenate([[sx], s1, s2.ravel()]), row)
+        assert np.array_equal(path_statistics(pp, path, params.rho)[0], row)
 
 
 @pytest.mark.parametrize("d", [1, 2])

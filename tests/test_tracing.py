@@ -48,17 +48,18 @@ def test_traced_train_and_diagnose_count_steps(tmp_path):
     assert (sde.rollout_linear_gaussian, sde.simulate_linear_gaussian_batch, qlearn.update, cli.main) == originals
     assert tr.failures == []
     assert tr.counts["episodes"] == 2
-    assert tr.counts["rollout_steps"] == 2 * 10
+    # train runs the block kernel, not the wrapped per-episode rollout, so no rollout step is counted
+    assert tr.counts["rollout_steps"] == 0
     assert tr.counts["batch_path_steps"] == 20 * 10   # simulate's batch; diagnose streams its blocks
     assert tr.counts["orth_paths"] == 20   # one pass gives the constants and the xi-shifted control
     names = {m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]}
     metrics = tracing.per_layer(tr, [1.0], [1.0])
     assert set(metrics) == names
-    assert metrics["sde.rollout_us_per_step"] > 0.0 and metrics["qlearn.update_us_per_episode"] > 0.0
+    assert metrics["sde.rollout_us_per_step"] == 0.0 and metrics["qlearn.update_us_per_episode"] > 0.0
 
 
-def test_traced_train_records_each_layer_once_per_episode(tmp_path):
-    # the per-layer train metrics divide by these spans, so each must stay one call per episode
+def test_traced_train_records_one_policy_per_block_and_one_update_per_episode(tmp_path):
+    # the per-layer train metrics divide by these spans: 2 episodes are one block, drawn by one policy
     tracing = _tracing()
     train = tmp_path / "train.yaml"
     train.write_text(yaml.safe_dump({**MODEL_BLOCK, "train": {"T": 0.5, "dt": 0.05, "episodes": 2}}))
@@ -69,12 +70,13 @@ def test_traced_train_records_each_layer_once_per_episode(tmp_path):
     finally:
         tr.restore()
     assert tr.failures == []
-    per_episode = ["qlearn.PolicyParams.policy_coefficients", "sde.rollout_linear_gaussian", "qlearn.update"]
+    traced = ["qlearn.PolicyParams.policy_coefficients", "sde.rollout_linear_gaussian", "qlearn.update"]
     names = [span[0] for span in tr.spans]
-    assert [name for name in names if name in per_episode] == per_episode * 2
+    assert [name for name in names if name in traced] == [traced[0], traced[2], traced[2]]
     train_span = names.index("qlearn.train")
-    assert all(span[3] == train_span for span in tr.spans if span[0] in per_episode)
-    assert tr.counts["rollout_steps"] == 2 * 10
+    assert all(span[3] == train_span for span in tr.spans if span[0] in traced)
+    assert tr.counts["rollout_steps"] == 0
+
 
 def test_traced_simulate_counts_terminal_sampler_steps(tmp_path):
     tracing = _tracing()
