@@ -48,7 +48,7 @@ CONFIG_KEYS = {
     "grid": {"y_max", "step"},
     "simulate": {"gamma", "scheme", "n_paths", "y0", "T", "dt", "ks_check"},
     "train": {"seed", "T", "dt", "gamma", "resume", "init", "y0", "episodes"},
-    "train.init": {"xi", "psi1", "psi2"},
+    "train.init": {"psi1", "psi2"},
     "diagnose": {"seed", "gamma", "y0", "n_paths", "params", "T", "dt", "xi_shift", "sweep"},
     "diagnose.sweep": {"dt_list", "T_list", "n_paths"},
     "backtest": {"prices", "v0", "rho", "strategies", "baseline_index"},
@@ -255,32 +255,27 @@ def cmd_train(cfg: dict, seed: int | None, out: Path) -> int:
     T, dt = _horizon(tr, "train")
     gamma = float(tr.get("gamma", params.rho / params.d))
 
-    init_xi, init_psi1, init_psi2 = 0.0, None, None
-    start_episode = 1
-    policy = None
+    start_episode, policy, sums = 1, None, None
     resume = tr.get("resume")
     if resume:
-        with open(resume) as fh:
-            snap = json.load(fh)
+        if init:
+            raise ConfigError("train.init has no effect on a resumed run, whose policy is the snapshot's; "
+                              "remove init")
+        snap = _snapshot(resume)
         if snap.get("gamma") is not None:  # a snapshot without gamma trains at the config's
             gamma = _learned_gamma(snap["gamma"], tr.get("gamma"), resume)
-        start = _learned_params(snap, resume, gamma)
-        init_xi, init_psi1, init_psi2 = start.xi, start.psi1, start.psi2
         start_episode = int(_require(snap, "episodes", resume)) + 1
+        policy = _learned_params(_require(snap, "policy", resume), f"{resume} policy", gamma)
+        A, b = (_require(snap, key, resume) for key in ("A", "b"))
+        try:
+            sums = np.asarray(A, dtype=float), np.asarray(b, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"invalid running sums in {resume}: {exc}") from None
+        p = 1 + params.d + params.d * (params.d + 1) // 2   # the entries of (c0, psi1, psi2 psi2')
+        if policy.d != params.d or sums[0].shape != (p, p) or sums[1].shape != (p,):
+            raise ConfigError(f"{resume} was not trained on a market of {params.d} assets")
         log.info("resuming from %s at episode %d", resume, start_episode)
-        if (start_episode - 1) % sde.BLOCK_ROWS:   # the snapshot stopped inside a block of episodes
-            if "policy" in snap:
-                policy = _learned_params(snap["policy"], f"{resume} policy", gamma)
-            else:
-                block_end = (start_episode - 1) // sde.BLOCK_ROWS * sde.BLOCK_ROWS + sde.BLOCK_ROWS
-                log.warning("%s has no block-start policy: episodes %d-%d are drawn at its own parameters, "
-                            "so the run does not repeat an uninterrupted one", resume, start_episode, block_end)
 
-    if "xi" in init and start_episode == 1:
-        raise ConfigError(
-            "train.init.xi has no effect on a run from episode 1: xi is the running mean "
-            "of the per-episode roots of its orthogonality condition; remove init.xi"
-        )
     config = qlearn.LearnConfig(
         y0=float(tr.get("y0", 1.0)),
         T=T,
@@ -289,12 +284,11 @@ def cmd_train(cfg: dict, seed: int | None, out: Path) -> int:
         gamma=gamma,
         rho=params.rho,
         seed=seed,
-        xi0=float(init.get("xi", init_xi)),
-        psi1_0=np.asarray(init["psi1"], dtype=float) if "psi1" in init else init_psi1,
-        psi2_0=np.asarray(init["psi2"], dtype=float) if "psi2" in init else init_psi2,
+        psi1_0=np.asarray(init["psi1"], dtype=float) if "psi1" in init else None,
+        psi2_0=np.asarray(init["psi2"], dtype=float) if "psi2" in init else None,
         start_episode=start_episode,
     )
-    history = qlearn.train(config, sde.Environment(params=params, dt=dt), policy)
+    history = qlearn.train(config, sde.Environment(params=params, dt=dt), policy, sums)
     history.to_csv(out / "history.csv")
     _write_json(out / "history.meta.json", {"rows": len(history.episodes)}, cfg, seed)
     _write_json(out / "learned.json", history.summary(), cfg, seed)
@@ -353,14 +347,28 @@ def _check_paths(n_paths: int, where: str) -> None:
         raise ConfigError(f"{where} is {n_paths}: a standard error needs at least 2 paths")
 
 
-def _learned_params(blk: dict, where: str, gamma: float) -> qlearn.PolicyParams:
+def _snapshot(path: str) -> dict:
+    """The mapping that a learned.json snapshot holds."""
+    try:
+        with open(path) as fh:
+            snap = json.load(fh)
+    except ValueError as exc:   # not JSON, or not text
+        raise ConfigError(f"cannot parse {path}: {exc}") from None
+    if not isinstance(snap, dict):
+        raise ConfigError(f"{path}: top level must be a mapping")
+    return snap
+
+
+def _learned_params(blk, where: str, gamma: float) -> qlearn.PolicyParams:
     """The learner parameters xi, psi1 and psi2 of a learned.json snapshot or a config block."""
-    return qlearn.PolicyParams(
-        xi=float(_require(blk, "xi", where)),
-        psi1=np.asarray(_require(blk, "psi1", where), dtype=float),
-        psi2=np.asarray(_require(blk, "psi2", where), dtype=float),
-        gamma=gamma,
-    )
+    if not isinstance(blk, dict):
+        raise ConfigError(f"{where} must be a mapping, got {blk!r}")
+    xi, psi1, psi2 = (_require(blk, key, where) for key in ("xi", "psi1", "psi2"))
+    try:
+        return qlearn.PolicyParams(xi=float(xi), psi1=np.asarray(psi1, dtype=float),
+                                   psi2=np.asarray(psi2, dtype=float), gamma=gamma)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid {where}: {exc}") from None
 
 
 def _learned_gamma(snap_gamma, cfg_gamma, path: str) -> float:
@@ -406,8 +414,7 @@ def _strategy_from_cfg(blk, prices: bt.PriceSeries, rho: float, where: str = "st
         return name, sol.policy
     if kind == "learned":
         path = _require(blk, "params", "strategy")
-        with open(path) as fh:
-            snap = json.load(fh)
+        snap = _snapshot(path)
         pp = _learned_params(snap, path, _learned_gamma(snap.get("gamma"), blk.get("gamma"), path))
         execution = blk.get("execution", "mean")
         mean = pp.mean_coef   # the mean of policy_from_q at y = 0

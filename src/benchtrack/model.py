@@ -51,7 +51,6 @@ __all__ = [
     "solve_lambda",
     "classical_solution",
     "exploratory_constants",
-    "denormalize_value",
     "psi3_consistency",
     "gibbs_psi3",
 ]
@@ -356,11 +355,3 @@ def exploratory_constants(params: ModelParams, gamma: float) -> ExploratoryConst
         params=params,
     )
 
-
-def denormalize_value(u_val, z):
-    """Map the normalized value u(x/z) back to the cash scale: z * u(x/z)."""
-    z = np.asarray(z, dtype=float)
-    if np.any(z <= 0.0):
-        raise DomainError(f"benchmark level must be > 0, got {z!r}")
-    out = z * np.asarray(u_val, dtype=float)
-    return out if out.ndim else float(out)

@@ -26,21 +26,27 @@ q + rho J has no y in it, so an episode's discretized residuals are
 
 read off the path alone.  Its statistics are the sums of w_k = e^{-rho t_k} G_k
 times the tests 1, u_k and -u_k u_k' psi2 (_test_sums), computed for a block
-of sde.BLOCK_ROWS episodes at once by _episode_statistics, in training as in
-the diagnostics.  psi1 and psi2 move along alpha times their statistics with
-episode-indexed decaying rates.  xi enters every G_k only through -rho xi dt,
-so its statistic is linear in xi,
+of sde.BLOCK_ROWS episodes at once by _episode_statistics; the diagnostics
+report them.
 
-    stat_xi(xi) = stat_xi(0) - c xi ,    c = rho dt sum_k e^{-rho t_k} ,
+G_k is linear in theta = (c0, psi1, P), with c0 = psi3 + rho xi and
+P = psi2 psi2':  G_k = X_k - phi_k'theta dt for phi_k = (1, u_k, -u_k u_k'/2),
+where u_k u_k' enters by its unique entries (an off-diagonal pair once, as
+-u_i u_j).  Every test, psi3's gradient included, is a combination of the
+entries of phi_k, so all the conditions vanish where
+sum_k e^{-rho t_k} phi_k G_k = 0.  Summed over episodes these are the normal
+equations A theta = b of the e^{-rho t}-weighted least-squares fit of X_k on
+phi_k dt,
 
-and the root xi + stat_xi / c of its condition is exact for the episode, the
-same at whatever xi the statistic was computed.  Training moves xi by
-(root_i - xi) / i at global episode i, which makes xi the running mean of the
-per-episode roots: the least-squares temporal-difference solve for a
-parameter that enters linearly, with the 1/i stochastic-Newton step.  c
-depends only on rho, dt and T, so the trainer stays model-free.  No
-test function depends on xi either, so every statistic is affine in xi, with
-the slope given by the same sums at the weights -rho dt e^{-rho t_k}; the
+    A = sum_k e^{-rho t_k} phi_k phi_k' dt ,    b = sum_k e^{-rho t_k} phi_k X_k ,
+
+which is LSTD (Bradtke & Barto 1996) on the martingale conditions of Jia &
+Zhou.  The root is the same for any behaviour policy under which A has full
+rank, so the fit needs no learning rate.  train adds each episode's sums to
+running A and b, solves them once per block of episodes (update), and reads
+off psi2 = cholesky(P), psi3 from (psi1, psi2) and xi = (c0 - psi3) / rho.
+No test function depends on xi, so every statistic is affine in xi, with the
+slope given by the same sums at the weights -rho dt e^{-rho t_k}; the
 diagnostics' xi-shifted control is derived from the paths' one pass.
 """
 
@@ -58,11 +64,9 @@ from .model import DomainError, ExploratoryConstants, ModelParams, gibbs_psi3, p
 
 __all__ = [
     "SingularPsi2",
-    "NonFiniteUpdate",
     "TooManyRejectedEpisodes",
     "GaussianSpec",
     "PolicyParams",
-    "Rates",
     "LearnConfig",
     "TrainHistory",
     "OrthogonalityStats",
@@ -70,28 +74,17 @@ __all__ = [
     "q_value",
     "policy_from_q",
     "update",
-    "schedule",
     "train",
     "orthogonality_stats",
     "convergence_study",
 ]
 
 PSI2_FLOOR = 1e-6
-# the psi learning rates coef i^-power at episode i: (coef_psi1, coef_psi2, power) up to
-# SWITCH_EPISODE, then the second regime
-SWITCH_EPISODE = 10_000
-FIRST_RATES = (0.1, 0.01, 0.61)
-SECOND_RATES = (0.05, 0.005, 0.81)
-UPDATE_CLIP = 1.0       # the largest norm of one (psi1, psi2) step
 REJECT_FRACTION = 0.1   # train stops once more than this share of its episodes is rejected
 
 
 class SingularPsi2(ValueError):
     """psi2 psi2' is singular or too ill-conditioned to invert."""
-
-
-class NonFiniteUpdate(RuntimeError):
-    """An episode produced a NaN/Inf parameter update."""
 
 
 class TooManyRejectedEpisodes(RuntimeError):
@@ -156,38 +149,25 @@ class PolicyParams:
 
     @cached_property
     def psi3(self) -> float:
-        """The Gibbs normalization constant of (psi1, psi2) at gamma, as _psi3_rows gives it for one row."""
-        return float(_psi3_rows(self.psi1[None], self.psi2[None], self.gamma)[0])
+        """The Gibbs normalization constant of (psi1, psi2) at gamma, in the policy's own steps.
+
+        psi1'(P^-1 psi1) and the sum of the logs of P's eigenvalues for
+        P = psi2 psi2', in model.gibbs_psi3.  Without a Gibbs policy (see
+        precision) psi3 still has the normalization formula's value.
+        """
+        eigs = np.linalg.eigvalsh(self.psi2_sq)
+        if not _invertible(eigs):
+            return psi3_consistency(self.psi1, self.psi2, self.gamma)
+        return gibbs_psi3(float(self.psi1 @ self.mean_coef), float(np.log(eigs).sum()), self.d, self.gamma)
 
     def policy_coefficients(self) -> tuple[np.ndarray, np.ndarray]:
         """(mean_coef, cov_chol): a ~ N(mean_coef (1+y), (1+y)^2 chol chol')."""
         return self.mean_coef, np.linalg.cholesky(self.gamma * self.precision)
 
 
-def _invertible(eigs: np.ndarray):
-    """Whether psi2 psi2' with these ascending eigenvalues (along the last axis) passes precision's guards."""
-    with np.errstate(divide="ignore", invalid="ignore"):   # a zero eigenvalue fails the first guard
-        return (eigs[..., 0] >= PSI2_FLOOR**2) & (eigs[..., -1] / eigs[..., 0] <= 1e12)
-
-
-def _psi3_rows(psi1: np.ndarray, psi2: np.ndarray, gamma: float) -> np.ndarray:
-    """psi3 of (psi1[r], psi2[r]) for every row r, from one eigvalsh and one inv over the stack.
-
-    psi1 is (n, d) and psi2 (n, d, d).  Each row takes the policy's own steps:
-    P = psi2 psi2', then psi1'(P^-1 psi1) and the sum of the logs of P's
-    eigenvalues, in model.gibbs_psi3.  A row without a Gibbs policy (see
-    PolicyParams.precision) still has the normalization formula's value.
-    """
-    n, d = psi1.shape
-    P = psi2 @ np.swapaxes(psi2, 1, 2)
-    eigs = np.linalg.eigvalsh(P)
-    ok = _invertible(eigs)
-    mean_coef = np.linalg.inv(P[ok]) @ psi1[ok, :, None]
-    out = np.empty(n)
-    out[ok] = gibbs_psi3((psi1[ok, None, :] @ mean_coef)[:, 0, 0], np.log(eigs[ok]).sum(axis=1), d, gamma)
-    for r in np.flatnonzero(~ok):
-        out[r] = psi3_consistency(psi1[r], psi2[r], gamma)
-    return out
+def _invertible(eigs: np.ndarray) -> bool:
+    """Whether psi2 psi2' with these ascending eigenvalues passes precision's guards."""
+    return bool(eigs[0] >= PSI2_FLOOR**2 and eigs[-1] / eigs[0] <= 1e12)
 
 
 def j_value(pp: PolicyParams, y):
@@ -314,77 +294,77 @@ def _episode_statistics(
     return rows, d_rows, rho * dt * float(disc.sum())
 
 
-@dataclass(frozen=True)
-class Rates:
-    alpha_psi1: float
-    alpha_psi2: float
+def _quadratic_pairs(d: int) -> list[tuple[int, int]]:
+    """The (i, j), i <= j, of the entries of u u' in phi, in the order of theta's P entries."""
+    return [(i, j) for i in range(d) for j in range(i, d)]
 
 
-@dataclass(frozen=True)
-class UpdateInfo:
-    norm: float
-    clipped: bool
+def _sums_workspace(rows: int, K: int, d: int) -> SimpleNamespace:
+    """Scratch arrays for _normal_sums on up to `rows` paths of K steps; f[0] holds phi's constant 1."""
+    f = np.empty((1 + d + len(_quadratic_pairs(d)), rows, K))
+    f[0] = 1.0
+    x, wf, t = np.empty((3, rows, K))
+    return SimpleNamespace(log=np.empty((rows, K + 1)), x=x, f=f, wf=wf, t=t)
 
 
-def _project_psi2(psi2: np.ndarray) -> np.ndarray:
-    """Keep psi2 psi2' positive definite (identifiability up to sign)."""
-    d = psi2.shape[0]
-    if d == 1:
-        return np.array([[max(float(psi2[0, 0]), PSI2_FLOOR)]])
-    u, s, vt = np.linalg.svd(psi2)
-    return u @ np.diag(np.maximum(s, PSI2_FLOOR)) @ vt
+def _normal_sums(
+    disc: np.ndarray, dt: float, states: np.ndarray, actions: np.ndarray, local_time: np.ndarray, ws: SimpleNamespace,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per path, A_r = sum_k e^{-rho t_k} phi_k phi_k' dt and b_r = sum_k e^{-rho t_k} phi_k X_k.
+
+    disc is (K,), the discount e^{-rho t_k}.  states and local_time are
+    (n, K+1), actions (n, K, d), and ws a _sums_workspace of at least n
+    rows.  u_k and X_k are read off the path as _episode_statistics reads
+    them.  Each sum of products runs along one contiguous row, so a 1-row
+    block gives a row of a larger block bit for bit.
+    """
+    n, d = len(states), actions.shape[-1]
+    log, x, f, wf, t = ws.log[:n], ws.x[:n], ws.f[:, :n], ws.wf[:n], ws.t[:n]
+    p = len(f)
+    np.add(states[:, :-1], 1.0, out=t)
+    for i in range(d):
+        np.divide(actions[..., i], t, out=f[1 + i])
+    for k, (i, j) in enumerate(_quadratic_pairs(d)):
+        np.multiply(f[1 + i], f[1 + j], out=f[1 + d + k])
+        f[1 + d + k] *= -0.5 if i == j else -1.0
+    np.log1p(states, out=log)
+    np.subtract(log[:, 1:], log[:, :-1], out=x)
+    x -= np.subtract(local_time[:, 1:], local_time[:, :-1], out=t)
+    A, b = np.empty((n, p, p)), np.empty((n, p))
+    for a in range(p):
+        np.multiply(f[a], disc, out=wf)
+        b[:, a] = np.einsum("rk,rk->r", wf, x)
+        for c in range(a, p):
+            A[:, a, c] = A[:, c, a] = np.einsum("rk,rk->r", wf, f[c])
+    A *= dt
+    return A, b
 
 
-def update(
-    pp: PolicyParams, root: float, row: np.ndarray, rates: Rates, xi_weight: float
-) -> tuple[PolicyParams, UpdateInfo]:
-    """Apply one stochastic-approximation step from an on-policy episode's statistics.
+def update(pp: PolicyParams, A: np.ndarray, b: np.ndarray, rho: float) -> tuple[PolicyParams, bool]:
+    """The fit (xi, psi1, psi2) of the normal equations A theta = b, or pp held; returns (params, held).
 
-    row is the episode's row of _episode_statistics, [stat_xi, stat_psi1,
-    stat_psi2 (row-major)], computed at the policy that drew the episode,
-    which may lag pp.  root = xi_b + stat_xi / c is the exact root of the
-    episode's xi condition, with xi_b that policy's xi; it does not depend
-    on xi_b.  xi moves the fraction xi_weight of the way from pp.xi to root.
-    psi1 and psi2 move by their rates times their statistics, and the norm of
-    that step is capped at UPDATE_CLIP; the xi step is neither clipped nor
-    counted in the norm.  Non-finite updates raise NonFiniteUpdate so the
-    caller can skip and count them.  psi3 needs no explicit refresh because
-    it is always derived.
+    theta = (c0, psi1, P's entries in _quadratic_pairs order) gives
+    psi2 = cholesky(P) and xi = (c0 - psi3) / rho.  A fit that has no Gibbs
+    policy (a singular A, a P that is not positive definite or fails
+    PolicyParams.precision's guards) keeps pp, so every block is drawn by a
+    policy.  The fit reads only the sums, never the market parameters.
     """
     d = pp.d
-    d_xi = xi_weight * (root - pp.xi)
-    d_psi1 = rates.alpha_psi1 * row[1 : 1 + d]
-    d_psi2 = rates.alpha_psi2 * row[1 + d :].reshape(d, d)
-    vec = np.concatenate([d_psi1, d_psi2.ravel()])
-    if not (math.isfinite(d_xi) and np.isfinite(vec).all()):
-        raise NonFiniteUpdate("episode produced a non-finite update")
-    norm = math.sqrt(vec.dot(vec))   # np.linalg.norm's formula for a real vector
-    clipped = False
-    if norm > UPDATE_CLIP:
-        factor = UPDATE_CLIP / norm
-        d_psi1 = d_psi1 * factor
-        d_psi2 = d_psi2 * factor
-        clipped = True
-    new = PolicyParams(xi=pp.xi + d_xi, psi1=pp.psi1 + d_psi1, psi2=_project_psi2(pp.psi2 + d_psi2), gamma=pp.gamma)
-    return new, UpdateInfo(norm=norm, clipped=clipped)
-
-
-def schedule(i: int) -> Rates:
-    """psi learning rates for episode i (1-based): piecewise power decay."""
-    if i < 1:
-        raise ValueError(f"episode index must be >= 1, got {i}")
-    coef_psi1, coef_psi2, power = FIRST_RATES if i <= SWITCH_EPISODE else SECOND_RATES
-    decay = float(i) ** (-power)
-    return Rates(alpha_psi1=coef_psi1 * decay, alpha_psi2=coef_psi2 * decay)
+    try:
+        theta = np.linalg.solve(A, b)
+        P = np.empty((d, d))
+        for k, (i, j) in enumerate(_quadratic_pairs(d)):
+            P[i, j] = P[j, i] = theta[1 + d + k]
+        fit = PolicyParams(0.0, theta[1 : 1 + d], np.linalg.cholesky(P), pp.gamma)
+        fit.precision   # raises SingularPsi2 for a psi2 without a Gibbs policy
+    except (np.linalg.LinAlgError, SingularPsi2):
+        return pp, True
+    return PolicyParams((theta[0] - fit.psi3) / rho, fit.psi1, fit.psi2, pp.gamma), False
 
 
 @dataclass
 class LearnConfig:
-    """Offline training run configuration.
-
-    schedule() sets the psi rates; xi follows the running mean of its
-    per-episode roots (see the module docstring).
-    """
+    """Offline training run configuration; psi1_0 and psi2_0 set the policy of the first block."""
 
     y0: float
     T: float
@@ -393,7 +373,6 @@ class LearnConfig:
     gamma: float
     rho: float
     seed: int
-    xi0: float = 0.0
     psi1_0: np.ndarray | None = None
     psi2_0: np.ndarray | None = None
     start_episode: int = 1
@@ -408,7 +387,7 @@ class LearnConfig:
     def initial_params(self, d: int) -> PolicyParams:
         psi1 = np.zeros(d) if self.psi1_0 is None else np.asarray(self.psi1_0, dtype=float)
         psi2 = np.eye(d) if self.psi2_0 is None else np.asarray(self.psi2_0, dtype=float)
-        return PolicyParams(xi=self.xi0, psi1=psi1, psi2=psi2, gamma=self.gamma)
+        return PolicyParams(xi=0.0, psi1=psi1, psi2=psi2, gamma=self.gamma)
 
 
 @dataclass
@@ -420,12 +399,13 @@ class TrainHistory:
     psi1: np.ndarray       # (N, d)
     psi2: np.ndarray       # (N, d, d)
     psi3: np.ndarray
-    update_norms: np.ndarray
-    clipped: np.ndarray    # bool
+    clipped: np.ndarray    # bool: the refit at this episode was held
     rejected_episodes: list[int]
     clamp_events: int      # action clamps during this run only
-    final: PolicyParams
-    policy: PolicyParams   # the block-start parameters that drew the last block
+    final: PolicyParams    # the fit of all the sums
+    policy: PolicyParams   # the policy that draws the next episode
+    A: np.ndarray          # the running normal equations, after the last episode
+    b: np.ndarray
 
     def to_csv(self, path) -> None:
         n, d = self.psi1.shape
@@ -433,10 +413,10 @@ class TrainHistory:
             ["episode", "xi"]
             + [f"psi1_{i+1}" for i in range(d)]
             + [f"psi2_{i+1}{j+1}" for i in range(d) for j in range(d)]
-            + ["psi3", "update_norm", "clipped"]
+            + ["psi3", "clipped"]
         )
         columns = [self.episodes, self.xi, *self.psi1.T, *self.psi2.reshape(n, d * d).T,
-                   self.psi3, self.update_norms, self.clipped.astype(int)]
+                   self.psi3, self.clipped.astype(int)]
         sde._write_csv(path, header, zip(*(column.tolist() for column in columns)))
 
     def summary(self) -> dict:
@@ -451,97 +431,95 @@ class TrainHistory:
             "clamp_events": int(self.clamp_events),
             "policy": {"xi": float(self.policy.xi), "psi1": self.policy.psi1.tolist(),
                        "psi2": self.policy.psi2.tolist()},
+            "A": self.A.tolist(),
+            "b": self.b.tolist(),
         }
 
 
-def train(config: LearnConfig, env: sde.Environment, policy: PolicyParams | None = None) -> TrainHistory:
+def train(
+    config: LearnConfig, env: sde.Environment, policy: PolicyParams | None = None,
+    sums: tuple[np.ndarray, np.ndarray] | None = None,
+) -> TrainHistory:
     """Run the offline learning loop against a simulated environment.
 
     Episodes run in blocks of sde.BLOCK_ROWS aligned to the global episode
-    index (episodes 16b+1 ... 16b+16).  The parameters at a block's start
-    draw all of its episodes: one kernel call simulates them on `env`, one
-    _episode_statistics call reduces them, and each row then updates the
-    parameters in episode order.  The update reads only the paths, never the
-    market parameters.  Episode i uses the Philox stream keyed by
-    (config.seed, i), so a run is reproducible.
+    index (episodes 16b+1 ... 16b+16).  One policy draws all of a block's
+    episodes: one kernel call simulates them on `env`, and one _normal_sums
+    call reduces each to its rows (A_r, b_r), which are added to the running
+    A and b in episode order.  At the block's end update solves the sums,
+    and its fit draws the next block.  A history row holds the policy that
+    drew its episode, and the last row of a block the block's fit.  The fit
+    reads only the paths, never the market parameters.  Episode i uses the
+    Philox stream keyed by (config.seed, i), so a run is reproducible.
 
-    xi moves by (root_i - xi) / i at global episode i, so it is the running
-    mean of the per-episode roots of its condition: a run from episode 1
-    gives xi0 no weight, and a resumed run treats xi0 as the mean of the
-    i - 1 earlier roots.  psi1 and psi2 follow schedule()'s rates.  A start
-    whose psi2 psi2' the policy cannot invert raises SingularPsi2 before the
-    first episode.  A non-finite path or update rejects its own episode, and
-    a block whose policy cannot be built rejects all of its episodes.
-
-    A run that starts inside a block draws the rest of it from `policy`, the
-    TrainHistory.policy of the run it resumes, so that it repeats an
-    uninterrupted run; without one, from the start parameters.
+    A path with non-finite sums rejects its own episode.  A start whose
+    psi2 psi2' the policy cannot invert raises SingularPsi2 before the
+    first episode.  A resumed run passes the TrainHistory.policy and the
+    sums (A, b) of the run it continues, and then repeats an uninterrupted
+    run; without them the first block is drawn by config.initial_params
+    and the sums start at zero.
     """
     if not math.isclose(env.dt, config.dt, rel_tol=1e-12):
         raise ValueError(f"environment step {env.dt} != config step {config.dt}")
     d = env.params.d
-    pp = config.initial_params(d)
-    pp.precision   # raises SingularPsi2 for a start that would reject every episode
+    pp = config.initial_params(d) if policy is None else policy
+    pp.precision   # raises SingularPsi2 for a start that cannot draw the first block
     n, K, rows_max = config.n_episodes, config.n_steps, sde.BLOCK_ROWS
     hist_xi = np.empty(n)
     hist_psi1 = np.empty((n, d))
     hist_psi2 = np.empty((n, d, d))
     hist_psi3 = np.empty(n)
-    hist_norm = np.zeros(n)
-    hist_clip = np.zeros(n, dtype=bool)
+    hist_held = np.zeros(n, dtype=bool)
     episodes = np.arange(config.start_episode, config.start_episode + n)
     times = np.linspace(0.0, config.T, K + 1)
-    # set up once per run: one kernel and one statistics workspace, and one Philox re-keyed per episode
+    disc, dt = np.exp(-config.rho * times[:-1]), float(times[1] - times[0])
+    # set up once per run: one kernel and one sums workspace, and one Philox re-keyed per episode
     market = sde._market(env.params, env.dt)
-    ws, stats_ws = sde._workspace(rows_max, K, d), _statistics_workspace(rows_max, K, d)
+    ws, sums_ws = sde._workspace(rows_max, K, d), _sums_workspace(rows_max, K, d)
     states, actions, local = np.empty((rows_max, K + 1)), np.empty((rows_max, K, d)), np.empty((rows_max, K + 1))
+    p = len(sums_ws.f)
+    A, b = (np.zeros((p, p)), np.zeros(p)) if sums is None else (np.array(s, dtype=float) for s in sums)
     stream = sde.episode_streams()
     clamps_before = env.clamp_events
     rejected: list[int] = []
     max_rejected = REJECT_FRACTION * n
-    drawn_by = pp if policy is None else policy
     lo = 0
     while lo < n:
         first = int(episodes[lo])
-        if (first - 1) % rows_max == 0:
-            drawn_by = pp
         m = min(n - lo, rows_max - (first - 1) % rows_max)   # up to the block's end
-        try:
-            mean_coef, cov_chol = drawn_by.policy_coefficients()
-        except SingularPsi2:   # no policy to draw the block: its rows are NaN, so update rejects every episode
-            rows = np.full((m, 1 + d + d * d), math.nan)
-            roots = rows[:, 0]
-        else:
-            for j in range(m):
-                stream(config.seed, first + j).standard_normal(out=ws.normals[j])
-            # a non-finite path gives its row non-finite statistics, which update rejects
-            with np.errstate(over="ignore", invalid="ignore"):
-                env.clamp_events += sde._linear_gaussian_paths(
-                    market, mean_coef, cov_chol, config.y0, env.action_cap, ws, states[:m], actions[:m], local[:m])
-                rows, _, c = _episode_statistics(
-                    drawn_by, config.rho, times, states[:m], actions[:m], local[:m], stats_ws)
-                roots = drawn_by.xi + rows[:, 0] / c
+        mean_coef, cov_chol = pp.policy_coefficients()
         for j in range(m):
-            idx, i = lo + j, first + j
-            try:
-                pp, info = update(pp, roots[j], rows[j], schedule(i), xi_weight=1.0 / i)
-                hist_norm[idx] = info.norm
-                hist_clip[idx] = info.clipped
-            except NonFiniteUpdate:
-                rejected.append(i)
+            stream(config.seed, first + j).standard_normal(out=ws.normals[j])
+        # a non-finite path gives its rows non-finite sums, which reject its episode
+        with np.errstate(over="ignore", invalid="ignore"):
+            env.clamp_events += sde._linear_gaussian_paths(
+                market, mean_coef, cov_chol, config.y0, env.action_cap, ws, states[:m], actions[:m], local[:m])
+            A_rows, b_rows = _normal_sums(disc, dt, states[:m], actions[:m], local[:m], sums_ws)
+        finite = np.isfinite(A_rows).all(axis=(1, 2)) & np.isfinite(b_rows).all(axis=1)
+        for j in range(m):
+            if finite[j]:
+                A += A_rows[j]
+                b += b_rows[j]
+            else:
+                rejected.append(first + j)
                 if len(rejected) > max_rejected:
                     raise TooManyRejectedEpisodes(
-                        f"{len(rejected)} of {idx + 1} episodes rejected "
+                        f"{len(rejected)} of {lo + j + 1} episodes rejected "
                         f"(limit {REJECT_FRACTION:.0%} of {n})"
                     )
-            hist_xi[idx] = pp.xi
-            hist_psi1[idx] = pp.psi1
-            hist_psi2[idx] = pp.psi2
-        hist_psi3[lo : lo + m] = _psi3_rows(hist_psi1[lo : lo + m], hist_psi2[lo : lo + m], pp.gamma)
+        fit, held = update(pp, A, b, config.rho)
+        hist_held[lo + m - 1] = held
+        for rows, params in ((slice(lo, lo + m - 1), pp), (lo + m - 1, fit)):
+            hist_xi[rows] = params.xi
+            hist_psi1[rows] = params.psi1
+            hist_psi2[rows] = params.psi2
+            hist_psi3[rows] = params.psi3
+        if (first + m - 1) % rows_max == 0:
+            pp = fit
         lo += m
     return TrainHistory(episodes=episodes, xi=hist_xi, psi1=hist_psi1, psi2=hist_psi2, psi3=hist_psi3,
-                        update_norms=hist_norm, clipped=hist_clip, rejected_episodes=rejected,
-                        clamp_events=env.clamp_events - clamps_before, final=pp, policy=drawn_by)
+                        clipped=hist_held, rejected_episodes=rejected, clamp_events=env.clamp_events - clamps_before,
+                        final=fit, policy=pp, A=A, b=b)
 
 
 @dataclass(frozen=True)

@@ -65,11 +65,11 @@ def path_statistics(pp: qlearn.PolicyParams, path: sde.EpisodePath, rho: float):
     return rows[0], c
 
 
-def update_on_path(pp: qlearn.PolicyParams, path: sde.EpisodePath, rates: qlearn.Rates, rho: float,
-                   xi_weight: float):
-    """qlearn.update from a path drawn at pp: its statistics row and the root pp.xi + stat_xi / c."""
-    row, c = path_statistics(pp, path, rho)
-    return qlearn.update(pp, pp.xi + row[0] / c, row, rates, xi_weight)
+def path_sums(batch: sde.BatchPaths, rho: float):
+    """(A_r, b_r): the normal-equation sums of every path of a batch, from one _normal_sums call."""
+    n, K, d = batch.actions.shape
+    return qlearn._normal_sums(np.exp(-rho * batch.times[:-1]), float(batch.times[1] - batch.times[0]),
+                               batch.states, batch.actions, batch.local_time, qlearn._sums_workspace(n, K, d))
 
 
 def random_params(rng: np.random.Generator, d: int | None = None) -> ModelParams:

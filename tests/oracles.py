@@ -16,12 +16,11 @@ statistics loop from before they were reduced block by block;
 and exact increments alone.
 `run_tracking_loop` and `backtest_csv_per_row` are the backtest from before
 it stepped over Python floats and wrote its CSV in one call: numpy scalars
-at every bar and one CSV row per write.  `train_loop` is the trainer from
-before it ran its episodes in blocks: per episode a new generator, one
-rollout and a 1-row statistics block, with the policy held at its
-block-start value for each block of sde.BLOCK_ROWS episodes, as `train`
-holds it.  `psi3_policy_steps` is PolicyParams.psi3 from before the history's
-psi3 was derived a block at a time.  `history_csv_per_row` is the history
+at every bar and one CSV row per write.  `train_loop` is the trainer
+one episode at a time: per episode a new generator, one rollout and a 1-row
+block of normal-equation sums, with the policy held for each block of
+sde.BLOCK_ROWS episodes and refit at its end, as `train` holds it.
+`psi3_policy_steps` writes out the steps of PolicyParams.psi3.  `history_csv_per_row` is the history
 writer from before the bulk CSV writer.
 """
 
@@ -484,77 +483,84 @@ def psi3_policy_steps(psi1: np.ndarray, psi2: np.ndarray, gamma: float) -> float
 
 
 def train_loop(
-    config: qlearn.LearnConfig, env: sde.Environment, policy: qlearn.PolicyParams | None = None
+    config: qlearn.LearnConfig, env: sde.Environment, policy: qlearn.PolicyParams | None = None,
+    sums: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> qlearn.TrainHistory:
-    """The offline learning loop one episode at a time, with every episode's generator and buffers built anew.
+    """The offline least-squares loop one episode at a time, with every episode's generator and buffers built anew.
 
-    Episode i is drawn by the parameters at the start of its block of
-    sde.BLOCK_ROWS episodes (episodes 16b+1 ... 16b+16); `policy` stands for
-    them on the rest of the block in which a resumed run starts.
+    Episode i is drawn by the fit at the start of its block of
+    sde.BLOCK_ROWS episodes (episodes 16b+1 ... 16b+16), and adds its own
+    normal-equation sums (a 1-row _normal_sums block) to the running ones.
+    The sums are refit at each block's end and at the run's end.  `policy`
+    and `sums` stand for the block's policy and the sums of a run that a
+    resumed run continues.
     """
     if not math.isclose(env.dt, config.dt, rel_tol=1e-12):
         raise ValueError(f"environment step {env.dt} != config step {config.dt}")
     d = env.params.d
-    pp = config.initial_params(d)
+    pp = config.initial_params(d) if policy is None else policy
     pp.precision   # a start with no Gibbs policy raises SingularPsi2, as in qlearn.train
-    n = config.n_episodes
+    n, K = config.n_episodes, config.n_steps
+    p = 1 + d + d * (d + 1) // 2
+    A, b = (np.zeros((p, p)), np.zeros(p)) if sums is None else (np.array(sums[0]), np.array(sums[1]))
     hist_xi = np.empty(n)
     hist_psi1 = np.empty((n, d))
     hist_psi2 = np.empty((n, d, d))
     hist_psi3 = np.empty(n)
-    hist_norm = np.zeros(n)
-    hist_clip = np.zeros(n, dtype=bool)
+    hist_held = np.zeros(n, dtype=bool)
     episodes = np.arange(config.start_episode, config.start_episode + n)
-    times = np.linspace(0.0, config.T, config.n_steps + 1)
+    times = np.linspace(0.0, config.T, K + 1)
+    disc = np.exp(-config.rho * times[:-1])
     clamps_before = env.clamp_events
     rejected: list[int] = []
-    max_rejected = qlearn.REJECT_FRACTION * n
-    drawn_by = pp if policy is None else policy
     for idx, i in enumerate(episodes):
         i = int(i)
-        if (i - 1) % sde.BLOCK_ROWS == 0:
-            drawn_by = pp
-        rng = sde.episode_rng(config.seed, i)
         try:
-            mean_coef, cov_chol = drawn_by.policy_coefficients()
+            mean_coef, cov_chol = pp.policy_coefficients()
             states, actions, local = sde.rollout_linear_gaussian(
-                env, mean_coef, cov_chol, config.y0, config.n_steps, rng
+                env, mean_coef, cov_chol, config.y0, K, sde.episode_rng(config.seed, i)
             )
-            rows, _, c = qlearn._episode_statistics(
-                drawn_by, config.rho, times, states[None], actions[None], local[None],
-                qlearn._statistics_workspace(1, config.n_steps, d),
-            )
-            pp, info = qlearn.update(pp, drawn_by.xi + rows[0, 0] / c, rows[0], qlearn.schedule(i), xi_weight=1.0 / i)
-            hist_norm[idx] = info.norm
-            hist_clip[idx] = info.clipped
-        except (qlearn.NonFiniteUpdate, sde.NonFinite, qlearn.SingularPsi2):
+            A_r, b_r = qlearn._normal_sums(disc, float(times[1] - times[0]), states[None], actions[None],
+                                           local[None], qlearn._sums_workspace(1, K, d))
+            if not (np.isfinite(A_r).all() and np.isfinite(b_r).all()):
+                raise sde.NonFinite(f"episode {i} has non-finite sums")
+            A = A + A_r[0]
+            b = b + b_r[0]
+        except sde.NonFinite:
             rejected.append(i)
-            if len(rejected) > max_rejected:
+            if len(rejected) > qlearn.REJECT_FRACTION * n:
                 raise qlearn.TooManyRejectedEpisodes(
                     f"{len(rejected)} of {idx + 1} episodes rejected "
                     f"(limit {qlearn.REJECT_FRACTION:.0%} of {n})"
                 )
-        hist_xi[idx] = pp.xi
-        hist_psi1[idx] = pp.psi1
-        hist_psi2[idx] = pp.psi2
-        hist_psi3[idx] = pp.psi3
+        row = pp
+        if i % sde.BLOCK_ROWS == 0 or idx == n - 1:
+            row, hist_held[idx] = qlearn.update(pp, A, b, config.rho)
+            final = row
+            if i % sde.BLOCK_ROWS == 0:
+                pp = row
+        hist_xi[idx] = row.xi
+        hist_psi1[idx] = row.psi1
+        hist_psi2[idx] = row.psi2
+        hist_psi3[idx] = row.psi3
     return qlearn.TrainHistory(
         episodes=episodes,
         xi=hist_xi,
         psi1=hist_psi1,
         psi2=hist_psi2,
         psi3=hist_psi3,
-        update_norms=hist_norm,
-        clipped=hist_clip,
+        clipped=hist_held,
         rejected_episodes=rejected,
         clamp_events=env.clamp_events - clamps_before,
-        final=pp,
-        policy=drawn_by,
+        final=final,
+        policy=pp,
+        A=A,
+        b=b,
     )
 
 
 def history_csv_per_row(history: qlearn.TrainHistory, path) -> None:
-    """Write a training history as (episode, xi, psi1..., psi2..., psi3, update_norm, clipped) rows, one per write."""
+    """Write a training history as (episode, xi, psi1..., psi2..., psi3, clipped) rows, one per write."""
     d = history.psi1.shape[1]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -562,7 +568,7 @@ def history_csv_per_row(history: qlearn.TrainHistory, path) -> None:
             ["episode", "xi"]
             + [f"psi1_{i+1}" for i in range(d)]
             + [f"psi2_{i+1}{j+1}" for i in range(d) for j in range(d)]
-            + ["psi3", "update_norm", "clipped"]
+            + ["psi3", "clipped"]
         )
         writer.writerow(header)
         for n in range(len(history.episodes)):
@@ -570,7 +576,7 @@ def history_csv_per_row(history: qlearn.TrainHistory, path) -> None:
                 [int(history.episodes[n]), history.xi[n]]
                 + list(history.psi1[n])
                 + list(history.psi2[n].ravel())
-                + [history.psi3[n], history.update_norms[n], int(history.clipped[n])]
+                + [history.psi3[n], int(history.clipped[n])]
             )
 
 # Reference model: d = 1, mu = 0.2, sigma = 1, sigma_z = 0.2, kappa = 0.5,
@@ -580,7 +586,6 @@ REF = {
     "lambda": 0.910753193579918,
     "u0": -0.09799230686117888,
     "u1": -8.302639428110326e-05,
-    "denorm_x1_z2": -0.003127744929931356,
     "theta0": 0.19105444204090413,
     "xi_star": 0.3624246577445103,
     "psi1_star": 0.37320508075688774,

@@ -130,15 +130,14 @@ def test_criterion_5_martingale_z_test(params_ref, pp_star):
 
 
 def test_criterion_6_desk_scale_training(params_ref):
-    """Training at N=4000, dt=0.01, T=12 with default schedules, 3 seeds.
+    """Training at N=4000, dt=0.01, T=12 from the default start, 3 seeds.
 
-    xi band: xi enters each residual only through -rho xi dt, so its
-    orthogonality statistic is linear in xi with slope
-    -c = -rho dt sum_k e^{-rho t_k} (~ -0.910 here), and the trainer moves xi
-    by stat_xi / (c i), the running mean of the per-episode roots.  An SGD
-    step at the default xi rate 0.015 i^-0.61 closed only ~0.89 e-folds of
-    the gap in 4000 episodes and capped xi near 0.21 (0.200, 0.211, 0.190
-    on these seeds), short of its own orthogonality condition.
+    The learner solves the orthogonality conditions by least squares on
+    running sums, refit once per 16-episode block.  Every residual is
+    linear in (psi3 + rho xi, psi1, psi2 psi2'), so the fit has no learning
+    rate; the xi band once failed under an SGD step at the rate
+    0.015 i^-0.61, which capped xi near 0.21 (0.200, 0.211, 0.190 on these
+    seeds), short of its own orthogonality condition.
     """
     t0 = time.perf_counter()
     finals, stds = [], []

@@ -180,13 +180,13 @@ def test_train_resumed_mid_block_repeats_one_run(tmp_path, caplog):
     rest, rest_learned = run("rest", 20, tmp_path / "first" / "learned.json")
     assert rest == whole[:1] + whole[21:]
     assert rest_learned == whole_learned
-    assert "no block-start policy" not in caplog.text
-
-    bare = tmp_path / "bare.json"
-    bare.write_text(json.dumps({k: v for k, v in first_learned.items() if k != "policy"}))
-    drifted, _ = run("bare", 20, bare)
-    assert "bare.json has no block-start policy: episodes 21-32 are drawn at its own parameters" in caplog.text
-    assert drifted[1] != whole[21]
+    # the snapshot's policy draws the resumed run, so a start value for it is refused
+    with_init = {"T": 1.0, "dt": 0.05, "episodes": 20, "resume": str(tmp_path / "first" / "learned.json"),
+                 "init": {"psi2": [[1.5]]}}
+    cfg = write_config(tmp_path, {**MODEL_BLOCK, "train": with_init}, name="with_init.yaml")
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "with_init")]) == 2
+    assert "train.init has no effect on a resumed run" in caplog.text
+    assert not (tmp_path / "with_init" / "learned.json").exists()
 
 
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
@@ -211,9 +211,9 @@ def test_train_rejects_unused_xi_settings(tmp_path, caplog):
     # the learning rates are not configurable, so an xi rate is refused with the rest of the schedule
     assert run({**base, "schedule": {"first": {"coef_xi": 0.03}}}, "rate.yaml") == 2
     assert "train has unknown key 'schedule'" in caplog.text
-    # and a start value for xi would get weight zero on a run from episode 1
+    # and xi has no start value: the first fit solves for it
     assert run({**base, "init": {"xi": 0.3}}, "init.yaml") == 2
-    assert "init.xi" in caplog.text
+    assert "train.init has unknown key 'xi'" in caplog.text
     assert not (out / "learned.json").exists()
     # the psi start values stay configurable
     assert run({**base, "init": {"psi1": [0.1]}}, "psi.yaml") == 0
@@ -240,6 +240,8 @@ DIAGNOSE_BLOCK = {"T": 0.5, "dt": 0.05, "n_paths": 10, "sweep": {"dt_list": [0.0
     ("diagnose", {"diagnose": {**DIAGNOSE_BLOCK, "xi_shfit": 0.5}}, "diagnose", "xi_shfit"),
     ("diagnose", {"diagnose": {**DIAGNOSE_BLOCK, "sweep": {"dt_list": [0.05], "Tlist": [0.5]}}},
      "diagnose.sweep", "Tlist"),
+    # and the retired start value of xi
+    ("train", {"train": {**TRAIN_BLOCK, "init": {"xi": 0.3}}}, "train.init", "xi"),
 ])
 def test_unread_config_key_exits_2(tmp_path, caplog, command, payload, where, key):
     cfg = write_config(tmp_path, {**MODEL_BLOCK, **payload})
@@ -277,8 +279,8 @@ def test_train_refuses_a_start_without_a_policy(tmp_path, caplog, start):
         train["init"] = {"psi2": [[1.0e-7]]}
     else:
         snapshot = tmp_path / "learned.json"
-        snapshot.write_text(json.dumps({"xi": 0.36, "psi1": [0.37], "psi2": [[1.0e-7]], "episodes": 3,
-                                        "gamma": 0.2}))
+        snapshot.write_text(json.dumps({"episodes": 3, "gamma": 0.2, "A": np.eye(3).tolist(), "b": [0.0] * 3,
+                                        "policy": {"xi": 0.36, "psi1": [0.37], "psi2": [[1.0e-7]]}}))
         train["resume"] = str(snapshot)
     cfg = write_config(tmp_path, {**MODEL_BLOCK, "train": train})
     out = tmp_path / "out"
@@ -322,9 +324,11 @@ def test_learned_parameters_missing_a_key_fail_cleanly(tmp_path, caplog):
     assert main(["diagnose", "--config", diagnose, "--out", str(out)]) == 2
     assert "diagnose.params is missing required key 'psi2'" in caplog.text
 
-    for key in ("psi1", "episodes"):
+    # a resume reads the block's policy and the running sums next to the episode count
+    for key in ("policy", "A", "b", "episodes"):
         snapshot = tmp_path / f"no_{key}.json"
-        full = {"xi": 0.36, "psi1": [0.37], "psi2": [[1.0]], "episodes": 3, "gamma": 0.2}
+        full = {"xi": 0.36, "psi1": [0.37], "psi2": [[1.0]], "episodes": 3, "gamma": 0.2, "A": np.eye(3).tolist(),
+                "b": [0.0] * 3, "policy": {"xi": 0.36, "psi1": [0.37], "psi2": [[1.0]]}}
         snapshot.write_text(json.dumps({k: v for k, v in full.items() if k != key}))
         train = write_config(tmp_path, {**MODEL_BLOCK, "train": {"T": 1.0, "dt": 0.05, "episodes": 2,
                                                                  "resume": str(snapshot)}}, name=f"{key}.yaml")
@@ -337,6 +341,41 @@ def test_learned_parameters_missing_a_key_fail_cleanly(tmp_path, caplog):
                  "--out", str(out)]) == 2
     assert "no_xi.json is missing required key 'xi'" in caplog.text
     assert not (out / "learned.json").exists() and not (out / "backtest_rl.csv").exists()
+
+
+SNAPSHOT = {"episodes": 3, "gamma": 0.2, "A": np.eye(3).tolist(), "b": [0.0] * 3,
+            "policy": {"xi": 0.36, "psi1": [0.37], "psi2": [[1.0]]}}
+
+
+@pytest.mark.parametrize("command, content, message", [
+    ("train", "{not json", "cannot parse"),
+    ("train", "[1, 2]", "top level must be a mapping"),
+    ("train", json.dumps({**SNAPSHOT, "policy": [0.3]}), "policy must be a mapping"),
+    ("train", json.dumps({**SNAPSHOT, "policy": {**SNAPSHOT["policy"], "xi": "high"}}), "invalid"),
+    ("train", json.dumps({**SNAPSHOT, "b": "zero"}), "invalid running sums"),
+    ("train", json.dumps({**SNAPSHOT, "A": np.eye(6).tolist(), "b": [0.0] * 6}), "not trained on a market of 1"),
+    ("backtest", "{not json", "cannot parse"),
+    ("backtest", "[1, 2]", "top level must be a mapping"),
+    ("diagnose", "5", "diagnose.params must be a mapping"),
+    ("diagnose", "[0.36, [0.37], [[1.0]]]", "diagnose.params must be a mapping"),
+], ids=["train-not-json", "train-list", "train-policy-list", "train-policy-value", "train-sums-value",
+        "train-sums-shape", "backtest-not-json", "backtest-list", "diagnose-number", "diagnose-list"])
+def test_malformed_snapshot_exits_2(tmp_path, caplog, command, content, message):
+    # a learned.json that is not JSON, holds no mapping or carries bad values, or a diagnose.params
+    # that is no mapping
+    snapshot = tmp_path / "learned.json"
+    snapshot.write_text(content)
+    if command == "train":
+        cfg = write_config(tmp_path, {**MODEL_BLOCK, "train": {**TRAIN_BLOCK, "resume": str(snapshot)}})
+    elif command == "backtest":
+        cfg = _learned_backtest_config(tmp_path, snapshot, "config.yaml")
+    else:
+        cfg = write_config(tmp_path, {**MODEL_BLOCK, "diagnose": {"T": 0.5, "dt": 0.05, "n_paths": 10,
+                                                                  "params": yaml.safe_load(content)}})
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert message in caplog.text
+    assert [p.name for p in out.iterdir()] == []
 
 
 def test_diagnose_and_empty_sweep(tmp_path):

@@ -4,8 +4,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from benchtrack.model import (
     DomainError,
@@ -13,7 +11,6 @@ from benchtrack.model import (
     ModelParams,
     NoBracket,
     classical_solution,
-    denormalize_value,
     derived_constants,
     exploratory_constants,
     lambda_polynomial,
@@ -242,28 +239,3 @@ def test_q_derivative_in_action_matches_fd(exploratory_ref, pp_star):
 def test_psi3_consistency_reference():
     val = psi3_consistency([REF["psi1_star"]], [[1.0]], GAMMA)
     assert val == pytest.approx(REF["psi3_star"], abs=1e-12)
-
-
-# ------------------------------------------------------------ denormalize
-
-def test_denormalize_identity_and_reference(classical_ref):
-    assert denormalize_value(classical_ref.value(0.5), 1.0) == classical_ref.value(0.5)
-    got = denormalize_value(classical_ref.value(0.5), 2.0)  # x = 1, z = 2
-    assert got == pytest.approx(REF["denorm_x1_z2"], rel=1e-12)
-    with pytest.raises(DomainError):
-        denormalize_value(1.0, 0.0)
-
-
-@settings(max_examples=50, deadline=None)
-@given(
-    x=st.floats(0.0, 50.0),
-    z=st.floats(0.01, 50.0),
-    c=st.floats(0.01, 10.0),
-)
-def test_denormalize_positive_homogeneity(x, z, c):
-    # z * u(x/z) doubles when (x, z) double: check through the hat-value map
-    params = ModelParams(mu=[0.2], sigma=[[1.0]], sigma_z=0.2, kappa=0.5, eta=[1.0], rho=0.2)
-    sol = classical_solution(params)
-    w1 = denormalize_value(sol.value(x / z), z)
-    w2 = denormalize_value(sol.value((c * x) / (c * z)), c * z)
-    assert w2 == pytest.approx(c * w1, rel=1e-9, abs=1e-12)

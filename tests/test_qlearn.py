@@ -8,7 +8,7 @@ from scipy.integrate import quad
 
 from benchtrack import qlearn, sde
 from benchtrack.model import DomainError, ModelParams, exploratory_constants
-from conftest import one_step_path, path_statistics, q_gradient, random_params, update_on_path
+from conftest import one_step_path, path_statistics, path_sums, q_gradient, random_params
 from oracles import (
     REF,
     central_diff,
@@ -175,29 +175,30 @@ def test_entropy_consistency_random_params():
 
 
 def test_psi3_invariant_after_update(pp_star, params_ref):
+    # the fit derives psi3 from its (psi1, psi2), and xi from the solved c0 = psi3 + rho xi
     mean_coef, cov_chol = pp_star.policy_coefficients()
     batch = sde.simulate_linear_gaussian_batch(
-        params_ref, mean_coef, cov_chol, 1, 1.0, 0.5, 0.01, seed=77
+        params_ref, mean_coef, cov_chol, 16, 1.0, 2.0, 0.01, seed=77
     )
-    path = next(iter(batch))
-    new, _ = update_on_path(pp_star, path, qlearn.Rates(0.1, 0.1), RHO, xi_weight=1.0)
+    A, b = (rows.sum(axis=0) for rows in path_sums(batch, RHO))
+    new, held = qlearn.update(pp_star, A, b, RHO)
     from benchtrack.model import psi3_consistency
 
+    assert not held
     assert new.psi3 == pytest.approx(psi3_consistency(new.psi1, new.psi2, GAMMA), abs=1e-15)
+    assert new.psi3 + RHO * new.xi == pytest.approx(np.linalg.solve(A, b)[0], abs=1e-14)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_psi3_rows_equal_policy_psi3(d):
-    # train writes the history's psi3 a block at a time; each row equals PolicyParams.psi3 (a 1-row
-    # stack) and the per-row steps the policy used before, bit for bit
+    # PolicyParams.psi3 takes the policy's own steps, written out in psi3_policy_steps, bit for bit
     rng = np.random.default_rng(70 + d)
     psi1 = rng.normal(size=(40, d))
     psi2 = np.eye(d) + 0.5 * rng.normal(size=(40, d, d))
     psi2[3] *= 1e-7   # under PSI2_FLOOR: no Gibbs policy, and psi3 falls back on the normalization formula
     psi2[5] = np.diag([1e3] + [1e-4] * (d - 1))   # for d > 1, over precision's 1e12 condition number
-    got = qlearn._psi3_rows(psi1, psi2, GAMMA)
+    got = [qlearn.PolicyParams(0.0, a, b, GAMMA).psi3 for a, b in zip(psi1, psi2)]
     assert np.array_equal(got, [psi3_policy_steps(a, b, GAMMA) for a, b in zip(psi1, psi2)])
-    assert np.array_equal(got, [qlearn.PolicyParams(0.0, a, b, GAMMA).psi3 for a, b in zip(psi1, psi2)])
 
 
 # ------------------------------------------------------------ td residual
@@ -236,17 +237,12 @@ FIXTURE_PATH = dict(
 )
 FIXTURE_PP = dict(xi=0.1, psi1=[0.5], psi2=[[1.2]], gamma=0.2)
 # hand-computed sums for the fixture (plain-float transcription of the
-# formulas, frozen; see the arithmetic in the repo history).  xi_next is the
-# root step at weight 1/2: 0.1 + 0.5 stat_xi / c with
-# c = 0.2 * 0.5 * (1 + e^-0.1 + e^-0.2) = 0.27235681711139414.
+# formulas, frozen; see the arithmetic in the repo history)
 FIXTURE_EXPECT = {
     "psi3": -0.07318515959428913,
     "stat_xi": -0.08435223740348197,
     "stat_psi1": 0.3128302347614101,
     "stat_psi2": -0.11492912405609965,
-    "xi_next": -0.054856115404267325,
-    "psi1_next": 0.5062566046952282,
-    "psi2_next": 1.196552126278317,
 }
 
 
@@ -277,108 +273,20 @@ def test_update_statistics_results_outlive_the_next_episode():
     assert np.array_equal(first, kept)
 
 
-def test_update_applies_rates_exactly():
+def test_update_rejects_non_finite(params_ref):
+    # a fit without a finite solution or a Gibbs policy keeps the parameters that drew the block
     pp = qlearn.PolicyParams(**FIXTURE_PP)
-    path = sde.EpisodePath(**FIXTURE_PATH)
-    new, info = update_on_path(pp, path, qlearn.Rates(0.02, 0.03), RHO, xi_weight=0.5)
-    assert new.xi == pytest.approx(FIXTURE_EXPECT["xi_next"], abs=1e-13)
-    assert new.psi1[0] == pytest.approx(FIXTURE_EXPECT["psi1_next"], abs=1e-13)
-    assert new.psi2[0, 0] == pytest.approx(FIXTURE_EXPECT["psi2_next"], abs=1e-13)
-    assert not info.clipped
-
-
-def test_update_zero_rate_and_zero_residual_are_noops(pp_star):
-    path = sde.EpisodePath(**FIXTURE_PATH)
-    pp = qlearn.PolicyParams(**FIXTURE_PP)
-    new, _ = update_on_path(pp, path, qlearn.Rates(0.0, 0.0), RHO, xi_weight=0.0)
-    assert new.xi == pp.xi
-    assert np.array_equal(new.psi1, pp.psi1)
-    assert np.array_equal(new.psi2, pp.psi2)
-    # a constant path with zero actions/local time has G identically ... not 0;
-    # instead check the G == 0 construction directly: stationary fixture
-    y = 0.9
-    a = qlearn.policy_from_q(pp, y).mean
-    q = qlearn.q_value(pp, RHO, y, a)
-    j = qlearn.j_value(pp, y)
-    ppz = qlearn.PolicyParams(pp.xi - (q + RHO * j) / RHO, pp.psi1, pp.psi2, GAMMA)
-    path0 = sde.EpisodePath(
-        times=np.array([0.0, 0.5, 1.0]),
-        states=np.array([y, y, y]),
-        actions=np.array([a, a]),
-        local_time=np.zeros(3),
-    )
-    new0, info0 = update_on_path(ppz, path0, qlearn.Rates(0.5, 0.5), RHO, xi_weight=1.0)
-    assert new0.xi == pytest.approx(ppz.xi, abs=1e-12)
-    assert np.allclose(new0.psi1, ppz.psi1, atol=1e-12)
-    assert info0.norm < 1e-12
-
-
-def test_update_clips_and_projects():
-    pp = qlearn.PolicyParams(**FIXTURE_PP)
-    path = sde.EpisodePath(**FIXTURE_PATH)
-    new, info = update_on_path(pp, path, qlearn.Rates(1e4, 1e4), RHO, xi_weight=1.0)
-    assert info.clipped
-    step = np.array([new.psi1[0] - pp.psi1[0], new.psi2[0, 0] - pp.psi2[0, 0]])
-    assert np.linalg.norm(step) <= qlearn.UPDATE_CLIP + 1e-9
-    # the xi root step is not clipped: 0.1 + stat_xi / c, c as in FIXTURE_EXPECT
-    assert new.xi == pytest.approx(-0.20971223080853466, abs=1e-13)
-    # psi2 projection floor
-    tiny = qlearn.PolicyParams(0.0, [0.0], [[1e-9]], GAMMA)
-    projected = qlearn._project_psi2(tiny.psi2)
-    assert projected[0, 0] == qlearn.PSI2_FLOOR
-
-
-def test_update_rejects_non_finite():
-    pp = qlearn.PolicyParams(**FIXTURE_PP)
-    bad = dict(FIXTURE_PATH)
-    bad["states"] = np.array([1.0, 0.5, math.inf, 2.0])
-    with pytest.raises(qlearn.NonFiniteUpdate), np.errstate(invalid="ignore"):
-        update_on_path(pp, sde.EpisodePath(**bad), qlearn.Rates(0.1, 0.1), RHO, xi_weight=1.0)
-
-
-def test_update_xi_weight_one_solves_xi_condition(params_ref):
-    # stat_xi is linear in xi, so a full-weight step lands on its exact root
-    rng = np.random.default_rng(12)
-    for trial in range(5):
-        pp = random_pp(rng)
-        mean_coef, cov_chol = pp.policy_coefficients()
-        batch = sde.simulate_linear_gaussian_batch(
-            params_ref, mean_coef, cov_chol, 1, 1.0, 3.0, 0.02, seed=trial
-        )
-        path = next(iter(batch))
-        new, info = update_on_path(pp, path, qlearn.Rates(0.1, 0.1), RHO, xi_weight=1.0)
-        at_root = qlearn.PolicyParams(new.xi, pp.psi1, pp.psi2, GAMMA)
-        assert abs(path_statistics(at_root, path, RHO)[0][0]) < 1e-12
-        # the xi step stays out of the clipped norm
-        (_, s1, s2), _ = path_statistics(pp, path, RHO)
-        assert info.norm == pytest.approx(0.1 * math.hypot(s1, s2), rel=1e-12)
-
-
-def test_update_xi_weight_rejects_non_finite_root():
-    pp = qlearn.PolicyParams(**FIXTURE_PP)
-    bad = dict(FIXTURE_PATH)
-    bad["states"] = np.array([1.0, 0.5, math.inf, 2.0])
-    with pytest.raises(qlearn.NonFiniteUpdate), np.errstate(invalid="ignore"):
-        update_on_path(pp, sde.EpisodePath(**bad), qlearn.Rates(0.0, 0.0), RHO, xi_weight=1.0)
-
-
-# ---------------------------------------------------------------- schedule
-
-def test_schedule_reference_values():
-    r1 = qlearn.schedule(1)
-    assert r1.alpha_psi1 == pytest.approx(0.1)
-    assert r1.alpha_psi2 == pytest.approx(0.01)
-    r = qlearn.schedule(10_000)
-    assert r.alpha_psi1 == pytest.approx(0.1 / 10_000**0.61)
-    assert r.alpha_psi2 == pytest.approx(0.01 / 10_000**0.61)
-    r2 = qlearn.schedule(10_001)
-    assert r2.alpha_psi1 == pytest.approx(0.05 / 10_001**0.81)
-    assert r2.alpha_psi2 == pytest.approx(0.005 / 10_001**0.81)
-    assert r2.alpha_psi1 < r.alpha_psi1
-    rates = [qlearn.schedule(i).alpha_psi1 for i in range(1, 200)]
-    assert all(a >= b for a, b in zip(rates, rates[1:]))
-    with pytest.raises(ValueError):
-        qlearn.schedule(0)
+    batch = sde.simulate_linear_gaussian_batch(params_ref, *pp.policy_coefficients(), 16, 1.0, 2.0, 0.01, seed=5)
+    A, b = (rows.sum(axis=0) for rows in path_sums(batch, RHO))
+    fit, held = qlearn.update(pp, A, b, RHO)
+    assert not held and fit.psi2[0, 0] > 0.0
+    for sums in (
+        (np.zeros((3, 3)), np.zeros(3)),       # no episode summed: A is singular
+        (A, np.array([b[0], math.nan, b[2]])),  # a non-finite fit
+        (A, A @ [0.1, 0.3, -1.0]),              # P = -1 has no Cholesky factor
+    ):
+        kept, held = qlearn.update(pp, *sums, RHO)
+        assert kept is pp and held
 
 
 # ------------------------------------------------------------------ train
@@ -403,44 +311,33 @@ def test_train_reproducible(params_ref):
     assert np.array_equal(h1.psi2, h2.psi2)
 
 
+PARAMS_D2 = ModelParams(mu=[0.2, 0.1], sigma=[[1.0, 0.3], [0.0, 0.8]], sigma_z=0.2, kappa=0.5, eta=[0.6, 0.8],
+                        rho=0.2)
+
+
+def _same_params(a: qlearn.PolicyParams, b: qlearn.PolicyParams) -> bool:
+    return a.xi == b.xi and np.array_equal(a.psi1, b.psi1) and np.array_equal(a.psi2, b.psi2)
+
+
 def test_train_resume_equals_single_run(params_ref):
-    # 5 of 10 episodes stops inside the first block; the rest of it is drawn by the block-start policy
-    env = sde.Environment(params=params_ref, dt=0.05)
-    full = qlearn.train(
-        qlearn.LearnConfig(y0=1.0, T=2.0, dt=0.05, n_episodes=10, gamma=GAMMA, rho=RHO, seed=3),
-        env,
-    )
-    env2 = sde.Environment(params=params_ref, dt=0.05)
-    first = qlearn.train(
-        qlearn.LearnConfig(y0=1.0, T=2.0, dt=0.05, n_episodes=5, gamma=GAMMA, rho=RHO, seed=3),
-        env2,
-    )
-    resumed = qlearn.train(
-        qlearn.LearnConfig(
-            y0=1.0, T=2.0, dt=0.05, n_episodes=5, gamma=GAMMA, rho=RHO, seed=3,
-            xi0=first.final.xi, psi1_0=first.final.psi1, psi2_0=first.final.psi2,
-            start_episode=6,
-        ),
-        env2,
-        policy=first.policy,
-    )
-    assert resumed.final.xi == full.final.xi
-    assert np.array_equal(resumed.final.psi1, full.final.psi1)
-    assert np.array_equal(resumed.final.psi2, full.final.psi2)
-    for field in ("xi", "psi1", "psi2", "psi3", "update_norms"):
+    # 5 of 10 episodes stops inside the first block; the rest of it is drawn by the block's policy
+    def run(n_episodes, start_episode=1, **resume):
+        cfg = qlearn.LearnConfig(y0=1.0, T=2.0, dt=0.05, n_episodes=n_episodes, gamma=GAMMA, rho=RHO, seed=1,
+                                 start_episode=start_episode)
+        return qlearn.train(cfg, sde.Environment(params=params_ref, dt=0.05), **resume)
+
+    full, first = run(10), run(5)
+    resumed = run(5, 6, policy=first.policy, sums=(first.A, first.b))
+    assert _same_params(resumed.final, full.final) and _same_params(resumed.policy, full.policy)
+    assert np.array_equal(resumed.A, full.A) and np.array_equal(resumed.b, full.b)
+    for field in ("xi", "psi1", "psi2", "psi3", "clipped"):
         assert np.array_equal(getattr(resumed, field), getattr(full, field)[5:]), field
     assert list(resumed.episodes) == list(range(6, 11))
-    # without the block-start policy the rest of the block is drawn at the resumed parameters
+    # the stop refits its 5 episodes, but the block's policy is still the start
     assert first.policy.xi == 0.0 and first.final.xi != 0.0
-    drifted = qlearn.train(
-        qlearn.LearnConfig(
-            y0=1.0, T=2.0, dt=0.05, n_episodes=5, gamma=GAMMA, rho=RHO, seed=3,
-            xi0=first.final.xi, psi1_0=first.final.psi1, psi2_0=first.final.psi2,
-            start_episode=6,
-        ),
-        sde.Environment(params=params_ref, dt=0.05),
-    )
-    assert not np.array_equal(drifted.psi1, resumed.psi1)
+    # the sums carry the learning: without them the fit forgets the first 5 episodes
+    forgetful = run(5, 6, policy=first.policy)
+    assert not np.array_equal(forgetful.psi1[-1], resumed.psi1[-1])
 
 
 def test_train_counts_only_its_own_clamps(params_ref):
@@ -453,13 +350,11 @@ def test_train_counts_only_its_own_clamps(params_ref):
     assert env.clamp_events == 2 * first.clamp_events
 
 
-def test_train_near_fixed_point_stays_close(params_ref, exploratory_ref, monkeypatch):
-    # a tenth of the first regime's rates, initialized at the known solution: parameters barely move
-    monkeypatch.setattr(qlearn, "schedule", lambda i: qlearn.Rates(0.01 * i ** -0.61, 0.001 * i ** -0.61))
+def test_train_near_fixed_point_stays_close(params_ref, exploratory_ref):
+    # initialized at the known solution, the fit stays near it
     env = sde.Environment(params=params_ref, dt=0.02)
     cfg = qlearn.LearnConfig(
         y0=1.0, T=6.0, dt=0.02, n_episodes=2000, gamma=GAMMA, rho=RHO, seed=11,
-        xi0=exploratory_ref.xi_star,
         psi1_0=exploratory_ref.psi1_star,
         psi2_0=exploratory_ref.psi2_star,
     )
@@ -469,57 +364,69 @@ def test_train_near_fixed_point_stays_close(params_ref, exploratory_ref, monkeyp
     assert abs(hist.final.psi2[0, 0] - exploratory_ref.psi2_star[0, 0]) < 0.05
 
 
-def test_train_xi_is_mean_of_episode_roots(params_ref, monkeypatch):
-    # with psi frozen every episode has the same policy, so the per-episode
-    # roots xi + stat_xi / c can be replayed from the batch simulator
-    monkeypatch.setattr(qlearn, "schedule", lambda i: qlearn.Rates(0.0, 0.0))
-    n, T, dt = 30, 2.0, 0.05
-    env = sde.Environment(params=params_ref, dt=dt)
-    cfg = qlearn.LearnConfig(y0=1.0, T=T, dt=dt, n_episodes=n, gamma=GAMMA, rho=RHO, seed=4, xi0=0.7)
-    hist = qlearn.train(cfg, env)
-    assert not hist.rejected_episodes
-    pp0 = cfg.initial_params(1)
-    mean_coef, cov_chol = pp0.policy_coefficients()
-    batch = sde.simulate_linear_gaussian_batch(
-        params_ref, mean_coef, cov_chol, n + 1, 1.0, T, dt, seed=4
-    )
-    paths = list(batch)[1:]  # train's episode i uses stream (seed, i), i >= 1
-    c = RHO * dt * sum(math.exp(-RHO * k * dt) for k in range(round(T / dt)))
-    roots = np.array([pp0.xi + path_statistics(pp0, p, RHO)[0][0] / c for p in paths])
-    running = np.cumsum(roots) / np.arange(1, n + 1)
-    assert np.allclose(hist.xi, running, rtol=0.0, atol=1e-12)
-    assert abs(hist.final.xi - roots.mean()) < 1e-12
-    assert np.array_equal(hist.psi1[:, 0], np.zeros(n))
+@pytest.mark.parametrize("d", [1, 2])
+def test_train_fit_is_the_root_of_the_orthogonality_conditions(params_ref, d):
+    # 16 episodes are one block drawn at the start policy; at the fit, the orthogonality
+    # statistics of those 16 paths sum to zero in every component
+    params = params_ref if d == 1 else PARAMS_D2
+    cfg = qlearn.LearnConfig(y0=1.0, T=2.0, dt=0.01, n_episodes=16, gamma=GAMMA, rho=RHO, seed=20)
+    hist = qlearn.train(cfg, sde.Environment(params=params, dt=0.01))
+    mean_coef, cov_chol = cfg.initial_params(d).policy_coefficients()
+    ws = qlearn._statistics_workspace(sde.BLOCK_ROWS, 200, d)
+    rows = np.concatenate([
+        qlearn._episode_statistics(hist.final, RHO, block.times, block.states, block.actions, block.local_time,
+                                   ws)[0]
+        for block in sde.linear_gaussian_blocks(params, mean_coef, cov_chol, 17, 1.0, 2.0, 0.01, seed=20)
+    ])[1:]   # episode i draws the stream (seed, i), so path 0 is no episode
+    assert not hist.clipped.any() and not np.allclose(hist.final.psi1, 0.0)
+    assert np.all(np.abs(rows.sum(axis=0)) < 1e-12 * np.abs(rows).sum(axis=0))
 
 
-def nan_xi_statistic(monkeypatch, episode: int) -> None:
-    """Make the xi statistic of the episode-th row that _episode_statistics returns NaN.
+@pytest.mark.parametrize("psi2_0, seed", [(0.6, 1), (0.6, 2), (0.6, 3), (1.5, 1), (1.5, 2), (1.5, 3), (3.0, 1)])
+def test_train_lands_in_criterion_6_bands_from_other_starts(params_ref, psi2_0, seed):
+    # criterion 6's setup, bands and tail check from starts away from psi2* = 1
+    cfg = qlearn.LearnConfig(y0=1.0, T=12.0, dt=0.01, n_episodes=4000, gamma=GAMMA, rho=RHO, seed=seed,
+                             psi2_0=[[psi2_0]])
+    hist = qlearn.train(cfg, sde.Environment(params=params_ref, dt=0.01))
+    assert 0.26 <= hist.final.xi <= 0.46
+    assert 0.17 <= hist.final.psi1[0] <= 0.57
+    assert 0.8 <= hist.final.psi2[0, 0] <= 1.45
+    tail = slice(3600, 4000)
+    assert max(hist.xi[tail].std(), hist.psi1[tail, 0].std(), hist.psi2[tail, 0, 0].std()) < 0.02
+
+
+def nan_sums_row(monkeypatch, episode: int) -> None:
+    """Make b's constant entry of the episode-th row that _normal_sums returns NaN.
 
     train asks for a block's rows in one call and train_loop for one row per
     call, so counting rows reaches the same episode in both.
     """
-    real = qlearn._episode_statistics
+    real = qlearn._normal_sums
     seen = [0]
 
-    def stats(*args, **kwargs):
-        rows, d_rows, c = real(*args, **kwargs)
-        if seen[0] < episode <= seen[0] + len(rows):
-            rows[episode - 1 - seen[0], 0] = math.nan
-        seen[0] += len(rows)
-        return rows, d_rows, c
+    def sums(*args, **kwargs):
+        A, b = real(*args, **kwargs)
+        if seen[0] < episode <= seen[0] + len(b):
+            b[episode - 1 - seen[0], 0] = math.nan
+        seen[0] += len(b)
+        return A, b
 
-    monkeypatch.setattr(qlearn, "_episode_statistics", stats)
+    monkeypatch.setattr(qlearn, "_normal_sums", sums)
 
 
 def test_train_counts_non_finite_xi_root_as_rejected(params_ref, monkeypatch):
-    nan_xi_statistic(monkeypatch, 3)
+    # a NaN in the xi (constant) equation of episode 3 keeps all of its sums out of the fit
+    def run():
+        cfg = qlearn.LearnConfig(y0=1.0, T=1.0, dt=0.05, n_episodes=5, gamma=GAMMA, rho=RHO, seed=6)
+        return qlearn.train(cfg, sde.Environment(params=params_ref, dt=0.05))
+
+    clean = run()
+    nan_sums_row(monkeypatch, 3)
     monkeypatch.setattr(qlearn, "REJECT_FRACTION", 0.5)
-    env = sde.Environment(params=params_ref, dt=0.05)
-    cfg = qlearn.LearnConfig(y0=1.0, T=1.0, dt=0.05, n_episodes=5, gamma=GAMMA, rho=RHO, seed=6)
-    hist = qlearn.train(cfg, env)
+    hist = run()
     assert hist.rejected_episodes == [3]
-    assert hist.xi[2] == hist.xi[1]
-    assert np.all(np.isfinite(hist.xi))
+    assert np.all(np.isfinite(hist.xi)) and np.all(np.isfinite(hist.A))
+    assert hist.A[0, 0] == pytest.approx(0.8 * clean.A[0, 0], rel=1e-14)   # every path adds the same sum_k disc dt
 
 
 class _NanAt:
@@ -551,22 +458,10 @@ def test_train_rejects_only_the_non_finite_row(params_ref, monkeypatch):
         # the per-episode loop's rollout raises NonFinite on the same episode
         loop = train_loop(cfg, sde.Environment(params=params_ref, dt=0.05))
     assert hist.rejected_episodes == loop.rejected_episodes == [5]
-    assert hist.xi[4] == hist.xi[3] and np.array_equal(hist.psi1[4], hist.psi1[3])
-    # the other 15 rows of the block update
-    assert np.count_nonzero(hist.update_norms[:16]) == 15 and np.all(np.diff(hist.xi[5:16]) != 0.0)
-    for field in ("xi", "psi1", "psi2", "psi3", "update_norms"):
-        assert np.array_equal(getattr(hist, field), getattr(loop, field)), field
-
-
-def test_train_rejects_a_block_without_a_policy(params_ref):
-    # a run resumed at episode 15 whose block-start policy cannot be inverted rejects episodes 15 and 16
-    singular = qlearn.PolicyParams(0.3, [0.3], [[1e-7]], GAMMA)
-    kwargs = dict(y0=1.0, T=1.0, dt=0.05, n_episodes=20, gamma=GAMMA, rho=RHO, seed=8, start_episode=15)
-    hist = qlearn.train(qlearn.LearnConfig(**kwargs), sde.Environment(params=params_ref, dt=0.05), singular)
-    loop = train_loop(qlearn.LearnConfig(**kwargs), sde.Environment(params=params_ref, dt=0.05), singular)
-    assert hist.rejected_episodes == loop.rejected_episodes == [15, 16]
-    assert np.all(hist.xi[:2] == 0.0) and np.count_nonzero(hist.update_norms) == 18
-    for field in ("xi", "psi1", "psi2", "psi3", "update_norms"):
+    # the other 19 rows are summed, each adding sum_k e^{-rho t_k} dt to A[0, 0], and the fits are finite
+    assert hist.A[0, 0] == pytest.approx(19 * 0.05 * np.exp(-RHO * 0.05 * np.arange(20)).sum(), rel=1e-13)
+    assert np.all(np.isfinite(hist.A)) and np.all(np.isfinite(hist.xi)) and not hist.clipped.any()
+    for field in ("xi", "psi1", "psi2", "psi3", "clipped", "A", "b"):
         assert np.array_equal(getattr(hist, field), getattr(loop, field)), field
 
 
@@ -587,24 +482,27 @@ def test_history_export(tmp_path, params_ref):
     out = tmp_path / "history.csv"
     hist.to_csv(out)
     lines = out.read_text().strip().splitlines()
-    assert lines[0] == "episode,xi,psi1_1,psi2_11,psi3,update_norm,clipped"
+    assert lines[0] == "episode,xi,psi1_1,psi2_11,psi3,clipped"
     assert len(lines) == 4
     s = hist.summary()
     assert s["episodes"] == 3 and "psi3" in s
     assert s["gamma"] == GAMMA
-
-
-PARAMS_D2 = ModelParams(mu=[0.2, 0.1], sigma=[[1.0, 0.3], [0.0, 0.8]], sigma_z=0.2, kappa=0.5, eta=[0.6, 0.8],
-                        rho=0.2)
+    assert np.array_equal(s["A"], hist.A) and np.array_equal(s["b"], hist.b)
 
 
 @pytest.mark.parametrize("d", [1, 2])
 def test_history_csv_bytes_equal_the_row_writer(tmp_path, params_ref, monkeypatch, d):
-    monkeypatch.setattr(qlearn, "UPDATE_CLIP", 0.02)   # so that some episodes are clipped and some not
+    real, calls = qlearn.update, [0]
+
+    def every_other_held(pp, A, b, rho):   # so that some refits are held and some not
+        calls[0] += 1
+        return (pp, True) if calls[0] % 2 else real(pp, A, b, rho)
+
+    monkeypatch.setattr(qlearn, "update", every_other_held)
     env = sde.Environment(params=params_ref if d == 1 else PARAMS_D2, dt=0.05)
-    cfg = qlearn.LearnConfig(y0=1.0, T=1.0, dt=0.05, n_episodes=25, gamma=GAMMA, rho=RHO, seed=2)
+    cfg = qlearn.LearnConfig(y0=1.0, T=1.0, dt=0.05, n_episodes=50, gamma=GAMMA, rho=RHO, seed=2)
     hist = qlearn.train(cfg, env)
-    assert hist.clipped.any() and not hist.clipped.all()
+    assert hist.clipped.sum() == 2 and not hist.clipped.all()
     hist.to_csv(tmp_path / "bulk.csv")
     history_csv_per_row(hist, tmp_path / "rows.csv")
     assert (tmp_path / "bulk.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
@@ -612,34 +510,55 @@ def test_history_csv_bytes_equal_the_row_writer(tmp_path, params_ref, monkeypatc
 
 @pytest.mark.parametrize("case", ["d1", "d2", "action_cap", "resumed", "rejected"])
 def test_train_equals_the_per_episode_loop(params_ref, monkeypatch, case):
-    # one kernel call and one statistics call per 16-episode block give the histories of a
-    # per-episode loop that holds the policy at its block-start value, fresh generators and all
+    # one kernel call and one sums call per 16-episode block give the histories of a per-episode
+    # loop that holds the policy for a block and refits at its end, fresh generators and all
     params = PARAMS_D2 if case == "d2" else params_ref
     cap = 0.5 if case == "action_cap" else sde.DEFAULT_ACTION_CAP
     kwargs = dict(y0=1.0, T=2.0, dt=0.01, n_episodes=30, gamma=GAMMA, rho=RHO, seed=11)
-    policy = None
+    resume = {}
     if case == "resumed":   # 21 episodes stop inside the second block
         first = qlearn.train(qlearn.LearnConfig(**dict(kwargs, n_episodes=21)), sde.Environment(params=params, dt=0.01))
-        kwargs.update(xi0=first.final.xi, psi1_0=first.final.psi1, psi2_0=first.final.psi2, start_episode=22)
-        policy = first.policy
+        kwargs.update(start_episode=22)
+        resume = dict(policy=first.policy, sums=(first.A, first.b))
 
     def run(trainer):
         if case == "rejected":
-            nan_xi_statistic(monkeypatch, 7)
+            nan_sums_row(monkeypatch, 7)
         env = sde.Environment(params=params, dt=0.01, action_cap=cap)
-        return trainer(qlearn.LearnConfig(**kwargs), env, policy)
+        return trainer(qlearn.LearnConfig(**kwargs), env, **resume)
 
     fast, loop = run(qlearn.train), run(train_loop)
-    for field in ("episodes", "xi", "psi1", "psi2", "psi3", "update_norms", "clipped"):
+    for field in ("episodes", "xi", "psi1", "psi2", "psi3", "clipped", "A", "b"):
         assert np.array_equal(getattr(fast, field), getattr(loop, field)), field
     assert np.array_equal(fast.rejected_episodes, loop.rejected_episodes)
     assert np.array_equal(fast.clamp_events, loop.clamp_events)
-    for name in ("final", "policy"):
-        a, b = getattr(fast, name), getattr(loop, name)
-        assert a.xi == b.xi and np.array_equal(a.psi1, b.psi1) and np.array_equal(a.psi2, b.psi2), name
+    assert _same_params(fast.final, loop.final) and _same_params(fast.policy, loop.policy)
     assert fast.rejected_episodes == ([7] if case == "rejected" else [])
     assert (fast.clamp_events > 0) == (case == "action_cap")
     assert fast.episodes[0] == (22 if case == "resumed" else 1)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_normal_sums_match_the_per_path_formula(d):
+    # A_r = sum_k e^{-rho t_k} phi_k phi_k' dt and b_r = sum_k e^{-rho t_k} phi_k X_k, with
+    # phi_k = (1, u_k, -u_i u_j / 2 for i = j and -u_i u_j for i < j), path by path
+    rng = np.random.default_rng(50 + d)
+    params = random_params(rng, d)
+    mean_coef, cov_chol = random_pp(rng, d).policy_coefficients()
+    batch = sde.simulate_linear_gaussian_batch(params, mean_coef, cov_chol, 21, 0.0, 1.0, 0.02, seed=d)
+    A, b = path_sums(batch, params.rho)
+    disc = np.exp(-params.rho * batch.times[:-1])
+    for r, path in enumerate(batch):
+        u = path.actions / (1.0 + path.states[:-1, None])
+        x = np.diff(np.log1p(path.states)) - np.diff(path.local_time)
+        quad = [-u[:, i] * u[:, j] * (0.5 if i == j else 1.0) for i in range(d) for j in range(i, d)]
+        phi = np.column_stack([np.ones(len(x)), u, *quad])
+        _assert_rows_close(A[r], (phi * disc[:, None]).T @ phi * 0.02)
+        _assert_rows_close(b[r], phi.T @ (disc * x))
+        # train folds 1-row blocks' sums in the oracle, which round like their row of a larger block
+        one = path_sums(sde.BatchPaths(batch.times, batch.states[r : r + 1], batch.actions[r : r + 1],
+                                       batch.local_time[r : r + 1]), params.rho)
+        assert np.array_equal(one[0][0], A[r]) and np.array_equal(one[1][0], b[r])
 
 
 # ------------------------------------------------------------- diagnostics
@@ -684,7 +603,7 @@ def test_block_statistics_match_the_per_episode_loop(d):
         _assert_rows_close(stats.rows, reference)
         _assert_rows_close(stats.means, reference.mean(axis=0))
         assert np.allclose(stats.stderrs, reference.std(axis=0, ddof=1) / math.sqrt(37), rtol=1e-12, atol=0.0)
-    # update reads a 1-row block, which rounds like its row of a 16-row or a 5-row block
+    # path_statistics reads a 1-row block, which rounds like its row of a 16-row or a 5-row block
     for path, row in zip(batch, stats.rows):
         assert np.array_equal(path_statistics(pp, path, params.rho)[0], row)
 

@@ -58,11 +58,12 @@ def test_traced_train_and_diagnose_count_steps(tmp_path):
     assert metrics["sde.rollout_us_per_step"] == 0.0 and metrics["qlearn.update_us_per_episode"] > 0.0
 
 
-def test_traced_train_records_one_policy_per_block_and_one_update_per_episode(tmp_path):
-    # the per-layer train metrics divide by these spans: 2 episodes are one block, drawn by one policy
+def test_traced_train_records_one_policy_and_one_update_per_block(tmp_path):
+    # the per-layer train metrics divide by these spans: 20 episodes are two blocks (16 + 4),
+    # each drawn by one policy and refit by one update
     tracing = _tracing()
     train = tmp_path / "train.yaml"
-    train.write_text(yaml.safe_dump({**MODEL_BLOCK, "train": {"T": 0.5, "dt": 0.05, "episodes": 2}}))
+    train.write_text(yaml.safe_dump({**MODEL_BLOCK, "train": {"T": 0.5, "dt": 0.05, "episodes": 20}}))
     tr = tracing.Tracer()
     tr.install()
     try:
@@ -72,7 +73,7 @@ def test_traced_train_records_one_policy_per_block_and_one_update_per_episode(tm
     assert tr.failures == []
     traced = ["qlearn.PolicyParams.policy_coefficients", "sde.rollout_linear_gaussian", "qlearn.update"]
     names = [span[0] for span in tr.spans]
-    assert [name for name in names if name in traced] == [traced[0], traced[2], traced[2]]
+    assert [name for name in names if name in traced] == [traced[0], traced[2]] * 2
     train_span = names.index("qlearn.train")
     assert all(span[3] == train_span for span in tr.spans if span[0] in traced)
     assert tr.counts["rollout_steps"] == 0
