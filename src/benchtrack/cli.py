@@ -315,7 +315,7 @@ def cmd_diagnose(cfg: dict, seed: int | None, out: Path) -> int:
         T, dt = _horizon(dg, "diagnose")
         _check_paths(n_paths, "diagnose.n_paths")
         mean_coef, cov_chol = pp.policy_coefficients()
-        blocks = sde.linear_gaussian_blocks(params, mean_coef, cov_chol, n_paths, y0, T, dt, seed)
+        blocks = sde.increment_blocks(params, mean_coef, cov_chol, n_paths, y0, T, dt, seed)
         stats = qlearn.orthogonality_stats(pp, blocks, params.rho)
         payload["orthogonality"] = stats.as_dict()
         payload["all_within_3_sigma"] = bool(np.all(np.abs(stats.z_scores()) < 3.0))

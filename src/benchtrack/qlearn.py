@@ -9,9 +9,7 @@ solves the entropy-regularised problem at temperature rho/d:
 with psi3 always re-derived from (psi1, psi2) so that the Gibbs policy
 built from q integrates to one and the consistency condition
 E_pi[q - gamma ln pi] = 0 holds identically.  At the closed-form constants
-(PolicyParams.from_constants) this q is the exact q-function.  Its relative
-part psi1'u - |psi2'u|^2 / 2 + psi3 is written once, in _relative_q, which
-q_value and the statistics share.
+(PolicyParams.from_constants) this q is the exact q-function.
 
 Learning enforces the martingale property of
 
@@ -21,32 +19,27 @@ Learning enforces the martingale property of
 through its orthogonality against the parameter gradients of J and q.
 q + rho J has no y in it, so an episode's discretized residuals are
 
-    G_k = X_k - (psi1'u_k - |psi2'u_k|^2 / 2 + psi3 + rho xi) dt ,
-    X_k = ln(1 + y_{k+1}) - ln(1 + y_k) - (L_{k+1} - L_k) ,
+    G_k = X_k - phi_k'theta dt ,    X_k = ln(1 + y_{k+1}) - ln(1 + y_k) - (L_{k+1} - L_k) ,
 
-read off the path alone.  Its statistics are the sums of w_k = e^{-rho t_k} G_k
-times the tests 1, u_k and -u_k u_k' psi2 (_test_sums), computed for a block
-of sde.BLOCK_ROWS episodes at once by _episode_statistics; the diagnostics
-report them.
-
-G_k is linear in theta = (c0, psi1, P), with c0 = psi3 + rho xi and
-P = psi2 psi2':  G_k = X_k - phi_k'theta dt for phi_k = (1, u_k, -u_k u_k'/2),
-where u_k u_k' enters by its unique entries (an off-diagonal pair once, as
--u_i u_j).  Every test, psi3's gradient included, is a combination of the
-entries of phi_k, so all the conditions vanish where
-sum_k e^{-rho t_k} phi_k G_k = 0.  Summed over episodes these are the normal
+with theta = (c0, psi1, P), c0 = psi3 + rho xi, P = psi2 psi2' and the
+features phi_k = (1, u_k, -u_k u_k'/2), where u_k u_k' enters by its unique
+entries (an off-diagonal pair once, as -u_i u_j).  Training and the
+diagnostics read only (u_k, X_k), which the simulator's kernel produces
+(sde.increment_blocks), through one feature builder (_features).  Every
+test function, psi3's gradient included, is a combination of the entries of
+phi_k, so each orthogonality statistic is a fixed map (_statistics_map) of
+m = sum_k e^{-rho t_k} G_k phi_k, and all of them vanish where the normal
 equations A theta = b of the e^{-rho t}-weighted least-squares fit of X_k on
-phi_k dt,
+phi_k dt hold:
 
-    A = sum_k e^{-rho t_k} phi_k phi_k' dt ,    b = sum_k e^{-rho t_k} phi_k X_k ,
+    A = sum_k e^{-rho t_k} phi_k phi_k' dt ,    b = sum_k e^{-rho t_k} phi_k X_k .
 
-which is LSTD (Bradtke & Barto 1996) on the martingale conditions of Jia &
+That is LSTD (Bradtke & Barto 1996) on the martingale conditions of Jia &
 Zhou.  The root is the same for any behaviour policy under which A has full
 rank, so the fit needs no learning rate.  train adds each episode's sums to
 running A and b, solves them once per block of episodes (update), and reads
 off psi2 = cholesky(P), psi3 from (psi1, psi2) and xi = (c0 - psi3) / rho.
-No test function depends on xi, so every statistic is affine in xi, with the
-slope given by the same sums at the weights -rho dt e^{-rho t_k}; the
+No test function depends on xi, so every statistic is affine in xi; the
 diagnostics' xi-shifted control is derived from the paths' one pass.
 """
 
@@ -56,6 +49,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from types import SimpleNamespace
+from typing import Iterator
 
 import numpy as np
 
@@ -183,33 +177,21 @@ def q_value(pp: PolicyParams, rho: float, y, a):
     """Parameterized q including the derived psi3: the relative q at u = a / (1+y), minus rho ln(1+y).
 
     At one state, y is a float and a has shape (d,); along a path, y has
-    shape (K,) and a shape (K, d), and the result has shape (K,).
+    shape (K,) and a shape (K, d), and the result has shape (K,).  It sums
+    psi3 + sum_i u_i (psi1_i - P_ii u_i / 2 - sum_{j<i} P_ij u_j), P = psi2 psi2'.
     """
     y = np.asarray(y, dtype=float)
     if np.any(y < 0.0):
         raise DomainError(f"state must be >= 0, got {y!r}")
-    u = np.atleast_1d(np.asarray(a, dtype=float)) / (1.0 + y)[..., None]
-    out = _relative_q(pp, np.moveaxis(u, -1, 0)) - rho * np.log1p(y)
-    return out if out.ndim else float(out)
-
-
-def _relative_q(pp: PolicyParams, u, out=None, t=None, tmp=None):
-    """psi1'u - |psi2'u|^2 / 2 + psi3 at u = a / (1+y), from its components u[i] and optional scratch arrays.
-
-    It sums u_i (psi1_i - P_ii u_i / 2 - sum_{j<i} P_ij u_j) with P = psi2 psi2'
-    term by term, so an element rounds alike in any block shape.
-    """
-    if out is None:   # at one state u[i] is a scalar, so these are 0-d
-        out, t = np.empty(np.shape(u[0])), np.empty(np.shape(u[0]))
-    P = pp.psi2_sq
+    u = np.moveaxis(np.atleast_1d(np.asarray(a, dtype=float)) / (1.0 + y)[..., None], -1, 0)
+    P, out = pp.psi2_sq, pp.psi3
     for i in range(pp.d):
-        t = np.multiply(u[i], -0.5 * P[i, i], out=t)
-        t += pp.psi1[i]
+        t = u[i] * (-0.5 * P[i, i]) + pp.psi1[i]
         for j in range(i):
-            t -= np.multiply(u[j], P[i, j], out=tmp)
-        t *= u[i]
-        out = np.add(out if i else pp.psi3, t, out=out)   # psi3 + the i = 0 term, then the others
-    return out
+            t = t - u[j] * P[i, j]
+        out = out + t * u[i]
+    out = out - rho * np.log1p(y)
+    return out if out.ndim else float(out)
 
 
 def policy_from_q(pp: PolicyParams, y: float) -> GaussianSpec:
@@ -220,124 +202,110 @@ def policy_from_q(pp: PolicyParams, y: float) -> GaussianSpec:
     return GaussianSpec(mean=s * pp.mean_coef, cov=pp.gamma * s * s * pp.precision)
 
 
-def _statistics_workspace(rows: int, K: int, d: int) -> SimpleNamespace:
-    """Scratch arrays for _episode_statistics on up to `rows` paths of K steps, u for the d components of u_k.
-
-    A stream of blocks reuses one set: fresh (rows, K) temporaries would be
-    handed back to the system after each block and faulted in again.
-    """
-    g, p, t, w = np.empty((4, rows, K))
-    return SimpleNamespace(log=np.empty((rows, K + 1)), u=np.empty((d, rows, K)), g=g, p=p, t=t, w=w)
-
-
-def _test_sums(pp: PolicyParams, w: np.ndarray, u: np.ndarray, wu: np.ndarray, wuu: np.ndarray) -> np.ndarray:
-    """Per path, sum_k w_k times the tests 1, u_k and -u_k u_k' psi2, as rows ordered like _component_names.
-
-    w is (n, K), or (K,) when every path shares it, u holds d (n, K)
-    components, and wu and wuu are (n, K) scratch.  Each sum runs along one
-    contiguous row, so a 1-row block gives a row of a larger block bit for bit.
-    """
-    n, d = len(u[0]), pp.d
-    rows = np.empty((n, 1 + d + d * d))
-    rows[:, 0] = stat_xi = w.sum(axis=-1)
-    stat_psi1 = rows[:, 1 : 1 + d]
-    outer_sum = np.empty((n, d, d))
-    for i in range(d):
-        np.multiply(w, u[i], out=wu).sum(axis=1, out=stat_psi1[:, i])
-        for j in range(i + 1):
-            outer_sum[:, j, i] = outer_sum[:, i, j] = np.multiply(wu, u[j], out=wuu).sum(axis=1)
-    # psi3's gradient, -b for psi1 and (b b' + gamma prec) psi2 for psi2,
-    # is the same at every step, so it enters weighted by sum_k w_k = stat_xi
-    stat_xi = rows[:, :1]
-    b = pp.mean_coef
-    stat_psi1 -= b * stat_xi
-    stat_psi2 = -outer_sum @ pp.psi2 + (b[:, None] * b + pp.gamma * pp.precision) @ pp.psi2 * stat_xi[..., None]
-    rows[:, 1 + d :] = stat_psi2.reshape(n, d * d)
-    return rows
-
-
-def _episode_statistics(
-    pp: PolicyParams, rho: float, times: np.ndarray, states: np.ndarray, actions: np.ndarray,
-    local_time: np.ndarray, ws: SimpleNamespace, xi_derivative: bool = False,
-) -> tuple[np.ndarray, np.ndarray | None, float]:
-    """Discount-weighted orthogonality sums of a block of episodes, one row per path.
-
-    states and local_time are (n, K+1), actions (n, K, d), and ws a
-    _statistics_workspace of at least n rows.  Returns (rows, d_rows, c):
-    rows sum_k e^{-rho t_k} test_k G_k, c = rho dt sum_k e^{-rho t_k}, and
-    with xi_derivative the derivative of each row in xi (else None).  xi
-    enters each G_k only through -rho xi dt and no test function depends on
-    xi, so d_rows are the sums of the constant residual -rho dt and the rows
-    at xi + s are rows + s d_rows.
-    """
-    n, d = len(states), pp.d
-    log, u, g, p, t, w = ws.log[:n], ws.u[:, :n], ws.g[:n], ws.p[:n], ws.t[:n], ws.w[:n]
-    dt = float(times[1] - times[0])
-    disc = np.exp(-rho * times[:-1])
-    ys = states[:, :-1]
-    if ys.min() < 0.0:
-        raise DomainError(f"state must be >= 0, got {ys!r}")
-    np.add(ys, 1.0, out=t)
-    for i in range(d):
-        np.divide(actions[..., i], t, out=u[i])
-    # G_k = X_k - (relative q_k + rho xi) dt with X_k = ln(1+y_{k+1}) - ln(1+y_k) - (L_{k+1} - L_k), discounted
-    np.log1p(states, out=log)
-    np.subtract(log[:, 1:], log[:, :-1], out=g)
-    g -= np.subtract(local_time[:, 1:], local_time[:, :-1], out=p)
-    _relative_q(pp, u, p, t, w)
-    p += rho * pp.xi
-    p *= dt
-    g -= p
-    g *= disc
-    rows = _test_sums(pp, g, u, p, t)
-    d_rows = _test_sums(pp, -rho * dt * disc, u, p, t) if xi_derivative else None
-    return rows, d_rows, rho * dt * float(disc.sum())
-
-
 def _quadratic_pairs(d: int) -> list[tuple[int, int]]:
     """The (i, j), i <= j, of the entries of u u' in phi, in the order of theta's P entries."""
     return [(i, j) for i in range(d) for j in range(i, d)]
 
 
-def _sums_workspace(rows: int, K: int, d: int) -> SimpleNamespace:
-    """Scratch arrays for _normal_sums on up to `rows` paths of K steps; f[0] holds phi's constant 1."""
-    f = np.empty((1 + d + len(_quadratic_pairs(d)), rows, K))
-    f[0] = 1.0
-    x, wf, t = np.empty((3, rows, K))
-    return SimpleNamespace(log=np.empty((rows, K + 1)), x=x, f=f, wf=wf, t=t)
+def _feature_workspace(rows: int, K: int, d: int) -> SimpleNamespace:
+    """Scratch arrays for _features and its reductions on up to `rows` paths of K steps; one is phi's constant 1."""
+    return SimpleNamespace(one=np.ones((rows, K)), quad=np.empty((len(_quadratic_pairs(d)), rows, K)),
+                           w=np.empty((rows, K)), g=np.empty((rows, K)))
 
 
-def _normal_sums(
-    disc: np.ndarray, dt: float, states: np.ndarray, actions: np.ndarray, local_time: np.ndarray, ws: SimpleNamespace,
-) -> tuple[np.ndarray, np.ndarray]:
+def _features(u: np.ndarray, ws: SimpleNamespace) -> list[np.ndarray]:
+    """phi_k's planes for a block whose relative actions u are (d, n, K): 1, the u_i and -vech(u u')/2.
+
+    u u' enters in _quadratic_pairs order, an off-diagonal pair once, as -u_i u_j.
+    """
+    d, n = len(u), u.shape[1]
+    quad = ws.quad[:, :n]
+    for k, (i, j) in enumerate(_quadratic_pairs(d)):
+        np.multiply(u[i], u[j], out=quad[k])
+        quad[k] *= -0.5 if i == j else -1.0
+    return [ws.one[:n], *u, *quad]
+
+
+def _weighted_sums(phi: list[np.ndarray], w: np.ndarray) -> np.ndarray:
+    """Per path, sum_k w_k phi_k, (n, len(phi)); w is (n, K), or (K,) when every path shares it.
+
+    Each sum runs along one row, so a 1-row block gives a row of a larger block bit for bit.
+    """
+    return np.stack([np.einsum("...k,...k->...", f, w) for f in phi], axis=-1)
+
+
+def _normal_sums(phi: list[np.ndarray], x: np.ndarray, disc: np.ndarray, dt: float,
+                 ws: SimpleNamespace) -> tuple[np.ndarray, np.ndarray]:
     """Per path, A_r = sum_k e^{-rho t_k} phi_k phi_k' dt and b_r = sum_k e^{-rho t_k} phi_k X_k.
 
-    disc is (K,), the discount e^{-rho t_k}.  states and local_time are
-    (n, K+1), actions (n, K, d), and ws a _sums_workspace of at least n
-    rows.  u_k and X_k are read off the path as _episode_statistics reads
-    them.  Each sum of products runs along one contiguous row, so a 1-row
-    block gives a row of a larger block bit for bit.
+    phi are a block's planes (_features), x its (n, K) X_k and disc (K,) e^{-rho t_k}.
     """
-    n, d = len(states), actions.shape[-1]
-    log, x, f, wf, t = ws.log[:n], ws.x[:n], ws.f[:, :n], ws.wf[:n], ws.t[:n]
-    p = len(f)
-    np.add(states[:, :-1], 1.0, out=t)
-    for i in range(d):
-        np.divide(actions[..., i], t, out=f[1 + i])
-    for k, (i, j) in enumerate(_quadratic_pairs(d)):
-        np.multiply(f[1 + i], f[1 + j], out=f[1 + d + k])
-        f[1 + d + k] *= -0.5 if i == j else -1.0
-    np.log1p(states, out=log)
-    np.subtract(log[:, 1:], log[:, :-1], out=x)
-    x -= np.subtract(local_time[:, 1:], local_time[:, :-1], out=t)
-    A, b = np.empty((n, p, p)), np.empty((n, p))
+    n, p = len(x), len(phi)
+    wf = ws.w[:n]
+    A = np.empty((n, p, p))
     for a in range(p):
-        np.multiply(f[a], disc, out=wf)
-        b[:, a] = np.einsum("rk,rk->r", wf, x)
-        for c in range(a, p):
-            A[:, a, c] = A[:, c, a] = np.einsum("rk,rk->r", wf, f[c])
+        np.multiply(phi[a], disc, out=wf)
+        A[:, a, a:] = _weighted_sums(phi[a:], wf)
+        A[:, a + 1 :, a] = A[:, a, a + 1 :]
     A *= dt
-    return A, b
+    return A, _weighted_sums(phi, np.multiply(x, disc, out=wf))
+
+
+def _statistics_map(pp: PolicyParams, rho: float) -> tuple[np.ndarray, np.ndarray]:
+    """(theta, M): theta = (psi3 + rho xi, psi1, P) and M, each orthogonality row being m M for m = sum_k w_k phi_k.
+
+    The tests are 1 for xi, u_k - b for psi1 and
+    -u_k u_k' psi2 + (b b' + gamma P^-1) psi2 for psi2, with b = P^-1 psi1
+    (psi3's gradient enters through the chain rule): each a combination of
+    phi_k's entries, u_i u_j being -2 times phi's entry for i = j and -1
+    times it for i < j.
+    """
+    d, psi2, b = pp.d, pp.psi2, pp.mean_coef
+    pairs = _quadratic_pairs(d)
+    theta = np.concatenate([[pp.psi3 + rho * pp.xi], pp.psi1, [pp.psi2_sq[i, j] for i, j in pairs]])
+    M = np.zeros((len(theta), 1 + d + d * d))
+    M[: 1 + d, : 1 + d] = np.eye(1 + d)
+    M[0, 1 : 1 + d] = -b
+    M[0, 1 + d :] = ((np.outer(b, b) + pp.gamma * pp.precision) @ psi2).ravel()
+    for k, (i, j) in enumerate(pairs):
+        uu = np.zeros((d, d))   # -u u' per unit of phi's entry k
+        uu[i, j] = uu[j, i] = 2.0 if i == j else 1.0
+        M[1 + d + k, 1 + d :] = (uu @ psi2).ravel()
+    return theta, M
+
+
+def _orthogonality_rows(theta: np.ndarray, M: np.ndarray, rho: float, block: sde.IncrementBlock,
+                        ws: SimpleNamespace) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, d_rows): per path, sum_k e^{-rho t_k} test_k G_k and its xi-derivative, at (theta, M) of _statistics_map.
+
+    G_k = X_k - phi_k'theta dt, so a row is M applied to sum_k e^{-rho t_k} G_k phi_k.
+    xi enters each G_k only through -rho xi dt and no test function depends on
+    xi, so d_rows map -rho dt sum_k e^{-rho t_k} phi_k, and the rows at xi + s
+    are rows + s d_rows.
+    """
+    times, x = block.times, block.x
+    n, dt = len(x), float(times[1] - times[0])
+    disc = np.exp(-rho * times[:-1])
+    phi = _features(block.u, ws)
+    g, w = ws.g[:n], ws.w[:n]
+    np.subtract(x, theta[0] * dt, out=g)
+    for f, c in zip(phi[1:], theta[1:]):
+        g -= np.multiply(f, c * dt, out=w)
+    g *= disc
+    return (np.einsum("rp,pq->rq", _weighted_sums(phi, g), M),
+            np.einsum("rp,pq->rq", -rho * dt * _weighted_sums(phi, disc), M))
+
+
+def _path_increments(batch: sde.BatchPaths) -> Iterator[sde.IncrementBlock]:
+    """The (u_k, X_k) of a batch's stored paths (sde.IncrementBlock), read off them BLOCK_ROWS paths at a time."""
+    for start in range(0, len(batch.states), sde.BLOCK_ROWS):
+        rows = slice(start, start + sde.BLOCK_ROWS)
+        states, local = batch.states[rows], batch.local_time[rows]
+        if states.min() < 0.0:
+            raise DomainError(f"state must be >= 0, got {states!r}")
+        x = np.diff(np.log1p(states), axis=1) - np.diff(local, axis=1)
+        u = np.moveaxis(batch.actions[rows], -1, 0) / (1.0 + states[:, :-1])
+        yield sde.IncrementBlock(batch.times, u, x)
 
 
 def update(pp: PolicyParams, A: np.ndarray, b: np.ndarray, rho: float) -> tuple[PolicyParams, bool]:
@@ -359,7 +327,9 @@ def update(pp: PolicyParams, A: np.ndarray, b: np.ndarray, rho: float) -> tuple[
         fit.precision   # raises SingularPsi2 for a psi2 without a Gibbs policy
     except (np.linalg.LinAlgError, SingularPsi2):
         return pp, True
-    return PolicyParams((theta[0] - fit.psi3) / rho, fit.psi1, fit.psi2, pp.gamma), False
+    # xi is set on the one instance, whose cached psi3 and precision do not depend on it
+    object.__setattr__(fit, "xi", (theta[0] - fit.psi3) / rho)
+    return fit, False
 
 
 @dataclass
@@ -444,13 +414,14 @@ def train(
 
     Episodes run in blocks of sde.BLOCK_ROWS aligned to the global episode
     index (episodes 16b+1 ... 16b+16).  One policy draws all of a block's
-    episodes: one kernel call simulates them on `env`, and one _normal_sums
-    call reduces each to its rows (A_r, b_r), which are added to the running
-    A and b in episode order.  At the block's end update solves the sums,
-    and its fit draws the next block.  A history row holds the policy that
-    drew its episode, and the last row of a block the block's fit.  The fit
-    reads only the paths, never the market parameters.  Episode i uses the
-    Philox stream keyed by (config.seed, i), so a run is reproducible.
+    episodes: one kernel call (sde._relative_paths) gives their (u_k, X_k)
+    on `env`, and one _normal_sums call reduces each to its rows (A_r, b_r),
+    which are added to the running A and b in episode order.  At the
+    block's end update solves the sums, and its fit draws the next block.
+    A history row holds the policy that drew its episode, and the last row
+    of a block the block's fit.  The fit reads only (u_k, X_k), never the
+    market parameters.  Episode i uses the Philox stream keyed by
+    (config.seed, i), so a run is reproducible.
 
     A path with non-finite sums rejects its own episode.  A start whose
     psi2 psi2' the policy cannot invert raises SingularPsi2 before the
@@ -473,11 +444,10 @@ def train(
     episodes = np.arange(config.start_episode, config.start_episode + n)
     times = np.linspace(0.0, config.T, K + 1)
     disc, dt = np.exp(-config.rho * times[:-1]), float(times[1] - times[0])
-    # set up once per run: one kernel and one sums workspace, and one Philox re-keyed per episode
+    # set up once per run: one kernel and one feature workspace, and one Philox re-keyed per episode
     market = sde._market(env.params, env.dt)
-    ws, sums_ws = sde._workspace(rows_max, K, d), _sums_workspace(rows_max, K, d)
-    states, actions, local = np.empty((rows_max, K + 1)), np.empty((rows_max, K, d)), np.empty((rows_max, K + 1))
-    p = len(sums_ws.f)
+    ws, fws = sde._workspace(rows_max, K, d), _feature_workspace(rows_max, K, d)
+    p = 1 + d + len(_quadratic_pairs(d))
     A, b = (np.zeros((p, p)), np.zeros(p)) if sums is None else (np.array(s, dtype=float) for s in sums)
     stream = sde.episode_streams()
     clamps_before = env.clamp_events
@@ -490,11 +460,10 @@ def train(
         mean_coef, cov_chol = pp.policy_coefficients()
         for j in range(m):
             stream(config.seed, first + j).standard_normal(out=ws.normals[j])
-        # a non-finite path gives its rows non-finite sums, which reject its episode
+        # a non-finite u_k or X_k gives its rows non-finite sums, which reject its episode
         with np.errstate(over="ignore", invalid="ignore"):
-            env.clamp_events += sde._linear_gaussian_paths(
-                market, mean_coef, cov_chol, config.y0, env.action_cap, ws, states[:m], actions[:m], local[:m])
-            A_rows, b_rows = _normal_sums(disc, dt, states[:m], actions[:m], local[:m], sums_ws)
+            env.clamp_events += sde._relative_paths(market, mean_coef, cov_chol, config.y0, env.action_cap, ws, m)
+            A_rows, b_rows = _normal_sums(_features(ws.u[:, :m], fws), ws.x[:m], disc, dt, fws)
         finite = np.isfinite(A_rows).all(axis=(1, 2)) & np.isfinite(b_rows).all(axis=1)
         for j in range(m):
             if finite[j]:
@@ -566,25 +535,22 @@ def _component_names(d: int) -> list[str]:
 def orthogonality_stats(pp: PolicyParams, paths, rho: float) -> OrthogonalityStats:
     """Estimate E[sum_k test * (M_{k+1} - M_k)] per test function.
 
-    paths is a BatchPaths or an iterable of them, such as the blocks of
-    sde.linear_gaussian_blocks; each is reduced BLOCK_ROWS paths at a time
-    and only the per-path rows are kept.  At the correct (xi, psi1, psi2)
-    every component is a centred martingale statistic, so each mean should
-    vanish within Monte Carlo error.  A standard error needs two paths.
+    paths is the sde.IncrementBlock stream of sde.increment_blocks, or a
+    BatchPaths, whose (u_k, X_k) are read off its stored paths BLOCK_ROWS
+    paths at a time; only the per-path rows are kept.  At the correct
+    (xi, psi1, psi2) every component is a centred martingale statistic, so
+    each mean should vanish within Monte Carlo error.  A standard error
+    needs two paths.
     """
+    theta, M = _statistics_map(pp, rho)
     rows, d_rows, ws = [], [], None
-    for batch in [paths] if isinstance(paths, sde.BatchPaths) else paths:
-        K, d = batch.actions.shape[1:]
-        if ws is None or ws.u.shape != (d, sde.BLOCK_ROWS, K):
-            ws = _statistics_workspace(sde.BLOCK_ROWS, K, d)
-        for start in range(0, len(batch.states), sde.BLOCK_ROWS):
-            block = slice(start, start + sde.BLOCK_ROWS)
-            r, dr, _ = _episode_statistics(
-                pp, rho, batch.times, batch.states[block], batch.actions[block], batch.local_time[block], ws,
-                xi_derivative=True,
-            )
-            rows.append(r)
-            d_rows.append(dr)
+    for block in _path_increments(paths) if isinstance(paths, sde.BatchPaths) else paths:
+        d, _, K = block.u.shape
+        if ws is None or ws.quad.shape[1:] != (sde.BLOCK_ROWS, K):
+            ws = _feature_workspace(sde.BLOCK_ROWS, K, d)
+        r, dr = _orthogonality_rows(theta, M, rho, block, ws)
+        rows.append(r)
+        d_rows.append(dr)
     n_paths = sum(len(r) for r in rows)
     if n_paths < 2:
         raise ValueError(f"need at least two episode paths for a standard error, got {n_paths}")
@@ -615,7 +581,7 @@ def convergence_study(
     rows = []
     for dt in dt_list:
         for T in T_list:
-            blocks = sde.linear_gaussian_blocks(params, mean_coef, cov_chol, n_paths, y0, T, dt, seed)
+            blocks = sde.increment_blocks(params, mean_coef, cov_chol, n_paths, y0, T, dt, seed)
             stats = orthogonality_stats(pp, blocks, params.rho)
             tail = math.exp(-params.rho * T) * (
                 2.0 * h0 + 2.0 * abs(mu_hat) * T + s * math.sqrt(2.0 * T / math.pi)

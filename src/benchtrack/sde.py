@@ -5,39 +5,36 @@ The normalized surplus follows, between reflections,
     dY = -sigma_z (Y + 1) dWk + a' mu dt + a' sigma dW ,
 
 where ``a`` is the (possibly random) action, ``W`` the d-dimensional asset
-driver and ``Wk`` the composite benchmark driver correlated with ``W``
-through ``kappa`` and ``eta``.  All drivers are simulated as standard
-Brownian increments under the benchmark-normalized pricing measure, which
-is the measure every value function and martingale statistic in this
-package is stated under.
-
-The composite is Wk = kappa W0 + sqrt(1 - kappa^2) eta_hat' W with W0
-independent of W and eta_hat = eta / |eta|, so Wk is itself a standard
-Brownian motion.
+driver and Wk = kappa W0 + sqrt(1 - kappa^2) eta_hat' W the composite
+benchmark driver, with W0 independent of W and eta_hat = eta / |eta|.  All
+drivers are standard Brownian motions under the benchmark-normalized
+pricing measure, which every value function and martingale statistic in
+this package is stated under.
 
 Under a state-linear Gaussian policy, a = (1+Y) u with u free of Y.  Holding
 u_k over a step makes H = ln(1+Y) a Brownian motion with drift until it
-reflects, so its step is exact: X_k = c_k - v_k dt / 2, with c_k the step's
-relative increment u'mu dt + (sigma'u - sigma_z sqrt(1-kappa^2) eta_hat)'dW
-- sigma_z kappa dW0 and v_k = |sigma'u - sigma_z sqrt(1-kappa^2) eta_hat|^2
-+ sigma_z^2 kappa^2 its variance rate.  The aggregated dynamics step H by
+reflects, so given u_k its step is exactly Gaussian:
+X_k = (u_k'mu - v_k/2) dt + sqrt(v_k dt) xi_k, with the variance rate
+v_k = |sigma'u_k - sigma_z sqrt(1-kappa^2) eta_hat|^2 + sigma_z^2 kappa^2.
+So the kernel draws d action normals and one normal xi_k a step
+(_increments).  The aggregated dynamics step H by
 X_k = (b - s^2/2) dt + s sqrt(dt) z_k.  Reflection at 0 is Lindley's
 recursion H' = max(H + X_k, 0), the discrete Skorokhod map, which a
 cumulative sum and a running maximum of the push solve with no loop over
-steps; the local time L is the push itself (Y's local time, since 1 + Y = 1
-where it grows), so H and y are exactly 0 on the steps where L grows and
-diff(L) is the push's increment.  A clamp at the action cap depends on y, so
-it is found after the fact: that step's c_k and v_k are recomputed for the
-clamped u and the path is replayed from there, its push added to L_k.
-Both path samplers (policy and aggregated) return a BatchPaths built in
-blocks of a few paths; row i draws the Philox stream (seed, i), so it equals
-a lone path on that stream.  One generator (_blocks) yields the blocks over
-one set of reused buffers; the samplers copy them into their batch, and
-linear_gaussian_blocks hands them to a consumer that keeps only what it
-reduces them to.  A run pays its setup once: one re-keyed Philox serves
-every stream (episode_streams), and its blocks share one workspace.
-qlearn.train runs the kernel on its own blocks of episodes, one policy per
-block; rollout_linear_gaussian runs it on a single path.
+steps (_reflect); the local time L is the push itself (Y's local time, since
+1 + Y = 1 where it grows), so H and y are exactly 0 on the steps where L
+grows.  A clamp at the action cap depends on y, so it is found after the
+fact: that step's u_k is scaled, its X_k redrawn from the same xi_k, and
+the path replayed from there, its push added to L_k (_paths).
+
+The path samplers (simulate_linear_gaussian_batch, linear_gaussian_blocks,
+rollout_linear_gaussian, simulate_aggregated) run the map and return
+states, actions and local time.  The learner's statistics read only u_k
+and X_k, so increment_blocks and qlearn.train take them from the kernel and
+run the map only on a block where a clamp can bind (_relative_paths).
+Every sampler works in blocks of a few paths over one reused workspace;
+row i draws the Philox stream (seed, i), so it equals a lone path on that
+stream, and one re-keyed Philox serves every stream (episode_streams).
 
 The same map in continuous time gives an independent oracle for the
 policy-averaged dynamics: for H = ln(1 + Y),
@@ -66,6 +63,7 @@ __all__ = [
     "InvalidVariance",
     "EpisodePath",
     "BatchPaths",
+    "IncrementBlock",
     "episode_rng",
     "episode_streams",
     "grid_steps",
@@ -73,6 +71,7 @@ __all__ = [
     "rollout_workspace",
     "rollout_linear_gaussian",
     "linear_gaussian_blocks",
+    "increment_blocks",
     "simulate_linear_gaussian_batch",
     "aggregated_coefficients",
     "simulate_aggregated",
@@ -139,14 +138,14 @@ def _eta_unit(params: ModelParams) -> np.ndarray:
 
 
 def _market(params: ModelParams, dt: float) -> SimpleNamespace:
-    """The per-step constants of the policy kernel, computed once per run."""
-    sqdt, eta_hat, root = math.sqrt(dt), _eta_unit(params), math.sqrt(1.0 - params.kappa**2)
-    return SimpleNamespace(
-        d=params.d, eta_hat=eta_hat, kappa=params.kappa, root=root, noise=-params.sigma_z * sqdt, sqdt=sqdt,
-        sigma=params.sigma, mu_dt=[m * dt for m in params.mu.tolist()], half_dt=0.5 * dt,
-        # v = |sigma'u - bench|^2 + own: the benchmark's loading on the asset normals and its own variance
-        bench=params.sigma_z * root * eta_hat, own=(params.sigma_z * params.kappa) ** 2,
-    )
+    """The per-step constants of the policy kernel, computed once per run.
+
+    A step's variance rate is v = |sigma'u - bench|^2 + own: bench is the
+    benchmark's loading on the asset noise and own its own variance.
+    """
+    return SimpleNamespace(d=params.d, dt=dt, half_dt=0.5 * dt, mu_dt=params.mu * dt, sigma=params.sigma,
+                           bench=params.sigma_z * math.sqrt(1.0 - params.kappa**2) * _eta_unit(params),
+                           own=(params.sigma_z * params.kappa) ** 2)
 
 
 @dataclass(frozen=True)
@@ -209,8 +208,18 @@ class BatchPaths:
             yield EpisodePath(times=self.times, states=states, actions=actions, local_time=local)
 
 
+@dataclass(frozen=True)
+class IncrementBlock:
+    """A block of policy paths as statistics read it: u_k = a_k / (1+y_k), X_k = ln(1+y_{k+1}) - ln(1+y_k) - dL_k."""
+
+    times: np.ndarray   # (K+1,)
+    u: np.ndarray       # (d, n, K)
+    x: np.ndarray       # (n, K)
+    clamp_events: int = 0
+
+
 def _workspace(rows: int, K: int, d: int) -> SimpleNamespace:
-    """Scratch arrays for the kernel on up to `rows` paths of K steps.
+    """Buffers for the kernel on up to `rows` paths of K steps; u holds the d components of u_k.
 
     A stream of blocks allocates them once.  Fresh temporaries in each
     block would go back to the system when the block ends and be faulted in
@@ -218,28 +227,22 @@ def _workspace(rows: int, K: int, d: int) -> SimpleNamespace:
     """
     def e(*shape):
         return np.empty((rows, *shape))
-    return SimpleNamespace(normals=e(K, 2 * d + 1), u=e(K, d), c=e(K), base=e(K), drive=e(K), unorm=e(K),
-                           v=e(K), t=e(K), w=e(K), h=e(K + 1), push=e(K + 1))
+    return SimpleNamespace(normals=e(K, d + 1), u=np.empty((d, rows, K)), x=e(K), unorm=e(K), t=e(K), w=e(K),
+                           h=e(K + 1), push=e(K + 1), states=e(K + 1), actions=e(K, d), local=e(K + 1))
 
 
-def _blocks(times: np.ndarray, d: int, n_paths: int, seed: int, fill) -> Iterator[BatchPaths]:
-    """n_paths rows on `times`, written by fill(ws, states, actions, local, first_path) per block.
+def _blocks(K: int, d: int, n_paths: int, seed: int, fill) -> Iterator:
+    """fill(ws, n, first_path) per block of n <= BLOCK_ROWS paths, ws.normals[j] from stream (seed, first_path + j).
 
-    Row j of ws.normals holds the stream (seed, first_path + j); fill returns the block's clamp count.
-    Every block is a view of the same buffers, so the next block overwrites it.
+    Every block is drawn into the same workspace, so the next one overwrites what fill returned.
     """
-    K = len(times) - 1
-    rows = min(n_paths, BLOCK_ROWS)
-    ws = _workspace(rows, K, d)
+    ws = _workspace(min(n_paths, BLOCK_ROWS), K, d)
     stream = episode_streams()
-    states, local, actions = np.empty((rows, K + 1)), np.empty((rows, K + 1)), np.empty((rows, K, d))
     for start in range(0, n_paths, BLOCK_ROWS):
         n = min(BLOCK_ROWS, n_paths - start)
         for j in range(n):
             stream(seed, start + j).standard_normal(out=ws.normals[j])
-        clamp_events = fill(ws, states[:n], actions[:n], local[:n], start)
-        yield BatchPaths(times=times, states=states[:n], actions=actions[:n], local_time=local[:n],
-                         clamp_events=clamp_events)
+        yield fill(ws, n, start)
 
 
 def _batch(blocks: Iterator[BatchPaths], times: np.ndarray, d: int, n_paths: int) -> BatchPaths:
@@ -275,112 +278,129 @@ def _reflect(x: np.ndarray, states: np.ndarray, local: np.ndarray, ws: SimpleNam
         np.add(push[:, 1:], local[:, :1], out=local[:, 1:])
 
 
-def _linear_gaussian_paths(
-    m: SimpleNamespace, mean_coef: np.ndarray, cov_chol: np.ndarray, y0: float, action_cap: float,
-    ws: SimpleNamespace, states: np.ndarray, actions: np.ndarray, local: np.ndarray,
-) -> int:
-    """Fill the states, actions and local time of a block of policy paths; return its clamp count.
+def _increments(m: SimpleNamespace, mean_coef: np.ndarray, cov_chol: np.ndarray, ws: SimpleNamespace, n: int) -> None:
+    """Fill a block's relative actions ws.u[:, :n], their squared norms ws.unorm[:n] and its steps ws.x[:n].
 
-    m holds the market's constants (_market), mean_coef is (d,) and cov_chol
-    (d, d).  The block's n rows read ws.normals[:n], (n, K, 2d+1): per step d
-    action normals, the benchmark's own normal and d asset normals.  c
-    holds each step's exact increment of ln(1 + y) before reflection,
-    X_k = c_k - v_k dt / 2.  Contractions over d are explicit sums, so an
-    element's rounding does not depend on the block's shape.  A non-finite
-    row is left as it is (the samplers raise on it through _check_finite,
-    the trainer rejects its episode), and the other rows are unaffected.
+    Row r reads ws.normals[r], (K, d+1): per step d action normals z_k and one
+    normal xi_k, for u_k = mean_coef + cov_chol z_k and X_k = (u_k'mu - v_k/2) dt
+    + sqrt(v_k dt) xi_k (_market).  Contractions over d are explicit sums, so an
+    element's rounding does not depend on the block's shape.
     """
-    n, d = len(states), m.d
+    d = m.d
     normals = ws.normals[:n]
-    z, g0, g = normals[..., :d], normals[..., d], normals[..., d + 1 :]
-    u, c, base, drive, unorm, v, t, w = (a[:n] for a in (ws.u, ws.c, ws.base, ws.drive, ws.unorm, ws.v, ws.t, ws.w))
+    u, x, unorm, t, w = ws.u[:, :n], ws.x[:n], ws.unorm[:n], ws.t[:n], ws.w[:n]
 
-    def accumulate(out, x, first):  # out = 0 + x_0 + x_1 + ..., the builtin sum's order (0 + x is x + 0)
-        if first:
-            np.add(x, 0.0, out=out)
-        else:
-            out += x
+    def dot(coef, planes, out):  # out = sum_j coef[j] planes[j]
+        np.multiply(planes[0], coef[0], out=out)
+        for j in range(1, d):
+            out += np.multiply(planes[j], coef[j], out=w)
 
-    def dot(coef, v, out):  # sum_j coef[j] v[..., j]
-        for j in range(d):
-            accumulate(out, np.multiply(v[..., j], coef[j], out=w), j == 0)
-
-    dot(m.eta_hat, g, t)
-    np.multiply(g0, m.kappa, out=base)
-    base += np.multiply(t, m.root, out=t)
-    base *= m.noise
+    z = [normals[..., j] for j in range(d)]
     for i in range(d):
-        dot(cov_chol[i], z, u[..., i])
-        u[..., i] += mean_coef[i]
-        dot(m.sigma[i], g, t)
-        t *= m.sqdt
-        t += m.mu_dt[i]
-        accumulate(drive, np.multiply(t, u[..., i], out=t), i == 0)
-        accumulate(unorm, np.square(u[..., i], out=w), i == 0)
-    for j in range(d):
+        dot(cov_chol[i], z, u[i])
+        u[i] += mean_coef[i]
+    dot(u, u, unorm)
+    for j in range(d):   # x = v
         dot(m.sigma[:, j], u, t)
         t -= m.bench[j]
-        accumulate(v, np.square(t, out=t), j == 0)
-    v += m.own
-    v *= m.half_dt
-    np.add(base, drive, out=c)
-    c -= v
+        if j:
+            x += np.square(t, out=t)
+        else:
+            np.square(t, out=x)
+    x += m.own
+    np.sqrt(np.multiply(x, m.dt, out=t), out=t)
+    t *= normals[..., d]
+    x *= -m.half_dt
+    x += t
+    for i in range(d):
+        x += np.multiply(u[i], m.mu_dt[i], out=t)
+
+
+def _paths(m: SimpleNamespace, y0: float, action_cap: float, ws: SimpleNamespace, n: int) -> int:
+    """Fill ws.states, ws.actions and ws.local of a block from y0 and its steps ws.x; return its clamp count.
+
+    A clamp scales u_k by cap / |(1+y_k) u_k|, which depends on y_k, so the first
+    clamp of a row is found after the fact: u_k is scaled and X_k redrawn from the
+    same xi_k, in place, and the row replayed from there until no new clamp; a
+    replay adds its push to L_k.  The norms and the mask are built only when
+    max(1+y) max|u|, which bounds every (1+y_k)|u_k| (nan if any is nan), is over
+    the cap.  A non-finite row is left as it is (the samplers raise on it through
+    _check_finite), and the other rows are unaffected.
+    """
+    u, x, unorm, t, w = ws.u[:, :n], ws.x[:n], ws.unorm[:n], ws.t[:n], ws.w[:n]
+    states, local = ws.states[:n], ws.local[:n]
     states[:, 0] = y0
     local[:, 0] = 0.0
-    _reflect(c, states, local, ws)
-
-    # A clamp scales the action by cap / |(1+y_k) u_k|, which depends on y_k.
-    # The first clamp of a row is found after the fact; that step is redone
-    # with its clamped c_k and v_k and the row replayed from there, until no
-    # new clamp; a replay adds its push to L_k, so L stays continuous.  The
-    # norms and the mask are built only when max(1+y) max|u|, which bounds
-    # every (1+y_k)|u_k| (nan if any is nan), is not at or below the cap.
-    clamped = None
+    _reflect(x, states, local, ws)
+    clamps = 0
     np.add(states[:, :-1], 1.0, out=t)
     if not t.max() * math.sqrt(unorm.max()) <= action_cap:
+        xi = ws.normals[:n, :, m.d]
         np.sqrt(unorm, out=unorm)
         over = np.multiply(t, unorm, out=w) > action_cap
-        clamped = np.zeros(c.shape, dtype=bool)
         for r in np.flatnonzero(over.any(axis=1)):
             k = int(np.argmax(over[r]))
             while k >= 0:
-                clamped[r, k] = True
-                f = action_cap / ((1.0 + states[r, k]) * unorm[r, k])
-                e = (f * u[r, k]) @ m.sigma - m.bench
-                c[r, k] = base[r, k] + f * drive[r, k] - (e @ e + m.own) * m.half_dt
-                _reflect(c[r : r + 1, k:], states[r : r + 1, k:], local[r : r + 1, k:], ws)
+                clamps += 1
+                u[:, r, k] *= action_cap / ((1.0 + states[r, k]) * unorm[r, k])
+                e = u[:, r, k] @ m.sigma - m.bench
+                v = e @ e + m.own
+                x[r, k] = math.sqrt(v * m.dt) * xi[r, k] - v * m.half_dt + u[:, r, k] @ m.mu_dt
+                _reflect(x[r : r + 1, k:], states[r : r + 1, k:], local[r : r + 1, k:], ws)
                 later = np.flatnonzero((1.0 + states[r, k + 1 : -1]) * unorm[r, k + 1 :] > action_cap)
                 k = k + 1 + int(later[0]) if later.size else -1
-        np.add(states[:, :-1], 1.0, out=t)   # the replays used t as scratch
-
-    np.multiply(t[..., None], u, out=actions)
-    if clamped is None:
-        return 0
-    actions[clamped] = u[clamped] * (action_cap / unorm[clamped])[:, None]
-    return int(np.count_nonzero(clamped))
+        np.add(states[:, :-1], 1.0, out=t)   # the replays moved the states
+    for i in range(m.d):
+        np.multiply(t, u[i], out=ws.actions[:n, :, i])
+    return clamps
 
 
-def _check_finite(states: np.ndarray, local: np.ndarray, first_path: int) -> None:
-    """Raise NonFinite naming the first non-finite step of a block, its path counted from first_path.
+def _relative_paths(m: SimpleNamespace, mean_coef: np.ndarray, cov_chol: np.ndarray, y0: float,
+                    action_cap: float, ws: SimpleNamespace, n: int) -> int:
+    """Fill ws.u[:, :n] and ws.x[:n] as _increments and _paths leave them, running _paths only if a clamp can bind.
 
-    A non-finite c_k makes y_{k+1} or L_{k+1} non-finite.  A sum is finite
-    only if every term is, so the mask is built only when a value may be bad.
+    H = ln(1 + y) is S + P, S = h0 + C the partial sums of X from h0 = ln(1 + y0)
+    and the push P at most max(0, -min S), so exp(max S + max(0, -min S)) max|u|
+    bounds every (1+y_k)|u_k| of the block (nan if any is nan).  Returns the clamps.
     """
-    if not math.isfinite(states[:, 1:].sum() + local[:, 1:].sum()):
-        bad = ~(np.isfinite(states[:, 1:]) & np.isfinite(local[:, 1:]))
+    _increments(m, mean_coef, cov_chol, ws, n)
+    c, h0 = ws.h[:n], math.log1p(y0)
+    c[:, 0] = 0.0
+    np.cumsum(ws.x[:n], axis=1, out=c[:, 1:])
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = np.exp(h0 + c.max() + max(0.0, -h0 - c.min())) * np.sqrt(ws.unorm[:n].max())
+    return 0 if bound <= action_cap else _paths(m, y0, action_cap, ws, n)
+
+
+def _check_finite(a: np.ndarray, first_path: int) -> None:
+    """Raise NonFinite naming the first step k with a non-finite a[:, k], and its first such path after first_path.
+
+    A sum is finite only if every term is, so the mask is built only when a value may be bad.
+    """
+    if not math.isfinite(a.sum()):
+        bad = ~np.isfinite(a)
         if bad.any():
             k = int(np.argmax(bad.any(axis=0)))
             raise NonFinite(f"path {first_path + int(np.argmax(bad[:, k]))}, step {k}: non-finite state proposal")
 
 
+def _policy_args(params: ModelParams, mean_coef, cov_chol, y0: float, dt: float):
+    """(market, mean_coef, cov_chol) of a kernel run, refusing a negative y0."""
+    if y0 < 0.0:
+        raise ValueError(f"y0 must be >= 0, got {y0}")
+    d = params.d
+    return (_market(params, dt), np.asarray(mean_coef, dtype=float).reshape(d),
+            np.asarray(cov_chol, dtype=float).reshape(d, d))
+
+
 def rollout_workspace(env: Environment, n_steps: int) -> SimpleNamespace:
-    """Buffers and market constants that rollouts of n_steps on env can share across a run.
+    """Buffers that rollouts of n_steps on env can share across a run.
 
     A rollout returns fresh arrays, so its result stays valid after the
     next rollout on the same workspace.
     """
     ws = _workspace(1, n_steps, env.params.d)
-    ws.params, ws.dt, ws.market = env.params, env.dt, _market(env.params, env.dt)
+    ws.params, ws.dt = env.params, env.dt
     return ws
 
 
@@ -396,28 +416,22 @@ def rollout_linear_gaussian(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Single fast episode of a state-linear Gaussian policy.
 
-    Draws the episode's normals in one block of shape (K, 2d+1) and runs
+    Draws the episode's normals in one block of shape (K, d+1) and runs
     the same kernel as simulate_linear_gaussian_batch, so the result is
     bit-identical to the corresponding row of a batch under the same stream.
     workspace, from rollout_workspace(env, n_steps), saves building the
-    buffers and constants on every call.
+    buffers on every call.
     """
-    if y0 < 0.0:
-        raise ValueError(f"y0 must be >= 0, got {y0}")
-    d = env.params.d
+    m, mean_coef, cov_chol = _policy_args(env.params, mean_coef, cov_chol, y0, env.dt)
     if workspace is None:
         workspace = rollout_workspace(env, n_steps)
-    elif workspace.params is not env.params or workspace.dt != env.dt or workspace.c.shape[1] != n_steps:
+    elif workspace.params is not env.params or workspace.dt != env.dt or workspace.x.shape[1] != n_steps:
         raise ValueError("the workspace was built for another environment or step count")
     rng.standard_normal(out=workspace.normals[0])
-    states, actions, local = np.empty(n_steps + 1), np.empty((n_steps, d)), np.empty(n_steps + 1)
-    env.clamp_events += _linear_gaussian_paths(
-        workspace.market, np.asarray(mean_coef, dtype=float).reshape(d),
-        np.asarray(cov_chol, dtype=float).reshape(d, d), y0, env.action_cap, workspace,
-        states[None], actions[None], local[None],
-    )
-    _check_finite(states[None], local[None], 0)
-    return states, actions, local
+    _increments(m, mean_coef, cov_chol, workspace, 1)
+    env.clamp_events += _paths(m, y0, env.action_cap, workspace, 1)
+    _check_finite(workspace.states[:, 1:], 0)
+    return workspace.states[0].copy(), workspace.actions[0].copy(), workspace.local[0].copy()
 
 
 def linear_gaussian_blocks(
@@ -437,19 +451,36 @@ def linear_gaussian_blocks(
     overwritten by the next block, so read them before asking for it; a
     NonFinite names the path by its index in the whole run.
     """
-    if y0 < 0.0:
-        raise ValueError(f"y0 must be >= 0, got {y0}")
-    d = params.d
-    mean_coef = np.asarray(mean_coef, dtype=float).reshape(d)
-    cov_chol = np.asarray(cov_chol, dtype=float).reshape(d, d)
-    m = _market(params, dt)
+    m, mean_coef, cov_chol = _policy_args(params, mean_coef, cov_chol, y0, dt)
+    times = _grid(T, dt)
 
-    def fill(ws, states, actions, local, first_path):
-        clamp_events = _linear_gaussian_paths(m, mean_coef, cov_chol, y0, action_cap, ws, states, actions, local)
-        _check_finite(states, local, first_path)
-        return clamp_events
+    def fill(ws, n, first_path):
+        _increments(m, mean_coef, cov_chol, ws, n)
+        clamp_events = _paths(m, y0, action_cap, ws, n)
+        _check_finite(ws.states[:n, 1:], first_path)
+        return BatchPaths(times, ws.states[:n], ws.actions[:n], ws.local[:n], clamp_events)
 
-    return _blocks(_grid(T, dt), d, n_paths, seed, fill)
+    return _blocks(len(times) - 1, params.d, n_paths, seed, fill)
+
+
+def increment_blocks(params: ModelParams, mean_coef: np.ndarray, cov_chol: np.ndarray, n_paths: int, y0: float,
+                     T: float, dt: float, seed: int, action_cap: float = DEFAULT_ACTION_CAP
+                     ) -> Iterator[IncrementBlock]:
+    """The (u_k, X_k) of the rows of linear_gaussian_blocks, in the same blocks, without their states.
+
+    They are the kernel's own u and X; the reflection map runs only on a block
+    where a clamp can bind (_relative_paths).  The next block overwrites a block's
+    arrays; a NonFinite names the first non-finite X_k by its path's index in the run.
+    """
+    m, mean_coef, cov_chol = _policy_args(params, mean_coef, cov_chol, y0, dt)
+    times = _grid(T, dt)
+
+    def fill(ws, n, first_path):
+        clamp_events = _relative_paths(m, mean_coef, cov_chol, y0, action_cap, ws, n)
+        _check_finite(ws.x[:n], first_path)
+        return IncrementBlock(times, ws.u[:, :n], ws.x[:n], clamp_events)
+
+    return _blocks(len(times) - 1, params.d, n_paths, seed, fill)
 
 
 def simulate_linear_gaussian_batch(
@@ -514,17 +545,18 @@ def simulate_aggregated(
     b, s = aggregated_coefficients(params, gamma)
     drift, scale = (b - 0.5 * s * s) * dt, s * math.sqrt(dt)
 
-    def fill(ws, states, actions, local, first_path):
-        x = ws.c[: len(states)]
-        np.multiply(ws.normals[: len(states), :, 0], scale, out=x)
+    times = _grid(T, dt)
+
+    def fill(ws, n, first_path):
+        x, states, local = ws.x[:n], ws.states[:n], ws.local[:n]
+        np.multiply(ws.normals[:n, :, 0], scale, out=x)
         x += drift
         states[:, 0] = y0
         local[:, 0] = 0.0
         _reflect(x, states, local, ws)
-        return 0
+        return BatchPaths(times, states, ws.actions[:n], local)
 
-    times = _grid(T, dt)
-    return _batch(_blocks(times, 0, n_paths, seed, fill), times, 0, n_paths)
+    return _batch(_blocks(len(times) - 1, 0, n_paths, seed, fill), times, 0, n_paths)
 
 
 def aggregated_terminal_sample(

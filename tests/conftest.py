@@ -56,20 +56,26 @@ def q_gradient(pp: qlearn.PolicyParams, rho: float, y: float, a):
 
 
 def path_statistics(pp: qlearn.PolicyParams, path: sde.EpisodePath, rho: float):
-    """(row, c): one path's orthogonality sums [stat_xi, stat_psi1, stat_psi2] as a 1-row block, and the xi slope."""
-    K, d = path.actions.shape
-    rows, _, c = qlearn._episode_statistics(
-        pp, rho, path.times, path.states[None], path.actions[None], path.local_time[None],
-        qlearn._statistics_workspace(1, K, d),
-    )
-    return rows[0], c
+    """(row, d_row): one path's orthogonality sums [stat_xi, stat_psi1, stat_psi2] as a 1-row block, and xi-slopes."""
+    theta, M = qlearn._statistics_map(pp, rho)
+    batch = sde.BatchPaths(path.times, path.states[None], path.actions[None], path.local_time[None])
+    rows, d_rows = _path_reductions(batch, lambda block, ws: qlearn._orthogonality_rows(theta, M, rho, block, ws))
+    return rows[0], d_rows[0]
 
 
 def path_sums(batch: sde.BatchPaths, rho: float):
-    """(A_r, b_r): the normal-equation sums of every path of a batch, from one _normal_sums call."""
+    """(A_r, b_r): the normal-equation sums of every path of a batch, from the (u_k, X_k) read off its paths."""
+    disc, dt = np.exp(-rho * batch.times[:-1]), float(batch.times[1] - batch.times[0])
+    return _path_reductions(
+        batch, lambda block, ws: qlearn._normal_sums(qlearn._features(block.u, ws), block.x, disc, dt, ws))
+
+
+def _path_reductions(batch: sde.BatchPaths, reduce):
+    """The two per-path arrays that reduce(block, workspace) gives for each block of a batch, concatenated."""
     n, K, d = batch.actions.shape
-    return qlearn._normal_sums(np.exp(-rho * batch.times[:-1]), float(batch.times[1] - batch.times[0]),
-                               batch.states, batch.actions, batch.local_time, qlearn._sums_workspace(n, K, d))
+    ws = qlearn._feature_workspace(sde.BLOCK_ROWS, K, d)
+    parts = [reduce(block, ws) for block in qlearn._path_increments(batch)]
+    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
 
 def random_params(rng: np.random.Generator, d: int | None = None) -> ModelParams:

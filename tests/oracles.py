@@ -17,9 +17,11 @@ and exact increments alone.
 `run_tracking_loop` and `backtest_csv_per_row` are the backtest from before
 it stepped over Python floats and wrote its CSV in one call: numpy scalars
 at every bar and one CSV row per write.  `train_loop` is the trainer
-one episode at a time: per episode a new generator, one rollout and a 1-row
-block of normal-equation sums, with the policy held for each block of
-sde.BLOCK_ROWS episodes and refit at its end, as `train` holds it.
+one episode at a time: per episode a new generator, a 1-row kernel block of
+(u_k, X_k) and a 1-row block of normal-equation sums, with the policy held
+for each block of sde.BLOCK_ROWS episodes and refit at its end, as `train`
+holds it.  `exact_increment_two_factor` is the policy step as the simulator
+drew it before it drew X_k given u_k: from the asset and benchmark normals.
 `psi3_policy_steps` writes out the steps of PolicyParams.psi3.  `history_csv_per_row` is the history
 writer from before the bulk CSV writer.
 """
@@ -103,12 +105,25 @@ def _eta_unit(params) -> np.ndarray:
     return np.zeros_like(params.eta) if n == 0.0 else params.eta / n
 
 
-def exact_increment(params, dt: float, u: np.ndarray, normals: np.ndarray):
-    """X = c - v dt / 2, the step of ln(1+y) with the relative action u held over it.
+def exact_increment(params, dt: float, u: np.ndarray, xi: np.ndarray):
+    """X = (u'mu - v/2) dt + sqrt(v dt) xi, the step of ln(1+y) with the relative action u held over it.
 
-    u is (..., d) and normals (..., 2d+1): d action normals, the benchmark's
-    own normal and d asset normals.  c is the step's dY / (1+Y) and v its
-    variance rate |sigma'u - sigma_z sqrt(1-kappa^2) eta_hat|^2 + sigma_z^2 kappa^2.
+    u is (..., d) and xi (...,) standard normal.  Given u, dY / (1+Y) is
+    Gaussian with mean u'mu dt and variance v dt, v = |sigma'u - sigma_z
+    sqrt(1-kappa^2) eta_hat|^2 + sigma_z^2 kappa^2, and Ito's correction
+    takes v dt / 2 off its logarithm.
+    """
+    loading = u @ params.sigma - params.sigma_z * math.sqrt(1.0 - params.kappa**2) * _eta_unit(params)
+    v = (loading * loading).sum(axis=-1) + (params.sigma_z * params.kappa) ** 2
+    return ((u @ params.mu) - 0.5 * v) * dt + np.sqrt(v * dt) * xi
+
+
+def exact_increment_two_factor(params, dt: float, u: np.ndarray, normals: np.ndarray):
+    """X = c - v dt / 2 from the Brownian increments themselves, the simulator's step before it drew X given u.
+
+    u is (..., d) and normals (..., 2d+1): d action normals (unused here),
+    the benchmark's own normal and d asset normals.  c is the step's
+    dY / (1+Y) and v its variance rate, as in exact_increment.
     """
     d = params.d
     loading = u @ params.sigma - params.sigma_z * math.sqrt(1.0 - params.kappa**2) * _eta_unit(params)
@@ -142,7 +157,7 @@ def rollout_linear_gaussian_loop(
     dt = env.dt
     d = params.d
     K = n_steps
-    normals = rng.standard_normal((K, 2 * d + 1))
+    normals = rng.standard_normal((K, d + 1))
     mean_coef = np.asarray(mean_coef, dtype=float).reshape(d)
     cov_chol = np.asarray(cov_chol, dtype=float).reshape(d, d)
 
@@ -160,7 +175,7 @@ def rollout_linear_gaussian_loop(
         if norm > cap:
             u *= cap / norm
             env.clamp_events += 1
-        H, dL = _lindley_step(H, float(exact_increment(params, dt, u, normals[k])))
+        H, dL = _lindley_step(H, float(exact_increment(params, dt, u, normals[k, d])))
         y = math.expm1(H)
         if not (math.isfinite(y) and math.isfinite(dL)):
             raise sde.NonFinite(f"step {k}: non-finite state proposal")
@@ -195,8 +210,8 @@ def simulate_linear_gaussian_batch_loop(
     cov_chol = np.asarray(cov_chol, dtype=float).reshape(d, d)
 
     rngs = [sde.episode_rng(seed, i) for i in range(n_paths)]
-    # one block per episode, concatenated: (n, K, 2d+1) standard normals
-    normals = np.stack([r.standard_normal((K, 2 * d + 1)) for r in rngs])
+    # one block per episode, concatenated: (n, K, d+1) standard normals
+    normals = np.stack([r.standard_normal((K, d + 1)) for r in rngs])
     z_act = normals[:, :, :d]
 
     states = np.empty((n_paths, K + 1))
@@ -217,7 +232,7 @@ def simulate_linear_gaussian_batch_loop(
             u[over] *= (action_cap / norms[over])[:, None]
             clamp_events += int(np.count_nonzero(over))
         with np.errstate(invalid="ignore", over="ignore"):
-            h = H + exact_increment(params, dt, u, normals[:, k])
+            h = H + exact_increment(params, dt, u, normals[:, k, d])
             H = np.maximum(h, 0.0)
             dL = np.maximum(-h, 0.0)
             y = np.expm1(H)
@@ -489,11 +504,12 @@ def train_loop(
     """The offline least-squares loop one episode at a time, with every episode's generator and buffers built anew.
 
     Episode i is drawn by the fit at the start of its block of
-    sde.BLOCK_ROWS episodes (episodes 16b+1 ... 16b+16), and adds its own
-    normal-equation sums (a 1-row _normal_sums block) to the running ones.
-    The sums are refit at each block's end and at the run's end.  `policy`
-    and `sums` stand for the block's policy and the sums of a run that a
-    resumed run continues.
+    sde.BLOCK_ROWS episodes (episodes 16b+1 ... 16b+16): its (u_k, X_k)
+    come from a 1-row kernel block on a new generator, and its
+    normal-equation sums (a 1-row _normal_sums block) are added to the
+    running ones unless they are non-finite.  The sums are refit at each
+    block's end and at the run's end.  `policy` and `sums` stand for the
+    block's policy and the sums of a run that a resumed run continues.
     """
     if not math.isclose(env.dt, config.dt, rel_tol=1e-12):
         raise ValueError(f"environment step {env.dt} != config step {config.dt}")
@@ -511,22 +527,21 @@ def train_loop(
     episodes = np.arange(config.start_episode, config.start_episode + n)
     times = np.linspace(0.0, config.T, K + 1)
     disc = np.exp(-config.rho * times[:-1])
+    market = sde._market(env.params, env.dt)
     clamps_before = env.clamp_events
     rejected: list[int] = []
     for idx, i in enumerate(episodes):
         i = int(i)
-        try:
-            mean_coef, cov_chol = pp.policy_coefficients()
-            states, actions, local = sde.rollout_linear_gaussian(
-                env, mean_coef, cov_chol, config.y0, K, sde.episode_rng(config.seed, i)
-            )
-            A_r, b_r = qlearn._normal_sums(disc, float(times[1] - times[0]), states[None], actions[None],
-                                           local[None], qlearn._sums_workspace(1, K, d))
-            if not (np.isfinite(A_r).all() and np.isfinite(b_r).all()):
-                raise sde.NonFinite(f"episode {i} has non-finite sums")
+        mean_coef, cov_chol = pp.policy_coefficients()
+        ws, fws = sde._workspace(1, K, d), qlearn._feature_workspace(1, K, d)
+        sde.episode_rng(config.seed, i).standard_normal(out=ws.normals[0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            env.clamp_events += sde._relative_paths(market, mean_coef, cov_chol, config.y0, env.action_cap, ws, 1)
+            A_r, b_r = qlearn._normal_sums(qlearn._features(ws.u, fws), ws.x, disc, float(times[1] - times[0]), fws)
+        if np.isfinite(A_r).all() and np.isfinite(b_r).all():
             A = A + A_r[0]
             b = b + b_r[0]
-        except sde.NonFinite:
+        else:
             rejected.append(i)
             if len(rejected) > qlearn.REJECT_FRACTION * n:
                 raise qlearn.TooManyRejectedEpisodes(

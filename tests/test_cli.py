@@ -191,8 +191,8 @@ def test_train_resumed_mid_block_repeats_one_run(tmp_path, caplog):
 
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
 def test_train_with_too_many_rejected_episodes_exits_2(tmp_path, caplog):
-    # an overflowing drift makes every path non-finite, so the run stops at the rejection limit
-    model = {"model": {**MODEL_BLOCK["model"], "mu": [1.0e308]}}
+    # an overflowing variance rate makes every path non-finite, so the run stops at the rejection limit
+    model = {"model": {**MODEL_BLOCK["model"], "sigma": [[1.0e200]]}}
     cfg = write_config(tmp_path, {**model, "train": {"T": 0.5, "dt": 0.05, "episodes": 50}})
     out = tmp_path / "out"
     assert main(["train", "--config", cfg, "--out", str(out)]) == 2
@@ -402,8 +402,14 @@ def test_diagnose_streams_the_stored_batch_result(tmp_path):
     params = ModelParams(**MODEL_BLOCK["model"])
     pp = qlearn.PolicyParams.from_constants(exploratory_constants(params, 0.2))
     mean_coef, cov_chol = pp.policy_coefficients()
+    blocks = sde.increment_blocks(params, mean_coef, cov_chol, 37, 1.0, 1.0, 0.02, 9)
+    assert payload["orthogonality"] == qlearn.orthogonality_stats(pp, blocks, params.rho).as_dict()
+    # the statistics of the same paths, stored and read off their states
     batch = sde.simulate_linear_gaussian_batch(params, mean_coef, cov_chol, 37, 1.0, 1.0, 0.02, 9)
-    assert payload["orthogonality"] == qlearn.orthogonality_stats(pp, batch, params.rho).as_dict()
+    stored = qlearn.orthogonality_stats(pp, batch, params.rho).as_dict()
+    for name, stats in payload["orthogonality"].items():
+        assert stats["mean"] == pytest.approx(stored[name]["mean"], rel=1e-10)
+        assert stats["stderr"] == pytest.approx(stored[name]["stderr"], rel=1e-10)
     # the control against a second pass over the stored paths at xi + 0.5
     shifted = qlearn.PolicyParams(pp.xi + 0.5, pp.psi1, pp.psi2, 0.2)
     rows = orthogonality_rows_loop(shifted, batch, params.rho)

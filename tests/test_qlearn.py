@@ -259,11 +259,12 @@ def test_update_statistics_hand_computed_fixture():
 def test_update_statistics_results_outlive_the_next_episode():
     # every block of a training run reuses one workspace, but the returned rows are the caller's
     pp = qlearn.PolicyParams(**FIXTURE_PP)
-    ws = qlearn._statistics_workspace(1, 3, 1)
+    ws = qlearn._feature_workspace(1, 3, 1)
 
     def rows(path):
-        return qlearn._episode_statistics(pp, RHO, path["times"], path["states"][None], path["actions"][None],
-                                          path["local_time"][None], ws)[0]
+        batch = sde.BatchPaths(path["times"], path["states"][None], path["actions"][None], path["local_time"][None])
+        return qlearn._orthogonality_rows(*qlearn._statistics_map(pp, RHO), RHO, next(qlearn._path_increments(batch)),
+                                          ws)[0]
 
     first = rows(FIXTURE_PATH)
     kept = np.copy(first)
@@ -287,6 +288,21 @@ def test_update_rejects_non_finite(params_ref):
     ):
         kept, held = qlearn.update(pp, *sums, RHO)
         assert kept is pp and held
+
+
+def test_update_derives_each_fit_once(params_ref, pp_star, monkeypatch):
+    # the fit's psi3 (one gibbs_psi3 call) and precision serve its policy and its history rows
+    mean_coef, cov_chol = pp_star.policy_coefficients()
+    batch = sde.simulate_linear_gaussian_batch(params_ref, mean_coef, cov_chol, 16, 1.0, 2.0, 0.01, seed=77)
+    A, b = (rows.sum(axis=0) for rows in path_sums(batch, RHO))
+    real, calls = qlearn.gibbs_psi3, []
+    monkeypatch.setattr(qlearn, "gibbs_psi3", lambda *args: calls.append(args) or real(*args))
+    fit, held = qlearn.update(pp_star, A, b, RHO)
+    fit.policy_coefficients(), fit.psi3   # what train reads of a fit
+    assert not held and len(calls) == 1
+    fresh = qlearn.PolicyParams(fit.xi, fit.psi1, fit.psi2, GAMMA)
+    assert fresh.psi3 == fit.psi3 and np.array_equal(fresh.precision, fit.precision)
+    assert fit.xi == (np.linalg.solve(A, b)[0] - fit.psi3) / RHO
 
 
 # ------------------------------------------------------------------ train
@@ -322,7 +338,7 @@ def _same_params(a: qlearn.PolicyParams, b: qlearn.PolicyParams) -> bool:
 def test_train_resume_equals_single_run(params_ref):
     # 5 of 10 episodes stops inside the first block; the rest of it is drawn by the block's policy
     def run(n_episodes, start_episode=1, **resume):
-        cfg = qlearn.LearnConfig(y0=1.0, T=2.0, dt=0.05, n_episodes=n_episodes, gamma=GAMMA, rho=RHO, seed=1,
+        cfg = qlearn.LearnConfig(y0=1.0, T=2.0, dt=0.05, n_episodes=n_episodes, gamma=GAMMA, rho=RHO, seed=2,
                                  start_episode=start_episode)
         return qlearn.train(cfg, sde.Environment(params=params_ref, dt=0.05), **resume)
 
@@ -369,17 +385,42 @@ def test_train_fit_is_the_root_of_the_orthogonality_conditions(params_ref, d):
     # 16 episodes are one block drawn at the start policy; at the fit, the orthogonality
     # statistics of those 16 paths sum to zero in every component
     params = params_ref if d == 1 else PARAMS_D2
-    cfg = qlearn.LearnConfig(y0=1.0, T=2.0, dt=0.01, n_episodes=16, gamma=GAMMA, rho=RHO, seed=20)
+    cfg = qlearn.LearnConfig(y0=1.0, T=2.0, dt=0.01, n_episodes=16, gamma=GAMMA, rho=RHO, seed=24)
     hist = qlearn.train(cfg, sde.Environment(params=params, dt=0.01))
     mean_coef, cov_chol = cfg.initial_params(d).policy_coefficients()
-    ws = qlearn._statistics_workspace(sde.BLOCK_ROWS, 200, d)
-    rows = np.concatenate([
-        qlearn._episode_statistics(hist.final, RHO, block.times, block.states, block.actions, block.local_time,
-                                   ws)[0]
-        for block in sde.linear_gaussian_blocks(params, mean_coef, cov_chol, 17, 1.0, 2.0, 0.01, seed=20)
-    ])[1:]   # episode i draws the stream (seed, i), so path 0 is no episode
+    blocks = sde.increment_blocks(params, mean_coef, cov_chol, 17, 1.0, 2.0, 0.01, seed=24)
+    rows = qlearn.orthogonality_stats(hist.final, blocks, RHO).rows[1:]   # episode i draws the stream (seed, i)
     assert not hist.clipped.any() and not np.allclose(hist.final.psi1, 0.0)
     assert np.all(np.abs(rows.sum(axis=0)) < 1e-12 * np.abs(rows).sum(axis=0))
+
+
+def test_reflection_map_runs_only_where_a_clamp_can_bind(params_ref, pp_star, monkeypatch):
+    # train and the diagnostics read (u_k, X_k) off the kernel; the map runs on a block only
+    # when the action cap can bind there, and then clamps what the path sampler clamps
+    real, calls = sde._reflect, []
+    monkeypatch.setattr(sde, "_reflect", lambda *args: calls.append(1) or real(*args))
+    mean_coef, cov_chol = pp_star.policy_coefficients()
+
+    def run(cap):   # the clamps of a 16-episode train and of a 40-path diagnosis
+        cfg = qlearn.LearnConfig(y0=1.0, T=2.0, dt=0.01, n_episodes=16, gamma=GAMMA, rho=RHO, seed=3)
+        hist = qlearn.train(cfg, sde.Environment(params=params_ref, dt=0.01, action_cap=cap))
+        clamps = []
+        blocks = sde.increment_blocks(params_ref, mean_coef, cov_chol, 40, 0.0, 2.0, 0.01, 4, cap)
+        counted = (clamps.append(block.clamp_events) or block for block in blocks)
+        assert qlearn.orthogonality_stats(pp_star, counted, RHO).n_paths == 40
+        return hist.clamp_events, sum(clamps)
+
+    assert run(sde.DEFAULT_ACTION_CAP) == (0, 0) and calls == []
+    train_clamps, diagnose_clamps = run(1.5)
+    assert len(calls) >= 2 and train_clamps > 0 and diagnose_clamps > 0
+    monkeypatch.setattr(sde, "_reflect", real)
+    env = sde.Environment(params=params_ref, dt=0.01, action_cap=1.5)   # the sampler route on the same streams
+    start = qlearn.LearnConfig(y0=1.0, T=2.0, dt=0.01, n_episodes=16, gamma=GAMMA, rho=RHO, seed=3).initial_params(1)
+    for i in range(1, 17):
+        sde.rollout_linear_gaussian(env, *start.policy_coefficients(), 1.0, 200, sde.episode_rng(3, i))
+    assert env.clamp_events == train_clamps
+    batch = sde.simulate_linear_gaussian_batch(params_ref, mean_coef, cov_chol, 40, 0.0, 2.0, 0.01, 4, 1.5)
+    assert batch.clamp_events == diagnose_clamps
 
 
 @pytest.mark.parametrize("psi2_0, seed", [(0.6, 1), (0.6, 2), (0.6, 3), (1.5, 1), (1.5, 2), (1.5, 3), (3.0, 1)])
@@ -467,8 +508,8 @@ def test_train_rejects_only_the_non_finite_row(params_ref, monkeypatch):
 
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
 def test_train_aborts_on_too_many_rejections():
-    # overflowing drift makes every episode non-finite within two steps
-    params = ModelParams(mu=[1e308], sigma=[[1.0]], sigma_z=0.2, kappa=0.5, eta=[1.0], rho=0.2)
+    # an overflowing variance rate makes every step's X_k non-finite
+    params = ModelParams(mu=[0.2], sigma=[[1e200]], sigma_z=0.2, kappa=0.5, eta=[1.0], rho=0.2)
     env = sde.Environment(params=params, dt=0.05)
     cfg = qlearn.LearnConfig(y0=1.0, T=0.5, dt=0.05, n_episodes=50, gamma=GAMMA, rho=RHO, seed=1)
     with pytest.raises(qlearn.TooManyRejectedEpisodes):
@@ -624,14 +665,15 @@ def test_xi_shift_control_matches_a_second_pass(d):
 
 
 def test_streamed_statistics_equal_the_stored_batch(params_ref, pp_star):
-    # 33 paths: the last block holds one path
+    # 33 paths: the last block holds one path; the kernel's (u_k, X_k) and those read off
+    # the stored paths agree to rounding
     mean_coef, cov_chol = pp_star.policy_coefficients()
     args = (params_ref, mean_coef, cov_chol, 33, 1.0, 2.0, 0.02, 15)
-    streamed = qlearn.orthogonality_stats(pp_star, sde.linear_gaussian_blocks(*args), RHO)
+    streamed = qlearn.orthogonality_stats(pp_star, sde.increment_blocks(*args), RHO)
     batch = sde.simulate_linear_gaussian_batch(*args)
     stored = qlearn.orthogonality_stats(pp_star, batch, RHO)
-    assert np.array_equal(streamed.rows, stored.rows)
-    assert np.array_equal(streamed.d_rows, stored.d_rows)
+    _assert_rows_close(streamed.rows, stored.rows)
+    _assert_rows_close(streamed.d_rows, stored.d_rows)
     _assert_rows_close(streamed.rows, orthogonality_rows_loop(pp_star, batch, RHO))
 
 
@@ -649,7 +691,7 @@ def test_statistics_come_from_the_relative_action_and_exact_increment(params_ref
     K = round(T / dt)
     for i, row in enumerate(stats.rows):
         u = batch.actions[i] / (1.0 + batch.states[i, :-1, None])
-        x = exact_increment(params, dt, u, sde.episode_rng(seed, i).standard_normal((K, 2 * d + 1)))
+        x = exact_increment(params, dt, u, sde.episode_rng(seed, i).standard_normal((K, d + 1))[:, d])
         assert np.allclose(row, increment_statistics(pp, params.rho, batch.times, u, x), rtol=1e-12, atol=1e-13)
 
 

@@ -14,6 +14,7 @@ from benchtrack.model import ModelParams, exploratory_constants
 from conftest import random_params
 from oracles import (
     REF,
+    exact_increment_two_factor,
     export_paths_csv_per_row,
     rollout_linear_gaussian_loop,
     simulate_aggregated_loop,
@@ -325,14 +326,70 @@ def test_linear_gaussian_blocks_stream_the_batch_rows(params_ref):
 
 def test_streamed_block_names_the_global_non_finite_path(params_ref):
     # action scale 5e153 with no cap: the variance rate v_k overflows where |z| > 2.68;
-    # on this stream only the short third block draws one, earliest at path 37, step 5
-    args = (params_ref, [0.0], [[5e153]], 40, 1.0, 0.06, 0.01, 23, math.inf)
+    # on these streams only the short third block draws one, at path 37, step 5
+    args = (params_ref, [0.0], [[5e153]], 40, 1.0, 0.06, 0.01, 2328, math.inf)
     with pytest.raises(sde.NonFinite) as loop_err, np.errstate(over="ignore", invalid="ignore"):
         simulate_linear_gaussian_batch_loop(*args)
     with pytest.raises(sde.NonFinite) as err, np.errstate(over="ignore", invalid="ignore"):
         for _ in sde.linear_gaussian_blocks(*args):
             pass
     assert str(err.value) == str(loop_err.value) == "path 37, step 5: non-finite state proposal"
+
+
+def _copied(blocks):
+    """The (u, x, clamp_events) of every block, copied before the next block overwrites them."""
+    return [(block.u.copy(), block.x.copy(), block.clamp_events) for block in blocks]
+
+
+@pytest.mark.parametrize("cap", [sde.DEFAULT_ACTION_CAP, 1.5])
+@pytest.mark.parametrize("y0", [0.0, 1.0])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_increment_blocks_are_the_sampled_paths_increments(d, y0, cap):
+    # the kernel's (u_k, X_k), with the map run only where a clamp can bind, are what the path
+    # sampler's states, actions and local time give on the same streams; 20 paths are two blocks
+    rng = np.random.default_rng(80 + d)
+    params = random_params(rng, d)
+    mean_coef, cov_chol = rng.uniform(-1.0, 1.0, d), 0.5 * np.eye(d)
+    args = (params, mean_coef, cov_chol, 20, y0, 3.0, 0.05, 7 + d, cap)
+    blocks = _copied(sde.increment_blocks(*args))
+    batch = sde.simulate_linear_gaussian_batch(*args)
+    u = np.concatenate([b[0] for b in blocks], axis=1)
+    x = np.concatenate([b[1] for b in blocks])
+    assert np.allclose(x, np.diff(np.log1p(batch.states), axis=1) - np.diff(batch.local_time, axis=1),
+                       rtol=1e-12, atol=1e-12)
+    assert np.allclose(np.moveaxis(u, 0, -1), batch.actions / (1.0 + batch.states[:, :-1, None]),
+                       rtol=1e-12, atol=1e-12)
+    assert sum(b[2] for b in blocks) == batch.clamp_events
+    assert (batch.clamp_events > 0) == (cap < 10.0)
+    dL = np.diff(batch.local_time, axis=1)
+    assert np.all(batch.states >= 0.0) and np.all(dL >= 0.0)
+    assert np.all(batch.states[:, 1:][dL > 0.0] == 0.0)
+    assert np.any(dL > 0.0)
+    env = sde.Environment(params=params, dt=0.05, action_cap=cap)
+    for i in (0, 17):   # a row of the full block and one of the short block
+        rollout = sde.rollout_linear_gaussian(env, mean_coef, cov_chol, y0, 60, sde.episode_rng(7 + d, i))
+        for got, row in zip(rollout, (batch.states[i], batch.actions[i], batch.local_time[i])):
+            assert np.array_equal(got, row)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_increment_law_at_a_fixed_action(d):
+    # with cov_chol = 0 every u_k is mean_coef, so X_k ~ N((u'mu - v/2) dt, v dt) exactly;
+    # its sample moments over 2000 paths x 50 steps sit within 5 standard errors
+    params = PARAMS_D2 if d == 2 else ModelParams(mu=[0.2], sigma=[[1.0]], sigma_z=0.2, kappa=0.5, eta=[1.0],
+                                                     rho=0.2)
+    u, dt = np.array([0.7, -0.4][:d]), 0.01
+    x = np.concatenate([b[1].ravel() for b in _copied(sde.increment_blocks(
+        params, u, np.zeros((d, d)), 2000, 1.0, 50 * dt, dt, seed=3))])
+    loading = u @ params.sigma - params.sigma_z * math.sqrt(1.0 - params.kappa**2) * params.eta / np.linalg.norm(
+        params.eta)
+    v = float(loading @ loading) + (params.sigma_z * params.kappa) ** 2
+    mean, var, n = (float(u @ params.mu) - 0.5 * v) * dt, v * dt, len(x)
+    assert abs(x.mean() - mean) < 5.0 * math.sqrt(var / n)
+    assert abs(x.var(ddof=1) - var) < 5.0 * math.sqrt((np.mean((x - x.mean()) ** 4) - x.var() ** 2) / n)
+    # the same law as the increment built from the d asset normals and the benchmark's own normal
+    normals = np.random.default_rng(4).standard_normal((20_000, 2 * d + 1))
+    assert ks_2samp(x[:20_000], exact_increment_two_factor(params, dt, u, normals)).pvalue > 1e-3
 
 
 @settings(max_examples=40, deadline=None)
