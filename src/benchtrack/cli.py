@@ -39,22 +39,62 @@ class ConfigError(ValueError):
     """Missing or malformed configuration."""
 
 
-# Every key that a command reads, per config block.  A key outside its block's
-# set is refused, so a misspelt or retired option fails instead of being
-# ignored.  The top level, diagnose.params and learned snapshots may carry
-# other keys.  One set serves every strategy type.
-CONFIG_KEYS = {
-    "model": {"mu", "sigma", "sigma_z", "kappa", "eta", "rho"},
-    "grid": {"y_max", "step"},
-    "simulate": {"gamma", "scheme", "n_paths", "y0", "T", "dt", "ks_check"},
-    "train": {"seed", "T", "dt", "gamma", "resume", "init", "y0", "episodes"},
-    "train.init": {"psi1", "psi2"},
-    "diagnose": {"seed", "gamma", "y0", "n_paths", "params", "T", "dt", "xi_shift", "sweep"},
-    "diagnose.sweep": {"dt_list", "T_list", "n_paths"},
-    "backtest": {"prices", "v0", "rho", "strategies", "baseline_index"},
-    "strategy": {"type", "name", "train_fraction", "kappa", "model", "params", "gamma", "execution",
-                 "sample_seed"},
+def _whole(v) -> int:
+    if not (isinstance(v, int) or float(v).is_integer()):
+        raise ValueError(v)
+    return v if isinstance(v, int) else int(float(v))
+
+
+_NUMBER = (int, float, str)   # strings too: PyYAML reads an unquoted 1e4 as one
+# Each kind of config value: what it must be, the types it may come as (a bool is no number), and the
+# converter to what the commands read, which raises TypeError or ValueError; an int takes integral values only.
+KINDS = {
+    "float": ("a number", _NUMBER, float),
+    "int": ("a whole number", _NUMBER, _whole),
+    "bool": ("true or false", (bool,), bool),
+    "str": ("a string", (str,), str),
+    "vector": ("a number or a list of numbers", _NUMBER + (list,), lambda v: np.asarray(v, dtype=float)),
+    "matrix": ("a matrix of numbers", _NUMBER + (list,), lambda v: np.asarray(v, dtype=float)),
+    "mapping": ("a mapping", (dict,), dict),
+    "list": ("a list", (list,), list),
+    "floats": ("a list of numbers", (list,), lambda v: [float(x) for x in v]),
 }
+REQUIRED = object()   # the default of a key that must be given
+
+# Every key that a command reads, per config block, with its kind (one of KINDS, or a block nested here) and
+# default.  A key outside its block's table or a value of the wrong kind exits 2 naming block.key, so a
+# misspelt or retired option fails instead of being ignored.  A null value counts as absent.  Each strategy
+# type (mle, classical, learned) has its own table; cmd_diagnose refuses a lone T or dt.  The OPEN_BLOCKS may
+# carry other keys: the top level of solve's config, the type that picks a strategy's table, and learned
+# snapshots (a resumed one's, or the xi, psi1, psi2 and gamma of a learned strategy or diagnose.params).
+_STRATEGY = {"type": ("str", REQUIRED), "name": ("str", None)}
+CONFIG_KEYS = {
+    "model": {"mu": ("vector", REQUIRED), "sigma": ("matrix", REQUIRED), "sigma_z": ("float", REQUIRED),
+              "kappa": ("float", REQUIRED), "eta": ("vector", REQUIRED), "rho": ("float", REQUIRED)},
+    "grid": {"y_max": ("float", 10.0), "step": ("float", 0.01)},
+    "simulate": {"gamma": ("float", None), "scheme": ("str", "episode"), "n_paths": ("int", 1), "y0": ("float", 1.0),
+                 "T": ("float", REQUIRED), "dt": ("float", REQUIRED), "ks_check": ("bool", False)},
+    "train": {"seed": ("int", 0), "T": ("float", REQUIRED), "dt": ("float", REQUIRED), "episodes": ("int", REQUIRED),
+              "gamma": ("float", None), "resume": ("str", None), "init": ("train.init", {}), "y0": ("float", 1.0)},
+    "train.init": {"psi1": ("vector", None), "psi2": ("matrix", None)},
+    "diagnose": {"seed": ("int", 0), "gamma": ("float", None), "y0": ("float", 1.0), "n_paths": ("int", 1000),
+                 "params": ("learned", None), "T": ("float", None), "dt": ("float", None),
+                 "xi_shift": ("float", None), "sweep": ("diagnose.sweep", None)},
+    "diagnose.sweep": {"dt_list": ("floats", []), "T_list": ("floats", []), "n_paths": ("int", None)},
+    "backtest": {"prices": ("str", REQUIRED), "v0": ("float", REQUIRED), "rho": ("float", REQUIRED),
+                 "strategies": ("list", REQUIRED), "baseline_index": ("int", 0)},
+    "strategy.mle": {**_STRATEGY, "train_fraction": ("float", 0.5), "kappa": ("float", 1.0)},
+    "strategy.classical": {**_STRATEGY, "model": ("mapping", REQUIRED)},
+    "strategy.learned": {**_STRATEGY, "params": ("str", REQUIRED), "gamma": ("float", None),
+                         "execution": ("str", "mean"), "sample_seed": ("int", 0)},
+    "config": {"gamma": ("float", None)},
+    "strategy": {"type": ("str", REQUIRED)},
+    "learned": {"xi": ("float", REQUIRED), "psi1": ("vector", REQUIRED), "psi2": ("matrix", REQUIRED),
+                "gamma": ("float", None)},
+    "resume": {"episodes": ("int", REQUIRED), "gamma": ("float", None), "policy": ("learned", REQUIRED),
+               "A": ("matrix", REQUIRED), "b": ("vector", REQUIRED)},
+}
+OPEN_BLOCKS = {"config", "strategy", "learned", "resume"}
 
 
 def _setup_logging() -> None:
@@ -80,30 +120,38 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
-def _require(cfg: dict, key: str, where: str = "config"):
-    if key not in cfg:
-        raise ConfigError(f"{where} is missing required key {key!r}")
-    return cfg[key]
-
-
 def _known(blk, block: str, where: str | None = None) -> dict:
-    """blk, once it is a mapping with no key outside CONFIG_KEYS[block]; where names it in errors."""
+    """Each key of CONFIG_KEYS[block], converted from blk or defaulted; where names blk in errors.
+
+    blk must be a mapping, with no key outside the table unless the block is one of OPEN_BLOCKS.
+    """
     where = where or block
     if not isinstance(blk, dict):
         raise ConfigError(f"{where} must be a mapping, got {blk!r}")
+    table = CONFIG_KEYS[block]
     for key in blk:
-        if key not in CONFIG_KEYS[block]:
-            raise ConfigError(f"{where} has unknown key {key!r}: it reads only "
-                              f"{', '.join(sorted(CONFIG_KEYS[block]))}")
-    return blk
+        if key not in table and block not in OPEN_BLOCKS:
+            raise ConfigError(f"{where} has unknown key {key!r}: it reads only {', '.join(sorted(table))}")
+    return {key: _value(blk.get(key), kind, default, where, key) for key, (kind, default) in table.items()}
 
 
-def _horizon(blk: dict, where: str) -> tuple[float, float]:
-    """(T, dt) of a config block; T must be a positive whole number of dt steps."""
-    T = float(_require(blk, "T", where))
-    dt = float(_require(blk, "dt", where))
-    _check_horizon(T, dt, where)
-    return T, dt
+def _value(value, kind: str, default, where: str, key: str):
+    """The value of where.key, or its default if value is None, converted to its kind."""
+    if value is None:
+        if default is REQUIRED:
+            raise ConfigError(f"{where} is missing required key {key!r}")
+        value = default
+    if value is None:
+        return None
+    if kind in CONFIG_KEYS:   # a nested block
+        return _known(value, kind, f"{where}.{key}")
+    what, types, convert = KINDS[kind]
+    try:
+        if type(value) not in types:
+            raise TypeError(value)
+        return convert(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{where}.{key} must be {what}, got {value!r}") from None
 
 
 def _check_horizon(T: float, dt: float, where: str) -> None:
@@ -114,18 +162,11 @@ def _check_horizon(T: float, dt: float, where: str) -> None:
 
 
 def _model_params(cfg: dict) -> ModelParams:
-    m = _known(_require(cfg, "model"), "model")
+    m = _known(cfg.get("model"), "model")
     try:
-        params = ModelParams(
-            mu=np.asarray(_require(m, "mu", "model"), dtype=float),
-            sigma=np.asarray(_require(m, "sigma", "model"), dtype=float),
-            sigma_z=float(_require(m, "sigma_z", "model")),
-            kappa=float(_require(m, "kappa", "model")),
-            eta=np.asarray(_require(m, "eta", "model"), dtype=float),
-            rho=float(_require(m, "rho", "model")),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid model block: {exc}") from exc
+        params = ModelParams(**m)
+    except ValueError as exc:   # values of the right kinds that the model refuses, such as sigma_z <= 0
+        raise ConfigError(f"invalid model block: {exc}") from None
     # the closed forms take eta as given while the simulator normalises it, so they agree only at |eta| = 1
     norm = float(np.linalg.norm(params.eta))
     if not abs(norm - 1.0) <= 1e-9:
@@ -157,15 +198,14 @@ def _json_default(obj):
 
 def cmd_solve(cfg: dict, seed: int | None, out: Path) -> int:
     params = _model_params(cfg)
-    gamma = float(cfg.get("gamma", params.rho / params.d))
-    grid_cfg = _known(cfg.get("grid", {}), "grid")
-    y_max = float(grid_cfg.get("y_max", 10.0))
-    step = float(grid_cfg.get("step", 0.01))
+    gamma = _known(cfg, "config")["gamma"]
+    gamma = params.rho / params.d if gamma is None else gamma
+    grid = _known(cfg.get("grid", {}), "grid")
 
     sol = classical_solution(params)
     consts = exploratory_constants(params, gamma)
     pp = qlearn.PolicyParams.from_constants(consts)
-    ys = np.arange(0.0, y_max + step / 2, step)
+    ys = np.arange(0.0, grid["y_max"] + grid["step"] / 2, grid["step"])
     u = sol.value(ys)
     v = consts.value(ys)
 
@@ -201,14 +241,12 @@ def cmd_solve(cfg: dict, seed: int | None, out: Path) -> int:
 
 def cmd_simulate(cfg: dict, seed: int | None, out: Path) -> int:
     params = _model_params(cfg)
-    sim = _known(_require(cfg, "simulate"), "simulate")
-    gamma = float(sim.get("gamma", params.rho / params.d))
-    scheme = sim.get("scheme", "episode")
-    n_paths = int(sim.get("n_paths", 1))
+    sim = _known(cfg.get("simulate"), "simulate")
+    gamma = params.rho / params.d if sim["gamma"] is None else sim["gamma"]
+    scheme, n_paths, y0, T, dt = (sim[key] for key in ("scheme", "n_paths", "y0", "T", "dt"))
     if n_paths < 0:
         raise ConfigError(f"simulate.n_paths is {n_paths}: it must be >= 0")
-    y0 = float(sim.get("y0", 1.0))
-    T, dt = _horizon(sim, "simulate")
+    _check_horizon(T, dt, "simulate")
     seed = 0 if seed is None else seed
     meta = {"config": _resolved(cfg, seed), "scheme": scheme, "n_paths": n_paths}
 
@@ -232,7 +270,7 @@ def cmd_simulate(cfg: dict, seed: int | None, out: Path) -> int:
     if scheme == "episode":
         summary["mean_local_time"] = float(paths.local_time[:, -1].mean())
 
-    if sim.get("ks_check", False):
+    if sim["ks_check"]:
         from scipy.stats import ks_2samp
 
         y_euler = sde.aggregated_terminal_sample(params, gamma, y0, T, dt, n_paths, seed)
@@ -249,46 +287,33 @@ def cmd_simulate(cfg: dict, seed: int | None, out: Path) -> int:
 
 def cmd_train(cfg: dict, seed: int | None, out: Path) -> int:
     params = _model_params(cfg)
-    tr = _known(_require(cfg, "train"), "train")
-    init = _known(tr.get("init", {}), "train.init")
-    seed = int(tr.get("seed", 0)) if seed is None else seed
-    T, dt = _horizon(tr, "train")
-    gamma = float(tr.get("gamma", params.rho / params.d))
+    tr = _known(cfg.get("train"), "train")
+    init = tr["init"]
+    seed = tr["seed"] if seed is None else seed
+    _check_horizon(tr["T"], tr["dt"], "train")
+    gamma = params.rho / params.d if tr["gamma"] is None else tr["gamma"]
 
     start_episode, policy, sums = 1, None, None
-    resume = tr.get("resume")
+    resume = tr["resume"]
     if resume:
-        if init:
+        if any(value is not None for value in init.values()):
             raise ConfigError("train.init has no effect on a resumed run, whose policy is the snapshot's; "
                               "remove init")
-        snap = _snapshot(resume)
-        if snap.get("gamma") is not None:  # a snapshot without gamma trains at the config's
-            gamma = _learned_gamma(snap["gamma"], tr.get("gamma"), resume)
-        start_episode = int(_require(snap, "episodes", resume)) + 1
-        policy = _learned_params(_require(snap, "policy", resume), f"{resume} policy", gamma)
-        A, b = (_require(snap, key, resume) for key in ("A", "b"))
-        try:
-            sums = np.asarray(A, dtype=float), np.asarray(b, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid running sums in {resume}: {exc}") from None
+        snap = _known(_snapshot(resume), "resume", resume)
+        if snap["gamma"] is not None:  # a snapshot without gamma trains at the config's
+            gamma = _learned_gamma(snap["gamma"], tr["gamma"], resume)
+        start_episode = snap["episodes"] + 1
+        policy = _learned_params(snap["policy"], f"{resume}.policy", gamma)
+        sums = snap["A"], snap["b"]
         p = 1 + params.d + params.d * (params.d + 1) // 2   # the entries of (c0, psi1, psi2 psi2')
         if policy.d != params.d or sums[0].shape != (p, p) or sums[1].shape != (p,):
             raise ConfigError(f"{resume} was not trained on a market of {params.d} assets")
         log.info("resuming from %s at episode %d", resume, start_episode)
 
-    config = qlearn.LearnConfig(
-        y0=float(tr.get("y0", 1.0)),
-        T=T,
-        dt=dt,
-        n_episodes=int(_require(tr, "episodes", "train")),
-        gamma=gamma,
-        rho=params.rho,
-        seed=seed,
-        psi1_0=np.asarray(init["psi1"], dtype=float) if "psi1" in init else None,
-        psi2_0=np.asarray(init["psi2"], dtype=float) if "psi2" in init else None,
-        start_episode=start_episode,
-    )
-    history = qlearn.train(config, sde.Environment(params=params, dt=dt), policy, sums)
+    config = qlearn.LearnConfig(y0=tr["y0"], T=tr["T"], dt=tr["dt"], n_episodes=tr["episodes"], gamma=gamma,
+                                rho=params.rho, seed=seed, psi1_0=init["psi1"], psi2_0=init["psi2"],
+                                start_episode=start_episode)
+    history = qlearn.train(config, sde.Environment(params=params, dt=tr["dt"]), policy, sums)
     history.to_csv(out / "history.csv")
     _write_json(out / "history.meta.json", {"rows": len(history.episodes)}, cfg, seed)
     _write_json(out / "learned.json", history.summary(), cfg, seed)
@@ -297,41 +322,38 @@ def cmd_train(cfg: dict, seed: int | None, out: Path) -> int:
 
 def cmd_diagnose(cfg: dict, seed: int | None, out: Path) -> int:
     params = _model_params(cfg)
-    dg = _known(_require(cfg, "diagnose"), "diagnose")
-    sweep = dg.get("sweep")
-    if sweep is not None:
-        _known(sweep, "diagnose.sweep")
-    seed = int(dg.get("seed", 0)) if seed is None else seed
-    gamma = float(dg.get("gamma", params.rho / params.d))
-    y0 = float(dg.get("y0", 1.0))
-    n_paths = int(dg.get("n_paths", 1000))
+    dg = _known(cfg.get("diagnose"), "diagnose")
+    seed = dg["seed"] if seed is None else seed
+    gamma = params.rho / params.d if dg["gamma"] is None else dg["gamma"]
+    y0, n_paths, T, dt, sweep = (dg[key] for key in ("y0", "n_paths", "T", "dt", "sweep"))
+    if (T is None) != (dt is None):
+        raise ConfigError("diagnose.T and diagnose.dt go together: give both, or neither for a sweep alone")
+    if T is None and dg["xi_shift"] is not None:
+        raise ConfigError("diagnose.xi_shift shifts the (T, dt) diagnostics: give diagnose.T and diagnose.dt")
 
     pp = qlearn.PolicyParams.from_constants(exploratory_constants(params, gamma))
-    if "params" in dg:
+    if dg["params"] is not None:
         pp = _learned_params(dg["params"], "diagnose.params", gamma)
 
     payload: dict = {}
-    if "T" in dg and "dt" in dg:
-        T, dt = _horizon(dg, "diagnose")
+    if T is not None:
+        _check_horizon(T, dt, "diagnose")
         _check_paths(n_paths, "diagnose.n_paths")
         mean_coef, cov_chol = pp.policy_coefficients()
         blocks = sde.increment_blocks(params, mean_coef, cov_chol, n_paths, y0, T, dt, seed)
         stats = qlearn.orthogonality_stats(pp, blocks, params.rho)
         payload["orthogonality"] = stats.as_dict()
         payload["all_within_3_sigma"] = bool(np.all(np.abs(stats.z_scores()) < 3.0))
-        shift = dg.get("xi_shift")
-        if shift is not None:
-            payload["xi_shift_control"] = stats.shifted(float(shift)).as_dict()
+        if dg["xi_shift"] is not None:
+            payload["xi_shift_control"] = stats.shifted(dg["xi_shift"]).as_dict()
 
     if sweep is not None:
-        dt_list = [float(x) for x in sweep.get("dt_list", [])]
-        T_list = [float(x) for x in sweep.get("T_list", [])]
-        sweep_paths = int(sweep.get("n_paths", n_paths))
+        sweep_paths = n_paths if sweep["n_paths"] is None else sweep["n_paths"]
         _check_paths(sweep_paths, "diagnose.sweep.n_paths")
-        for dt in dt_list:
-            for T in T_list:
+        for dt in sweep["dt_list"]:
+            for T in sweep["T_list"]:
                 _check_horizon(T, dt, "diagnose.sweep")
-        rows = qlearn.convergence_study(pp, params, dt_list, T_list, sweep_paths, y0, seed)
+        rows = qlearn.convergence_study(pp, params, sweep["dt_list"], sweep["T_list"], sweep_paths, y0, seed)
         payload["sweep"] = rows
         keys = ["dt", "T", "max_abs_mean", "tail_bound"]
         sde._write_csv(out / "sweep.csv", keys, ([r[k] for k in keys] for r in rows))
@@ -359,33 +381,22 @@ def _snapshot(path: str) -> dict:
     return snap
 
 
-def _learned_params(blk, where: str, gamma: float) -> qlearn.PolicyParams:
-    """The learner parameters xi, psi1 and psi2 of a learned.json snapshot or a config block."""
-    if not isinstance(blk, dict):
-        raise ConfigError(f"{where} must be a mapping, got {blk!r}")
-    xi, psi1, psi2 = (_require(blk, key, where) for key in ("xi", "psi1", "psi2"))
+def _learned_params(p: dict, where: str, gamma: float) -> qlearn.PolicyParams:
+    """The policy of the learner parameters xi, psi1 and psi2 that _known read from a snapshot or config block."""
     try:
-        return qlearn.PolicyParams(xi=float(xi), psi1=np.asarray(psi1, dtype=float),
-                                   psi2=np.asarray(psi2, dtype=float), gamma=gamma)
-    except (TypeError, ValueError) as exc:
+        return qlearn.PolicyParams(xi=p["xi"], psi1=p["psi1"], psi2=p["psi2"], gamma=gamma)
+    except ValueError as exc:   # psi2 is not d x d, or gamma <= 0
         raise ConfigError(f"invalid {where}: {exc}") from None
 
 
 def _learned_gamma(snap_gamma, cfg_gamma, path: str) -> float:
-    """The snapshot's temperature; the config's `gamma` may only repeat it.
-
-    Snapshots written before train stored gamma need the config's value.
-    """
+    """The snapshot's temperature, which the config's `gamma` may only repeat, or the config's if it stores none."""
     if snap_gamma is None and cfg_gamma is None:
         raise ConfigError(f"{path} stores no gamma and the config gives none")
-    if snap_gamma is None:
-        return float(cfg_gamma)
-    if cfg_gamma is not None and not math.isclose(float(cfg_gamma), float(snap_gamma), rel_tol=1e-9):
-        raise ConfigError(
-            f"gamma {cfg_gamma} differs from the gamma {snap_gamma} "
-            f"that {path} was trained at; remove it or make them agree"
-        )
-    return float(snap_gamma)
+    if None not in (snap_gamma, cfg_gamma) and not math.isclose(cfg_gamma, snap_gamma, rel_tol=1e-9):
+        raise ConfigError(f"gamma {cfg_gamma} differs from the gamma {snap_gamma} that {path} was trained at; "
+                          "remove it or make them agree")
+    return cfg_gamma if snap_gamma is None else snap_gamma
 
 
 def _check_state(y: float) -> None:
@@ -394,29 +405,23 @@ def _check_state(y: float) -> None:
 
 
 def _strategy_from_cfg(blk, prices: bt.PriceSeries, rho: float, where: str = "strategy"):
-    kind = _require(_known(blk, "strategy", where), "type", "strategy")
-    name = blk.get("name", kind)
+    kind = _known(blk, "strategy", where)["type"]
+    if f"strategy.{kind}" not in CONFIG_KEYS:
+        raise ConfigError(f"unknown strategy type {kind!r}")
+    s = _known(blk, f"strategy.{kind}", where)
+    name = kind if s["name"] is None else s["name"]
     if kind == "mle":
-        frac = float(blk.get("train_fraction", 0.5))
-        split = max(3, int(len(prices) * frac))
+        split = max(3, int(len(prices) * s["train_fraction"]))
         dtbar = float(np.median(np.diff(prices.times)))
-        est = baseline.mle_estimate(
-            prices.assets[:split], prices.benchmark[:split], dtbar
-        )
-        log.info(
-            "%s: mu_hat=%s sigma_z_hat=%.6f (first %d rows)",
-            name, est.mu_hat, est.sigma_z_hat, split,
-        )
-        return name, baseline.classical_strategy(est, rho, float(blk.get("kappa", 1.0)))
+        est = baseline.mle_estimate(prices.assets[:split], prices.benchmark[:split], dtbar)
+        log.info("%s: mu_hat=%s sigma_z_hat=%.6f (first %d rows)", name, est.mu_hat, est.sigma_z_hat, split)
+        return name, baseline.classical_strategy(est, rho, s["kappa"])
     if kind == "classical":
-        params = _model_params({"model": _require(blk, "model", "strategy")})
-        sol = classical_solution(params)
-        return name, sol.policy
+        return name, classical_solution(_model_params(s)).policy
     if kind == "learned":
-        path = _require(blk, "params", "strategy")
-        snap = _snapshot(path)
-        pp = _learned_params(snap, path, _learned_gamma(snap.get("gamma"), blk.get("gamma"), path))
-        execution = blk.get("execution", "mean")
+        path, execution = s["params"], s["execution"]
+        snap = _known(_snapshot(path), "learned", path)
+        pp = _learned_params(snap, path, _learned_gamma(snap["gamma"], s["gamma"], path))
         mean = pp.mean_coef   # the mean of policy_from_q at y = 0
         if execution == "mean":
             def strat(y):
@@ -426,7 +431,7 @@ def _strategy_from_cfg(blk, prices: bt.PriceSeries, rho: float, where: str = "st
         if execution == "sample":
             # the bar-by-bar multivariate_normal(policy mean, policy cov) draws: the normals in
             # the same order, and the SVD factor of the covariance at y = 0, which scales by 1 + y
-            normals = np.random.default_rng(int(blk.get("sample_seed", 0))).standard_normal(
+            normals = np.random.default_rng(s["sample_seed"]).standard_normal(
                 (len(prices) - 1, pp.d))
             u, sv, _ = np.linalg.svd(pp.gamma * pp.precision)
             draws = iter(mean + normals @ (u * np.sqrt(sv)).T)   # one row per bar of one run
@@ -435,23 +440,17 @@ def _strategy_from_cfg(blk, prices: bt.PriceSeries, rho: float, where: str = "st
                 return (1.0 + y) * next(draws)
             return name, strat
         raise ConfigError(f"unknown execution mode {execution!r}")
-    raise ConfigError(f"unknown strategy type {kind!r}")
 
 
 def cmd_backtest(cfg: dict, seed: int | None, out: Path) -> int:
-    blk = _known(_require(cfg, "backtest"), "backtest")
-    v0 = float(_require(blk, "v0", "backtest"))
-    rho = float(_require(blk, "rho", "backtest"))
-    strategies = _require(blk, "strategies", "backtest")
+    blk = _known(cfg.get("backtest"), "backtest")
+    v0, rho, strategies, baseline_index = (blk[key] for key in ("v0", "rho", "strategies", "baseline_index"))
     if not strategies:
         raise ConfigError("backtest.strategies is empty: give at least one strategy")
-    baseline_index = int(blk.get("baseline_index", 0))
     if not 0 <= baseline_index < len(strategies):
-        raise ConfigError(
-            f"backtest.baseline_index is {baseline_index}: it must index the "
-            f"{len(strategies)} strategies (0 to {len(strategies) - 1})"
-        )
-    prices = bt.load_prices(_require(blk, "prices", "backtest"))
+        raise ConfigError(f"backtest.baseline_index is {baseline_index}: it must index the "
+                          f"{len(strategies)} strategies (0 to {len(strategies) - 1})")
+    prices = bt.load_prices(blk["prices"])
     # every strategy is built before the first one runs, so a bad one writes nothing
     built = [_strategy_from_cfg(sblk, prices, rho, f"backtest.strategies[{i}]")
              for i, sblk in enumerate(strategies)]

@@ -164,6 +164,19 @@ def test_train_smoke_and_resume(tmp_path):
     assert h2[-1].split(",")[0] == "8"
 
 
+def test_quoted_and_integral_numbers_read_as_plain_ones(tmp_path):
+    # PyYAML reads an unquoted 5e-2 as a string, and an int key takes any integral value
+    def run(train, name):
+        cfg = write_config(tmp_path, {**MODEL_BLOCK, "train": train}, name=f"{name}.yaml")
+        assert main(["train", "--config", cfg, "--seed", "2", "--out", str(tmp_path / name)]) == 0
+        learned = json.loads((tmp_path / name / "learned.json").read_text())
+        del learned["config"]
+        return (tmp_path / name / "history.csv").read_text(), learned
+
+    assert run({"T": "1.0", "dt": "5e-2", "episodes": 4.0, "seed": "7"}, "text") == \
+        run({"T": 1.0, "dt": 0.05, "episodes": 4, "seed": 7}, "plain")
+
+
 def test_train_resumed_mid_block_repeats_one_run(tmp_path, caplog):
     # 20 episodes stop inside the second block of 16; the snapshot's policy draws the rest of it
     def run(name, episodes, resume=None):
@@ -252,23 +265,23 @@ def test_unread_config_key_exits_2(tmp_path, caplog, command, payload, where, ke
 
 
 def test_readme_configs_use_only_read_keys():
-    # the YAML files that the README's CLI quick start writes, block by block
+    # the YAML files that the README's CLI quick start writes, converted block by block through the table
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     quick_start = readme.split("## CLI quick start", 1)[1].split("\n## ", 1)[0]
     configs = [yaml.safe_load(body) for body in re.findall(r"<<EOF\n(.*?)\nEOF\n", quick_start, re.S)]
     assert len(configs) == 5
     seen = set()
     for cfg in configs:
-        blocks = {name: cfg.get(name) for name in ("model", "grid", "simulate", "train", "diagnose", "backtest")}
-        blocks["train.init"] = (blocks["train"] or {}).get("init")
-        blocks["diagnose.sweep"] = (blocks["diagnose"] or {}).get("sweep")
-        checked = [(block, blk) for block, blk in blocks.items() if blk is not None]
-        checked += [("strategy", s) for s in (blocks["backtest"] or {}).get("strategies", [])]
-        for block, blk in checked:
-            cli._known(blk, block)
-            seen.add(block)
-    # every checked block but train.init appears in the README
-    assert seen == set(cli.CONFIG_KEYS) - {"train.init"}
+        cli._known(cfg, "config")
+        seen.add("config")
+        for block in set(cfg) & set(cli.CONFIG_KEYS):
+            cli._known(cfg[block], block)   # converts the nested blocks too
+            seen |= {block} | {f"{block}.{key}" for key in cfg[block] if f"{block}.{key}" in cli.CONFIG_KEYS}
+        for strategy in cfg.get("backtest", {}).get("strategies", []):
+            cli._known(strategy, f"strategy.{strategy['type']}")
+            seen.add(f"strategy.{strategy['type']}")
+    # every block but train.init, the classical strategy and the snapshots' appears in the README
+    assert seen == set(cli.CONFIG_KEYS) - {"train.init", "strategy.classical", "strategy", "learned", "resume"}
 
 
 @pytest.mark.parametrize("start", ["init", "resume"])
@@ -351,15 +364,22 @@ SNAPSHOT = {"episodes": 3, "gamma": 0.2, "A": np.eye(3).tolist(), "b": [0.0] * 3
     ("train", "{not json", "cannot parse"),
     ("train", "[1, 2]", "top level must be a mapping"),
     ("train", json.dumps({**SNAPSHOT, "policy": [0.3]}), "policy must be a mapping"),
-    ("train", json.dumps({**SNAPSHOT, "policy": {**SNAPSHOT["policy"], "xi": "high"}}), "invalid"),
-    ("train", json.dumps({**SNAPSHOT, "b": "zero"}), "invalid running sums"),
+    ("train", json.dumps({**SNAPSHOT, "policy": {**SNAPSHOT["policy"], "xi": "high"}}),
+     "learned.json.policy.xi must be a number, got 'high'"),
+    ("train", json.dumps({**SNAPSHOT, "b": "zero"}), "learned.json.b must be a number or a list of numbers"),
     ("train", json.dumps({**SNAPSHOT, "A": np.eye(6).tolist(), "b": [0.0] * 6}), "not trained on a market of 1"),
     ("backtest", "{not json", "cannot parse"),
     ("backtest", "[1, 2]", "top level must be a mapping"),
     ("diagnose", "5", "diagnose.params must be a mapping"),
     ("diagnose", "[0.36, [0.37], [[1.0]]]", "diagnose.params must be a mapping"),
+    # snapshot scalars go through the config's converters
+    ("train", json.dumps({**SNAPSHOT, "episodes": "x"}), "learned.json.episodes must be a whole number, got 'x'"),
+    ("train", json.dumps({**SNAPSHOT, "gamma": "warm"}), "learned.json.gamma must be a number, got 'warm'"),
+    ("backtest", json.dumps({**SNAPSHOT["policy"], "gamma": "warm"}),
+     "learned.json.gamma must be a number, got 'warm'"),
 ], ids=["train-not-json", "train-list", "train-policy-list", "train-policy-value", "train-sums-value",
-        "train-sums-shape", "backtest-not-json", "backtest-list", "diagnose-number", "diagnose-list"])
+        "train-sums-shape", "backtest-not-json", "backtest-list", "diagnose-number", "diagnose-list",
+        "train-episodes-value", "train-gamma-value", "backtest-gamma-value"])
 def test_malformed_snapshot_exits_2(tmp_path, caplog, command, content, message):
     # a learned.json that is not JSON, holds no mapping or carries bad values, or a diagnose.params
     # that is no mapping
@@ -506,6 +526,29 @@ def test_backtest_command(tmp_path):
      "diagnose: horizon T=0.25 is not an integer multiple of dt=0.1"),
     ("diagnose", {"diagnose": {"n_paths": 10, "sweep": {"dt_list": [0.1], "T_list": [0.25]}}},
      "diagnose.sweep: horizon T=0.25 is not an integer multiple of dt=0.1"),
+    # a value of the wrong kind, one or more per command
+    ("solve", {"grid": {"y_max": "lots"}}, "grid.y_max must be a number, got 'lots'"),
+    ("solve", {"gamma": "warm"}, "config.gamma must be a number, got 'warm'"),
+    ("simulate", {"simulate": {"n_paths": [3], "T": 0.2, "dt": 0.1}},
+     "simulate.n_paths must be a whole number, got [3]"),
+    ("simulate", {"simulate": {"n_paths": 3, "T": 0.2, "dt": 0.1, "ks_check": "false"}},
+     "simulate.ks_check must be true or false, got 'false'"),
+    ("train", {"train": {"T": "twelve", "dt": 0.1, "episodes": 2}}, "train.T must be a number, got 'twelve'"),
+    ("train", {"train": {"T": 0.2, "dt": 0.1, "episodes": 2.9}}, "train.episodes must be a whole number, got 2.9"),
+    ("train", {"train": {"T": 0.2, "dt": 0.1, "episodes": 2, "init": {"psi1": ["a"]}}},
+     "train.init.psi1 must be a number or a list of numbers, got ['a']"),
+    ("diagnose", {"diagnose": {"n_paths": 10, "sweep": {"dt_list": 0.1, "T_list": [0.2]}}},
+     "diagnose.sweep.dt_list must be a list of numbers, got 0.1"),
+    ("backtest", {"backtest": {"prices": "prices.csv", "v0": "ninety", "rho": 0.1, "strategies": [{"type": "mle"}]}},
+     "backtest.v0 must be a number, got 'ninety'"),
+    # diagnose inputs that nothing would read: a lone T or dt, or an xi_shift with no horizon
+    ("diagnose", {"diagnose": {"T": 0.2, "n_paths": 10, "xi_shift": 0.5,
+                               "sweep": {"dt_list": [0.1], "T_list": [0.2]}}},
+     "diagnose.T and diagnose.dt go together"),
+    ("diagnose", {"diagnose": {"dt": 0.1, "n_paths": 10, "sweep": {"dt_list": [0.1], "T_list": [0.2]}}},
+     "diagnose.T and diagnose.dt go together"),
+    ("diagnose", {"diagnose": {"n_paths": 10, "xi_shift": 0.5, "sweep": {"dt_list": [0.1], "T_list": [0.2]}}},
+     "diagnose.xi_shift shifts the (T, dt) diagnostics"),
 ])
 def test_bad_horizon_or_path_count_exits_2(tmp_path, caplog, command, block, message):
     cfg = write_config(tmp_path, {**MODEL_BLOCK, **block})
@@ -539,7 +582,7 @@ def test_model_eta_must_have_unit_norm(tmp_path, caplog, model, code):
     ({"strategies": []}, "backtest.strategies is empty"),
     ({"strategies": [{"type": "mle"}, {"type": "mle", "name": "other"}], "baseline_index": 2},
      "backtest.baseline_index is 2: it must index the 2 strategies (0 to 1)"),
-    ({"strategies": [{"type": "classical"}]}, "strategy is missing required key 'model'"),
+    ({"strategies": [{"type": "classical"}]}, "backtest.strategies[0] is missing required key 'model'"),
     ({"strategies": [{"type": "mle"}], "rows": 2}, "need at least 3 observations, got 2"),
     # keys that the command does not read; a bad strategy after a good one stops both
     ({"strategies": [{"type": "mle"}], "baseline": 0}, "backtest has unknown key 'baseline'"),
@@ -547,6 +590,11 @@ def test_model_eta_must_have_unit_norm(tmp_path, caplog, model, code):
      "backtest.strategies[1] has unknown key 'excution'"),
     ({"strategies": [{"type": "mle"}, {"type": "classical", "model": {**MODEL_BLOCK["model"], "rh0": 1}}]},
      "model has unknown key 'rh0'"),
+    # each strategy type reads its own keys
+    ({"strategies": [{"type": "mle", "execution": "sample", "params": "x.json", "sample_seed": 3}]},
+     "backtest.strategies[0] has unknown key 'execution'"),
+    ({"strategies": [{"type": "classical", "model": MODEL_BLOCK["model"], "kappa": 0.5}]},
+     "backtest.strategies[0] has unknown key 'kappa'"),
 ])
 def test_backtest_bad_strategy_list_exits_2(tmp_path, caplog, backtest, message):
     backtest = dict(backtest)
