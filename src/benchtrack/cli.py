@@ -48,6 +48,7 @@ def _whole(v) -> int:
 _NUMBER = (int, float, str)   # strings too: PyYAML reads an unquoted 1e4 as one
 # Each kind of config value: what it must be, the types it may come as (a bool is no number), and the
 # converter to what the commands read, which raises TypeError or ValueError; an int takes integral values only.
+# A kind may carry one of BOUNDS after a space ("float > 0"), a test of the converted value.
 KINDS = {
     "float": ("a number", _NUMBER, float),
     "int": ("a whole number", _NUMBER, _whole),
@@ -59,11 +60,13 @@ KINDS = {
     "list": ("a list", (list,), list),
     "floats": ("a list of numbers", (list,), lambda v: [float(x) for x in v]),
 }
+BOUNDS = {"> 0": lambda v: v > 0, ">= 0": lambda v: v >= 0, ">= 1": lambda v: v >= 1}
 REQUIRED = object()   # the default of a key that must be given
 
-# Every key that a command reads, per config block, with its kind (one of KINDS, or a block nested here) and
-# default.  A key outside its block's table or a value of the wrong kind exits 2 naming block.key, so a
-# misspelt or retired option fails instead of being ignored.  A null value counts as absent.  Each strategy
+# Every key that a command reads, per config block, with its kind (one of KINDS, maybe bounded, or a block
+# nested here) and default.  A key outside its block's table or a value of the wrong kind or out of bounds
+# exits 2 naming block.key, so a misspelt or retired option fails instead of being ignored, and an impossible
+# value instead of ending in a traceback.  A null value counts as absent.  Each strategy
 # type (mle, classical, learned) has its own table; cmd_diagnose refuses a lone T or dt.  The OPEN_BLOCKS may
 # carry other keys: the top level of solve's config, the type that picks a strategy's table, and learned
 # snapshots (a resumed one's, or the xi, psi1, psi2 and gamma of a learned strategy or diagnose.params).
@@ -71,27 +74,29 @@ _STRATEGY = {"type": ("str", REQUIRED), "name": ("str", None)}
 CONFIG_KEYS = {
     "model": {"mu": ("vector", REQUIRED), "sigma": ("matrix", REQUIRED), "sigma_z": ("float", REQUIRED),
               "kappa": ("float", REQUIRED), "eta": ("vector", REQUIRED), "rho": ("float", REQUIRED)},
-    "grid": {"y_max": ("float", 10.0), "step": ("float", 0.01)},
-    "simulate": {"gamma": ("float", None), "scheme": ("str", "episode"), "n_paths": ("int", 1), "y0": ("float", 1.0),
-                 "T": ("float", REQUIRED), "dt": ("float", REQUIRED), "ks_check": ("bool", False)},
-    "train": {"seed": ("int", 0), "T": ("float", REQUIRED), "dt": ("float", REQUIRED), "episodes": ("int", REQUIRED),
-              "gamma": ("float", None), "resume": ("str", None), "init": ("train.init", {}), "y0": ("float", 1.0)},
+    "grid": {"y_max": ("float >= 0", 10.0), "step": ("float > 0", 0.01)},
+    "simulate": {"gamma": ("float > 0", None), "scheme": ("str", "episode"), "n_paths": ("int >= 0", 1),
+                 "y0": ("float >= 0", 1.0), "T": ("float", REQUIRED), "dt": ("float", REQUIRED),
+                 "ks_check": ("bool", False)},
+    "train": {"seed": ("int", 0), "T": ("float", REQUIRED), "dt": ("float", REQUIRED), "y0": ("float >= 0", 1.0),
+              "episodes": ("int >= 1", REQUIRED), "gamma": ("float > 0", None), "resume": ("str", None),
+              "init": ("train.init", {})},
     "train.init": {"psi1": ("vector", None), "psi2": ("matrix", None)},
-    "diagnose": {"seed": ("int", 0), "gamma": ("float", None), "y0": ("float", 1.0), "n_paths": ("int", 1000),
+    "diagnose": {"seed": ("int", 0), "gamma": ("float > 0", None), "y0": ("float >= 0", 1.0), "n_paths": ("int", 1000),
                  "params": ("learned", None), "T": ("float", None), "dt": ("float", None),
                  "xi_shift": ("float", None), "sweep": ("diagnose.sweep", None)},
     "diagnose.sweep": {"dt_list": ("floats", []), "T_list": ("floats", []), "n_paths": ("int", None)},
-    "backtest": {"prices": ("str", REQUIRED), "v0": ("float", REQUIRED), "rho": ("float", REQUIRED),
+    "backtest": {"prices": ("str", REQUIRED), "v0": ("float >= 0", REQUIRED), "rho": ("float > 0", REQUIRED),
                  "strategies": ("list", REQUIRED), "baseline_index": ("int", 0)},
     "strategy.mle": {**_STRATEGY, "train_fraction": ("float", 0.5), "kappa": ("float", 1.0)},
     "strategy.classical": {**_STRATEGY, "model": ("mapping", REQUIRED)},
-    "strategy.learned": {**_STRATEGY, "params": ("str", REQUIRED), "gamma": ("float", None),
-                         "execution": ("str", "mean"), "sample_seed": ("int", 0)},
-    "config": {"gamma": ("float", None)},
+    "strategy.learned": {**_STRATEGY, "params": ("str", REQUIRED), "gamma": ("float > 0", None),
+                         "execution": ("str", "mean"), "sample_seed": ("int >= 0", 0)},
+    "config": {"gamma": ("float > 0", None)},
     "strategy": {"type": ("str", REQUIRED)},
     "learned": {"xi": ("float", REQUIRED), "psi1": ("vector", REQUIRED), "psi2": ("matrix", REQUIRED),
-                "gamma": ("float", None)},
-    "resume": {"episodes": ("int", REQUIRED), "gamma": ("float", None), "policy": ("learned", REQUIRED),
+                "gamma": ("float > 0", None)},
+    "resume": {"episodes": ("int", REQUIRED), "gamma": ("float > 0", None), "policy": ("learned", REQUIRED),
                "A": ("matrix", REQUIRED), "b": ("vector", REQUIRED)},
 }
 OPEN_BLOCKS = {"config", "strategy", "learned", "resume"}
@@ -136,7 +141,7 @@ def _known(blk, block: str, where: str | None = None) -> dict:
 
 
 def _value(value, kind: str, default, where: str, key: str):
-    """The value of where.key, or its default if value is None, converted to its kind."""
+    """The value of where.key, or its default if value is None, converted to its kind and checked against its bound."""
     if value is None:
         if default is REQUIRED:
             raise ConfigError(f"{where} is missing required key {key!r}")
@@ -145,13 +150,17 @@ def _value(value, kind: str, default, where: str, key: str):
         return None
     if kind in CONFIG_KEYS:   # a nested block
         return _known(value, kind, f"{where}.{key}")
+    kind, _, bound = kind.partition(" ")
     what, types, convert = KINDS[kind]
     try:
         if type(value) not in types:
             raise TypeError(value)
-        return convert(value)
+        converted = convert(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{where}.{key} must be {what}, got {value!r}") from None
+    if bound and not BOUNDS[bound](converted):
+        raise ConfigError(f"{where}.{key} is {value!r}: it must be {bound}")
+    return converted
 
 
 def _check_horizon(T: float, dt: float, where: str) -> None:
@@ -244,8 +253,6 @@ def cmd_simulate(cfg: dict, seed: int | None, out: Path) -> int:
     sim = _known(cfg.get("simulate"), "simulate")
     gamma = params.rho / params.d if sim["gamma"] is None else sim["gamma"]
     scheme, n_paths, y0, T, dt = (sim[key] for key in ("scheme", "n_paths", "y0", "T", "dt"))
-    if n_paths < 0:
-        raise ConfigError(f"simulate.n_paths is {n_paths}: it must be >= 0")
     _check_horizon(T, dt, "simulate")
     seed = 0 if seed is None else seed
     meta = {"config": _resolved(cfg, seed), "scheme": scheme, "n_paths": n_paths}
@@ -313,7 +320,7 @@ def cmd_train(cfg: dict, seed: int | None, out: Path) -> int:
     config = qlearn.LearnConfig(y0=tr["y0"], T=tr["T"], dt=tr["dt"], n_episodes=tr["episodes"], gamma=gamma,
                                 rho=params.rho, seed=seed, psi1_0=init["psi1"], psi2_0=init["psi2"],
                                 start_episode=start_episode)
-    history = qlearn.train(config, sde.Environment(params=params, dt=tr["dt"]), policy, sums)
+    history = qlearn.train(config, params, policy, sums)
     history.to_csv(out / "history.csv")
     _write_json(out / "history.meta.json", {"rows": len(history.episodes)}, cfg, seed)
     _write_json(out / "learned.json", history.summary(), cfg, seed)
@@ -331,8 +338,11 @@ def cmd_diagnose(cfg: dict, seed: int | None, out: Path) -> int:
     if T is None and dg["xi_shift"] is not None:
         raise ConfigError("diagnose.xi_shift shifts the (T, dt) diagnostics: give diagnose.T and diagnose.dt")
 
-    pp = qlearn.PolicyParams.from_constants(exploratory_constants(params, gamma))
-    if dg["params"] is not None:
+    if dg["params"] is None:
+        pp = qlearn.PolicyParams.from_constants(exploratory_constants(params, gamma))
+    else:
+        if dg["params"]["gamma"] is not None:   # params without gamma are drawn at the config's
+            gamma = _learned_gamma(dg["params"]["gamma"], dg["gamma"], "diagnose.params")
         pp = _learned_params(dg["params"], "diagnose.params", gamma)
 
     payload: dict = {}

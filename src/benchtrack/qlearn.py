@@ -49,7 +49,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from types import SimpleNamespace
-from typing import Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -296,18 +296,6 @@ def _orthogonality_rows(theta: np.ndarray, M: np.ndarray, rho: float, block: sde
             np.einsum("rp,pq->rq", -rho * dt * _weighted_sums(phi, disc), M))
 
 
-def _path_increments(batch: sde.BatchPaths) -> Iterator[sde.IncrementBlock]:
-    """The (u_k, X_k) of a batch's stored paths (sde.IncrementBlock), read off them BLOCK_ROWS paths at a time."""
-    for start in range(0, len(batch.states), sde.BLOCK_ROWS):
-        rows = slice(start, start + sde.BLOCK_ROWS)
-        states, local = batch.states[rows], batch.local_time[rows]
-        if states.min() < 0.0:
-            raise DomainError(f"state must be >= 0, got {states!r}")
-        x = np.diff(np.log1p(states), axis=1) - np.diff(local, axis=1)
-        u = np.moveaxis(batch.actions[rows], -1, 0) / (1.0 + states[:, :-1])
-        yield sde.IncrementBlock(batch.times, u, x)
-
-
 def update(pp: PolicyParams, A: np.ndarray, b: np.ndarray, rho: float) -> tuple[PolicyParams, bool]:
     """The fit (xi, psi1, psi2) of the normal equations A theta = b, or pp held; returns (params, held).
 
@@ -334,7 +322,7 @@ def update(pp: PolicyParams, A: np.ndarray, b: np.ndarray, rho: float) -> tuple[
 
 @dataclass
 class LearnConfig:
-    """Offline training run configuration; psi1_0 and psi2_0 set the policy of the first block."""
+    """Offline training run configuration, action cap included; psi1_0 and psi2_0 set the first block's policy."""
 
     y0: float
     T: float
@@ -346,8 +334,11 @@ class LearnConfig:
     psi1_0: np.ndarray | None = None
     psi2_0: np.ndarray | None = None
     start_episode: int = 1
+    action_cap: float = sde.DEFAULT_ACTION_CAP
 
     def __post_init__(self):
+        if not self.y0 >= 0.0:
+            raise ValueError(f"y0 must be >= 0, got {self.y0}")
         if self.n_episodes < 1:
             raise ValueError("need at least one episode")
         if not (self.gamma > 0.0 and self.rho > 0.0):
@@ -407,17 +398,18 @@ class TrainHistory:
 
 
 def train(
-    config: LearnConfig, env: sde.Environment, policy: PolicyParams | None = None,
+    config: LearnConfig, params: ModelParams, policy: PolicyParams | None = None,
     sums: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> TrainHistory:
-    """Run the offline learning loop against a simulated environment.
+    """Run the offline learning loop on episodes simulated in the market `params`.
 
     Episodes run in blocks of sde.BLOCK_ROWS aligned to the global episode
     index (episodes 16b+1 ... 16b+16).  One policy draws all of a block's
     episodes: one kernel call (sde._relative_paths) gives their (u_k, X_k)
-    on `env`, and one _normal_sums call reduces each to its rows (A_r, b_r),
-    which are added to the running A and b in episode order.  At the
-    block's end update solves the sums, and its fit draws the next block.
+    in the market at config's step and action cap, and one _normal_sums
+    call reduces each to its rows (A_r, b_r), which are added to the
+    running A and b in episode order.  At the block's end update solves
+    the sums, and its fit draws the next block.
     A history row holds the policy that drew its episode, and the last row
     of a block the block's fit.  The fit reads only (u_k, X_k), never the
     market parameters.  Episode i uses the Philox stream keyed by
@@ -430,9 +422,7 @@ def train(
     run; without them the first block is drawn by config.initial_params
     and the sums start at zero.
     """
-    if not math.isclose(env.dt, config.dt, rel_tol=1e-12):
-        raise ValueError(f"environment step {env.dt} != config step {config.dt}")
-    d = env.params.d
+    d = params.d
     pp = config.initial_params(d) if policy is None else policy
     pp.precision   # raises SingularPsi2 for a start that cannot draw the first block
     n, K, rows_max = config.n_episodes, config.n_steps, sde.BLOCK_ROWS
@@ -445,12 +435,12 @@ def train(
     times = np.linspace(0.0, config.T, K + 1)
     disc, dt = np.exp(-config.rho * times[:-1]), float(times[1] - times[0])
     # set up once per run: one kernel and one feature workspace, and one Philox re-keyed per episode
-    market = sde._market(env.params, env.dt)
+    market = sde._market(params, config.dt)
     ws, fws = sde._workspace(rows_max, K, d), _feature_workspace(rows_max, K, d)
     p = 1 + d + len(_quadratic_pairs(d))
     A, b = (np.zeros((p, p)), np.zeros(p)) if sums is None else (np.array(s, dtype=float) for s in sums)
     stream = sde.episode_streams()
-    clamps_before = env.clamp_events
+    clamp_events = 0
     rejected: list[int] = []
     max_rejected = REJECT_FRACTION * n
     lo = 0
@@ -462,7 +452,7 @@ def train(
             stream(config.seed, first + j).standard_normal(out=ws.normals[j])
         # a non-finite u_k or X_k gives its rows non-finite sums, which reject its episode
         with np.errstate(over="ignore", invalid="ignore"):
-            env.clamp_events += sde._relative_paths(market, mean_coef, cov_chol, config.y0, env.action_cap, ws, m)
+            clamp_events += sde._relative_paths(market, mean_coef, cov_chol, config.y0, config.action_cap, ws, m)
             A_rows, b_rows = _normal_sums(_features(ws.u[:, :m], fws), ws.x[:m], disc, dt, fws)
         finite = np.isfinite(A_rows).all(axis=(1, 2)) & np.isfinite(b_rows).all(axis=1)
         for j in range(m):
@@ -487,7 +477,7 @@ def train(
             pp = fit
         lo += m
     return TrainHistory(episodes=episodes, xi=hist_xi, psi1=hist_psi1, psi2=hist_psi2, psi3=hist_psi3,
-                        clipped=hist_held, rejected_episodes=rejected, clamp_events=env.clamp_events - clamps_before,
+                        clipped=hist_held, rejected_episodes=rejected, clamp_events=clamp_events,
                         final=fit, policy=pp, A=A, b=b)
 
 
@@ -532,19 +522,18 @@ def _component_names(d: int) -> list[str]:
     return names
 
 
-def orthogonality_stats(pp: PolicyParams, paths, rho: float) -> OrthogonalityStats:
+def orthogonality_stats(pp: PolicyParams, blocks: Iterable[sde.IncrementBlock], rho: float) -> OrthogonalityStats:
     """Estimate E[sum_k test * (M_{k+1} - M_k)] per test function.
 
-    paths is the sde.IncrementBlock stream of sde.increment_blocks, or a
-    BatchPaths, whose (u_k, X_k) are read off its stored paths BLOCK_ROWS
-    paths at a time; only the per-path rows are kept.  At the correct
+    blocks is the sde.IncrementBlock stream of sde.increment_blocks, at most
+    BLOCK_ROWS paths each; only the per-path rows are kept.  At the correct
     (xi, psi1, psi2) every component is a centred martingale statistic, so
     each mean should vanish within Monte Carlo error.  A standard error
     needs two paths.
     """
     theta, M = _statistics_map(pp, rho)
     rows, d_rows, ws = [], [], None
-    for block in _path_increments(paths) if isinstance(paths, sde.BatchPaths) else paths:
+    for block in blocks:
         d, _, K = block.u.shape
         if ws is None or ws.quad.shape[1:] != (sde.BLOCK_ROWS, K):
             ws = _feature_workspace(sde.BLOCK_ROWS, K, d)

@@ -27,14 +27,14 @@ grows.  A clamp at the action cap depends on y, so it is found after the
 fact: that step's u_k is scaled, its X_k redrawn from the same xi_k, and
 the path replayed from there, its push added to L_k (_paths).
 
-The path samplers (simulate_linear_gaussian_batch, linear_gaussian_blocks,
-rollout_linear_gaussian, simulate_aggregated) run the map and return
-states, actions and local time.  The learner's statistics read only u_k
-and X_k, so increment_blocks and qlearn.train take them from the kernel and
-run the map only on a block where a clamp can bind (_relative_paths).
-Every sampler works in blocks of a few paths over one reused workspace;
-row i draws the Philox stream (seed, i), so it equals a lone path on that
-stream, and one re-keyed Philox serves every stream (episode_streams).
+Each output has one sampler.  simulate_linear_gaussian_batch and
+simulate_aggregated store paths, and rollout_linear_gaussian gives one path
+from the caller's generator; they run the map.  The statistics read only
+(u_k, X_k), which increment_blocks (and qlearn.train) take from the kernel,
+running the map only on a block where a clamp can bind (_relative_paths).
+Every batch works in blocks of a few paths over one reused workspace; row i
+draws the Philox stream (seed, i), so it equals a rollout on that stream bit
+for bit, and one re-keyed Philox serves every stream (episode_streams).
 
 The same map in continuous time gives an independent oracle for the
 policy-averaged dynamics: for H = ln(1 + Y),
@@ -61,16 +61,12 @@ from .model import ModelParams, derived_constants
 __all__ = [
     "NonFinite",
     "InvalidVariance",
-    "EpisodePath",
     "BatchPaths",
     "IncrementBlock",
     "episode_rng",
     "episode_streams",
     "grid_steps",
-    "Environment",
-    "rollout_workspace",
     "rollout_linear_gaussian",
-    "linear_gaussian_blocks",
     "increment_blocks",
     "simulate_linear_gaussian_batch",
     "aggregated_coefficients",
@@ -148,35 +144,6 @@ def _market(params: ModelParams, dt: float) -> SimpleNamespace:
                            own=(params.sigma_z * params.kappa) ** 2)
 
 
-@dataclass(frozen=True)
-class EpisodePath:
-    """A discretized reflected trajectory on a uniform grid.
-
-    states[k] >= 0 everywhere; local_time is the push of ln(1 + y) at 0 from
-    L_0 = 0.0, non-decreasing, and increases only at steps whose post-step
-    state sits exactly at 0.
-    """
-
-    times: np.ndarray       # (K+1,)
-    states: np.ndarray      # (K+1,)
-    actions: np.ndarray     # (K, d)
-    local_time: np.ndarray  # (K+1,), L_0 = 0
-
-
-@dataclass
-class Environment:
-    """The market, step and action cap that rollout_linear_gaussian and qlearn.train simulate.
-
-    clamp_events is a running total of the action clamps of every rollout
-    and training run on this environment.
-    """
-
-    params: ModelParams
-    dt: float
-    action_cap: float = DEFAULT_ACTION_CAP
-    clamp_events: int = 0
-
-
 def grid_steps(T: float, dt: float) -> int:
     """The number of steps of length dt in the horizon T, which must be a positive whole number."""
     if not dt > 0.0:
@@ -195,17 +162,14 @@ def _grid(T: float, dt: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BatchPaths:
-    """Vectorized stack of episodes sharing one grid (rows = episodes)."""
+    """Vectorized stack of reflected episodes on one uniform grid (rows = episodes): states >= 0 and local_time,
+    the push of ln(1 + y) at 0 from L_0 = 0.0, which grows only on steps that end exactly at y = 0."""
 
     times: np.ndarray       # (K+1,)
     states: np.ndarray      # (n, K+1)
     actions: np.ndarray     # (n, K, d); d = 0 for the action-free schemes
     local_time: np.ndarray  # (n, K+1)
     clamp_events: int = 0
-
-    def __iter__(self) -> Iterator[EpisodePath]:
-        for states, actions, local in zip(self.states, self.actions, self.local_time):
-            yield EpisodePath(times=self.times, states=states, actions=actions, local_time=local)
 
 
 @dataclass(frozen=True)
@@ -393,80 +357,29 @@ def _policy_args(params: ModelParams, mean_coef, cov_chol, y0: float, dt: float)
             np.asarray(cov_chol, dtype=float).reshape(d, d))
 
 
-def rollout_workspace(env: Environment, n_steps: int) -> SimpleNamespace:
-    """Buffers that rollouts of n_steps on env can share across a run.
+def rollout_linear_gaussian(params: ModelParams, mean_coef: np.ndarray, cov_chol: np.ndarray, y0: float, n_steps: int,
+                            dt: float, rng: np.random.Generator, action_cap: float = DEFAULT_ACTION_CAP
+                            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One episode of n_steps of a state-linear Gaussian policy: its (states, actions, local time).
 
-    A rollout returns fresh arrays, so its result stays valid after the
-    next rollout on the same workspace.
-    """
-    ws = _workspace(1, n_steps, env.params.d)
-    ws.params, ws.dt = env.params, env.dt
-    return ws
-
-
-def rollout_linear_gaussian(
-    env: Environment,
-    mean_coef: np.ndarray,
-    cov_chol: np.ndarray,
-    y0: float,
-    n_steps: int,
-    rng: np.random.Generator,
-    *,
-    workspace: SimpleNamespace | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Single fast episode of a state-linear Gaussian policy.
-
-    Draws the episode's normals in one block of shape (K, d+1) and runs
-    the same kernel as simulate_linear_gaussian_batch, so the result is
-    bit-identical to the corresponding row of a batch under the same stream.
-    workspace, from rollout_workspace(env, n_steps), saves building the
-    buffers on every call.
-    """
-    m, mean_coef, cov_chol = _policy_args(env.params, mean_coef, cov_chol, y0, env.dt)
-    if workspace is None:
-        workspace = rollout_workspace(env, n_steps)
-    elif workspace.params is not env.params or workspace.dt != env.dt or workspace.x.shape[1] != n_steps:
-        raise ValueError("the workspace was built for another environment or step count")
-    rng.standard_normal(out=workspace.normals[0])
-    _increments(m, mean_coef, cov_chol, workspace, 1)
-    env.clamp_events += _paths(m, y0, env.action_cap, workspace, 1)
-    _check_finite(workspace.states[:, 1:], 0)
-    return workspace.states[0].copy(), workspace.actions[0].copy(), workspace.local[0].copy()
-
-
-def linear_gaussian_blocks(
-    params: ModelParams,
-    mean_coef: np.ndarray,
-    cov_chol: np.ndarray,
-    n_paths: int,
-    y0: float,
-    T: float,
-    dt: float,
-    seed: int,
-    action_cap: float = DEFAULT_ACTION_CAP,
-) -> Iterator[BatchPaths]:
-    """The rows of simulate_linear_gaussian_batch, streamed in blocks of at most BLOCK_ROWS paths.
-
-    Memory stays at one block whatever n_paths is.  A block's arrays are
-    overwritten by the next block, so read them before asking for it; a
-    NonFinite names the path by its index in the whole run.
+    Draws the episode's normals from rng in one block of shape (K, d+1) and
+    runs the kernel of simulate_linear_gaussian_batch, so the result is
+    bit-identical to the batch's row on the same stream.  The batch counts
+    the clamps.
     """
     m, mean_coef, cov_chol = _policy_args(params, mean_coef, cov_chol, y0, dt)
-    times = _grid(T, dt)
-
-    def fill(ws, n, first_path):
-        _increments(m, mean_coef, cov_chol, ws, n)
-        clamp_events = _paths(m, y0, action_cap, ws, n)
-        _check_finite(ws.states[:n, 1:], first_path)
-        return BatchPaths(times, ws.states[:n], ws.actions[:n], ws.local[:n], clamp_events)
-
-    return _blocks(len(times) - 1, params.d, n_paths, seed, fill)
+    ws = _workspace(1, n_steps, params.d)
+    rng.standard_normal(out=ws.normals[0])
+    _increments(m, mean_coef, cov_chol, ws, 1)
+    _paths(m, y0, action_cap, ws, 1)
+    _check_finite(ws.states[:, 1:], 0)
+    return ws.states[0], ws.actions[0], ws.local[0]
 
 
 def increment_blocks(params: ModelParams, mean_coef: np.ndarray, cov_chol: np.ndarray, n_paths: int, y0: float,
                      T: float, dt: float, seed: int, action_cap: float = DEFAULT_ACTION_CAP
                      ) -> Iterator[IncrementBlock]:
-    """The (u_k, X_k) of the rows of linear_gaussian_blocks, in the same blocks, without their states.
+    """The (u_k, X_k) of the rows of simulate_linear_gaussian_batch, in blocks of at most BLOCK_ROWS paths.
 
     They are the kernel's own u and X; the reflection map runs only on a block
     where a clamp can bind (_relative_paths).  The next block overwrites a block's
@@ -501,8 +414,16 @@ def simulate_linear_gaussian_batch(
     policy used by the learner.  One Philox stream per episode keeps the
     result bit-identical to sequential generation path by path.
     """
-    blocks = linear_gaussian_blocks(params, mean_coef, cov_chol, n_paths, y0, T, dt, seed, action_cap)
-    return _batch(blocks, _grid(T, dt), params.d, n_paths)
+    m, mean_coef, cov_chol = _policy_args(params, mean_coef, cov_chol, y0, dt)
+    times = _grid(T, dt)
+
+    def fill(ws, n, first_path):
+        _increments(m, mean_coef, cov_chol, ws, n)
+        clamp_events = _paths(m, y0, action_cap, ws, n)
+        _check_finite(ws.states[:n, 1:], first_path)
+        return BatchPaths(times, ws.states[:n], ws.actions[:n], ws.local[:n], clamp_events)
+
+    return _batch(_blocks(len(times) - 1, params.d, n_paths, seed, fill), times, params.d, n_paths)
 
 
 def aggregated_coefficients(params: ModelParams, gamma: float) -> tuple[float, float]:

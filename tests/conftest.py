@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from benchtrack import qlearn, sde
-from benchtrack.model import ModelParams, classical_solution, exploratory_constants
+from benchtrack.model import DomainError, ModelParams, classical_solution, exploratory_constants
+from oracles import EpisodePath
 
 
 @pytest.fixture(scope="session")
@@ -29,9 +30,9 @@ def pp_star(exploratory_ref) -> qlearn.PolicyParams:
     return qlearn.PolicyParams.from_constants(exploratory_ref)
 
 
-def one_step_path(y: float, a, y_next: float, dL: float, dt: float) -> sde.EpisodePath:
+def one_step_path(y: float, a, y_next: float, dL: float, dt: float) -> EpisodePath:
     """A single transition y -> y_next under action a, with local time dL."""
-    return sde.EpisodePath(
+    return EpisodePath(
         times=np.array([0.0, dt]),
         states=np.array([y, y_next]),
         actions=np.atleast_2d(np.asarray(a, dtype=float)),
@@ -55,7 +56,7 @@ def q_gradient(pp: qlearn.PolicyParams, rho: float, y: float, a):
     return row[1 : 1 + d] / row[0], row[1 + d :].reshape(d, d) / row[0]
 
 
-def path_statistics(pp: qlearn.PolicyParams, path: sde.EpisodePath, rho: float):
+def path_statistics(pp: qlearn.PolicyParams, path: EpisodePath, rho: float):
     """(row, d_row): one path's orthogonality sums [stat_xi, stat_psi1, stat_psi2] as a 1-row block, and xi-slopes."""
     theta, M = qlearn._statistics_map(pp, rho)
     batch = sde.BatchPaths(path.times, path.states[None], path.actions[None], path.local_time[None])
@@ -74,8 +75,24 @@ def _path_reductions(batch: sde.BatchPaths, reduce):
     """The two per-path arrays that reduce(block, workspace) gives for each block of a batch, concatenated."""
     n, K, d = batch.actions.shape
     ws = qlearn._feature_workspace(sde.BLOCK_ROWS, K, d)
-    parts = [reduce(block, ws) for block in qlearn._path_increments(batch)]
+    parts = [reduce(block, ws) for block in path_increments(batch)]
     return tuple(np.concatenate(arrays) for arrays in zip(*parts))
+
+
+def path_increments(batch: sde.BatchPaths):
+    """The (u_k, X_k) of a batch's stored paths as the sde.IncrementBlock stream that qlearn.orthogonality_stats reads.
+
+    They are read off the states and local time, BLOCK_ROWS paths at a time:
+    u_k = a_k / (1 + y_k) and X_k = ln(1 + y_{k+1}) - ln(1 + y_k) - dL_k.
+    """
+    for start in range(0, len(batch.states), sde.BLOCK_ROWS):
+        rows = slice(start, start + sde.BLOCK_ROWS)
+        states, local = batch.states[rows], batch.local_time[rows]
+        if states.min() < 0.0:
+            raise DomainError(f"state must be >= 0, got {states!r}")
+        x = np.diff(np.log1p(states), axis=1) - np.diff(local, axis=1)
+        u = np.moveaxis(batch.actions[rows], -1, 0) / (1.0 + states[:, :-1])
+        yield sde.IncrementBlock(batch.times, u, x)
 
 
 def random_params(rng: np.random.Generator, d: int | None = None) -> ModelParams:

@@ -6,7 +6,8 @@ and never calls the code paths it is used to verify.  The `*_loop`
 simulators take one step at a time: they advance H = ln(1+y) by its exact
 increment X_k (the relative action held over the step) and reflect it by
 H' = max(H + X_k, 0), crediting the shortfall to L; they share only the
-grid, the random streams and the result types with `sde`.  The `per_path`
+grid, the random streams and the result types with `sde`.  An `EpisodePath`
+is one path, a row of a BatchPaths (`episode_paths`).  The `per_path`
 samplers, `skorokhod_log_path` and `export_paths_csv_per_row` are the
 package's API from before every sampler returned a BatchPaths: one path per
 call and one CSV row per write.  Each batch row and the bulk writer's bytes
@@ -133,6 +134,22 @@ def exact_increment_two_factor(params, dt: float, u: np.ndarray, normals: np.nda
     return c - 0.5 * v * dt
 
 
+@dataclass(frozen=True)
+class EpisodePath:
+    """One discretized reflected trajectory on a uniform grid: a row of an sde.BatchPaths."""
+
+    times: np.ndarray       # (K+1,)
+    states: np.ndarray      # (K+1,)
+    actions: np.ndarray     # (K, d)
+    local_time: np.ndarray  # (K+1,), L_0 = 0
+
+
+def episode_paths(batch: sde.BatchPaths) -> list[EpisodePath]:
+    """The rows of a batch, one EpisodePath each."""
+    return [EpisodePath(batch.times, states, actions, local)
+            for states, actions, local in zip(batch.states, batch.actions, batch.local_time)]
+
+
 def _lindley_step(H, x):
     """H' = max(H + x, 0) and the push max(-(H + x), 0) that it takes; a nan H + x is kept as H'."""
     h = H + x
@@ -140,21 +157,21 @@ def _lindley_step(H, x):
 
 
 def rollout_linear_gaussian_loop(
-    env: sde.Environment,
+    params,
     mean_coef: np.ndarray,
     cov_chol: np.ndarray,
     y0: float,
     n_steps: int,
+    dt: float,
     rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Step-by-step episode of a state-linear Gaussian policy, exact in ln(1+y).
+    action_cap: float = sde.DEFAULT_ACTION_CAP,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Step-by-step episode of a state-linear Gaussian policy, exact in ln(1+y), and its clamp count.
 
     The reference for sde.rollout_linear_gaussian: same stream, same draws.
     """
     if y0 < 0.0:
         raise ValueError(f"y0 must be >= 0, got {y0}")
-    params = env.params
-    dt = env.dt
     d = params.d
     K = n_steps
     normals = rng.standard_normal((K, d + 1))
@@ -167,14 +184,14 @@ def rollout_linear_gaussian_loop(
     states[0] = y0
     local[0] = 0.0
     y, H, L = float(y0), math.log1p(y0), 0.0
-    cap = env.action_cap
+    clamps = 0
     for k in range(K):
         scale = 1.0 + y
         u = mean_coef + cov_chol @ normals[k, :d]
         norm = float(np.linalg.norm(scale * u))
-        if norm > cap:
-            u *= cap / norm
-            env.clamp_events += 1
+        if norm > action_cap:
+            u *= action_cap / norm
+            clamps += 1
         H, dL = _lindley_step(H, float(exact_increment(params, dt, u, normals[k, d])))
         y = math.expm1(H)
         if not (math.isfinite(y) and math.isfinite(dL)):
@@ -183,7 +200,7 @@ def rollout_linear_gaussian_loop(
         actions[k] = scale * u
         states[k + 1] = y
         local[k + 1] = L
-    return states, actions, local
+    return states, actions, local, clamps
 
 
 def simulate_linear_gaussian_batch_loop(
@@ -258,7 +275,7 @@ def simulate_aggregated_loop(
     T: float,
     dt: float,
     rng: np.random.Generator,
-) -> sde.EpisodePath:
+) -> EpisodePath:
     """Step-by-step path of the aggregated dynamics, exact in ln(1+y).
 
     The reference for sde.simulate_aggregated: same stream.
@@ -279,7 +296,7 @@ def simulate_aggregated_loop(
         H, dL = _lindley_step(H, (b - 0.5 * s * s) * dt + s * sqdt * shocks[k])
         states[k + 1] = math.expm1(H)
         local[k + 1] = local[k] + dL
-    return sde.EpisodePath(times=times, states=states, actions=np.empty((K, 0)), local_time=local)
+    return EpisodePath(times=times, states=states, actions=np.empty((K, 0)), local_time=local)
 
 
 def simulate_aggregated_per_path(
@@ -289,7 +306,7 @@ def simulate_aggregated_per_path(
     T: float,
     dt: float,
     rng: np.random.Generator,
-) -> sde.EpisodePath:
+) -> EpisodePath:
     """Path of the one-factor aggregated dynamics by the reflection map on X_k = (b - s^2/2) dt + s sqrt(dt) z_k."""
     if y0 < 0.0:
         raise ValueError(f"y0 must be >= 0, got {y0}")
@@ -299,7 +316,7 @@ def simulate_aggregated_per_path(
     x = s * math.sqrt(dt) * rng.standard_normal(K)[None] + (b - 0.5 * s * s) * dt
     states, local = np.full((1, K + 1), float(y0)), np.zeros((1, K + 1))
     sde._reflect(x, states, local, sde._workspace(1, K, 0))
-    return sde.EpisodePath(times=times, states=states[0], actions=np.empty((K, 0)), local_time=local[0])
+    return EpisodePath(times=times, states=states[0], actions=np.empty((K, 0)), local_time=local[0])
 
 
 @dataclass(frozen=True)
@@ -342,10 +359,10 @@ def skorokhod_log_path(
 
 
 def export_paths_csv_per_row(
-    paths: sde.BatchPaths | list[sde.EpisodePath], csv_path, meta_path=None, metadata: dict | None = None
+    paths: sde.BatchPaths | list[EpisodePath], csv_path, meta_path=None, metadata: dict | None = None
 ) -> None:
     """Write paths as (episode, k, t, y, action..., dL, L) rows plus a metadata JSON."""
-    episodes = list(paths) if not isinstance(paths, list) else paths
+    episodes = paths if isinstance(paths, list) else episode_paths(paths)
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         d = 0 if not episodes or episodes[0].actions is None else episodes[0].actions.shape[1]
@@ -368,7 +385,7 @@ def export_paths_csv_per_row(
             json.dump(metadata or {}, fh, indent=2, default=str)
 
 
-def episode_statistics_loop(pp, rho: float, ep: sde.EpisodePath) -> np.ndarray:
+def episode_statistics_loop(pp, rho: float, ep: EpisodePath) -> np.ndarray:
     """One episode's orthogonality sums as a row (xi, psi1, psi2 raveled).
 
     The package's per-episode statistics from before they were computed per
@@ -420,9 +437,9 @@ def _statistics_row(pp, stat_xi, stat_psi1, stat_psi2):
     return np.concatenate([[stat_xi], stat_psi1.ravel(), stat_psi2.ravel()])
 
 
-def orthogonality_rows_loop(pp, paths, rho: float) -> np.ndarray:
+def orthogonality_rows_loop(pp, batch: sde.BatchPaths, rho: float) -> np.ndarray:
     """Per-path sums, one episode at a time: the reference rows of qlearn.orthogonality_stats."""
-    return np.array([episode_statistics_loop(pp, rho, ep) for ep in paths])
+    return np.array([episode_statistics_loop(pp, rho, ep) for ep in episode_paths(batch)])
 
 
 def run_tracking_loop(
@@ -498,7 +515,7 @@ def psi3_policy_steps(psi1: np.ndarray, psi2: np.ndarray, gamma: float) -> float
 
 
 def train_loop(
-    config: qlearn.LearnConfig, env: sde.Environment, policy: qlearn.PolicyParams | None = None,
+    config: qlearn.LearnConfig, params, policy: qlearn.PolicyParams | None = None,
     sums: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> qlearn.TrainHistory:
     """The offline least-squares loop one episode at a time, with every episode's generator and buffers built anew.
@@ -511,9 +528,7 @@ def train_loop(
     block's end and at the run's end.  `policy` and `sums` stand for the
     block's policy and the sums of a run that a resumed run continues.
     """
-    if not math.isclose(env.dt, config.dt, rel_tol=1e-12):
-        raise ValueError(f"environment step {env.dt} != config step {config.dt}")
-    d = env.params.d
+    d = params.d
     pp = config.initial_params(d) if policy is None else policy
     pp.precision   # a start with no Gibbs policy raises SingularPsi2, as in qlearn.train
     n, K = config.n_episodes, config.n_steps
@@ -527,8 +542,8 @@ def train_loop(
     episodes = np.arange(config.start_episode, config.start_episode + n)
     times = np.linspace(0.0, config.T, K + 1)
     disc = np.exp(-config.rho * times[:-1])
-    market = sde._market(env.params, env.dt)
-    clamps_before = env.clamp_events
+    market = sde._market(params, config.dt)
+    clamp_events = 0
     rejected: list[int] = []
     for idx, i in enumerate(episodes):
         i = int(i)
@@ -536,7 +551,7 @@ def train_loop(
         ws, fws = sde._workspace(1, K, d), qlearn._feature_workspace(1, K, d)
         sde.episode_rng(config.seed, i).standard_normal(out=ws.normals[0])
         with np.errstate(over="ignore", invalid="ignore"):
-            env.clamp_events += sde._relative_paths(market, mean_coef, cov_chol, config.y0, env.action_cap, ws, 1)
+            clamp_events += sde._relative_paths(market, mean_coef, cov_chol, config.y0, config.action_cap, ws, 1)
             A_r, b_r = qlearn._normal_sums(qlearn._features(ws.u, fws), ws.x, disc, float(times[1] - times[0]), fws)
         if np.isfinite(A_r).all() and np.isfinite(b_r).all():
             A = A + A_r[0]
@@ -566,7 +581,7 @@ def train_loop(
         psi3=hist_psi3,
         clipped=hist_held,
         rejected_episodes=rejected,
-        clamp_events=env.clamp_events - clamps_before,
+        clamp_events=clamp_events,
         final=final,
         policy=pp,
         A=A,

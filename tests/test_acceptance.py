@@ -20,7 +20,7 @@ from benchtrack.model import (
     lambda_polynomial,
     solve_lambda,
 )
-from conftest import q_gradient, random_params
+from conftest import path_increments, q_gradient, random_params
 from oracles import REF, bisect_root, central_diff, rel_err
 
 GAMMA = 0.2
@@ -116,10 +116,10 @@ def test_criterion_5_martingale_z_test(params_ref, pp_star):
     batch = sde.simulate_linear_gaussian_batch(
         params_ref, mean_coef, cov_chol, 10_000, 1.0, 12.0, 0.01, seed=1
     )
-    stats = qlearn.orthogonality_stats(pp_star, batch, RHO)
+    stats = qlearn.orthogonality_stats(pp_star, path_increments(batch), RHO)
     zs = stats.z_scores()
     shifted = qlearn.PolicyParams(pp_star.xi + 0.5, pp_star.psi1, pp_star.psi2, GAMMA)
-    z_shift = qlearn.orthogonality_stats(shifted, batch, RHO).as_dict()["xi"]["z"]
+    z_shift = qlearn.orthogonality_stats(shifted, path_increments(batch), RHO).as_dict()["xi"]["z"]
     elapsed = time.perf_counter() - t0
     ok = bool(np.all(np.abs(zs) < 3.0)) and abs(z_shift) > 5.0 and elapsed < 600.0
     report(5, ok, f"z-scores {['%.2f' % z for z in zs]}, shifted control z "
@@ -142,11 +142,10 @@ def test_criterion_6_desk_scale_training(params_ref):
     t0 = time.perf_counter()
     finals, stds = [], []
     for seed in (1, 2, 3):
-        env = sde.Environment(params=params_ref, dt=0.01)
         cfg = qlearn.LearnConfig(
             y0=1.0, T=12.0, dt=0.01, n_episodes=4000, gamma=GAMMA, rho=RHO, seed=seed
         )
-        hist = qlearn.train(cfg, env)
+        hist = qlearn.train(cfg, params_ref)
         finals.append((hist.final.xi, float(hist.final.psi1[0]), float(hist.final.psi2[0, 0])))
         tail = slice(3600, 4000)
         stds.append(

@@ -13,6 +13,7 @@ import yaml
 from benchtrack import cli, qlearn, sde
 from benchtrack.cli import main
 from benchtrack.model import ModelParams, exploratory_constants
+from conftest import path_increments
 from oracles import REF, orthogonality_rows_loop
 
 MODEL_BLOCK = {
@@ -426,7 +427,7 @@ def test_diagnose_streams_the_stored_batch_result(tmp_path):
     assert payload["orthogonality"] == qlearn.orthogonality_stats(pp, blocks, params.rho).as_dict()
     # the statistics of the same paths, stored and read off their states
     batch = sde.simulate_linear_gaussian_batch(params, mean_coef, cov_chol, 37, 1.0, 1.0, 0.02, 9)
-    stored = qlearn.orthogonality_stats(pp, batch, params.rho).as_dict()
+    stored = qlearn.orthogonality_stats(pp, path_increments(batch), params.rho).as_dict()
     for name, stats in payload["orthogonality"].items():
         assert stats["mean"] == pytest.approx(stored[name]["mean"], rel=1e-10)
         assert stats["stderr"] == pytest.approx(stored[name]["stderr"], rel=1e-10)
@@ -549,6 +550,26 @@ def test_backtest_command(tmp_path):
      "diagnose.T and diagnose.dt go together"),
     ("diagnose", {"diagnose": {"n_paths": 10, "xi_shift": 0.5, "sweep": {"dt_list": [0.1], "T_list": [0.2]}}},
      "diagnose.xi_shift shifts the (T, dt) diagnostics"),
+    # a value of the right kind out of its range, one or more per command
+    ("train", {"train": {"T": 0.2, "dt": 0.1, "episodes": 0}}, "train.episodes is 0: it must be >= 1"),
+    ("train", {"train": {"T": 0.2, "dt": 0.1, "episodes": 2, "gamma": -1}}, "train.gamma is -1: it must be > 0"),
+    ("train", {"train": {"T": 0.2, "dt": 0.1, "episodes": 2, "y0": -1}}, "train.y0 is -1: it must be >= 0"),
+    ("simulate", {"simulate": {"n_paths": 3, "T": 0.2, "dt": 0.1, "gamma": -1}}, "simulate.gamma is -1: it must be > 0"),
+    ("simulate", {"simulate": {"scheme": "aggregated", "n_paths": 3, "T": 0.2, "dt": 0.1, "gamma": -1}},
+     "simulate.gamma is -1: it must be > 0"),
+    ("simulate", {"simulate": {"n_paths": 3, "T": 0.2, "dt": 0.1, "y0": -1}}, "simulate.y0 is -1: it must be >= 0"),
+    ("simulate", {"simulate": {"scheme": "aggregated", "n_paths": 3, "T": 0.2, "dt": 0.1, "y0": -1}},
+     "simulate.y0 is -1: it must be >= 0"),
+    ("solve", {"gamma": -1}, "config.gamma is -1: it must be > 0"),
+    ("solve", {"grid": {"step": 0}}, "grid.step is 0: it must be > 0"),
+    ("solve", {"grid": {"step": -0.1}}, "grid.step is -0.1: it must be > 0"),
+    ("solve", {"grid": {"y_max": -1}}, "grid.y_max is -1: it must be >= 0"),
+    ("diagnose", {"diagnose": {"T": 0.2, "dt": 0.1, "n_paths": 10, "gamma": -1}}, "diagnose.gamma is -1: it must be > 0"),
+    ("diagnose", {"diagnose": {"T": 0.2, "dt": 0.1, "n_paths": 10, "y0": -1}}, "diagnose.y0 is -1: it must be >= 0"),
+    # diagnose.params may only repeat diagnose.gamma, as a resumed or backtested snapshot may
+    ("diagnose", {"diagnose": {"T": 0.2, "dt": 0.1, "n_paths": 10, "gamma": 0.2,
+                               "params": {"xi": 0.36, "psi1": [0.37], "psi2": [[1.0]], "gamma": 0.05}}},
+     "gamma 0.2 differs from the gamma 0.05 that diagnose.params was trained at"),
 ])
 def test_bad_horizon_or_path_count_exits_2(tmp_path, caplog, command, block, message):
     cfg = write_config(tmp_path, {**MODEL_BLOCK, **block})
@@ -595,6 +616,9 @@ def test_model_eta_must_have_unit_norm(tmp_path, caplog, model, code):
      "backtest.strategies[0] has unknown key 'execution'"),
     ({"strategies": [{"type": "classical", "model": MODEL_BLOCK["model"], "kappa": 0.5}]},
      "backtest.strategies[0] has unknown key 'kappa'"),
+    # values out of range
+    ({"strategies": [{"type": "mle"}], "v0": -1}, "backtest.v0 is -1: it must be >= 0"),
+    ({"strategies": [{"type": "mle"}], "rho": -0.1}, "backtest.rho is -0.1: it must be > 0"),
 ])
 def test_backtest_bad_strategy_list_exits_2(tmp_path, caplog, backtest, message):
     backtest = dict(backtest)
@@ -636,6 +660,36 @@ def test_backtest_rejects_mismatched_learned_gamma(tmp_path, caplog):
     cfg = _learned_backtest_config(tmp_path, bare, "none.yaml")
     assert main(["backtest", "--config", cfg, "--out", str(out)]) == 2
     assert "stores no gamma" in caplog.text
+
+
+def test_backtest_refuses_a_negative_sample_seed(tmp_path, caplog):
+    snapshot = tmp_path / "learned.json"
+    snapshot.write_text(json.dumps({"xi": 0.36, "psi1": [0.37], "psi2": [[1.0]], "gamma": 0.2}))
+    cfg = _learned_backtest_config(tmp_path, snapshot, "seed.yaml", execution="sample", sample_seed=-1)
+    out = tmp_path / "out"
+    assert main(["backtest", "--config", cfg, "--out", str(out)]) == 2
+    assert "backtest.strategies[0].sample_seed is -1: it must be >= 0" in caplog.text
+    assert [p.name for p in out.iterdir()] == []
+
+
+def test_diagnose_draws_at_the_gamma_of_its_params(tmp_path):
+    # the gamma of diagnose.params, as a pasted learned.json has it, sets the temperature, which
+    # diagnose.gamma may only repeat; params without one are drawn at diagnose.gamma, or rho / d
+    params = {"xi": 0.36, "psi1": [0.37], "psi2": [[1.0]]}
+
+    def run(name, **diagnose):
+        cfg = write_config(tmp_path, {**MODEL_BLOCK, "diagnose": {"T": 0.5, "dt": 0.05, "n_paths": 20, **diagnose}},
+                           name=f"{name}.yaml")
+        assert main(["diagnose", "--config", cfg, "--out", str(tmp_path / name)]) == 0
+        payload = json.loads((tmp_path / name / "diagnostics.json").read_text())
+        del payload["config"]
+        return payload
+
+    bare = run("bare", params=params)
+    assert run("default", params={**params, "gamma": 0.2}) == bare
+    assert run("repeated", gamma=0.2, params={**params, "gamma": 0.2}) == bare
+    cold = run("cold", params={**params, "gamma": 0.05})
+    assert cold == run("config", gamma=0.05, params=params) != bare
 
 
 def test_train_backtest_round_trip(tmp_path):

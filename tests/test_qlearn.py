@@ -8,10 +8,12 @@ from scipy.integrate import quad
 
 from benchtrack import qlearn, sde
 from benchtrack.model import DomainError, ModelParams, exploratory_constants
-from conftest import one_step_path, path_statistics, path_sums, q_gradient, random_params
+from conftest import one_step_path, path_increments, path_statistics, path_sums, q_gradient, random_params
 from oracles import (
     REF,
+    EpisodePath,
     central_diff,
+    episode_paths,
     exact_increment,
     gaussian_entropy,
     gaussian_expect_quadratic,
@@ -248,7 +250,7 @@ FIXTURE_EXPECT = {
 
 def test_update_statistics_hand_computed_fixture():
     pp = qlearn.PolicyParams(**FIXTURE_PP)
-    path = sde.EpisodePath(**FIXTURE_PATH)
+    path = EpisodePath(**FIXTURE_PATH)
     assert pp.psi3 == pytest.approx(FIXTURE_EXPECT["psi3"], abs=1e-14)
     (sx, s1, s2), _ = path_statistics(pp, path, RHO)
     assert sx == pytest.approx(FIXTURE_EXPECT["stat_xi"], abs=1e-13)
@@ -263,8 +265,7 @@ def test_update_statistics_results_outlive_the_next_episode():
 
     def rows(path):
         batch = sde.BatchPaths(path["times"], path["states"][None], path["actions"][None], path["local_time"][None])
-        return qlearn._orthogonality_rows(*qlearn._statistics_map(pp, RHO), RHO, next(qlearn._path_increments(batch)),
-                                          ws)[0]
+        return qlearn._orthogonality_rows(*qlearn._statistics_map(pp, RHO), RHO, next(path_increments(batch)), ws)[0]
 
     first = rows(FIXTURE_PATH)
     kept = np.copy(first)
@@ -308,18 +309,22 @@ def test_update_derives_each_fit_once(params_ref, pp_star, monkeypatch):
 # ------------------------------------------------------------------ train
 
 def test_train_single_episode_applies_one_update(params_ref):
-    env = sde.Environment(params=params_ref, dt=0.05)
     cfg = qlearn.LearnConfig(y0=1.0, T=1.0, dt=0.05, n_episodes=1, gamma=GAMMA, rho=RHO, seed=5)
-    hist = qlearn.train(cfg, env)
+    hist = qlearn.train(cfg, params_ref)
     assert len(hist.episodes) == 1
     assert hist.final.xi != 0.0  # one update moved the neutral start
 
 
+def test_learn_config_refuses_a_negative_start():
+    # the config holds train's start y0, whose ln(1 + y0) the kernel takes
+    with pytest.raises(ValueError, match="y0 must be >= 0, got -0.5"):
+        qlearn.LearnConfig(y0=-0.5, T=1.0, dt=0.05, n_episodes=1, gamma=GAMMA, rho=RHO, seed=5)
+
+
 def test_train_reproducible(params_ref):
     def run():
-        env = sde.Environment(params=params_ref, dt=0.05)
         cfg = qlearn.LearnConfig(y0=1.0, T=2.0, dt=0.05, n_episodes=20, gamma=GAMMA, rho=RHO, seed=9)
-        return qlearn.train(cfg, env)
+        return qlearn.train(cfg, params_ref)
 
     h1, h2 = run(), run()
     assert np.array_equal(h1.xi, h2.xi)
@@ -340,7 +345,7 @@ def test_train_resume_equals_single_run(params_ref):
     def run(n_episodes, start_episode=1, **resume):
         cfg = qlearn.LearnConfig(y0=1.0, T=2.0, dt=0.05, n_episodes=n_episodes, gamma=GAMMA, rho=RHO, seed=2,
                                  start_episode=start_episode)
-        return qlearn.train(cfg, sde.Environment(params=params_ref, dt=0.05), **resume)
+        return qlearn.train(cfg, params_ref, **resume)
 
     full, first = run(10), run(5)
     resumed = run(5, 6, policy=first.policy, sums=(first.A, first.b))
@@ -357,24 +362,26 @@ def test_train_resume_equals_single_run(params_ref):
 
 
 def test_train_counts_only_its_own_clamps(params_ref):
-    # a reused environment keeps a running total; each history reports its own run
-    env = sde.Environment(params=params_ref, dt=0.05, action_cap=0.5)
-    cfg = qlearn.LearnConfig(y0=1.0, T=2.0, dt=0.05, n_episodes=5, gamma=GAMMA, rho=RHO, seed=4)
-    first, second = qlearn.train(cfg, env), qlearn.train(cfg, env)
+    # each history reports its own run: the clamps of its episodes' streams (4, 1) ... (4, 5), which
+    # the start policy draws, are a 6-row batch's less the one-row batch's on stream (4, 0)
+    cfg = qlearn.LearnConfig(y0=1.0, T=2.0, dt=0.05, n_episodes=5, gamma=GAMMA, rho=RHO, seed=4, action_cap=0.5)
+    first, second = qlearn.train(cfg, params_ref), qlearn.train(cfg, params_ref)
     assert first.clamp_events > 0
     assert second.clamp_events == first.clamp_events
-    assert env.clamp_events == 2 * first.clamp_events
+    batch_args = (params_ref, *cfg.initial_params(1).policy_coefficients())
+    batch_clamps = [sde.simulate_linear_gaussian_batch(*batch_args, n, 1.0, 2.0, 0.05, 4, 0.5).clamp_events
+                    for n in (6, 1)]
+    assert first.clamp_events == batch_clamps[0] - batch_clamps[1]
 
 
 def test_train_near_fixed_point_stays_close(params_ref, exploratory_ref):
     # initialized at the known solution, the fit stays near it
-    env = sde.Environment(params=params_ref, dt=0.02)
     cfg = qlearn.LearnConfig(
         y0=1.0, T=6.0, dt=0.02, n_episodes=2000, gamma=GAMMA, rho=RHO, seed=11,
         psi1_0=exploratory_ref.psi1_star,
         psi2_0=exploratory_ref.psi2_star,
     )
-    hist = qlearn.train(cfg, env)
+    hist = qlearn.train(cfg, params_ref)
     assert abs(hist.final.xi - exploratory_ref.xi_star) < 0.05
     assert abs(hist.final.psi1[0] - exploratory_ref.psi1_star[0]) < 0.05
     assert abs(hist.final.psi2[0, 0] - exploratory_ref.psi2_star[0, 0]) < 0.05
@@ -386,7 +393,7 @@ def test_train_fit_is_the_root_of_the_orthogonality_conditions(params_ref, d):
     # statistics of those 16 paths sum to zero in every component
     params = params_ref if d == 1 else PARAMS_D2
     cfg = qlearn.LearnConfig(y0=1.0, T=2.0, dt=0.01, n_episodes=16, gamma=GAMMA, rho=RHO, seed=24)
-    hist = qlearn.train(cfg, sde.Environment(params=params, dt=0.01))
+    hist = qlearn.train(cfg, params)
     mean_coef, cov_chol = cfg.initial_params(d).policy_coefficients()
     blocks = sde.increment_blocks(params, mean_coef, cov_chol, 17, 1.0, 2.0, 0.01, seed=24)
     rows = qlearn.orthogonality_stats(hist.final, blocks, RHO).rows[1:]   # episode i draws the stream (seed, i)
@@ -402,8 +409,8 @@ def test_reflection_map_runs_only_where_a_clamp_can_bind(params_ref, pp_star, mo
     mean_coef, cov_chol = pp_star.policy_coefficients()
 
     def run(cap):   # the clamps of a 16-episode train and of a 40-path diagnosis
-        cfg = qlearn.LearnConfig(y0=1.0, T=2.0, dt=0.01, n_episodes=16, gamma=GAMMA, rho=RHO, seed=3)
-        hist = qlearn.train(cfg, sde.Environment(params=params_ref, dt=0.01, action_cap=cap))
+        cfg = qlearn.LearnConfig(y0=1.0, T=2.0, dt=0.01, n_episodes=16, gamma=GAMMA, rho=RHO, seed=3, action_cap=cap)
+        hist = qlearn.train(cfg, params_ref)
         clamps = []
         blocks = sde.increment_blocks(params_ref, mean_coef, cov_chol, 40, 0.0, 2.0, 0.01, 4, cap)
         counted = (clamps.append(block.clamp_events) or block for block in blocks)
@@ -414,11 +421,11 @@ def test_reflection_map_runs_only_where_a_clamp_can_bind(params_ref, pp_star, mo
     train_clamps, diagnose_clamps = run(1.5)
     assert len(calls) >= 2 and train_clamps > 0 and diagnose_clamps > 0
     monkeypatch.setattr(sde, "_reflect", real)
-    env = sde.Environment(params=params_ref, dt=0.01, action_cap=1.5)   # the sampler route on the same streams
+    # the sampler route on the same streams: train's episodes 1 ... 16 are a 17-row batch's rows but stream (3, 0)
     start = qlearn.LearnConfig(y0=1.0, T=2.0, dt=0.01, n_episodes=16, gamma=GAMMA, rho=RHO, seed=3).initial_params(1)
-    for i in range(1, 17):
-        sde.rollout_linear_gaussian(env, *start.policy_coefficients(), 1.0, 200, sde.episode_rng(3, i))
-    assert env.clamp_events == train_clamps
+    rows = [sde.simulate_linear_gaussian_batch(params_ref, *start.policy_coefficients(), n, 1.0, 2.0, 0.01, 3, 1.5)
+            for n in (17, 1)]
+    assert rows[0].clamp_events - rows[1].clamp_events == train_clamps
     batch = sde.simulate_linear_gaussian_batch(params_ref, mean_coef, cov_chol, 40, 0.0, 2.0, 0.01, 4, 1.5)
     assert batch.clamp_events == diagnose_clamps
 
@@ -428,7 +435,7 @@ def test_train_lands_in_criterion_6_bands_from_other_starts(params_ref, psi2_0, 
     # criterion 6's setup, bands and tail check from starts away from psi2* = 1
     cfg = qlearn.LearnConfig(y0=1.0, T=12.0, dt=0.01, n_episodes=4000, gamma=GAMMA, rho=RHO, seed=seed,
                              psi2_0=[[psi2_0]])
-    hist = qlearn.train(cfg, sde.Environment(params=params_ref, dt=0.01))
+    hist = qlearn.train(cfg, params_ref)
     assert 0.26 <= hist.final.xi <= 0.46
     assert 0.17 <= hist.final.psi1[0] <= 0.57
     assert 0.8 <= hist.final.psi2[0, 0] <= 1.45
@@ -459,7 +466,7 @@ def test_train_counts_non_finite_xi_root_as_rejected(params_ref, monkeypatch):
     # a NaN in the xi (constant) equation of episode 3 keeps all of its sums out of the fit
     def run():
         cfg = qlearn.LearnConfig(y0=1.0, T=1.0, dt=0.05, n_episodes=5, gamma=GAMMA, rho=RHO, seed=6)
-        return qlearn.train(cfg, sde.Environment(params=params_ref, dt=0.05))
+        return qlearn.train(cfg, params_ref)
 
     clean = run()
     nan_sums_row(monkeypatch, 3)
@@ -495,9 +502,9 @@ def test_train_rejects_only_the_non_finite_row(params_ref, monkeypatch):
                         else episode_rng(seed, i))
     cfg = qlearn.LearnConfig(y0=1.0, T=1.0, dt=0.05, n_episodes=20, gamma=GAMMA, rho=RHO, seed=6)
     with np.errstate(invalid="ignore"):
-        hist = qlearn.train(cfg, sde.Environment(params=params_ref, dt=0.05))
+        hist = qlearn.train(cfg, params_ref)
         # the per-episode loop's rollout raises NonFinite on the same episode
-        loop = train_loop(cfg, sde.Environment(params=params_ref, dt=0.05))
+        loop = train_loop(cfg, params_ref)
     assert hist.rejected_episodes == loop.rejected_episodes == [5]
     # the other 19 rows are summed, each adding sum_k e^{-rho t_k} dt to A[0, 0], and the fits are finite
     assert hist.A[0, 0] == pytest.approx(19 * 0.05 * np.exp(-RHO * 0.05 * np.arange(20)).sum(), rel=1e-13)
@@ -510,16 +517,14 @@ def test_train_rejects_only_the_non_finite_row(params_ref, monkeypatch):
 def test_train_aborts_on_too_many_rejections():
     # an overflowing variance rate makes every step's X_k non-finite
     params = ModelParams(mu=[0.2], sigma=[[1e200]], sigma_z=0.2, kappa=0.5, eta=[1.0], rho=0.2)
-    env = sde.Environment(params=params, dt=0.05)
     cfg = qlearn.LearnConfig(y0=1.0, T=0.5, dt=0.05, n_episodes=50, gamma=GAMMA, rho=RHO, seed=1)
     with pytest.raises(qlearn.TooManyRejectedEpisodes):
-        qlearn.train(cfg, env)
+        qlearn.train(cfg, params)
 
 
 def test_history_export(tmp_path, params_ref):
-    env = sde.Environment(params=params_ref, dt=0.05)
     cfg = qlearn.LearnConfig(y0=1.0, T=1.0, dt=0.05, n_episodes=3, gamma=GAMMA, rho=RHO, seed=2)
-    hist = qlearn.train(cfg, env)
+    hist = qlearn.train(cfg, params_ref)
     out = tmp_path / "history.csv"
     hist.to_csv(out)
     lines = out.read_text().strip().splitlines()
@@ -540,9 +545,8 @@ def test_history_csv_bytes_equal_the_row_writer(tmp_path, params_ref, monkeypatc
         return (pp, True) if calls[0] % 2 else real(pp, A, b, rho)
 
     monkeypatch.setattr(qlearn, "update", every_other_held)
-    env = sde.Environment(params=params_ref if d == 1 else PARAMS_D2, dt=0.05)
     cfg = qlearn.LearnConfig(y0=1.0, T=1.0, dt=0.05, n_episodes=50, gamma=GAMMA, rho=RHO, seed=2)
-    hist = qlearn.train(cfg, env)
+    hist = qlearn.train(cfg, params_ref if d == 1 else PARAMS_D2)
     assert hist.clipped.sum() == 2 and not hist.clipped.all()
     hist.to_csv(tmp_path / "bulk.csv")
     history_csv_per_row(hist, tmp_path / "rows.csv")
@@ -555,18 +559,17 @@ def test_train_equals_the_per_episode_loop(params_ref, monkeypatch, case):
     # loop that holds the policy for a block and refits at its end, fresh generators and all
     params = PARAMS_D2 if case == "d2" else params_ref
     cap = 0.5 if case == "action_cap" else sde.DEFAULT_ACTION_CAP
-    kwargs = dict(y0=1.0, T=2.0, dt=0.01, n_episodes=30, gamma=GAMMA, rho=RHO, seed=11)
+    kwargs = dict(y0=1.0, T=2.0, dt=0.01, n_episodes=30, gamma=GAMMA, rho=RHO, seed=11, action_cap=cap)
     resume = {}
     if case == "resumed":   # 21 episodes stop inside the second block
-        first = qlearn.train(qlearn.LearnConfig(**dict(kwargs, n_episodes=21)), sde.Environment(params=params, dt=0.01))
+        first = qlearn.train(qlearn.LearnConfig(**dict(kwargs, n_episodes=21)), params)
         kwargs.update(start_episode=22)
         resume = dict(policy=first.policy, sums=(first.A, first.b))
 
     def run(trainer):
         if case == "rejected":
             nan_sums_row(monkeypatch, 7)
-        env = sde.Environment(params=params, dt=0.01, action_cap=cap)
-        return trainer(qlearn.LearnConfig(**kwargs), env, **resume)
+        return trainer(qlearn.LearnConfig(**kwargs), params, **resume)
 
     fast, loop = run(qlearn.train), run(train_loop)
     for field in ("episodes", "xi", "psi1", "psi2", "psi3", "clipped", "A", "b"):
@@ -589,7 +592,7 @@ def test_normal_sums_match_the_per_path_formula(d):
     batch = sde.simulate_linear_gaussian_batch(params, mean_coef, cov_chol, 21, 0.0, 1.0, 0.02, seed=d)
     A, b = path_sums(batch, params.rho)
     disc = np.exp(-params.rho * batch.times[:-1])
-    for r, path in enumerate(batch):
+    for r, path in enumerate(episode_paths(batch)):
         u = path.actions / (1.0 + path.states[:-1, None])
         x = np.diff(np.log1p(path.states)) - np.diff(path.local_time)
         quad = [-u[:, i] * u[:, j] * (0.5 if i == j else 1.0) for i in range(d) for j in range(i, d)]
@@ -613,7 +616,7 @@ def test_orthogonality_stats_need_two_paths(params_ref, pp_star):
     mean_coef, cov_chol = pp_star.policy_coefficients()
     one = sde.simulate_linear_gaussian_batch(params_ref, mean_coef, cov_chol, 1, 1.0, 0.5, 0.05, seed=2)
     with pytest.raises(ValueError, match="two episode paths"):
-        qlearn.orthogonality_stats(pp_star, one, RHO)
+        qlearn.orthogonality_stats(pp_star, path_increments(one), RHO)
 
 
 def _assert_rows_close(rows, reference, rel=1e-12):
@@ -631,21 +634,21 @@ def test_block_statistics_match_the_per_episode_loop(d):
     # 37 paths: two full blocks of 16 and a short one; starting at 0 makes reflections
     batch = sde.simulate_linear_gaussian_batch(params, mean_coef, cov_chol, 37, 0.0, 1.0, 0.02, seed=d)
     assert np.any(np.diff(batch.local_time, axis=1) > 0.0)
-    stats = qlearn.orthogonality_stats(pp, batch, params.rho)
+    stats = qlearn.orthogonality_stats(pp, path_increments(batch), params.rho)
     assert stats.n_paths == 37 and stats.components == qlearn._component_names(d)
     # the states-form q of the per-episode loop, and the (u_k, X_k) form read off each path
     loop = orthogonality_rows_loop(pp, batch, params.rho)
     increments = np.array([
         increment_statistics(pp, params.rho, path.times, path.actions / (1.0 + path.states[:-1, None]),
                              np.diff(np.log1p(path.states)) - np.diff(path.local_time))
-        for path in batch
+        for path in episode_paths(batch)
     ])
     for reference in (loop, increments):
         _assert_rows_close(stats.rows, reference)
         _assert_rows_close(stats.means, reference.mean(axis=0))
         assert np.allclose(stats.stderrs, reference.std(axis=0, ddof=1) / math.sqrt(37), rtol=1e-12, atol=0.0)
     # path_statistics reads a 1-row block, which rounds like its row of a 16-row or a 5-row block
-    for path, row in zip(batch, stats.rows):
+    for path, row in zip(episode_paths(batch), stats.rows):
         assert np.array_equal(path_statistics(pp, path, params.rho)[0], row)
 
 
@@ -656,9 +659,9 @@ def test_xi_shift_control_matches_a_second_pass(d):
     pp = random_pp(rng, d)
     mean_coef, cov_chol = pp.policy_coefficients()
     batch = sde.simulate_linear_gaussian_batch(params, mean_coef, cov_chol, 37, 1.0, 2.0, 0.02, seed=d)
-    derived = qlearn.orthogonality_stats(pp, batch, params.rho).shifted(0.5)
+    derived = qlearn.orthogonality_stats(pp, path_increments(batch), params.rho).shifted(0.5)
     shifted = qlearn.PolicyParams(pp.xi + 0.5, pp.psi1, pp.psi2, GAMMA)
-    second = qlearn.orthogonality_stats(shifted, batch, params.rho)
+    second = qlearn.orthogonality_stats(shifted, path_increments(batch), params.rho)
     _assert_rows_close(derived.rows, second.rows)
     assert np.allclose(derived.means, second.means, rtol=1e-12, atol=0.0)
     assert np.allclose(derived.stderrs, second.stderrs, rtol=1e-12, atol=0.0)
@@ -671,7 +674,7 @@ def test_streamed_statistics_equal_the_stored_batch(params_ref, pp_star):
     args = (params_ref, mean_coef, cov_chol, 33, 1.0, 2.0, 0.02, 15)
     streamed = qlearn.orthogonality_stats(pp_star, sde.increment_blocks(*args), RHO)
     batch = sde.simulate_linear_gaussian_batch(*args)
-    stored = qlearn.orthogonality_stats(pp_star, batch, RHO)
+    stored = qlearn.orthogonality_stats(pp_star, path_increments(batch), RHO)
     _assert_rows_close(streamed.rows, stored.rows)
     _assert_rows_close(streamed.d_rows, stored.d_rows)
     _assert_rows_close(streamed.rows, orthogonality_rows_loop(pp_star, batch, RHO))
@@ -687,7 +690,7 @@ def test_statistics_come_from_the_relative_action_and_exact_increment(params_ref
     batch = sde.simulate_linear_gaussian_batch(params, mean_coef, cov_chol, n, 0.0, T, dt, seed, cap)
     assert np.count_nonzero(np.diff(batch.local_time, axis=1) > 0.0) > 100
     assert (batch.clamp_events > 100) == (cap < 1.0)
-    stats = qlearn.orthogonality_stats(pp, batch, params.rho)
+    stats = qlearn.orthogonality_stats(pp, path_increments(batch), params.rho)
     K = round(T / dt)
     for i, row in enumerate(stats.rows):
         u = batch.actions[i] / (1.0 + batch.states[i, :-1, None])
@@ -700,12 +703,12 @@ def test_orthogonality_stats_centered_at_truth(params_ref, pp_star):
     batch = sde.simulate_linear_gaussian_batch(
         params_ref, mean_coef, cov_chol, 2000, 1.0, 6.0, 0.02, seed=41
     )
-    stats = qlearn.orthogonality_stats(pp_star, batch, RHO)
+    stats = qlearn.orthogonality_stats(pp_star, path_increments(batch), RHO)
     assert stats.n_paths == 2000
     assert np.all(np.abs(stats.z_scores()) < 4.0)
     # the shifted control is rejected with overwhelming power
     shifted = qlearn.PolicyParams(pp_star.xi + 0.5, pp_star.psi1, pp_star.psi2, GAMMA)
-    z_shift = qlearn.orthogonality_stats(shifted, batch, RHO).as_dict()["xi"]["z"]
+    z_shift = qlearn.orthogonality_stats(shifted, path_increments(batch), RHO).as_dict()["xi"]["z"]
     assert z_shift < -5.0
 
 
@@ -741,5 +744,5 @@ def test_convergence_study_single_cell_matches_stats(params_ref, pp_star):
     batch = sde.simulate_linear_gaussian_batch(
         params_ref, mean_coef, cov_chol, 300, 1.0, 2.0, 0.02, seed=15
     )
-    direct = qlearn.orthogonality_stats(pp_star, batch, RHO)
+    direct = qlearn.orthogonality_stats(pp_star, path_increments(batch), RHO)
     assert rows[0]["stats"]["xi"]["mean"] == pytest.approx(direct.means[0], abs=1e-15)

@@ -14,6 +14,8 @@ from benchtrack.model import ModelParams, exploratory_constants
 from conftest import random_params
 from oracles import (
     REF,
+    EpisodePath,
+    episode_paths,
     exact_increment_two_factor,
     export_paths_csv_per_row,
     rollout_linear_gaussian_loop,
@@ -93,9 +95,8 @@ def test_step_zero_noise_zero_action_falls_by_half_the_variance(params_ref):
     # from y0 = 0 the push takes that drop back and credits it as dL
     dt = 0.01
     drop = 0.5 * params_ref.sigma_z**2 * dt
-    env = sde.Environment(params=params_ref, dt=dt)
     for y0 in (1.0, 0.0):
-        states, actions, local = sde.rollout_linear_gaussian(env, [0.0], [[0.0]], y0, 1, _ZeroNoise())
+        states, actions, local = sde.rollout_linear_gaussian(params_ref, [0.0], [[0.0]], y0, 1, dt, _ZeroNoise())
         if y0 > 0.0:
             assert math.log1p(states[1]) - math.log1p(y0) == pytest.approx(-drop, rel=1e-11)
             assert local[1] == 0.0
@@ -108,44 +109,40 @@ def test_step_zero_noise_zero_action_falls_by_half_the_variance(params_ref):
 def test_step_negative_drift_credits_local_time():
     # near-zero noise: the action's drift pushes the state from 0 below zero
     params = ModelParams(mu=[-1.0], sigma=[[1e-15]], sigma_z=1e-15, kappa=0.5, eta=[1.0], rho=0.2)
-    env = sde.Environment(params=params, dt=1.0)
-    states, _, local = sde.rollout_linear_gaussian(env, [0.01], [[0.0]], 0.0, 1, sde.episode_rng(0, 0))
+    states, _, local = sde.rollout_linear_gaussian(params, [0.01], [[0.0]], 0.0, 1, 1.0, sde.episode_rng(0, 0))
     assert states[1] == 0.0
     assert local[1] == pytest.approx(0.01, abs=1e-12)
 
 
 def test_step_no_local_time_when_positive(params_ref, pp_star):
-    env = sde.Environment(params=params_ref, dt=0.01)
     mean_coef, cov_chol = pp_star.policy_coefficients()
-    states, _, local = sde.rollout_linear_gaussian(env, mean_coef, cov_chol, 50.0, 100, sde.episode_rng(1, 0))
+    states, _, local = sde.rollout_linear_gaussian(params_ref, mean_coef, cov_chol, 50.0, 100, 0.01,
+                                                   sde.episode_rng(1, 0))
     assert np.all(states > 0.0)
     assert np.all(local == 0.0)
 
 
 def test_step_rejects_non_finite(params_ref):
     # with no cap, a mean action of 1e200 overflows y within a few steps
-    env = sde.Environment(params=params_ref, dt=0.01, action_cap=math.inf)
     with pytest.raises(sde.NonFinite, match="path 0, step"), np.errstate(over="ignore", invalid="ignore"):
-        sde.rollout_linear_gaussian(env, [1e200], [[1.0]], 0.5, 10, sde.episode_rng(2, 0))
+        sde.rollout_linear_gaussian(params_ref, [1e200], [[1.0]], 0.5, 10, 0.01, sde.episode_rng(2, 0), math.inf)
 
 
 # ---------------------------------------------------------------- episodes
 
 def test_episode_constant_when_dynamics_off():
     params = ModelParams(mu=[0.2], sigma=[[1.0]], sigma_z=1e-300, kappa=0.5, eta=[1.0], rho=0.2)
-    env = sde.Environment(params=params, dt=0.01)
-    states, _, local = sde.rollout_linear_gaussian(env, [0.0], [[0.0]], 0.7, 100, sde.episode_rng(5, 0))
+    states, _, local = sde.rollout_linear_gaussian(params, [0.0], [[0.0]], 0.7, 100, 0.01, sde.episode_rng(5, 0))
     assert np.allclose(states, 0.7, atol=1e-12)
     assert np.all(local == 0.0)
 
 
 def test_episode_invariants_random_policies(params_ref):
     rng_master = np.random.default_rng(6)
-    env = sde.Environment(params=params_ref, dt=0.02)
     for i in range(1000):
         scale = float(rng_master.uniform(0.1, 2.0))
         states, _, local = sde.rollout_linear_gaussian(
-            env, [0.0], [[scale]], 0.2, 50, sde.episode_rng(7, i)
+            params_ref, [0.0], [[scale]], 0.2, 50, 0.02, sde.episode_rng(7, i)
         )
         assert np.all(states >= 0.0)
         dL = np.diff(local)
@@ -156,18 +153,20 @@ def test_episode_invariants_random_policies(params_ref):
 
 def test_episode_determinism(params_ref, pp_star):
     mean_coef, cov_chol = pp_star.policy_coefficients()
-    env = sde.Environment(params=params_ref, dt=0.01)
-    p1, p2 = (sde.rollout_linear_gaussian(env, mean_coef, cov_chol, 1.0, 200, sde.episode_rng(42, 3))
+    p1, p2 = (sde.rollout_linear_gaussian(params_ref, mean_coef, cov_chol, 1.0, 200, 0.01, sde.episode_rng(42, 3))
               for _ in range(2))
     for x, y in zip(p1, p2):
         assert np.array_equal(x, y)
 
 
 def test_environment_clamps_huge_actions(params_ref):
-    env = sde.Environment(params=params_ref, dt=0.01, action_cap=1.0)
-    _, actions, _ = sde.rollout_linear_gaussian(env, [50.0], [[0.0]], 0.5, 1, sde.episode_rng(8, 0))
-    assert env.clamp_events == 1
-    assert abs(actions[0, 0]) == pytest.approx(1.0, abs=1e-15)
+    # a one-row batch on stream (8, 0) counts the clamp, and the rollout on that stream is its row
+    batch = sde.simulate_linear_gaussian_batch(params_ref, [50.0], [[0.0]], 1, 0.5, 0.01, 0.01, 8, 1.0)
+    rollout = sde.rollout_linear_gaussian(params_ref, [50.0], [[0.0]], 0.5, 1, 0.01, sde.episode_rng(8, 0), 1.0)
+    assert batch.clamp_events == 1
+    assert abs(batch.actions[0, 0, 0]) == pytest.approx(1.0, abs=1e-15)
+    for got, row in zip(rollout, (batch.states[0], batch.actions[0], batch.local_time[0])):
+        assert np.array_equal(got, row)
 
 
 def test_episode_streams_draw_what_episode_rng_draws():
@@ -192,28 +191,6 @@ def test_episode_rng_keys_every_seed_apart():
     assert sde.episode_rng(2**63 + 5, 7).bit_generator.state["state"]["key"].tolist() == [2**63 + 5, 7]
 
 
-def test_rollout_workspace_reuse_leaves_earlier_results_alone(params_ref, pp_star):
-    mean_coef, cov_chol = pp_star.policy_coefficients()
-    env = sde.Environment(params=params_ref, dt=0.01)
-    ws = sde.rollout_workspace(env, 100)
-    first = sde.rollout_linear_gaussian(env, mean_coef, cov_chol, 1.0, 100, sde.episode_rng(3, 1), workspace=ws)
-    kept = [a.copy() for a in first]
-    second = sde.rollout_linear_gaussian(env, mean_coef, cov_chol, 0.5, 100, sde.episode_rng(3, 2), workspace=ws)
-    for a, b in zip(first, kept):
-        assert np.array_equal(a, b)
-    assert not np.array_equal(first[0], second[0])
-    for got, y0, i in ((first, 1.0, 1), (second, 0.5, 2)):
-        fresh = sde.rollout_linear_gaussian(env, mean_coef, cov_chol, y0, 100, sde.episode_rng(3, i))
-        for a, b in zip(got, fresh):
-            assert np.array_equal(a, b)
-
-
-def test_rollout_refuses_a_workspace_of_another_run(params_ref):
-    env = sde.Environment(params=params_ref, dt=0.01)
-    ws = sde.rollout_workspace(env, 100)
-    for other, n_steps in ((sde.Environment(params=params_ref, dt=0.02), 100), (env, 50)):
-        with pytest.raises(ValueError, match="workspace"):
-            sde.rollout_linear_gaussian(other, [0.1], [[0.1]], 1.0, n_steps, sde.episode_rng(0, 0), workspace=ws)
 
 def test_batch_matches_sequential_rollout(params_ref, pp_star):
     mean_coef, cov_chol = pp_star.policy_coefficients()
@@ -221,9 +198,8 @@ def test_batch_matches_sequential_rollout(params_ref, pp_star):
         params_ref, mean_coef, cov_chol, 5, 1.0, 1.0, 0.01, seed=99
     )
     for i in (0, 3):
-        env = sde.Environment(params=params_ref, dt=0.01)
         states, actions, local = sde.rollout_linear_gaussian(
-            env, mean_coef, cov_chol, 1.0, 100, sde.episode_rng(99, i)
+            params_ref, mean_coef, cov_chol, 1.0, 100, 0.01, sde.episode_rng(99, i)
         )
         assert np.array_equal(states, batch.states[i])
         assert np.array_equal(actions, batch.actions[i])
@@ -253,15 +229,19 @@ def test_kernel_matches_loop_oracles(params_ref, pp_star, case):
     params = dataclasses.replace(params_ref, sigma_z=sigma_z)
     mean_coef, cov_chol = coefs or pp_star.policy_coefficients()
     n_steps = 200
+    # the rollouts are the rows of a 10-row batch on the same streams, which counts their clamps
+    rows = sde.simulate_linear_gaussian_batch(params, mean_coef, cov_chol, 10, 1.0, n_steps * dt, dt, 31, cap)
     clamps = 0
     for i in range(10):
-        env, env_loop = (sde.Environment(params=params, dt=dt, action_cap=cap) for _ in range(2))
-        kernel = sde.rollout_linear_gaussian(env, mean_coef, cov_chol, 1.0, n_steps, sde.episode_rng(31, i))
-        loop = rollout_linear_gaussian_loop(env_loop, mean_coef, cov_chol, 1.0, n_steps, sde.episode_rng(31, i))
+        kernel = sde.rollout_linear_gaussian(params, mean_coef, cov_chol, 1.0, n_steps, dt, sde.episode_rng(31, i), cap)
+        *loop, loop_clamps = rollout_linear_gaussian_loop(params, mean_coef, cov_chol, 1.0, n_steps, dt,
+                                                          sde.episode_rng(31, i), cap)
         _assert_close(kernel, loop)
         assert np.array_equal(np.diff(kernel[2]) > 0.0, np.diff(loop[2]) > 0.0)
-        assert env.clamp_events == env_loop.clamp_events
-        clamps += env.clamp_events
+        for got, row in zip(kernel, (rows.states[i], rows.actions[i], rows.local_time[i])):
+            assert np.array_equal(got, row)
+        clamps += loop_clamps
+    assert rows.clamp_events == clamps
     assert (clamps > 0) == (case == "clamped")
 
     args = (params, mean_coef, cov_chol, 20, 1.0, n_steps * dt, dt, 32, cap)
@@ -307,32 +287,14 @@ def test_kernel_names_non_finite_path_and_step(params_ref):
     assert messages[0].startswith("path ")
 
 
-def test_linear_gaussian_blocks_stream_the_batch_rows(params_ref):
-    # 37 paths: two full blocks and a short one, all views of one set of buffers
-    args = (params_ref, [0.3], [[0.5]], 37, 0.0, 0.5, 0.01, 8)
-    batch = sde.simulate_linear_gaussian_batch(*args)
-    blocks = sde.linear_gaussian_blocks(*args)
-    first = next(blocks)
-    rows = [(first.states.copy(), first.actions.copy(), first.local_time.copy())]
-    for block in blocks:
-        assert np.shares_memory(block.states, first.states)
-        assert np.array_equal(block.times, batch.times)
-        rows.append((block.states.copy(), block.actions.copy(), block.local_time.copy()))
-    assert [len(r[0]) for r in rows] == [16, 16, 5]
-    for streamed, stored in zip(zip(*rows), (batch.states, batch.actions, batch.local_time)):
-        assert np.array_equal(np.concatenate(streamed), stored)
-    assert np.any(np.diff(batch.local_time, axis=1) > 0.0)
-
-
 def test_streamed_block_names_the_global_non_finite_path(params_ref):
     # action scale 5e153 with no cap: the variance rate v_k overflows where |z| > 2.68;
-    # on these streams only the short third block draws one, at path 37, step 5
+    # on these streams only the short third block of the batch draws one, at path 37, step 5
     args = (params_ref, [0.0], [[5e153]], 40, 1.0, 0.06, 0.01, 2328, math.inf)
     with pytest.raises(sde.NonFinite) as loop_err, np.errstate(over="ignore", invalid="ignore"):
         simulate_linear_gaussian_batch_loop(*args)
     with pytest.raises(sde.NonFinite) as err, np.errstate(over="ignore", invalid="ignore"):
-        for _ in sde.linear_gaussian_blocks(*args):
-            pass
+        sde.simulate_linear_gaussian_batch(*args)
     assert str(err.value) == str(loop_err.value) == "path 37, step 5: non-finite state proposal"
 
 
@@ -365,9 +327,8 @@ def test_increment_blocks_are_the_sampled_paths_increments(d, y0, cap):
     assert np.all(batch.states >= 0.0) and np.all(dL >= 0.0)
     assert np.all(batch.states[:, 1:][dL > 0.0] == 0.0)
     assert np.any(dL > 0.0)
-    env = sde.Environment(params=params, dt=0.05, action_cap=cap)
     for i in (0, 17):   # a row of the full block and one of the short block
-        rollout = sde.rollout_linear_gaussian(env, mean_coef, cov_chol, y0, 60, sde.episode_rng(7 + d, i))
+        rollout = sde.rollout_linear_gaussian(params, mean_coef, cov_chol, y0, 60, 0.05, sde.episode_rng(7 + d, i), cap)
         for got, row in zip(rollout, (batch.states[i], batch.actions[i], batch.local_time[i])):
             assert np.array_equal(got, row)
 
@@ -413,15 +374,16 @@ def test_kernel_path_invariants(seed, d, y0, log10_cap):
     assert np.all(batch.states[:, 1:][dL > 0.0] == 0.0)
     assert np.all(dL >= 0.0)
     # rows from a full block and from the short last block both equal lone rollouts
-    env = sde.Environment(params=params, dt=dt, action_cap=cap)
     for i in range(n_paths):
         states, actions, local = sde.rollout_linear_gaussian(
-            env, mean_coef, cov_chol, y0, n_steps, sde.episode_rng(seed, i)
+            params, mean_coef, cov_chol, y0, n_steps, dt, sde.episode_rng(seed, i), cap
         )
         assert np.array_equal(states, batch.states[i])
         assert np.array_equal(actions, batch.actions[i])
         assert np.array_equal(local, batch.local_time[i])
-    assert env.clamp_events == batch.clamp_events
+    # a clamp scales its action to the cap, and no other action reaches it
+    clamped = np.linalg.norm(batch.actions, axis=2) >= cap * (1.0 - 1e-12)
+    assert batch.clamp_events == np.count_nonzero(clamped)
 
 
 def test_discounted_local_time_matches_value_decomposition(params_ref, exploratory_ref, pp_star):
@@ -464,7 +426,7 @@ def test_aggregated_path_invariants(params_ref):
     # from y0 = 0 both grids reflect; at dt = 2 a step of ln(1+y) has standard deviation 0.57
     for dt in (0.01, 2.0):
         paths = sde.simulate_aggregated(params_ref, GAMMA, 0.0, 500 * dt, dt, 1, seed=9)
-        path = next(iter(paths))
+        path = episode_paths(paths)[0]
         assert np.all(path.states >= 0.0)
         dL = np.diff(path.local_time)
         assert np.all(dL >= 0.0)
@@ -505,7 +467,7 @@ def test_skorokhod_pathwise_bound(params_ref):
     mu_hat = b - 0.5 * s * s
     h0 = 0.3
     paths = sde.simulate_aggregated(params_ref, GAMMA, math.expm1(h0), 2.0, 0.01, 50, seed=13)
-    for i, path in enumerate(paths):
+    for i, path in enumerate(episode_paths(paths)):
         bpath = skorokhod_log_path(params_ref, GAMMA, h0, 2.0, 0.01, sde.episode_rng(13, i)).b
         run_max_minus_b = np.maximum.accumulate(np.maximum(-bpath, 0.0))
         bound = h0 + abs(mu_hat) * path.times + s * run_max_minus_b
@@ -520,7 +482,7 @@ def test_aggregated_rows_are_the_skorokhod_map(params_ref, y0):
     h0 = math.log1p(y0)
     for dt in (0.01, 0.5, 2.0):
         paths = sde.simulate_aggregated(params_ref, GAMMA, y0, 100 * dt, dt, 10, seed=15)
-        for i, path in enumerate(paths):
+        for i, path in enumerate(episode_paths(paths)):
             lp = skorokhod_log_path(params_ref, GAMMA, h0, 100 * dt, dt, sde.episode_rng(15, i))
             assert np.allclose(path.states, np.expm1(lp.h), rtol=3e-13, atol=3e-13)
             assert np.allclose(path.local_time, lp.k, rtol=3e-13, atol=3e-13)
@@ -570,11 +532,10 @@ def test_batched_schemes_match_per_path_oracles(tmp_path, params_ref, scheme, d,
         mean_coef, cov_chol = qlearn.PolicyParams.from_constants(
             exploratory_constants(params, gamma)).policy_coefficients()
         batch = sde.simulate_linear_gaussian_batch(params, mean_coef, cov_chol, n_paths, y0, T, dt, seed)
-        env = sde.Environment(params, dt)
 
         def one(rng):
-            states, actions, local = sde.rollout_linear_gaussian(env, mean_coef, cov_chol, y0, K, rng)
-            return sde.EpisodePath(times=batch.times, states=states, actions=actions, local_time=local)
+            states, actions, local = sde.rollout_linear_gaussian(params, mean_coef, cov_chol, y0, K, dt, rng)
+            return EpisodePath(times=batch.times, states=states, actions=actions, local_time=local)
     elif scheme == "aggregated":
         batch = sde.simulate_aggregated(params, gamma, y0, T, dt, n_paths, seed)
 
@@ -585,19 +546,19 @@ def test_batched_schemes_match_per_path_oracles(tmp_path, params_ref, scheme, d,
 
         def one(rng):
             lp = skorokhod_log_path(params, gamma, h0, T, dt, rng)
-            return sde.EpisodePath(times=lp.times, states=np.expm1(lp.h), actions=np.empty((K, 0)), local_time=lp.k)
+            return EpisodePath(times=lp.times, states=np.expm1(lp.h), actions=np.empty((K, 0)), local_time=lp.k)
 
     oracle = [one(sde.episode_rng(seed, i)) for i in range(n_paths)]
     exact = scheme != "skorokhod"   # the closed Skorokhod map sums the same increments in another order
     assert batch.actions.shape == (n_paths, K, d if scheme == "episode" else 0)
     assert np.any(np.diff(batch.local_time) > 0.0)   # the boundary is exercised
-    for row, path in zip(batch, oracle, strict=True):
+    for row, path in zip(episode_paths(batch), oracle, strict=True):
         assert np.array_equal(np.diff(row.local_time) > 0.0, np.diff(path.local_time) > 0.0)
         for field in ("times", "states", "actions", "local_time"):
             got, want = getattr(row, field), getattr(path, field)
             assert np.array_equal(got, want) if exact else np.allclose(got, want, 3e-13, 3e-13), field
     meta = {"scheme": scheme, "n_paths": n_paths}
     sde.export_paths_csv(batch, tmp_path / "bulk.csv", tmp_path / "bulk.json", meta)
-    export_paths_csv_per_row(oracle if exact else list(batch), tmp_path / "rows.csv", tmp_path / "rows.json", meta)
+    export_paths_csv_per_row(oracle if exact else batch, tmp_path / "rows.csv", tmp_path / "rows.json", meta)
     assert (tmp_path / "bulk.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
     assert (tmp_path / "bulk.json").read_bytes() == (tmp_path / "rows.json").read_bytes()
