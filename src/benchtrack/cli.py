@@ -318,8 +318,7 @@ def cmd_train(cfg: dict, seed: int | None, out: Path) -> int:
         log.info("resuming from %s at episode %d", resume, start_episode)
 
     config = qlearn.LearnConfig(y0=tr["y0"], T=tr["T"], dt=tr["dt"], n_episodes=tr["episodes"], gamma=gamma,
-                                rho=params.rho, seed=seed, psi1_0=init["psi1"], psi2_0=init["psi2"],
-                                start_episode=start_episode)
+                                seed=seed, psi1_0=init["psi1"], psi2_0=init["psi2"], start_episode=start_episode)
     history = qlearn.train(config, params, policy, sums)
     history.to_csv(out / "history.csv")
     _write_json(out / "history.meta.json", {"rows": len(history.episodes)}, cfg, seed)
@@ -508,8 +507,9 @@ def main(argv: list[str] | None = None) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         return COMMANDS[args.command](cfg, args.seed, out)
-    except (ConfigError, qlearn.SingularPsi2, qlearn.TooManyRejectedEpisodes, bt.ParseError, bt.ValidationError,
-            NoBracket, baseline.InsufficientData, baseline.DegenerateSeries, baseline.NonPositivePrice) as exc:
+    except (ConfigError, qlearn.SingularPsi2, qlearn.TooManyRejectedEpisodes, sde.NonFinite, sde.InvalidVariance,
+            bt.ParseError, bt.ValidationError, NoBracket, baseline.InsufficientData, baseline.DegenerateSeries,
+            baseline.NonPositivePrice) as exc:
         log.error("%s", exc)
         return 2
     except FileNotFoundError as exc:

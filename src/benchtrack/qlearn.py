@@ -322,14 +322,13 @@ def update(pp: PolicyParams, A: np.ndarray, b: np.ndarray, rho: float) -> tuple[
 
 @dataclass
 class LearnConfig:
-    """Offline training run configuration, action cap included; psi1_0 and psi2_0 set the first block's policy."""
+    """Offline training run configuration; action_cap bounds |u_k|, psi1_0 and psi2_0 set the first block's policy."""
 
     y0: float
     T: float
     dt: float
     n_episodes: int
     gamma: float
-    rho: float
     seed: int
     psi1_0: np.ndarray | None = None
     psi2_0: np.ndarray | None = None
@@ -341,8 +340,8 @@ class LearnConfig:
             raise ValueError(f"y0 must be >= 0, got {self.y0}")
         if self.n_episodes < 1:
             raise ValueError("need at least one episode")
-        if not (self.gamma > 0.0 and self.rho > 0.0):
-            raise ValueError("gamma and rho must be > 0")
+        if not self.gamma > 0.0:
+            raise ValueError(f"gamma must be > 0, got {self.gamma}")
         self.n_steps = sde.grid_steps(self.T, self.dt)
 
     def initial_params(self, d: int) -> PolicyParams:
@@ -405,14 +404,14 @@ def train(
 
     Episodes run in blocks of sde.BLOCK_ROWS aligned to the global episode
     index (episodes 16b+1 ... 16b+16).  One policy draws all of a block's
-    episodes: one kernel call (sde._relative_paths) gives their (u_k, X_k)
-    in the market at config's step and action cap, and one _normal_sums
-    call reduces each to its rows (A_r, b_r), which are added to the
-    running A and b in episode order.  At the block's end update solves
-    the sums, and its fit draws the next block.
+    episodes: one kernel call (sde._increments, with no reflection map)
+    gives their (u_k, X_k) in the market at config's step and action cap,
+    and one _normal_sums call reduces each to its rows (A_r, b_r), which are
+    added to the running A and b in episode order.  At the block's end
+    update solves the sums, and its fit draws the next block.
     A history row holds the policy that drew its episode, and the last row
-    of a block the block's fit.  The fit reads only (u_k, X_k), never the
-    market parameters.  Episode i uses the Philox stream keyed by
+    of a block the block's fit.  The fit reads only (u_k, X_k) and the
+    market's rho.  Episode i uses the Philox stream keyed by
     (config.seed, i), so a run is reproducible.
 
     A path with non-finite sums rejects its own episode.  A start whose
@@ -433,7 +432,7 @@ def train(
     hist_held = np.zeros(n, dtype=bool)
     episodes = np.arange(config.start_episode, config.start_episode + n)
     times = np.linspace(0.0, config.T, K + 1)
-    disc, dt = np.exp(-config.rho * times[:-1]), float(times[1] - times[0])
+    disc, dt = np.exp(-params.rho * times[:-1]), float(times[1] - times[0])
     # set up once per run: one kernel and one feature workspace, and one Philox re-keyed per episode
     market = sde._market(params, config.dt)
     ws, fws = sde._workspace(rows_max, K, d), _feature_workspace(rows_max, K, d)
@@ -452,7 +451,7 @@ def train(
             stream(config.seed, first + j).standard_normal(out=ws.normals[j])
         # a non-finite u_k or X_k gives its rows non-finite sums, which reject its episode
         with np.errstate(over="ignore", invalid="ignore"):
-            clamp_events += sde._relative_paths(market, mean_coef, cov_chol, config.y0, config.action_cap, ws, m)
+            clamp_events += sde._increments(market, mean_coef, cov_chol, config.action_cap, ws, m)
             A_rows, b_rows = _normal_sums(_features(ws.u[:, :m], fws), ws.x[:m], disc, dt, fws)
         finite = np.isfinite(A_rows).all(axis=(1, 2)) & np.isfinite(b_rows).all(axis=1)
         for j in range(m):
@@ -466,13 +465,13 @@ def train(
                         f"{len(rejected)} of {lo + j + 1} episodes rejected "
                         f"(limit {REJECT_FRACTION:.0%} of {n})"
                     )
-        fit, held = update(pp, A, b, config.rho)
+        fit, held = update(pp, A, b, params.rho)
         hist_held[lo + m - 1] = held
-        for rows, params in ((slice(lo, lo + m - 1), pp), (lo + m - 1, fit)):
-            hist_xi[rows] = params.xi
-            hist_psi1[rows] = params.psi1
-            hist_psi2[rows] = params.psi2
-            hist_psi3[rows] = params.psi3
+        for rows, row_pp in ((slice(lo, lo + m - 1), pp), (lo + m - 1, fit)):
+            hist_xi[rows] = row_pp.xi
+            hist_psi1[rows] = row_pp.psi1
+            hist_psi2[rows] = row_pp.psi2
+            hist_psi3[rows] = row_pp.psi3
         if (first + m - 1) % rows_max == 0:
             pp = fit
         lo += m
@@ -529,21 +528,26 @@ def orthogonality_stats(pp: PolicyParams, blocks: Iterable[sde.IncrementBlock], 
     BLOCK_ROWS paths each; only the per-path rows are kept.  At the correct
     (xi, psi1, psi2) every component is a centred martingale statistic, so
     each mean should vanish within Monte Carlo error.  A standard error
-    needs two paths.
+    needs two paths; a non-finite row raises sde.NonFinite naming its path.
     """
-    theta, M = _statistics_map(pp, rho)
     rows, d_rows, ws = [], [], None
-    for block in blocks:
-        d, _, K = block.u.shape
-        if ws is None or ws.quad.shape[1:] != (sde.BLOCK_ROWS, K):
-            ws = _feature_workspace(sde.BLOCK_ROWS, K, d)
-        r, dr = _orthogonality_rows(theta, M, rho, block, ws)
-        rows.append(r)
-        d_rows.append(dr)
+    with np.errstate(over="ignore", invalid="ignore"):
+        theta, M = _statistics_map(pp, rho)
+        for block in blocks:
+            d, _, K = block.u.shape
+            if ws is None or ws.quad.shape[1:] != (sde.BLOCK_ROWS, K):
+                ws = _feature_workspace(sde.BLOCK_ROWS, K, d)
+            r, dr = _orthogonality_rows(theta, M, rho, block, ws)
+            rows.append(r)
+            d_rows.append(dr)
     n_paths = sum(len(r) for r in rows)
     if n_paths < 2:
         raise ValueError(f"need at least two episode paths for a standard error, got {n_paths}")
-    return OrthogonalityStats(_component_names(pp.d), np.concatenate(rows), np.concatenate(d_rows))
+    rows, d_rows = np.concatenate(rows), np.concatenate(d_rows)
+    bad = ~(np.isfinite(rows).all(axis=1) & np.isfinite(d_rows).all(axis=1))
+    if bad.any():
+        raise sde.NonFinite(f"path {int(np.argmax(bad))}: non-finite orthogonality statistic")
+    return OrthogonalityStats(_component_names(pp.d), rows, d_rows)
 
 
 def convergence_study(

@@ -17,21 +17,20 @@ reflects, so given u_k its step is exactly Gaussian:
 X_k = (u_k'mu - v_k/2) dt + sqrt(v_k dt) xi_k, with the variance rate
 v_k = |sigma'u_k - sigma_z sqrt(1-kappa^2) eta_hat|^2 + sigma_z^2 kappa^2.
 So the kernel draws d action normals and one normal xi_k a step
-(_increments).  The aggregated dynamics step H by
+(_increments).  The action cap bounds |u_k|, the position per unit of the
+compensated account, before X_k is drawn, so a clamped step is as exactly
+Gaussian as any other.  The aggregated dynamics step H by
 X_k = (b - s^2/2) dt + s sqrt(dt) z_k.  Reflection at 0 is Lindley's
 recursion H' = max(H + X_k, 0), the discrete Skorokhod map, which a
 cumulative sum and a running maximum of the push solve with no loop over
 steps (_reflect); the local time L is the push itself (Y's local time, since
-1 + Y = 1 where it grows), so H and y are exactly 0 on the steps where L
-grows.  A clamp at the action cap depends on y, so it is found after the
-fact: that step's u_k is scaled, its X_k redrawn from the same xi_k, and
-the path replayed from there, its push added to L_k (_paths).
+1 + Y = 1 where it grows), so H and y are exactly 0 where L grows.
 
 Each output has one sampler.  simulate_linear_gaussian_batch and
 simulate_aggregated store paths, and rollout_linear_gaussian gives one path
-from the caller's generator; they run the map.  The statistics read only
-(u_k, X_k), which increment_blocks (and qlearn.train) take from the kernel,
-running the map only on a block where a clamp can bind (_relative_paths).
+from the caller's generator; they run the map (_paths).  The statistics read
+only (u_k, X_k), which increment_blocks (and qlearn.train) take from the
+kernel without running the map.
 Every batch works in blocks of a few paths over one reused workspace; row i
 draws the Philox stream (seed, i), so it equals a rollout on that stream bit
 for bit, and one re-keyed Philox serves every stream (episode_streams).
@@ -242,13 +241,15 @@ def _reflect(x: np.ndarray, states: np.ndarray, local: np.ndarray, ws: SimpleNam
         np.add(push[:, 1:], local[:, :1], out=local[:, 1:])
 
 
-def _increments(m: SimpleNamespace, mean_coef: np.ndarray, cov_chol: np.ndarray, ws: SimpleNamespace, n: int) -> None:
-    """Fill a block's relative actions ws.u[:, :n], their squared norms ws.unorm[:n] and its steps ws.x[:n].
+def _increments(m: SimpleNamespace, mean_coef: np.ndarray, cov_chol: np.ndarray, action_cap: float,
+                ws: SimpleNamespace, n: int) -> int:
+    """Fill a block's relative actions ws.u[:, :n] and its steps ws.x[:n]; return its clamp count.
 
     Row r reads ws.normals[r], (K, d+1): per step d action normals z_k and one
-    normal xi_k, for u_k = mean_coef + cov_chol z_k and X_k = (u_k'mu - v_k/2) dt
-    + sqrt(v_k dt) xi_k (_market).  Contractions over d are explicit sums, so an
-    element's rounding does not depend on the block's shape.
+    normal xi_k, for u_k = mean_coef + cov_chol z_k, scaled onto the cap where
+    |u_k| is over it, and X_k = (u_k'mu - v_k/2) dt + sqrt(v_k dt) xi_k (_market).
+    Contractions over d are explicit sums, so an element's rounding does not
+    depend on the block's shape.  A non-finite u_k or X_k is left to the caller.
     """
     d = m.d
     normals = ws.normals[:n]
@@ -260,80 +261,45 @@ def _increments(m: SimpleNamespace, mean_coef: np.ndarray, cov_chol: np.ndarray,
             out += np.multiply(planes[j], coef[j], out=w)
 
     z = [normals[..., j] for j in range(d)]
-    for i in range(d):
-        dot(cov_chol[i], z, u[i])
-        u[i] += mean_coef[i]
-    dot(u, u, unorm)
-    for j in range(d):   # x = v
-        dot(m.sigma[:, j], u, t)
-        t -= m.bench[j]
-        if j:
-            x += np.square(t, out=t)
-        else:
-            np.square(t, out=x)
-    x += m.own
-    np.sqrt(np.multiply(x, m.dt, out=t), out=t)
-    t *= normals[..., d]
-    x *= -m.half_dt
-    x += t
-    for i in range(d):
-        x += np.multiply(u[i], m.mu_dt[i], out=t)
-
-
-def _paths(m: SimpleNamespace, y0: float, action_cap: float, ws: SimpleNamespace, n: int) -> int:
-    """Fill ws.states, ws.actions and ws.local of a block from y0 and its steps ws.x; return its clamp count.
-
-    A clamp scales u_k by cap / |(1+y_k) u_k|, which depends on y_k, so the first
-    clamp of a row is found after the fact: u_k is scaled and X_k redrawn from the
-    same xi_k, in place, and the row replayed from there until no new clamp; a
-    replay adds its push to L_k.  The norms and the mask are built only when
-    max(1+y) max|u|, which bounds every (1+y_k)|u_k| (nan if any is nan), is over
-    the cap.  A non-finite row is left as it is (the samplers raise on it through
-    _check_finite), and the other rows are unaffected.
-    """
-    u, x, unorm, t, w = ws.u[:, :n], ws.x[:n], ws.unorm[:n], ws.t[:n], ws.w[:n]
-    states, local = ws.states[:n], ws.local[:n]
-    states[:, 0] = y0
-    local[:, 0] = 0.0
-    _reflect(x, states, local, ws)
-    clamps = 0
-    np.add(states[:, :-1], 1.0, out=t)
-    if not t.max() * math.sqrt(unorm.max()) <= action_cap:
-        xi = ws.normals[:n, :, m.d]
-        np.sqrt(unorm, out=unorm)
-        over = np.multiply(t, unorm, out=w) > action_cap
-        for r in np.flatnonzero(over.any(axis=1)):
-            k = int(np.argmax(over[r]))
-            while k >= 0:
-                clamps += 1
-                u[:, r, k] *= action_cap / ((1.0 + states[r, k]) * unorm[r, k])
-                e = u[:, r, k] @ m.sigma - m.bench
-                v = e @ e + m.own
-                x[r, k] = math.sqrt(v * m.dt) * xi[r, k] - v * m.half_dt + u[:, r, k] @ m.mu_dt
-                _reflect(x[r : r + 1, k:], states[r : r + 1, k:], local[r : r + 1, k:], ws)
-                later = np.flatnonzero((1.0 + states[r, k + 1 : -1]) * unorm[r, k + 1 :] > action_cap)
-                k = k + 1 + int(later[0]) if later.size else -1
-        np.add(states[:, :-1], 1.0, out=t)   # the replays moved the states
-    for i in range(m.d):
-        np.multiply(t, u[i], out=ws.actions[:n, :, i])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(d):
+            dot(cov_chol[i], z, u[i])
+            u[i] += mean_coef[i]
+        dot(u, u, unorm)
+        clamps = 0
+        if not math.sqrt(unorm.max()) <= action_cap:   # some |u_k| is over the cap, or its square overflowed
+            over = ~(np.sqrt(unorm, out=unorm) <= action_cap)
+            uo = u[:, over]
+            top = np.abs(uo).max(axis=0)
+            norm = top * np.sqrt(np.square(uo / top).sum(axis=0))   # |u_k|, scaled by max_i |u_i| against overflow
+            u[:, over] = uo * np.fmin(action_cap / norm, 1.0)        # a nan norm leaves its u_k as it is
+            clamps = int(np.count_nonzero(norm > action_cap))
+        for j in range(d):   # x = v
+            dot(m.sigma[:, j], u, t)
+            t -= m.bench[j]
+            if j:
+                x += np.square(t, out=t)
+            else:
+                np.square(t, out=x)
+        x += m.own
+        np.sqrt(np.multiply(x, m.dt, out=t), out=t)
+        t *= normals[..., d]
+        x *= -m.half_dt
+        x += t
+        for i in range(d):
+            x += np.multiply(u[i], m.mu_dt[i], out=t)
     return clamps
 
 
-def _relative_paths(m: SimpleNamespace, mean_coef: np.ndarray, cov_chol: np.ndarray, y0: float,
-                    action_cap: float, ws: SimpleNamespace, n: int) -> int:
-    """Fill ws.u[:, :n] and ws.x[:n] as _increments and _paths leave them, running _paths only if a clamp can bind.
-
-    H = ln(1 + y) is S + P, S = h0 + C the partial sums of X from h0 = ln(1 + y0)
-    and the push P at most max(0, -min S), so exp(max S + max(0, -min S)) max|u|
-    bounds every (1+y_k)|u_k| of the block (nan if any is nan).  Returns the clamps.
-    """
-    _increments(m, mean_coef, cov_chol, ws, n)
-    c, h0 = ws.h[:n], math.log1p(y0)
-    c[:, 0] = 0.0
-    np.cumsum(ws.x[:n], axis=1, out=c[:, 1:])
-    with np.errstate(over="ignore", invalid="ignore"):
-        bound = np.exp(h0 + c.max() + max(0.0, -h0 - c.min())) * np.sqrt(ws.unorm[:n].max())
-    return 0 if bound <= action_cap else _paths(m, y0, action_cap, ws, n)
+def _paths(y0: float, ws: SimpleNamespace, n: int) -> None:
+    """Fill ws.states, ws.local and ws.actions of a block from y0, its steps ws.x and its u_k: a_k = (1+y_k) u_k."""
+    u, t, states, local = ws.u[:, :n], ws.t[:n], ws.states[:n], ws.local[:n]
+    states[:, 0] = y0
+    local[:, 0] = 0.0
+    _reflect(ws.x[:n], states, local, ws)
+    np.add(states[:, :-1], 1.0, out=t)
+    for i in range(len(u)):
+        np.multiply(t, u[i], out=ws.actions[:n, :, i])
 
 
 def _check_finite(a: np.ndarray, first_path: int) -> None:
@@ -370,8 +336,8 @@ def rollout_linear_gaussian(params: ModelParams, mean_coef: np.ndarray, cov_chol
     m, mean_coef, cov_chol = _policy_args(params, mean_coef, cov_chol, y0, dt)
     ws = _workspace(1, n_steps, params.d)
     rng.standard_normal(out=ws.normals[0])
-    _increments(m, mean_coef, cov_chol, ws, 1)
-    _paths(m, y0, action_cap, ws, 1)
+    _increments(m, mean_coef, cov_chol, action_cap, ws, 1)
+    _paths(y0, ws, 1)
     _check_finite(ws.states[:, 1:], 0)
     return ws.states[0], ws.actions[0], ws.local[0]
 
@@ -381,15 +347,15 @@ def increment_blocks(params: ModelParams, mean_coef: np.ndarray, cov_chol: np.nd
                      ) -> Iterator[IncrementBlock]:
     """The (u_k, X_k) of the rows of simulate_linear_gaussian_batch, in blocks of at most BLOCK_ROWS paths.
 
-    They are the kernel's own u and X; the reflection map runs only on a block
-    where a clamp can bind (_relative_paths).  The next block overwrites a block's
-    arrays; a NonFinite names the first non-finite X_k by its path's index in the run.
+    They are the kernel's own u and X, and the reflection map never runs.  The
+    next block overwrites a block's arrays; a NonFinite names the first
+    non-finite X_k by its path's index in the run.
     """
     m, mean_coef, cov_chol = _policy_args(params, mean_coef, cov_chol, y0, dt)
     times = _grid(T, dt)
 
     def fill(ws, n, first_path):
-        clamp_events = _relative_paths(m, mean_coef, cov_chol, y0, action_cap, ws, n)
+        clamp_events = _increments(m, mean_coef, cov_chol, action_cap, ws, n)
         _check_finite(ws.x[:n], first_path)
         return IncrementBlock(times, ws.u[:, :n], ws.x[:n], clamp_events)
 
@@ -418,8 +384,8 @@ def simulate_linear_gaussian_batch(
     times = _grid(T, dt)
 
     def fill(ws, n, first_path):
-        _increments(m, mean_coef, cov_chol, ws, n)
-        clamp_events = _paths(m, y0, action_cap, ws, n)
+        clamp_events = _increments(m, mean_coef, cov_chol, action_cap, ws, n)
+        _paths(y0, ws, n)
         _check_finite(ws.states[:n, 1:], first_path)
         return BatchPaths(times, ws.states[:n], ws.actions[:n], ws.local[:n], clamp_events)
 

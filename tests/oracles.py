@@ -168,7 +168,9 @@ def rollout_linear_gaussian_loop(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Step-by-step episode of a state-linear Gaussian policy, exact in ln(1+y), and its clamp count.
 
-    The reference for sde.rollout_linear_gaussian: same stream, same draws.
+    The reference for sde.rollout_linear_gaussian: same stream, same draws.  A
+    relative action u_k with |u_k| over the cap is scaled onto it before its
+    X_k is drawn (math.hypot takes the norm without overflow).
     """
     if y0 < 0.0:
         raise ValueError(f"y0 must be >= 0, got {y0}")
@@ -188,7 +190,7 @@ def rollout_linear_gaussian_loop(
     for k in range(K):
         scale = 1.0 + y
         u = mean_coef + cov_chol @ normals[k, :d]
-        norm = float(np.linalg.norm(scale * u))
+        norm = math.hypot(*u)
         if norm > action_cap:
             u *= action_cap / norm
             clamps += 1
@@ -216,7 +218,8 @@ def simulate_linear_gaussian_batch_loop(
 ) -> sde.BatchPaths:
     """Step-by-step batch of a state-linear Gaussian policy, all paths per step, exact in ln(1+y).
 
-    The reference for sde.simulate_linear_gaussian_batch: same streams.
+    The reference for sde.simulate_linear_gaussian_batch: same streams, and the cap rule of
+    rollout_linear_gaussian_loop.
     """
     if y0 < 0.0:
         raise ValueError(f"y0 must be >= 0, got {y0}")
@@ -243,7 +246,7 @@ def simulate_linear_gaussian_batch_loop(
     for k in range(K):
         scale = 1.0 + y
         u = mean_coef[None, :] + z_act[:, k, :] @ cov_chol.T
-        norms = np.linalg.norm(scale[:, None] * u, axis=1)
+        norms = np.hypot.reduce(u, axis=1)   # |u_k| without overflow
         over = norms > action_cap
         if np.any(over):
             u[over] *= (action_cap / norms[over])[:, None]
@@ -541,7 +544,7 @@ def train_loop(
     hist_held = np.zeros(n, dtype=bool)
     episodes = np.arange(config.start_episode, config.start_episode + n)
     times = np.linspace(0.0, config.T, K + 1)
-    disc = np.exp(-config.rho * times[:-1])
+    disc = np.exp(-params.rho * times[:-1])
     market = sde._market(params, config.dt)
     clamp_events = 0
     rejected: list[int] = []
@@ -551,7 +554,7 @@ def train_loop(
         ws, fws = sde._workspace(1, K, d), qlearn._feature_workspace(1, K, d)
         sde.episode_rng(config.seed, i).standard_normal(out=ws.normals[0])
         with np.errstate(over="ignore", invalid="ignore"):
-            clamp_events += sde._relative_paths(market, mean_coef, cov_chol, config.y0, config.action_cap, ws, 1)
+            clamp_events += sde._increments(market, mean_coef, cov_chol, config.action_cap, ws, 1)
             A_r, b_r = qlearn._normal_sums(qlearn._features(ws.u, fws), ws.x, disc, float(times[1] - times[0]), fws)
         if np.isfinite(A_r).all() and np.isfinite(b_r).all():
             A = A + A_r[0]
@@ -565,7 +568,7 @@ def train_loop(
                 )
         row = pp
         if i % sde.BLOCK_ROWS == 0 or idx == n - 1:
-            row, hist_held[idx] = qlearn.update(pp, A, b, config.rho)
+            row, hist_held[idx] = qlearn.update(pp, A, b, params.rho)
             final = row
             if i % sde.BLOCK_ROWS == 0:
                 pp = row

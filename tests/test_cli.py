@@ -579,6 +579,35 @@ def test_bad_horizon_or_path_count_exits_2(tmp_path, caplog, command, block, mes
     assert [p.name for p in out.iterdir()] == []
 
 
+# a model whose policy-averaged variance s^2 is negative at gamma = 0.001
+NEGATIVE_VARIANCE = {"mu": [0.05], "sigma": [[1.0]], "sigma_z": 1.0, "kappa": 0.1, "eta": [-1.0], "rho": 0.2}
+
+
+@pytest.mark.filterwarnings("ignore:explicit exploratory solution")
+@pytest.mark.parametrize("command, model, block, message", [
+    ("simulate", NEGATIVE_VARIANCE, {"simulate": {"scheme": "aggregated", "n_paths": 3, "T": 0.2, "dt": 0.1,
+                                                  "gamma": 0.001}},
+     "squared diffusion coefficient is negative"),
+    ("diagnose", NEGATIVE_VARIANCE, {"diagnose": {"n_paths": 10, "gamma": 0.001,
+                                                  "sweep": {"dt_list": [0.1], "T_list": [0.2]}}},
+     "squared diffusion coefficient is negative"),
+    # the variance rate v_k overflows on the first step
+    ("diagnose", {**MODEL_BLOCK["model"], "sigma": [[1.0e160]]},
+     {"diagnose": {"T": 0.2, "dt": 0.1, "n_paths": 10, "params": {"xi": 0.3, "psi1": [0.4], "psi2": [[1.0]]}}},
+     "path 0, step 0: non-finite state proposal"),
+    # the paths are finite (the cap holds |u_k|), but b b' overflows in the statistics
+    ("diagnose", MODEL_BLOCK["model"],
+     {"diagnose": {"T": 0.2, "dt": 0.1, "n_paths": 10, "params": {"xi": 0.3, "psi1": [1.0e200], "psi2": [[1.0]]}}},
+     "path 0: non-finite orthogonality statistic"),
+])
+def test_impossible_or_non_finite_dynamics_exit_2(tmp_path, caplog, command, model, block, message):
+    cfg = write_config(tmp_path, {"model": model, **block})
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert message in caplog.text
+    assert [p.name for p in out.iterdir()] == []
+
+
 D2_MODEL = {"mu": [0.2, 0.1], "sigma": [[1.0, 0.0], [0.0, 1.0]]}
 
 

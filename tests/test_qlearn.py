@@ -309,7 +309,7 @@ def test_update_derives_each_fit_once(params_ref, pp_star, monkeypatch):
 # ------------------------------------------------------------------ train
 
 def test_train_single_episode_applies_one_update(params_ref):
-    cfg = qlearn.LearnConfig(y0=1.0, T=1.0, dt=0.05, n_episodes=1, gamma=GAMMA, rho=RHO, seed=5)
+    cfg = qlearn.LearnConfig(y0=1.0, T=1.0, dt=0.05, n_episodes=1, gamma=GAMMA, seed=5)
     hist = qlearn.train(cfg, params_ref)
     assert len(hist.episodes) == 1
     assert hist.final.xi != 0.0  # one update moved the neutral start
@@ -318,12 +318,12 @@ def test_train_single_episode_applies_one_update(params_ref):
 def test_learn_config_refuses_a_negative_start():
     # the config holds train's start y0, whose ln(1 + y0) the kernel takes
     with pytest.raises(ValueError, match="y0 must be >= 0, got -0.5"):
-        qlearn.LearnConfig(y0=-0.5, T=1.0, dt=0.05, n_episodes=1, gamma=GAMMA, rho=RHO, seed=5)
+        qlearn.LearnConfig(y0=-0.5, T=1.0, dt=0.05, n_episodes=1, gamma=GAMMA, seed=5)
 
 
 def test_train_reproducible(params_ref):
     def run():
-        cfg = qlearn.LearnConfig(y0=1.0, T=2.0, dt=0.05, n_episodes=20, gamma=GAMMA, rho=RHO, seed=9)
+        cfg = qlearn.LearnConfig(y0=1.0, T=2.0, dt=0.05, n_episodes=20, gamma=GAMMA, seed=9)
         return qlearn.train(cfg, params_ref)
 
     h1, h2 = run(), run()
@@ -343,7 +343,7 @@ def _same_params(a: qlearn.PolicyParams, b: qlearn.PolicyParams) -> bool:
 def test_train_resume_equals_single_run(params_ref):
     # 5 of 10 episodes stops inside the first block; the rest of it is drawn by the block's policy
     def run(n_episodes, start_episode=1, **resume):
-        cfg = qlearn.LearnConfig(y0=1.0, T=2.0, dt=0.05, n_episodes=n_episodes, gamma=GAMMA, rho=RHO, seed=2,
+        cfg = qlearn.LearnConfig(y0=1.0, T=2.0, dt=0.05, n_episodes=n_episodes, gamma=GAMMA, seed=2,
                                  start_episode=start_episode)
         return qlearn.train(cfg, params_ref, **resume)
 
@@ -361,10 +361,25 @@ def test_train_resume_equals_single_run(params_ref):
     assert not np.array_equal(forgetful.psi1[-1], resumed.psi1[-1])
 
 
+def test_train_resumed_at_a_binding_cap_repeats_one_run(params_ref):
+    # at a cap on |u_k| that binds, 21 and then 9 episodes give the 30-episode run's fits, sums and clamps
+    kwargs = dict(y0=1.0, T=2.0, dt=0.01, gamma=GAMMA, seed=11, action_cap=1.5)
+    full = qlearn.train(qlearn.LearnConfig(n_episodes=30, **kwargs), params_ref)
+    first = qlearn.train(qlearn.LearnConfig(n_episodes=21, **kwargs), params_ref)
+    rest = qlearn.train(qlearn.LearnConfig(n_episodes=9, start_episode=22, **kwargs), params_ref,
+                        policy=first.policy, sums=(first.A, first.b))
+    assert first.clamp_events > 0 and rest.clamp_events > 0
+    assert first.clamp_events + rest.clamp_events == full.clamp_events
+    assert _same_params(rest.final, full.final) and _same_params(rest.policy, full.policy)
+    assert np.array_equal(rest.A, full.A) and np.array_equal(rest.b, full.b)
+    for field in ("xi", "psi1", "psi2", "psi3", "clipped"):
+        assert np.array_equal(getattr(rest, field), getattr(full, field)[21:]), field
+
+
 def test_train_counts_only_its_own_clamps(params_ref):
     # each history reports its own run: the clamps of its episodes' streams (4, 1) ... (4, 5), which
     # the start policy draws, are a 6-row batch's less the one-row batch's on stream (4, 0)
-    cfg = qlearn.LearnConfig(y0=1.0, T=2.0, dt=0.05, n_episodes=5, gamma=GAMMA, rho=RHO, seed=4, action_cap=0.5)
+    cfg = qlearn.LearnConfig(y0=1.0, T=2.0, dt=0.05, n_episodes=5, gamma=GAMMA, seed=4, action_cap=0.5)
     first, second = qlearn.train(cfg, params_ref), qlearn.train(cfg, params_ref)
     assert first.clamp_events > 0
     assert second.clamp_events == first.clamp_events
@@ -377,7 +392,7 @@ def test_train_counts_only_its_own_clamps(params_ref):
 def test_train_near_fixed_point_stays_close(params_ref, exploratory_ref):
     # initialized at the known solution, the fit stays near it
     cfg = qlearn.LearnConfig(
-        y0=1.0, T=6.0, dt=0.02, n_episodes=2000, gamma=GAMMA, rho=RHO, seed=11,
+        y0=1.0, T=6.0, dt=0.02, n_episodes=2000, gamma=GAMMA, seed=11,
         psi1_0=exploratory_ref.psi1_star,
         psi2_0=exploratory_ref.psi2_star,
     )
@@ -392,7 +407,7 @@ def test_train_fit_is_the_root_of_the_orthogonality_conditions(params_ref, d):
     # 16 episodes are one block drawn at the start policy; at the fit, the orthogonality
     # statistics of those 16 paths sum to zero in every component
     params = params_ref if d == 1 else PARAMS_D2
-    cfg = qlearn.LearnConfig(y0=1.0, T=2.0, dt=0.01, n_episodes=16, gamma=GAMMA, rho=RHO, seed=24)
+    cfg = qlearn.LearnConfig(y0=1.0, T=2.0, dt=0.01, n_episodes=16, gamma=GAMMA, seed=24)
     hist = qlearn.train(cfg, params)
     mean_coef, cov_chol = cfg.initial_params(d).policy_coefficients()
     blocks = sde.increment_blocks(params, mean_coef, cov_chol, 17, 1.0, 2.0, 0.01, seed=24)
@@ -401,15 +416,16 @@ def test_train_fit_is_the_root_of_the_orthogonality_conditions(params_ref, d):
     assert np.all(np.abs(rows.sum(axis=0)) < 1e-12 * np.abs(rows).sum(axis=0))
 
 
-def test_reflection_map_runs_only_where_a_clamp_can_bind(params_ref, pp_star, monkeypatch):
-    # train and the diagnostics read (u_k, X_k) off the kernel; the map runs on a block only
-    # when the action cap can bind there, and then clamps what the path sampler clamps
+def test_train_and_diagnose_never_run_the_reflection_map(params_ref, pp_star, monkeypatch):
+    # train and the diagnostics read (u_k, X_k) off the kernel, whose cap bounds |u_k| before X_k is
+    # drawn, so neither runs the map, at the default cap or at one that binds; they clamp what the
+    # path sampler clamps
     real, calls = sde._reflect, []
     monkeypatch.setattr(sde, "_reflect", lambda *args: calls.append(1) or real(*args))
     mean_coef, cov_chol = pp_star.policy_coefficients()
 
     def run(cap):   # the clamps of a 16-episode train and of a 40-path diagnosis
-        cfg = qlearn.LearnConfig(y0=1.0, T=2.0, dt=0.01, n_episodes=16, gamma=GAMMA, rho=RHO, seed=3, action_cap=cap)
+        cfg = qlearn.LearnConfig(y0=1.0, T=2.0, dt=0.01, n_episodes=16, gamma=GAMMA, seed=3, action_cap=cap)
         hist = qlearn.train(cfg, params_ref)
         clamps = []
         blocks = sde.increment_blocks(params_ref, mean_coef, cov_chol, 40, 0.0, 2.0, 0.01, 4, cap)
@@ -417,12 +433,12 @@ def test_reflection_map_runs_only_where_a_clamp_can_bind(params_ref, pp_star, mo
         assert qlearn.orthogonality_stats(pp_star, counted, RHO).n_paths == 40
         return hist.clamp_events, sum(clamps)
 
-    assert run(sde.DEFAULT_ACTION_CAP) == (0, 0) and calls == []
+    assert run(sde.DEFAULT_ACTION_CAP) == (0, 0)
     train_clamps, diagnose_clamps = run(1.5)
-    assert len(calls) >= 2 and train_clamps > 0 and diagnose_clamps > 0
+    assert calls == [] and train_clamps > 0 and diagnose_clamps > 0
     monkeypatch.setattr(sde, "_reflect", real)
     # the sampler route on the same streams: train's episodes 1 ... 16 are a 17-row batch's rows but stream (3, 0)
-    start = qlearn.LearnConfig(y0=1.0, T=2.0, dt=0.01, n_episodes=16, gamma=GAMMA, rho=RHO, seed=3).initial_params(1)
+    start = qlearn.LearnConfig(y0=1.0, T=2.0, dt=0.01, n_episodes=16, gamma=GAMMA, seed=3).initial_params(1)
     rows = [sde.simulate_linear_gaussian_batch(params_ref, *start.policy_coefficients(), n, 1.0, 2.0, 0.01, 3, 1.5)
             for n in (17, 1)]
     assert rows[0].clamp_events - rows[1].clamp_events == train_clamps
@@ -433,7 +449,7 @@ def test_reflection_map_runs_only_where_a_clamp_can_bind(params_ref, pp_star, mo
 @pytest.mark.parametrize("psi2_0, seed", [(0.6, 1), (0.6, 2), (0.6, 3), (1.5, 1), (1.5, 2), (1.5, 3), (3.0, 1)])
 def test_train_lands_in_criterion_6_bands_from_other_starts(params_ref, psi2_0, seed):
     # criterion 6's setup, bands and tail check from starts away from psi2* = 1
-    cfg = qlearn.LearnConfig(y0=1.0, T=12.0, dt=0.01, n_episodes=4000, gamma=GAMMA, rho=RHO, seed=seed,
+    cfg = qlearn.LearnConfig(y0=1.0, T=12.0, dt=0.01, n_episodes=4000, gamma=GAMMA, seed=seed,
                              psi2_0=[[psi2_0]])
     hist = qlearn.train(cfg, params_ref)
     assert 0.26 <= hist.final.xi <= 0.46
@@ -465,7 +481,7 @@ def nan_sums_row(monkeypatch, episode: int) -> None:
 def test_train_counts_non_finite_xi_root_as_rejected(params_ref, monkeypatch):
     # a NaN in the xi (constant) equation of episode 3 keeps all of its sums out of the fit
     def run():
-        cfg = qlearn.LearnConfig(y0=1.0, T=1.0, dt=0.05, n_episodes=5, gamma=GAMMA, rho=RHO, seed=6)
+        cfg = qlearn.LearnConfig(y0=1.0, T=1.0, dt=0.05, n_episodes=5, gamma=GAMMA, seed=6)
         return qlearn.train(cfg, params_ref)
 
     clean = run()
@@ -500,7 +516,7 @@ def test_train_rejects_only_the_non_finite_row(params_ref, monkeypatch):
     monkeypatch.setattr(sde, "episode_streams", poisoned_streams)
     monkeypatch.setattr(sde, "episode_rng", lambda seed, i: _NanAt(episode_rng(seed, i), 7) if i == 5
                         else episode_rng(seed, i))
-    cfg = qlearn.LearnConfig(y0=1.0, T=1.0, dt=0.05, n_episodes=20, gamma=GAMMA, rho=RHO, seed=6)
+    cfg = qlearn.LearnConfig(y0=1.0, T=1.0, dt=0.05, n_episodes=20, gamma=GAMMA, seed=6)
     with np.errstate(invalid="ignore"):
         hist = qlearn.train(cfg, params_ref)
         # the per-episode loop's rollout raises NonFinite on the same episode
@@ -517,13 +533,13 @@ def test_train_rejects_only_the_non_finite_row(params_ref, monkeypatch):
 def test_train_aborts_on_too_many_rejections():
     # an overflowing variance rate makes every step's X_k non-finite
     params = ModelParams(mu=[0.2], sigma=[[1e200]], sigma_z=0.2, kappa=0.5, eta=[1.0], rho=0.2)
-    cfg = qlearn.LearnConfig(y0=1.0, T=0.5, dt=0.05, n_episodes=50, gamma=GAMMA, rho=RHO, seed=1)
+    cfg = qlearn.LearnConfig(y0=1.0, T=0.5, dt=0.05, n_episodes=50, gamma=GAMMA, seed=1)
     with pytest.raises(qlearn.TooManyRejectedEpisodes):
         qlearn.train(cfg, params)
 
 
 def test_history_export(tmp_path, params_ref):
-    cfg = qlearn.LearnConfig(y0=1.0, T=1.0, dt=0.05, n_episodes=3, gamma=GAMMA, rho=RHO, seed=2)
+    cfg = qlearn.LearnConfig(y0=1.0, T=1.0, dt=0.05, n_episodes=3, gamma=GAMMA, seed=2)
     hist = qlearn.train(cfg, params_ref)
     out = tmp_path / "history.csv"
     hist.to_csv(out)
@@ -545,7 +561,7 @@ def test_history_csv_bytes_equal_the_row_writer(tmp_path, params_ref, monkeypatc
         return (pp, True) if calls[0] % 2 else real(pp, A, b, rho)
 
     monkeypatch.setattr(qlearn, "update", every_other_held)
-    cfg = qlearn.LearnConfig(y0=1.0, T=1.0, dt=0.05, n_episodes=50, gamma=GAMMA, rho=RHO, seed=2)
+    cfg = qlearn.LearnConfig(y0=1.0, T=1.0, dt=0.05, n_episodes=50, gamma=GAMMA, seed=2)
     hist = qlearn.train(cfg, params_ref if d == 1 else PARAMS_D2)
     assert hist.clipped.sum() == 2 and not hist.clipped.all()
     hist.to_csv(tmp_path / "bulk.csv")
@@ -559,7 +575,7 @@ def test_train_equals_the_per_episode_loop(params_ref, monkeypatch, case):
     # loop that holds the policy for a block and refits at its end, fresh generators and all
     params = PARAMS_D2 if case == "d2" else params_ref
     cap = 0.5 if case == "action_cap" else sde.DEFAULT_ACTION_CAP
-    kwargs = dict(y0=1.0, T=2.0, dt=0.01, n_episodes=30, gamma=GAMMA, rho=RHO, seed=11, action_cap=cap)
+    kwargs = dict(y0=1.0, T=2.0, dt=0.01, n_episodes=30, gamma=GAMMA, seed=11, action_cap=cap)
     resume = {}
     if case == "resumed":   # 21 episodes stop inside the second block
         first = qlearn.train(qlearn.LearnConfig(**dict(kwargs, n_episodes=21)), params)

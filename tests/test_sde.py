@@ -160,11 +160,12 @@ def test_episode_determinism(params_ref, pp_star):
 
 
 def test_environment_clamps_huge_actions(params_ref):
-    # a one-row batch on stream (8, 0) counts the clamp, and the rollout on that stream is its row
+    # a one-row batch on stream (8, 0) counts the clamp, and the rollout on that stream is its row;
+    # the cap bounds the relative action u = a / (1 + y), so the action is (1 + y0) cap
     batch = sde.simulate_linear_gaussian_batch(params_ref, [50.0], [[0.0]], 1, 0.5, 0.01, 0.01, 8, 1.0)
     rollout = sde.rollout_linear_gaussian(params_ref, [50.0], [[0.0]], 0.5, 1, 0.01, sde.episode_rng(8, 0), 1.0)
     assert batch.clamp_events == 1
-    assert abs(batch.actions[0, 0, 0]) == pytest.approx(1.0, abs=1e-15)
+    assert abs(batch.actions[0, 0, 0]) == pytest.approx(1.5, abs=1e-15)
     for got, row in zip(rollout, (batch.states[0], batch.actions[0], batch.local_time[0])):
         assert np.array_equal(got, row)
 
@@ -206,8 +207,8 @@ def test_batch_matches_sequential_rollout(params_ref, pp_star):
         assert np.array_equal(local, batch.local_time[i])
 
 
-# The kernel against the step-by-step loops: the reference policy; a small
-# cap that clamps about a third of the steps; a large step with a large mean
+# The kernel against the step-by-step loops: the reference policy; a cap on
+# |u_k| that clamps about one step in 150; a large step with a large mean
 # action, whose variance drags ln(1+y) to 0 on most steps; and no action
 # with a vanishing benchmark volatility, where nothing moves.
 KERNEL_CASES = {
@@ -254,10 +255,15 @@ def test_kernel_matches_loop_oracles(params_ref, pp_star, case):
     assert batch.clamp_events == batch_loop.clamp_events
 
 
+def _relative_norms(batch):
+    """|u_k| = |a_k| / (1 + y_k) of every step of a batch, (n, K)."""
+    return np.linalg.norm(batch.actions, axis=2) / (1.0 + batch.states[:, :-1])
+
+
 @pytest.mark.parametrize("cap", [sde.DEFAULT_ACTION_CAP, 1.5])
 def test_local_time_is_the_push(params_ref, pp_star, cap):
-    # L is the push of the Lindley recursion from L_0 = +0.0, and a replay after a clamp
-    # adds its push to L_k, so L stays continuous and non-decreasing across the replay
+    # L is the push of the Lindley recursion from L_0 = +0.0, clamped steps or not; a clamp
+    # scales u_k onto the cap before X_k is drawn, and no other |u_k| reaches it
     mean_coef, cov_chol = pp_star.policy_coefficients()
     args = (params_ref, mean_coef, cov_chol, 20, 0.0, 4.0, 0.01, 33, cap)
     batch, loop = sde.simulate_linear_gaussian_batch(*args), simulate_linear_gaussian_batch_loop(*args)
@@ -268,11 +274,13 @@ def test_local_time_is_the_push(params_ref, pp_star, cap):
     assert not np.signbit(L).any()   # zeros are 0.0, never -0.0
     assert np.all(dL >= 0.0)
     assert np.all(batch.states[:, 1:][dL > 0.0] == 0.0)
-    clamped = np.linalg.norm(batch.actions, axis=2) >= cap * (1.0 - 1e-12)
+    unorm = _relative_norms(batch)
+    clamped = unorm >= cap * (1.0 - 1e-12)
     assert (batch.clamp_events > 0) == (cap < 10.0) == clamped.any()
-    if cap < 10.0:   # replays start after some local time has built up
-        assert batch.clamp_events == np.count_nonzero(clamped)
-        assert np.count_nonzero(L[:, :-1][clamped] > 0.0) > 10
+    assert batch.clamp_events == loop.clamp_events == np.count_nonzero(clamped)
+    assert np.all(np.abs(unorm[clamped] - cap) <= 1e-12 * cap)
+    if cap < 10.0:   # clamps fall on reflecting steps too
+        assert np.count_nonzero(dL[clamped] > 0.0) > 0
 
 
 def test_kernel_names_non_finite_path_and_step(params_ref):
@@ -296,6 +304,22 @@ def test_streamed_block_names_the_global_non_finite_path(params_ref):
     with pytest.raises(sde.NonFinite) as err, np.errstate(over="ignore", invalid="ignore"):
         sde.simulate_linear_gaussian_batch(*args)
     assert str(err.value) == str(loop_err.value) == "path 37, step 5: non-finite state proposal"
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_cap_scales_a_huge_relative_action_onto_it(params_ref, d):
+    # |u_k| near 1e200 squares to inf; the norm is taken after scaling by max_i |u_i|, so every
+    # step is clamped onto the default cap, not to 0, and ln(1 + y) reflects at 0 on every step
+    params = params_ref if d == 1 else PARAMS_D2
+    mean_coef = np.array([1e200, -3e200][:d])
+    args = (params, mean_coef, np.eye(d), 2, 1.0, 0.05, 0.01, 5)
+    batch = sde.simulate_linear_gaussian_batch(*args)
+    assert batch.clamp_events == 10
+    assert np.all(np.abs(_relative_norms(batch) - sde.DEFAULT_ACTION_CAP) <= 1e-12 * sde.DEFAULT_ACTION_CAP)
+    assert np.all(batch.states[:, 1:] == 0.0)
+    u, x, clamp_events = _copied(sde.increment_blocks(*args))[0]
+    assert clamp_events == 10 and np.all(np.isfinite(x))
+    assert np.allclose(np.sqrt((u**2).sum(axis=0)), sde.DEFAULT_ACTION_CAP, rtol=1e-12, atol=0.0)
 
 
 def _copied(blocks):
@@ -381,9 +405,11 @@ def test_kernel_path_invariants(seed, d, y0, log10_cap):
         assert np.array_equal(states, batch.states[i])
         assert np.array_equal(actions, batch.actions[i])
         assert np.array_equal(local, batch.local_time[i])
-    # a clamp scales its action to the cap, and no other action reaches it
-    clamped = np.linalg.norm(batch.actions, axis=2) >= cap * (1.0 - 1e-12)
+    # a clamp scales its relative action onto the cap, and no other relative action reaches it
+    unorm = _relative_norms(batch)
+    clamped = unorm >= cap * (1.0 - 1e-12)
     assert batch.clamp_events == np.count_nonzero(clamped)
+    assert np.all(np.abs(unorm[clamped] - cap) <= 1e-12 * cap)
 
 
 def test_discounted_local_time_matches_value_decomposition(params_ref, exploratory_ref, pp_star):
