@@ -349,7 +349,7 @@ def cmd_diagnose(cfg: dict, seed: int | None, out: Path) -> int:
         _check_horizon(T, dt, "diagnose")
         _check_paths(n_paths, "diagnose.n_paths")
         mean_coef, cov_chol = pp.policy_coefficients()
-        blocks = sde.increment_blocks(params, mean_coef, cov_chol, n_paths, y0, T, dt, seed)
+        blocks = sde.increment_blocks(params, mean_coef, cov_chol, n_paths, T, dt, seed)
         stats = qlearn.orthogonality_stats(pp, blocks, params.rho)
         payload["orthogonality"] = stats.as_dict()
         payload["all_within_3_sigma"] = bool(np.all(np.abs(stats.z_scores()) < 3.0))

@@ -109,6 +109,9 @@ class ModelParams:
             raise ValueError(f"eta must be ({d},), got {self.eta.shape}")
         if not np.all(np.isfinite(self.mu)) or not np.all(np.isfinite(self.sigma)):
             raise ValueError("mu and sigma must be finite")
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not np.all(np.isfinite(self.sigma_sigma_t)):
+                raise ValueError("sigma sigma' must be finite: sigma's entries are too large")
         if np.all(self.mu == 0.0):
             raise ValueError("mu must be nonzero")
         if not (self.sigma_z > 0.0):

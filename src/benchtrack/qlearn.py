@@ -49,7 +49,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from types import SimpleNamespace
-from typing import Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -207,10 +207,22 @@ def _quadratic_pairs(d: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(d) for j in range(i, d)]
 
 
-def _feature_workspace(rows: int, K: int, d: int) -> SimpleNamespace:
-    """Scratch arrays for _features and its reductions on up to `rows` paths of K steps; one is phi's constant 1."""
+def _feature_workspace(rows: int, K: int, d: int, w: np.ndarray | None = None, g: np.ndarray | None = None
+                       ) -> SimpleNamespace:
+    """Scratch arrays for _features and its reductions on up to `rows` paths of K steps; one is phi's constant 1.
+
+    The caller may lend the (rows, K) planes w and g.
+    """
     return SimpleNamespace(one=np.ones((rows, K)), quad=np.empty((len(_quadratic_pairs(d)), rows, K)),
-                           w=np.empty((rows, K)), g=np.empty((rows, K)))
+                           w=np.empty((rows, K)) if w is None else w, g=np.empty((rows, K)) if g is None else g)
+
+
+def _kernel_feature_workspace(ws: SimpleNamespace) -> SimpleNamespace:
+    """A _feature_workspace for the blocks of a kernel workspace ws (sde._workspace).
+
+    It is lent the kernel's planes t and unorm, which are free once a block's (u_k, X_k) are made.
+    """
+    return _feature_workspace(*ws.x.shape, len(ws.u), w=ws.t, g=ws.unorm)
 
 
 def _features(u: np.ndarray, ws: SimpleNamespace) -> list[np.ndarray]:
@@ -521,29 +533,25 @@ def _component_names(d: int) -> list[str]:
     return names
 
 
-def orthogonality_stats(pp: PolicyParams, blocks: Iterable[sde.IncrementBlock], rho: float) -> OrthogonalityStats:
+def orthogonality_stats(pp: PolicyParams, blocks: Callable[..., list], rho: float) -> OrthogonalityStats:
     """Estimate E[sum_k test * (M_{k+1} - M_k)] per test function.
 
-    blocks is the sde.IncrementBlock stream of sde.increment_blocks, at most
-    BLOCK_ROWS paths each; only the per-path rows are kept.  At the correct
-    (xi, psi1, psi2) every component is a centred martingale statistic, so
-    each mean should vanish within Monte Carlo error.  A standard error
-    needs two paths; a non-finite row raises sde.NonFinite naming its path.
+    blocks is the block map of sde.increment_blocks: blocks(reduce, scratch)
+    returns reduce(block, scratch(ws)) for each sde.IncrementBlock in path
+    order.  Each worker of the map reduces the blocks it draws to their
+    per-path rows in its own feature workspace, and only the rows are kept;
+    the whole pass runs within this call.  At the correct (xi, psi1, psi2)
+    every component is a centred martingale statistic, so each mean should
+    vanish within Monte Carlo error.  A standard error needs two paths; a
+    non-finite row raises sde.NonFinite naming its path.
     """
-    rows, d_rows, ws = [], [], None
     with np.errstate(over="ignore", invalid="ignore"):
         theta, M = _statistics_map(pp, rho)
-        for block in blocks:
-            d, _, K = block.u.shape
-            if ws is None or ws.quad.shape[1:] != (sde.BLOCK_ROWS, K):
-                ws = _feature_workspace(sde.BLOCK_ROWS, K, d)
-            r, dr = _orthogonality_rows(theta, M, rho, block, ws)
-            rows.append(r)
-            d_rows.append(dr)
-    n_paths = sum(len(r) for r in rows)
+        parts = blocks(lambda block, fws: _orthogonality_rows(theta, M, rho, block, fws), _kernel_feature_workspace)
+    n_paths = sum(len(r) for r, _ in parts)
     if n_paths < 2:
         raise ValueError(f"need at least two episode paths for a standard error, got {n_paths}")
-    rows, d_rows = np.concatenate(rows), np.concatenate(d_rows)
+    rows, d_rows = (np.concatenate(arrays) for arrays in zip(*parts))
     bad = ~(np.isfinite(rows).all(axis=1) & np.isfinite(d_rows).all(axis=1))
     if bad.any():
         raise sde.NonFinite(f"path {int(np.argmax(bad))}: non-finite orthogonality statistic")
@@ -563,7 +571,9 @@ def convergence_study(
 
     Each row carries the Monte Carlo means/stderrs plus the analytic
     envelope e^{-rho T} (2 h0 + 2 |mu_hat| T + sigma_hat sqrt(2T/pi)) that
-    dominates the infinite-horizon truncation tail.
+    dominates the infinite-horizon truncation tail, h0 = ln(1 + y0).  y0
+    enters only that bound: the statistics read (u_k, X_k), which do not
+    depend on the start.
     """
     if not dt_list or not T_list:
         raise ValueError("dt_list and T_list must be nonempty")
@@ -574,7 +584,7 @@ def convergence_study(
     rows = []
     for dt in dt_list:
         for T in T_list:
-            blocks = sde.increment_blocks(params, mean_coef, cov_chol, n_paths, y0, T, dt, seed)
+            blocks = sde.increment_blocks(params, mean_coef, cov_chol, n_paths, T, dt, seed)
             stats = orthogonality_stats(pp, blocks, params.rho)
             tail = math.exp(-params.rho * T) * (
                 2.0 * h0 + 2.0 * abs(mu_hat) * T + s * math.sqrt(2.0 * T / math.pi)

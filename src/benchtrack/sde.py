@@ -31,9 +31,12 @@ simulate_aggregated store paths, and rollout_linear_gaussian gives one path
 from the caller's generator; they run the map (_paths).  The statistics read
 only (u_k, X_k), which increment_blocks (and qlearn.train) take from the
 kernel without running the map.
-Every batch works in blocks of a few paths over one reused workspace; row i
-draws the Philox stream (seed, i), so it equals a rollout on that stream bit
-for bit, and one re-keyed Philox serves every stream (episode_streams).
+Every path sampler is one ordered block map (_block_map): blocks of
+MAP_ROWS paths go to up to two worker threads, each with its own workspace
+and its own re-keyed Philox (episode_streams), and each block is reduced by
+the worker that drew it.  Row i draws the Philox stream (seed, i) and every
+contraction and row sum is per row, so a row equals a rollout on that
+stream bit for bit, whichever worker drew it and however many there are.
 
 The same map in continuous time gives an independent oracle for the
 policy-averaged dynamics: for H = ln(1 + Y),
@@ -51,7 +54,7 @@ import json
 import math
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -77,9 +80,13 @@ __all__ = [
 
 DEFAULT_ACTION_CAP = 1e6
 _KEY_MASK = 0xFFFFFFFFFFFFFFFF
-# paths per kernel block: a block's arrays stay small (150 kB each at K = 1200)
-# while numpy's per-call cost is shared by several paths
+# episodes per refit block of qlearn.train: a block's arrays stay small (150 kB
+# each at K = 1200) while numpy's per-call cost is shared by several paths
 BLOCK_ROWS = 16
+# paths per block of the block map: each numpy call costs about 10 us, so
+# 16-row blocks hand the GIL between the workers too often
+MAP_ROWS = 32
+MAX_WORKERS = 2   # the only worker count measured
 
 
 class NonFinite(RuntimeError):
@@ -184,40 +191,72 @@ class IncrementBlock:
 def _workspace(rows: int, K: int, d: int) -> SimpleNamespace:
     """Buffers for the kernel on up to `rows` paths of K steps; u holds the d components of u_k.
 
-    A stream of blocks allocates them once.  Fresh temporaries in each
-    block would go back to the system when the block ends and be faulted in
-    again by the next one, a cost that swings with the machine's load.
+    A worker allocates them once for all its blocks.  Fresh temporaries in
+    each block would go back to the system when the block ends and be
+    faulted in again by the next one, a cost that swings with the machine's load.
     """
     def e(*shape):
         return np.empty((rows, *shape))
     return SimpleNamespace(normals=e(K, d + 1), u=np.empty((d, rows, K)), x=e(K), unorm=e(K), t=e(K), w=e(K),
-                           h=e(K + 1), push=e(K + 1), states=e(K + 1), actions=e(K, d), local=e(K + 1))
+                           h=e(K + 1), push=e(K + 1))
 
 
-def _blocks(K: int, d: int, n_paths: int, seed: int, fill) -> Iterator:
-    """fill(ws, n, first_path) per block of n <= BLOCK_ROWS paths, ws.normals[j] from stream (seed, first_path + j).
+def _workers() -> int:
+    """One worker per CPU that this process may run on, at most MAX_WORKERS."""
+    import os
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return min(cpus, MAX_WORKERS)
 
-    Every block is drawn into the same workspace, so the next one overwrites what fill returned.
+
+def _block_map(n_paths: int, seed: int, workspace: Callable[[int], SimpleNamespace], fill) -> list:
+    """[fill(ws, n, first_path) for each block of n <= MAP_ROWS paths], in path order.
+
+    ws.normals[j] holds the stream (seed, first_path + j).  The blocks go in
+    turn to _workers() workers, one of them the caller; each has its own
+    ws = workspace(MAP_ROWS) and its own re-keyed Philox, and runs fill under
+    the caller's np.errstate (a thread does not inherit it).  So a result
+    depends only on its block's paths, as long as fill reads nothing that an
+    earlier block left in ws.  If blocks raise, the error of the earliest one
+    is raised once every worker has stopped; no block is taken after an error.
     """
-    ws = _workspace(min(n_paths, BLOCK_ROWS), K, d)
-    stream = episode_streams()
-    for start in range(0, n_paths, BLOCK_ROWS):
-        n = min(BLOCK_ROWS, n_paths - start)
-        for j in range(n):
-            stream(seed, start + j).standard_normal(out=ws.normals[j])
-        yield fill(ws, n, start)
+    import threading
+    rows = MAP_ROWS
+    starts = range(0, n_paths, rows)
+    results: list = [None] * len(starts)
+    errors: dict = {}
+    lock, order = threading.Lock(), iter(range(len(starts)))
+    errstate = np.geterr()
 
+    def work():
+        ws, stream = workspace(min(rows, n_paths)), episode_streams()
+        with np.errstate(**errstate):
+            while not errors:
+                with lock:
+                    b = next(order, None)
+                if b is None:
+                    return
+                start = starts[b]
+                n = min(rows, n_paths - start)
+                try:
+                    for j in range(n):
+                        stream(seed, start + j).standard_normal(out=ws.normals[j])
+                    results[b] = fill(ws, n, start)
+                except BaseException as exc:
+                    errors[b] = exc   # the other workers take no further block
+                    if not isinstance(exc, Exception):   # an interrupt in the caller
+                        raise
 
-def _batch(blocks: Iterator[BatchPaths], times: np.ndarray, d: int, n_paths: int) -> BatchPaths:
-    """The n_paths rows that `blocks` yields on `times`, copied into one BatchPaths."""
-    K = len(times) - 1
-    states, local, actions = np.empty((n_paths, K + 1)), np.empty((n_paths, K + 1)), np.empty((n_paths, K, d))
-    clamp_events = 0
-    for start, block in zip(range(0, n_paths, BLOCK_ROWS), blocks):
-        rows = slice(start, start + BLOCK_ROWS)
-        states[rows], actions[rows], local[rows] = block.states, block.actions, block.local_time
-        clamp_events += block.clamp_events
-    return BatchPaths(times, states, actions, local, clamp_events)
+    threads = [threading.Thread(target=work) for _ in range(min(_workers(), len(starts)) - 1)]
+    for t in threads:
+        t.start()
+    try:
+        work()
+    finally:
+        for t in threads:
+            t.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 def _reflect(x: np.ndarray, states: np.ndarray, local: np.ndarray, ws: SimpleNamespace) -> None:
@@ -291,33 +330,38 @@ def _increments(m: SimpleNamespace, mean_coef: np.ndarray, cov_chol: np.ndarray,
     return clamps
 
 
-def _paths(y0: float, ws: SimpleNamespace, n: int) -> None:
-    """Fill ws.states, ws.local and ws.actions of a block from y0, its steps ws.x and its u_k: a_k = (1+y_k) u_k."""
-    u, t, states, local = ws.u[:, :n], ws.t[:n], ws.states[:n], ws.local[:n]
+def _paths(y0: float, ws: SimpleNamespace, states: np.ndarray, local: np.ndarray, actions: np.ndarray) -> None:
+    """Fill a block's states, local time and actions from y0, its steps ws.x and its u_k: a_k = (1+y_k) u_k."""
+    n = len(states)
+    u, t = ws.u[:, :n], ws.t[:n]
     states[:, 0] = y0
     local[:, 0] = 0.0
     _reflect(ws.x[:n], states, local, ws)
     np.add(states[:, :-1], 1.0, out=t)
     for i in range(len(u)):
-        np.multiply(t, u[i], out=ws.actions[:n, :, i])
+        np.multiply(t, u[i], out=actions[:, :, i])
 
 
 def _check_finite(a: np.ndarray, first_path: int) -> None:
-    """Raise NonFinite naming the first step k with a non-finite a[:, k], and its first such path after first_path.
+    """Raise NonFinite naming a's first row with a non-finite value, as path first_path + row, and its first bad step.
 
+    The rows are paths in order, so the message does not depend on how a run's paths are split into blocks.
     A sum is finite only if every term is, so the mask is built only when a value may be bad.
     """
     if not math.isfinite(a.sum()):
         bad = ~np.isfinite(a)
         if bad.any():
-            k = int(np.argmax(bad.any(axis=0)))
-            raise NonFinite(f"path {first_path + int(np.argmax(bad[:, k]))}, step {k}: non-finite state proposal")
+            i = int(np.argmax(bad.any(axis=1)))
+            raise NonFinite(f"path {first_path + i}, step {int(np.argmax(bad[i]))}: non-finite state proposal")
 
 
-def _policy_args(params: ModelParams, mean_coef, cov_chol, y0: float, dt: float):
-    """(market, mean_coef, cov_chol) of a kernel run, refusing a negative y0."""
+def _check_start(y0: float) -> None:
     if y0 < 0.0:
         raise ValueError(f"y0 must be >= 0, got {y0}")
+
+
+def _policy_args(params: ModelParams, mean_coef, cov_chol, dt: float):
+    """(market, mean_coef, cov_chol) of a kernel run."""
     d = params.d
     return (_market(params, dt), np.asarray(mean_coef, dtype=float).reshape(d),
             np.asarray(cov_chol, dtype=float).reshape(d, d))
@@ -333,33 +377,48 @@ def rollout_linear_gaussian(params: ModelParams, mean_coef: np.ndarray, cov_chol
     bit-identical to the batch's row on the same stream.  The batch counts
     the clamps.
     """
-    m, mean_coef, cov_chol = _policy_args(params, mean_coef, cov_chol, y0, dt)
+    _check_start(y0)
+    m, mean_coef, cov_chol = _policy_args(params, mean_coef, cov_chol, dt)
     ws = _workspace(1, n_steps, params.d)
+    states, local, actions = np.empty((1, n_steps + 1)), np.empty((1, n_steps + 1)), np.empty((1, n_steps, params.d))
     rng.standard_normal(out=ws.normals[0])
     _increments(m, mean_coef, cov_chol, action_cap, ws, 1)
-    _paths(y0, ws, 1)
-    _check_finite(ws.states[:, 1:], 0)
-    return ws.states[0], ws.actions[0], ws.local[0]
+    _paths(y0, ws, states, local, actions)
+    _check_finite(states[:, 1:], 0)
+    return states[0], actions[0], local[0]
 
 
-def increment_blocks(params: ModelParams, mean_coef: np.ndarray, cov_chol: np.ndarray, n_paths: int, y0: float,
-                     T: float, dt: float, seed: int, action_cap: float = DEFAULT_ACTION_CAP
-                     ) -> Iterator[IncrementBlock]:
-    """The (u_k, X_k) of the rows of simulate_linear_gaussian_batch, in blocks of at most BLOCK_ROWS paths.
+def increment_blocks(params: ModelParams, mean_coef: np.ndarray, cov_chol: np.ndarray, n_paths: int, T: float,
+                     dt: float, seed: int, action_cap: float = DEFAULT_ACTION_CAP) -> Callable[..., list]:
+    """The (u_k, X_k) of the rows of simulate_linear_gaussian_batch, as a block map that runs when it is called.
 
-    They are the kernel's own u and X, and the reflection map never runs.  The
-    next block overwrites a block's arrays; a NonFinite names the first
-    non-finite X_k by its path's index in the run.
+    blocks(reduce, scratch=None) returns [reduce(block, s) for each
+    IncrementBlock of at most MAP_ROWS paths], in path order: reduce runs on
+    the worker that drew the block (_block_map), and s = scratch(ws) is made
+    once per worker from its kernel workspace ws (None without scratch).  A
+    block's arrays are the kernel's own u and X in ws, which the worker's
+    next block overwrites; the reflection map never runs.  A NonFinite names
+    the first path with a non-finite X_k, and its first such step.  The
+    paths' start y_0 enters no (u_k, X_k), so the map takes none.
     """
-    m, mean_coef, cov_chol = _policy_args(params, mean_coef, cov_chol, y0, dt)
+    m, mean_coef, cov_chol = _policy_args(params, mean_coef, cov_chol, dt)
     times = _grid(T, dt)
+    K, d = len(times) - 1, params.d
 
-    def fill(ws, n, first_path):
-        clamp_events = _increments(m, mean_coef, cov_chol, action_cap, ws, n)
-        _check_finite(ws.x[:n], first_path)
-        return IncrementBlock(times, ws.u[:, :n], ws.x[:n], clamp_events)
+    def blocks(reduce, scratch=None) -> list:
+        def workspace(rows):
+            ws = _workspace(rows, K, d)
+            ws.scratch = None if scratch is None else scratch(ws)
+            return ws
 
-    return _blocks(len(times) - 1, params.d, n_paths, seed, fill)
+        def fill(ws, n, first_path):
+            clamp_events = _increments(m, mean_coef, cov_chol, action_cap, ws, n)
+            _check_finite(ws.x[:n], first_path)
+            return reduce(IncrementBlock(times, ws.u[:, :n], ws.x[:n], clamp_events), ws.scratch)
+
+        return _block_map(n_paths, seed, workspace, fill)
+
+    return blocks
 
 
 def simulate_linear_gaussian_batch(
@@ -378,18 +437,24 @@ def simulate_linear_gaussian_batch(
     The policy draws a ~ N(mean_coef (1+y), (1+y)^2 cov_chol cov_chol'),
     which covers both the explicit optimal policy and every parameterized
     policy used by the learner.  One Philox stream per episode keeps the
-    result bit-identical to sequential generation path by path.
+    result bit-identical to sequential generation path by path; each worker
+    of the block map writes its blocks' rows of the output.
     """
-    m, mean_coef, cov_chol = _policy_args(params, mean_coef, cov_chol, y0, dt)
+    _check_start(y0)
+    m, mean_coef, cov_chol = _policy_args(params, mean_coef, cov_chol, dt)
     times = _grid(T, dt)
+    K, d = len(times) - 1, params.d
+    states, local, actions = np.empty((n_paths, K + 1)), np.empty((n_paths, K + 1)), np.empty((n_paths, K, d))
 
     def fill(ws, n, first_path):
+        rows = slice(first_path, first_path + n)
         clamp_events = _increments(m, mean_coef, cov_chol, action_cap, ws, n)
-        _paths(y0, ws, n)
-        _check_finite(ws.states[:n, 1:], first_path)
-        return BatchPaths(times, ws.states[:n], ws.actions[:n], ws.local[:n], clamp_events)
+        _paths(y0, ws, states[rows], local[rows], actions[rows])
+        _check_finite(states[rows, 1:], first_path)
+        return clamp_events
 
-    return _batch(_blocks(len(times) - 1, params.d, n_paths, seed, fill), times, params.d, n_paths)
+    clamps = _block_map(n_paths, seed, lambda rows: _workspace(rows, K, d), fill)
+    return BatchPaths(times, states, actions, local, sum(clamps))
 
 
 def aggregated_coefficients(params: ModelParams, gamma: float) -> tuple[float, float]:
@@ -427,23 +492,24 @@ def simulate_aggregated(
     gives the Skorokhod map's H at the grid times: states = expm1(H) and
     local_time = its push K, which is Y's local time (1 + Y = 1 where K grows).
     """
-    if y0 < 0.0:
-        raise ValueError(f"y0 must be >= 0, got {y0}")
+    _check_start(y0)
     b, s = aggregated_coefficients(params, gamma)
     drift, scale = (b - 0.5 * s * s) * dt, s * math.sqrt(dt)
-
     times = _grid(T, dt)
+    K = len(times) - 1
+    states, local = np.empty((n_paths, K + 1)), np.empty((n_paths, K + 1))
 
     def fill(ws, n, first_path):
-        x, states, local = ws.x[:n], ws.states[:n], ws.local[:n]
+        rows = slice(first_path, first_path + n)
+        x = ws.x[:n]
         np.multiply(ws.normals[:n, :, 0], scale, out=x)
         x += drift
-        states[:, 0] = y0
-        local[:, 0] = 0.0
-        _reflect(x, states, local, ws)
-        return BatchPaths(times, states, ws.actions[:n], local)
+        states[rows, 0] = y0
+        local[rows, 0] = 0.0
+        _reflect(x, states[rows], local[rows], ws)
 
-    return _batch(_blocks(len(times) - 1, 0, n_paths, seed, fill), times, 0, n_paths)
+    _block_map(n_paths, seed, lambda rows: _workspace(rows, K, 0), fill)
+    return BatchPaths(times, states, np.empty((n_paths, K, 0)), local)
 
 
 def aggregated_terminal_sample(

@@ -30,6 +30,19 @@ def pp_star(exploratory_ref) -> qlearn.PolicyParams:
     return qlearn.PolicyParams.from_constants(exploratory_ref)
 
 
+# (workers, rows per block) of the block map: a row must not depend on either
+MAP_LAYOUTS = [(1, 16), (1, 32), (2, 16), (2, 32)]
+
+
+@pytest.fixture
+def map_layout(monkeypatch):
+    """set_layout(workers, rows): run every block map with that many workers, whatever the CPUs, and rows per block."""
+    def set_layout(workers: int, rows: int) -> None:
+        monkeypatch.setattr(sde, "_workers", lambda: workers)
+        monkeypatch.setattr(sde, "MAP_ROWS", rows)
+    return set_layout
+
+
 def one_step_path(y: float, a, y_next: float, dL: float, dt: float) -> EpisodePath:
     """A single transition y -> y_next under action a, with local time dL."""
     return EpisodePath(
@@ -73,26 +86,33 @@ def path_sums(batch: sde.BatchPaths, rho: float):
 
 def _path_reductions(batch: sde.BatchPaths, reduce):
     """The two per-path arrays that reduce(block, workspace) gives for each block of a batch, concatenated."""
-    n, K, d = batch.actions.shape
-    ws = qlearn._feature_workspace(sde.BLOCK_ROWS, K, d)
-    parts = [reduce(block, ws) for block in path_increments(batch)]
+    parts = path_increments(batch)(reduce, qlearn._kernel_feature_workspace)
     return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
 
 def path_increments(batch: sde.BatchPaths):
-    """The (u_k, X_k) of a batch's stored paths as the sde.IncrementBlock stream that qlearn.orthogonality_stats reads.
+    """The (u_k, X_k) of a batch's stored paths as a block map like sde.increment_blocks' for orthogonality_stats.
 
-    They are read off the states and local time, BLOCK_ROWS paths at a time:
-    u_k = a_k / (1 + y_k) and X_k = ln(1 + y_{k+1}) - ln(1 + y_k) - dL_k.
+    blocks(reduce, scratch) reads them off the states and local time,
+    BLOCK_ROWS paths at a time, u_k = a_k / (1 + y_k) and
+    X_k = ln(1 + y_{k+1}) - ln(1 + y_k) - dL_k, and returns reduce(block, s)
+    for each block in order, with one s = scratch(ws) for a kernel workspace ws.
     """
-    for start in range(0, len(batch.states), sde.BLOCK_ROWS):
-        rows = slice(start, start + sde.BLOCK_ROWS)
-        states, local = batch.states[rows], batch.local_time[rows]
-        if states.min() < 0.0:
-            raise DomainError(f"state must be >= 0, got {states!r}")
-        x = np.diff(np.log1p(states), axis=1) - np.diff(local, axis=1)
-        u = np.moveaxis(batch.actions[rows], -1, 0) / (1.0 + states[:, :-1])
-        yield sde.IncrementBlock(batch.times, u, x)
+    def blocks(reduce, scratch=None):
+        n, K, d = batch.actions.shape
+        ws = None if scratch is None else scratch(sde._workspace(sde.BLOCK_ROWS, K, d))
+        out = []
+        for start in range(0, n, sde.BLOCK_ROWS):
+            rows = slice(start, start + sde.BLOCK_ROWS)
+            states, local = batch.states[rows], batch.local_time[rows]
+            if states.min() < 0.0:
+                raise DomainError(f"state must be >= 0, got {states!r}")
+            x = np.diff(np.log1p(states), axis=1) - np.diff(local, axis=1)
+            u = np.moveaxis(batch.actions[rows], -1, 0) / (1.0 + states[:, :-1])
+            out.append(reduce(sde.IncrementBlock(batch.times, u, x), ws))
+        return out
+
+    return blocks
 
 
 def random_params(rng: np.random.Generator, d: int | None = None) -> ModelParams:

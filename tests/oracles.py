@@ -219,7 +219,8 @@ def simulate_linear_gaussian_batch_loop(
     """Step-by-step batch of a state-linear Gaussian policy, all paths per step, exact in ln(1+y).
 
     The reference for sde.simulate_linear_gaussian_batch: same streams, and the cap rule of
-    rollout_linear_gaussian_loop.
+    rollout_linear_gaussian_loop.  A NonFinite names the first path with a non-finite state,
+    and its first such step.
     """
     if y0 < 0.0:
         raise ValueError(f"y0 must be >= 0, got {y0}")
@@ -243,25 +244,27 @@ def simulate_linear_gaussian_batch_loop(
 
     y = np.full(n_paths, float(y0))
     H = np.log1p(y)
+    first_bad = np.full(n_paths, -1)   # each path's first step with a non-finite state
     for k in range(K):
         scale = 1.0 + y
-        u = mean_coef[None, :] + z_act[:, k, :] @ cov_chol.T
-        norms = np.hypot.reduce(u, axis=1)   # |u_k| without overflow
-        over = norms > action_cap
-        if np.any(over):
-            u[over] *= (action_cap / norms[over])[:, None]
-            clamp_events += int(np.count_nonzero(over))
         with np.errstate(invalid="ignore", over="ignore"):
+            u = mean_coef[None, :] + z_act[:, k, :] @ cov_chol.T
+            norms = np.hypot.reduce(u, axis=1)   # |u_k| without overflow
+            over = norms > action_cap
+            if np.any(over):
+                u[over] *= (action_cap / norms[over])[:, None]
+                clamp_events += int(np.count_nonzero(over))
             h = H + exact_increment(params, dt, u, normals[:, k, d])
             H = np.maximum(h, 0.0)
             dL = np.maximum(-h, 0.0)
             y = np.expm1(H)
-        if not np.all(np.isfinite(y) & np.isfinite(dL)):
-            bad = int(np.flatnonzero(~(np.isfinite(y) & np.isfinite(dL)))[0])
-            raise sde.NonFinite(f"path {bad}, step {k}: non-finite state proposal")
-        actions[:, k, :] = scale[:, None] * u
+            actions[:, k, :] = scale[:, None] * u
+            local[:, k + 1] = local[:, k] + dL
         states[:, k + 1] = y
-        local[:, k + 1] = local[:, k] + dL
+        first_bad[(first_bad < 0) & ~(np.isfinite(y) & np.isfinite(dL))] = k
+    if np.any(first_bad >= 0):
+        bad = int(np.argmax(first_bad >= 0))
+        raise sde.NonFinite(f"path {bad}, step {first_bad[bad]}: non-finite state proposal")
     return sde.BatchPaths(
         times=times,
         states=states,

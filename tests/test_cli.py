@@ -205,9 +205,10 @@ def test_train_resumed_mid_block_repeats_one_run(tmp_path, caplog):
 
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
 def test_train_with_too_many_rejected_episodes_exits_2(tmp_path, caplog):
-    # an overflowing variance rate makes every path non-finite, so the run stops at the rejection limit
-    model = {"model": {**MODEL_BLOCK["model"], "sigma": [[1.0e200]]}}
-    cfg = write_config(tmp_path, {**model, "train": {"T": 0.5, "dt": 0.05, "episodes": 50}})
+    # the variance rate overflows at the capped mean action |u_k| = 1e6 (sigma sigma' is finite, which
+    # the model requires), so every path is non-finite and the run stops at the rejection limit
+    model = {"model": {**MODEL_BLOCK["model"], "sigma": [[1.0e150]]}}
+    cfg = write_config(tmp_path, {**model, "train": {"T": 0.5, "dt": 0.05, "episodes": 50, "init": {"psi1": [1.0e10]}}})
     out = tmp_path / "out"
     assert main(["train", "--config", cfg, "--out", str(out)]) == 2
     assert "6 of 6 episodes rejected (limit 10% of 50)" in caplog.text
@@ -423,7 +424,7 @@ def test_diagnose_streams_the_stored_batch_result(tmp_path):
     params = ModelParams(**MODEL_BLOCK["model"])
     pp = qlearn.PolicyParams.from_constants(exploratory_constants(params, 0.2))
     mean_coef, cov_chol = pp.policy_coefficients()
-    blocks = sde.increment_blocks(params, mean_coef, cov_chol, 37, 1.0, 1.0, 0.02, 9)
+    blocks = sde.increment_blocks(params, mean_coef, cov_chol, 37, 1.0, 0.02, 9)
     assert payload["orthogonality"] == qlearn.orthogonality_stats(pp, blocks, params.rho).as_dict()
     # the statistics of the same paths, stored and read off their states
     batch = sde.simulate_linear_gaussian_batch(params, mean_coef, cov_chol, 37, 1.0, 1.0, 0.02, 9)
@@ -591,9 +592,9 @@ NEGATIVE_VARIANCE = {"mu": [0.05], "sigma": [[1.0]], "sigma_z": 1.0, "kappa": 0.
     ("diagnose", NEGATIVE_VARIANCE, {"diagnose": {"n_paths": 10, "gamma": 0.001,
                                                   "sweep": {"dt_list": [0.1], "T_list": [0.2]}}},
      "squared diffusion coefficient is negative"),
-    # the variance rate v_k overflows on the first step
-    ("diagnose", {**MODEL_BLOCK["model"], "sigma": [[1.0e160]]},
-     {"diagnose": {"T": 0.2, "dt": 0.1, "n_paths": 10, "params": {"xi": 0.3, "psi1": [0.4], "psi2": [[1.0]]}}},
+    # the variance rate v_k overflows on the first step at the capped mean action |u_k| = 1e6
+    ("diagnose", {**MODEL_BLOCK["model"], "sigma": [[1.0e150]]},
+     {"diagnose": {"T": 0.2, "dt": 0.1, "n_paths": 10, "params": {"xi": 0.3, "psi1": [1.0e10], "psi2": [[1.0]]}}},
      "path 0, step 0: non-finite state proposal"),
     # the paths are finite (the cap holds |u_k|), but b b' overflows in the statistics
     ("diagnose", MODEL_BLOCK["model"],
@@ -606,6 +607,21 @@ def test_impossible_or_non_finite_dynamics_exit_2(tmp_path, caplog, command, mod
     assert main([command, "--config", cfg, "--out", str(out)]) == 2
     assert message in caplog.text
     assert [p.name for p in out.iterdir()] == []
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command, block", [
+    ("solve", {}),
+    ("simulate", {"simulate": {"scheme": "episode", "n_paths": 3, "T": 0.2, "dt": 0.1}}),
+    ("diagnose", {"diagnose": {"T": 0.2, "dt": 0.1, "n_paths": 10}}),
+])
+def test_model_refuses_a_sigma_whose_square_overflows(tmp_path, caplog, command, block):
+    # sigma sigma' = 1e320 is not finite: the model refuses it before any closed form overflows in it
+    cfg = write_config(tmp_path, {"model": {**MODEL_BLOCK["model"], "sigma": [[1.0e160]]}, **block})
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert "invalid model block: sigma sigma' must be finite" in caplog.text
+    assert not out.exists() or [p.name for p in out.iterdir()] == []
 
 
 D2_MODEL = {"mu": [0.2, 0.1], "sigma": [[1.0, 0.0], [0.0, 1.0]]}

@@ -8,7 +8,7 @@ from scipy.integrate import quad
 
 from benchtrack import qlearn, sde
 from benchtrack.model import DomainError, ModelParams, exploratory_constants
-from conftest import one_step_path, path_increments, path_statistics, path_sums, q_gradient, random_params
+from conftest import MAP_LAYOUTS, one_step_path, path_increments, path_statistics, path_sums, q_gradient, random_params
 from oracles import (
     REF,
     EpisodePath,
@@ -265,7 +265,8 @@ def test_update_statistics_results_outlive_the_next_episode():
 
     def rows(path):
         batch = sde.BatchPaths(path["times"], path["states"][None], path["actions"][None], path["local_time"][None])
-        return qlearn._orthogonality_rows(*qlearn._statistics_map(pp, RHO), RHO, next(path_increments(batch)), ws)[0]
+        block = path_increments(batch)(lambda block, _: block)[0]
+        return qlearn._orthogonality_rows(*qlearn._statistics_map(pp, RHO), RHO, block, ws)[0]
 
     first = rows(FIXTURE_PATH)
     kept = np.copy(first)
@@ -410,7 +411,7 @@ def test_train_fit_is_the_root_of_the_orthogonality_conditions(params_ref, d):
     cfg = qlearn.LearnConfig(y0=1.0, T=2.0, dt=0.01, n_episodes=16, gamma=GAMMA, seed=24)
     hist = qlearn.train(cfg, params)
     mean_coef, cov_chol = cfg.initial_params(d).policy_coefficients()
-    blocks = sde.increment_blocks(params, mean_coef, cov_chol, 17, 1.0, 2.0, 0.01, seed=24)
+    blocks = sde.increment_blocks(params, mean_coef, cov_chol, 17, 2.0, 0.01, seed=24)
     rows = qlearn.orthogonality_stats(hist.final, blocks, RHO).rows[1:]   # episode i draws the stream (seed, i)
     assert not hist.clipped.any() and not np.allclose(hist.final.psi1, 0.0)
     assert np.all(np.abs(rows.sum(axis=0)) < 1e-12 * np.abs(rows).sum(axis=0))
@@ -427,11 +428,9 @@ def test_train_and_diagnose_never_run_the_reflection_map(params_ref, pp_star, mo
     def run(cap):   # the clamps of a 16-episode train and of a 40-path diagnosis
         cfg = qlearn.LearnConfig(y0=1.0, T=2.0, dt=0.01, n_episodes=16, gamma=GAMMA, seed=3, action_cap=cap)
         hist = qlearn.train(cfg, params_ref)
-        clamps = []
-        blocks = sde.increment_blocks(params_ref, mean_coef, cov_chol, 40, 0.0, 2.0, 0.01, 4, cap)
-        counted = (clamps.append(block.clamp_events) or block for block in blocks)
-        assert qlearn.orthogonality_stats(pp_star, counted, RHO).n_paths == 40
-        return hist.clamp_events, sum(clamps)
+        blocks = sde.increment_blocks(params_ref, mean_coef, cov_chol, 40, 2.0, 0.01, 4, cap)
+        assert qlearn.orthogonality_stats(pp_star, blocks, RHO).n_paths == 40
+        return hist.clamp_events, sum(blocks(lambda block, _: block.clamp_events))
 
     assert run(sde.DEFAULT_ACTION_CAP) == (0, 0)
     train_clamps, diagnose_clamps = run(1.5)
@@ -531,9 +530,9 @@ def test_train_rejects_only_the_non_finite_row(params_ref, monkeypatch):
 
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
 def test_train_aborts_on_too_many_rejections():
-    # an overflowing variance rate makes every step's X_k non-finite
-    params = ModelParams(mu=[0.2], sigma=[[1e200]], sigma_z=0.2, kappa=0.5, eta=[1.0], rho=0.2)
-    cfg = qlearn.LearnConfig(y0=1.0, T=0.5, dt=0.05, n_episodes=50, gamma=GAMMA, seed=1)
+    # the variance rate overflows at the capped mean action |u_k| = 1e6, so every step's X_k is non-finite
+    params = ModelParams(mu=[0.2], sigma=[[1e150]], sigma_z=0.2, kappa=0.5, eta=[1.0], rho=0.2)
+    cfg = qlearn.LearnConfig(y0=1.0, T=0.5, dt=0.05, n_episodes=50, gamma=GAMMA, seed=1, psi1_0=[1e10])
     with pytest.raises(qlearn.TooManyRejectedEpisodes):
         qlearn.train(cfg, params)
 
@@ -623,9 +622,10 @@ def test_normal_sums_match_the_per_path_formula(d):
 
 # ------------------------------------------------------------- diagnostics
 
-def test_orthogonality_stats_empty_batch_errors(pp_star):
+def test_orthogonality_stats_empty_batch_errors(params_ref, pp_star):
+    blocks = sde.increment_blocks(params_ref, *pp_star.policy_coefficients(), 0, 0.5, 0.05, seed=2)
     with pytest.raises(ValueError):
-        qlearn.orthogonality_stats(pp_star, [], RHO)
+        qlearn.orthogonality_stats(pp_star, blocks, RHO)
 
 
 def test_orthogonality_stats_need_two_paths(params_ref, pp_star):
@@ -687,13 +687,36 @@ def test_streamed_statistics_equal_the_stored_batch(params_ref, pp_star):
     # 33 paths: the last block holds one path; the kernel's (u_k, X_k) and those read off
     # the stored paths agree to rounding
     mean_coef, cov_chol = pp_star.policy_coefficients()
-    args = (params_ref, mean_coef, cov_chol, 33, 1.0, 2.0, 0.02, 15)
+    args = (params_ref, mean_coef, cov_chol, 33, 2.0, 0.02, 15)
     streamed = qlearn.orthogonality_stats(pp_star, sde.increment_blocks(*args), RHO)
-    batch = sde.simulate_linear_gaussian_batch(*args)
+    batch = sde.simulate_linear_gaussian_batch(*args[:4], 1.0, *args[4:])
     stored = qlearn.orthogonality_stats(pp_star, path_increments(batch), RHO)
     _assert_rows_close(streamed.rows, stored.rows)
     _assert_rows_close(streamed.d_rows, stored.d_rows)
     _assert_rows_close(streamed.rows, orthogonality_rows_loop(pp_star, batch, RHO))
+
+
+def test_orthogonality_rows_do_not_depend_on_workers_or_block_rows(params_ref, pp_star, map_layout):
+    # each worker reduces the blocks it draws; 75 paths are two or four full blocks and a short one
+    stats = []
+    for layout in MAP_LAYOUTS:
+        map_layout(*layout)
+        blocks = sde.increment_blocks(params_ref, *pp_star.policy_coefficients(), 75, 1.0, 0.01, 8, 1.5)
+        stats.append(qlearn.orthogonality_stats(pp_star, blocks, RHO))
+    assert sum(blocks(lambda block, _: block.clamp_events)) > 0
+    for s in stats[1:]:
+        assert np.array_equal(s.rows, stats[0].rows) and np.array_equal(s.d_rows, stats[0].d_rows)
+
+
+def test_an_overflow_inside_a_worker_raises_no_runtime_warning(pp_star, map_layout):
+    # at u_k = 1e6 the variance rate is 1.6e308: every X_k is finite, but a block's sum of them, which
+    # the finiteness check takes, overflows, and so do the rows; the workers compute under
+    # orthogonality_stats' errstate as the caller does, so the run ends in NonFinite
+    map_layout(2, 16)
+    params = ModelParams(mu=[0.2], sigma=[[1.26e148]], sigma_z=0.2, kappa=0.5, eta=[1.0], rho=RHO)
+    blocks = sde.increment_blocks(params, [1e6], [[0.0]], 320, 1.0, 0.01, 0)
+    with pytest.raises(sde.NonFinite, match="path 0: non-finite orthogonality statistic"):
+        qlearn.orthogonality_stats(pp_star, blocks, RHO)
 
 
 @pytest.mark.parametrize("d, cap", [(1, sde.DEFAULT_ACTION_CAP), (2, sde.DEFAULT_ACTION_CAP), (1, 0.5)])

@@ -2,6 +2,9 @@
 
 import dataclasses
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -11,7 +14,7 @@ from scipy.stats import ks_2samp
 
 from benchtrack import qlearn, sde
 from benchtrack.model import ModelParams, exploratory_constants
-from conftest import random_params
+from conftest import MAP_LAYOUTS, random_params
 from oracles import (
     REF,
     EpisodePath,
@@ -306,6 +309,107 @@ def test_streamed_block_names_the_global_non_finite_path(params_ref):
     assert str(err.value) == str(loop_err.value) == "path 37, step 5: non-finite state proposal"
 
 
+@pytest.mark.parametrize("workers, rows", MAP_LAYOUTS)
+def test_non_finite_message_names_the_first_bad_path_in_any_layout(params_ref, map_layout, workers, rows):
+    # action scale 5e153 with no cap: on these streams paths 7, 15 and 26 overflow first at steps 3, 1
+    # and 2; paths 7 and 15 share a block in every layout, and the message names path 7 (path 15 has
+    # the earliest bad step), whichever block or worker fails first
+    map_layout(workers, rows)
+    args = (params_ref, [0.0], [[5e153]], 40, 1.0, 0.06, 0.01, 42, math.inf)
+    messages = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for run in (lambda: sde.simulate_linear_gaussian_batch(*args),
+                    lambda: sde.increment_blocks(*args[:4], *args[5:])(lambda block, _: None),
+                    lambda: simulate_linear_gaussian_batch_loop(*args)):
+            with pytest.raises(sde.NonFinite) as err:
+                run()
+            messages.append(str(err.value))
+    assert messages == ["path 7, step 3: non-finite state proposal"] * 3
+
+
+def _on_both_workers(fill):
+    """fill for a two-worker block map, whose first block on each worker waits for the other's, so both run it."""
+    barrier, workers = threading.Barrier(2, timeout=30), set()
+
+    def first_waits(ws, n, first_path):
+        if threading.get_ident() not in workers:
+            workers.add(threading.get_ident())
+            barrier.wait()
+        return fill(ws, n, first_path)
+
+    first_waits.workers = workers
+    return first_waits
+
+
+def test_block_map_returns_blocks_in_path_order_from_their_streams(map_layout):
+    # 70 paths are four full blocks and a short one, drawn by both workers
+    map_layout(2, 16)
+    fill = _on_both_workers(lambda ws, n, first_path: (first_path, ws.normals[:n].copy()))
+    blocks = sde._block_map(70, 4, lambda rows: sde._workspace(rows, 3, 1), fill)
+    assert [first for first, _ in blocks] == [0, 16, 32, 48, 64] and len(fill.workers) == 2
+    normals = np.concatenate([block for _, block in blocks])
+    for i, row in enumerate(normals):
+        assert np.array_equal(row, sde.episode_rng(4, i).standard_normal((3, 2)))
+
+
+def test_block_map_raises_the_earliest_blocks_error_and_joins_its_workers(map_layout):
+    # the block at path 48 fails after a pause, so the other worker's block at path 80 may fail first
+    map_layout(2, 16)
+    before = threading.active_count()
+
+    def fill(ws, n, first_path):
+        if first_path == 48:
+            time.sleep(0.05)
+        if first_path in (48, 80):
+            raise ValueError(f"block at path {first_path}")
+        return first_path
+
+    with pytest.raises(ValueError, match="block at path 48"):
+        sde._block_map(200, 1, lambda rows: sde._workspace(rows, 2, 1), fill)
+    assert threading.active_count() == before
+
+
+def test_block_map_draws_each_block_once_with_more_workers_than_cpus(map_layout):
+    # four workers hand one-path blocks back and forth every microsecond; each block is drawn once,
+    # from its own stream, and the results come back in path order
+    map_layout(4, 1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        drawn = sde._block_map(400, 9, lambda rows: sde._workspace(rows, 1, 0),
+                               lambda ws, n, first_path: (first_path, float(ws.normals[0, 0, 0])))
+    finally:
+        sys.setswitchinterval(interval)
+    assert drawn == [(i, float(sde.episode_rng(9, i).standard_normal())) for i in range(400)]
+
+
+def test_block_map_workers_compute_under_the_callers_errstate(map_layout):
+    # numpy's errstate does not pass to a new thread, so each worker enters the caller's: an overflow
+    # that the caller ignores raises no RuntimeWarning on either worker
+    map_layout(2, 16)
+    fill = _on_both_workers(lambda ws, n, first_path: float(np.full(1, 1e308)[0] * 10.0))
+    with np.errstate(over="ignore"):
+        assert sde._block_map(64, 1, lambda rows: sde._workspace(rows, 2, 1), fill) == [math.inf] * 4
+    assert len(fill.workers) == 2
+
+
+def test_batch_paths_do_not_depend_on_workers_or_block_rows(params_ref, map_layout):
+    # 75 paths are two or four full blocks and a short one; a cap of 1.5 binds on some steps
+    d2_coef, d2_chol = [0.4, -0.2], [[0.5, 0.0], [0.2, 0.4]]
+    runs = []
+    for layout in MAP_LAYOUTS:
+        map_layout(*layout)
+        runs.append((sde.simulate_linear_gaussian_batch(PARAMS_D2, d2_coef, d2_chol, 75, 0.5, 0.3, 0.01, 6, 1.5),
+                     sde.simulate_aggregated(params_ref, GAMMA, 0.2, 0.3, 0.01, 75, 6)))
+    assert runs[0][0].clamp_events > 0
+    for run in runs[1:]:
+        for got, first in zip(run, runs[0]):
+            assert got.clamp_events == first.clamp_events
+            for a, b in ((got.states, first.states), (got.actions, first.actions),
+                         (got.local_time, first.local_time)):
+                assert np.array_equal(a, b)
+
+
 @pytest.mark.parametrize("d", [1, 2])
 def test_cap_scales_a_huge_relative_action_onto_it(params_ref, d):
     # |u_k| near 1e200 squares to inf; the norm is taken after scaling by max_i |u_i|, so every
@@ -317,27 +421,28 @@ def test_cap_scales_a_huge_relative_action_onto_it(params_ref, d):
     assert batch.clamp_events == 10
     assert np.all(np.abs(_relative_norms(batch) - sde.DEFAULT_ACTION_CAP) <= 1e-12 * sde.DEFAULT_ACTION_CAP)
     assert np.all(batch.states[:, 1:] == 0.0)
-    u, x, clamp_events = _copied(sde.increment_blocks(*args))[0]
+    u, x, clamp_events = _copied(sde.increment_blocks(*args[:4], *args[5:]))[0]
     assert clamp_events == 10 and np.all(np.isfinite(x))
     assert np.allclose(np.sqrt((u**2).sum(axis=0)), sde.DEFAULT_ACTION_CAP, rtol=1e-12, atol=0.0)
 
 
 def _copied(blocks):
-    """The (u, x, clamp_events) of every block, copied before the next block overwrites them."""
-    return [(block.u.copy(), block.x.copy(), block.clamp_events) for block in blocks]
+    """The (u, x, clamp_events) of every block of an increment_blocks map, copied before the worker's next block
+    overwrites them."""
+    return blocks(lambda block, _: (block.u.copy(), block.x.copy(), block.clamp_events))
 
 
 @pytest.mark.parametrize("cap", [sde.DEFAULT_ACTION_CAP, 1.5])
 @pytest.mark.parametrize("y0", [0.0, 1.0])
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_increment_blocks_are_the_sampled_paths_increments(d, y0, cap):
-    # the kernel's (u_k, X_k), with the map run only where a clamp can bind, are what the path
-    # sampler's states, actions and local time give on the same streams; 20 paths are two blocks
+    # the kernel's (u_k, X_k), with no reflection map run, are what the path sampler's states,
+    # actions and local time give on the same streams; 40 paths are two blocks
     rng = np.random.default_rng(80 + d)
     params = random_params(rng, d)
     mean_coef, cov_chol = rng.uniform(-1.0, 1.0, d), 0.5 * np.eye(d)
-    args = (params, mean_coef, cov_chol, 20, y0, 3.0, 0.05, 7 + d, cap)
-    blocks = _copied(sde.increment_blocks(*args))
+    args = (params, mean_coef, cov_chol, 40, y0, 3.0, 0.05, 7 + d, cap)
+    blocks = _copied(sde.increment_blocks(*args[:4], *args[5:]))
     batch = sde.simulate_linear_gaussian_batch(*args)
     u = np.concatenate([b[0] for b in blocks], axis=1)
     x = np.concatenate([b[1] for b in blocks])
@@ -351,7 +456,7 @@ def test_increment_blocks_are_the_sampled_paths_increments(d, y0, cap):
     assert np.all(batch.states >= 0.0) and np.all(dL >= 0.0)
     assert np.all(batch.states[:, 1:][dL > 0.0] == 0.0)
     assert np.any(dL > 0.0)
-    for i in (0, 17):   # a row of the full block and one of the short block
+    for i in (0, 35):   # a row of the full block and one of the short block
         rollout = sde.rollout_linear_gaussian(params, mean_coef, cov_chol, y0, 60, 0.05, sde.episode_rng(7 + d, i), cap)
         for got, row in zip(rollout, (batch.states[i], batch.actions[i], batch.local_time[i])):
             assert np.array_equal(got, row)
@@ -365,7 +470,7 @@ def test_increment_law_at_a_fixed_action(d):
                                                      rho=0.2)
     u, dt = np.array([0.7, -0.4][:d]), 0.01
     x = np.concatenate([b[1].ravel() for b in _copied(sde.increment_blocks(
-        params, u, np.zeros((d, d)), 2000, 1.0, 50 * dt, dt, seed=3))])
+        params, u, np.zeros((d, d)), 2000, 50 * dt, dt, seed=3))])
     loading = u @ params.sigma - params.sigma_z * math.sqrt(1.0 - params.kappa**2) * params.eta / np.linalg.norm(
         params.eta)
     v = float(loading @ loading) + (params.sigma_z * params.kappa) ** 2
