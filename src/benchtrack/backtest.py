@@ -58,7 +58,6 @@ class PriceSeries:
     times: np.ndarray       # (n,)
     benchmark: np.ndarray   # (n,)
     assets: np.ndarray      # (n, d)
-    labels: tuple[str, ...] = ()
 
     def __post_init__(self):
         n = len(self.times)
@@ -107,7 +106,6 @@ def load_prices(path) -> PriceSeries:
             raise ParseError(
                 f"{path}: header must be timestamp,benchmark,asset_1[,...], got {header}"
             )
-        d = len(header) - 2
         stamps, bench, assets = [], [], []
         for row_no, row in enumerate(reader, start=2):
             if len(row) != len(header) or any(c.strip() == "" for c in row):
@@ -133,12 +131,7 @@ def load_prices(path) -> PriceSeries:
         if not all(isinstance(t, float) for t in stamps):
             raise ValidationError("mixed numeric and date timestamps")
         times = np.array(stamps, dtype=float)
-    return PriceSeries(
-        times=times,
-        benchmark=np.array(bench),
-        assets=np.array(assets),
-        labels=tuple(header[2:]),
-    )
+    return PriceSeries(times=times, benchmark=np.array(bench), assets=np.array(assets))
 
 
 @dataclass(frozen=True)

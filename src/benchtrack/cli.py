@@ -78,7 +78,7 @@ CONFIG_KEYS = {
     "simulate": {"gamma": ("float > 0", None), "scheme": ("str", "episode"), "n_paths": ("int >= 0", 1),
                  "y0": ("float >= 0", 1.0), "T": ("float", REQUIRED), "dt": ("float", REQUIRED),
                  "ks_check": ("bool", False)},
-    "train": {"seed": ("int", 0), "T": ("float", REQUIRED), "dt": ("float", REQUIRED), "y0": ("float >= 0", 1.0),
+    "train": {"seed": ("int", 0), "T": ("float", REQUIRED), "dt": ("float", REQUIRED), "y0": ("float >= 0", None),
               "episodes": ("int >= 1", REQUIRED), "gamma": ("float > 0", None), "resume": ("str", None),
               "init": ("train.init", {})},
     "train.init": {"psi1": ("vector", None), "psi2": ("matrix", None)},
@@ -173,14 +173,9 @@ def _check_horizon(T: float, dt: float, where: str) -> None:
 def _model_params(cfg: dict) -> ModelParams:
     m = _known(cfg.get("model"), "model")
     try:
-        params = ModelParams(**m)
-    except ValueError as exc:   # values of the right kinds that the model refuses, such as sigma_z <= 0
+        return ModelParams(**m)
+    except ValueError as exc:   # values of the right kinds that the model refuses, such as sigma_z <= 0 or |eta| != 1
         raise ConfigError(f"invalid model block: {exc}") from None
-    # the closed forms take eta as given while the simulator normalises it, so they agree only at |eta| = 1
-    norm = float(np.linalg.norm(params.eta))
-    if not abs(norm - 1.0) <= 1e-9:
-        raise ConfigError(f"model.eta must have norm 1, got {params.eta.tolist()} (norm {norm!r})")
-    return params
 
 
 def _resolved(cfg: dict, seed: int | None) -> dict:
@@ -317,8 +312,18 @@ def cmd_train(cfg: dict, seed: int | None, out: Path) -> int:
             raise ConfigError(f"{resume} was not trained on a market of {params.d} assets")
         log.info("resuming from %s at episode %d", resume, start_episode)
 
-    config = qlearn.LearnConfig(y0=tr["y0"], T=tr["T"], dt=tr["dt"], n_episodes=tr["episodes"], gamma=gamma,
-                                seed=seed, psi1_0=init["psi1"], psi2_0=init["psi2"], start_episode=start_episode)
+    if tr["y0"] is not None:
+        log.warning("train.y0 has no effect: train reads only the relative actions and the steps of ln(1 + y), "
+                    "which do not depend on the start")
+    config = qlearn.LearnConfig(T=tr["T"], dt=tr["dt"], n_episodes=tr["episodes"], gamma=gamma, seed=seed,
+                                psi1_0=init["psi1"], psi2_0=init["psi2"], start_episode=start_episode)
+    if policy is None:
+        try:   # psi1 and psi2 of different sizes, a psi2 psi2' that is not finite, or gamma <= 0
+            policy = config.initial_params(params.d)
+        except ValueError as exc:
+            raise ConfigError(f"invalid train.init: {exc}") from None
+        if policy.d != params.d:
+            raise ConfigError(f"train.init is a policy on {policy.d} assets for a market of {params.d}")
     history = qlearn.train(config, params, policy, sums)
     history.to_csv(out / "history.csv")
     _write_json(out / "history.meta.json", {"rows": len(history.episodes)}, cfg, seed)
@@ -394,7 +399,7 @@ def _learned_params(p: dict, where: str, gamma: float) -> qlearn.PolicyParams:
     """The policy of the learner parameters xi, psi1 and psi2 that _known read from a snapshot or config block."""
     try:
         return qlearn.PolicyParams(xi=p["xi"], psi1=p["psi1"], psi2=p["psi2"], gamma=gamma)
-    except ValueError as exc:   # psi2 is not d x d, or gamma <= 0
+    except ValueError as exc:   # psi2 is not d x d, psi2 psi2' is not finite, or gamma <= 0
         raise ConfigError(f"invalid {where}: {exc}") from None
 
 

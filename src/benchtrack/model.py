@@ -3,7 +3,7 @@
 The market has ``d`` risky assets with return vector ``mu`` and volatility
 matrix ``sigma``; the benchmark is a zero-drift geometric Brownian motion
 with volatility ``sigma_z`` whose driver correlates with the asset noise
-through ``kappa`` and the weight vector ``eta``.  After normalising the
+through ``kappa`` and the unit weight vector ``eta``.  After normalising the
 injection-compensated surplus by the benchmark, the control problem reduces
 to a one-dimensional reflected state ``y >= 0`` whose HJB equation with
 Neumann condition ``u'(0) = 1`` is solved in closed form:
@@ -87,8 +87,9 @@ class ModelParams:
     """Market and benchmark coefficients.
 
     mu, sigma are per unit time; eta weighs the asset Brownian motions in
-    the benchmark driver.  Closed-form/simulator cross-checks assume
-    ``norm(eta) == 1`` (automatic for d = 1 with eta = +-1).
+    the benchmark driver kappa W0 + sqrt(1 - kappa^2) eta'W, which is a
+    standard Brownian motion only when |eta| = 1, so any other norm (beyond
+    1e-9) is refused: the closed forms and the simulator then agree.
     """
 
     mu: np.ndarray
@@ -120,8 +121,9 @@ class ModelParams:
             raise ValueError(f"rho must be > 0, got {self.rho}")
         if abs(self.kappa) > 1.0:
             raise ValueError(f"kappa must lie in [-1, 1], got {self.kappa}")
-        if np.any(np.abs(self.eta) > 1.0):
-            raise ValueError("every eta_i must lie in [-1, 1]")
+        eta_norm = float(np.linalg.norm(self.eta))
+        if not abs(eta_norm - 1.0) <= 1e-9:
+            raise ValueError(f"eta must have norm 1, got {self.eta.tolist()} (norm {eta_norm!r})")
         if np.linalg.cond(self.sigma) > COND_GUARD:
             raise ValueError("sigma is singular or too ill-conditioned")
 

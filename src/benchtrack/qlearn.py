@@ -78,7 +78,7 @@ REJECT_FRACTION = 0.1   # train stops once more than this share of its episodes 
 
 
 class SingularPsi2(ValueError):
-    """psi2 psi2' is singular or too ill-conditioned to invert."""
+    """psi2 psi2' is not finite, or singular or too ill-conditioned to invert."""
 
 
 class TooManyRejectedEpisodes(RuntimeError):
@@ -113,6 +113,9 @@ class PolicyParams:
         d = self.psi1.shape[0]
         if self.psi2.shape != (d, d):
             raise ValueError(f"psi2 must be ({d},{d}), got {self.psi2.shape}")
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not np.all(np.isfinite(self.psi2_sq)):
+                raise SingularPsi2("psi2 psi2' must be finite: psi2's entries are too large")
         if not (self.gamma > 0.0):
             raise ValueError(f"gamma must be > 0, got {self.gamma}")
 
@@ -313,9 +316,10 @@ def update(pp: PolicyParams, A: np.ndarray, b: np.ndarray, rho: float) -> tuple[
 
     theta = (c0, psi1, P's entries in _quadratic_pairs order) gives
     psi2 = cholesky(P) and xi = (c0 - psi3) / rho.  A fit that has no Gibbs
-    policy (a singular A, a P that is not positive definite or fails
-    PolicyParams.precision's guards) keeps pp, so every block is drawn by a
-    policy.  The fit reads only the sums, never the market parameters.
+    policy (a singular A, a P that is not positive definite, whose psi2 psi2'
+    is not finite or that fails PolicyParams.precision's guards) keeps pp, so
+    every block is drawn by a policy.  The fit reads only the sums, never the
+    market parameters.
     """
     d = pp.d
     try:
@@ -334,9 +338,8 @@ def update(pp: PolicyParams, A: np.ndarray, b: np.ndarray, rho: float) -> tuple[
 
 @dataclass
 class LearnConfig:
-    """Offline training run configuration; action_cap bounds |u_k|, psi1_0 and psi2_0 set the first block's policy."""
+    """Offline training run configuration; psi1_0 and psi2_0 set the first block's policy (train reads no start y)."""
 
-    y0: float
     T: float
     dt: float
     n_episodes: int
@@ -345,15 +348,10 @@ class LearnConfig:
     psi1_0: np.ndarray | None = None
     psi2_0: np.ndarray | None = None
     start_episode: int = 1
-    action_cap: float = sde.DEFAULT_ACTION_CAP
 
     def __post_init__(self):
-        if not self.y0 >= 0.0:
-            raise ValueError(f"y0 must be >= 0, got {self.y0}")
         if self.n_episodes < 1:
             raise ValueError("need at least one episode")
-        if not self.gamma > 0.0:
-            raise ValueError(f"gamma must be > 0, got {self.gamma}")
         self.n_steps = sde.grid_steps(self.T, self.dt)
 
     def initial_params(self, d: int) -> PolicyParams:
@@ -417,7 +415,7 @@ def train(
     Episodes run in blocks of sde.BLOCK_ROWS aligned to the global episode
     index (episodes 16b+1 ... 16b+16).  One policy draws all of a block's
     episodes: one kernel call (sde._increments, with no reflection map)
-    gives their (u_k, X_k) in the market at config's step and action cap,
+    gives their (u_k, X_k) in the market at config's step and sde.ACTION_CAP,
     and one _normal_sums call reduces each to its rows (A_r, b_r), which are
     added to the running A and b in episode order.  At the block's end
     update solves the sums, and its fit draws the next block.
@@ -459,11 +457,10 @@ def train(
         first = int(episodes[lo])
         m = min(n - lo, rows_max - (first - 1) % rows_max)   # up to the block's end
         mean_coef, cov_chol = pp.policy_coefficients()
-        for j in range(m):
-            stream(config.seed, first + j).standard_normal(out=ws.normals[j])
+        sde._draw_normals(stream, config.seed, first, ws.normals[:m])
         # a non-finite u_k or X_k gives its rows non-finite sums, which reject its episode
         with np.errstate(over="ignore", invalid="ignore"):
-            clamp_events += sde._increments(market, mean_coef, cov_chol, config.action_cap, ws, m)
+            clamp_events += sde._increments(market, mean_coef, cov_chol, ws, m)
             A_rows, b_rows = _normal_sums(_features(ws.u[:, :m], fws), ws.x[:m], disc, dt, fws)
         finite = np.isfinite(A_rows).all(axis=(1, 2)) & np.isfinite(b_rows).all(axis=1)
         for j in range(m):

@@ -6,10 +6,11 @@ The normalized surplus follows, between reflections,
 
 where ``a`` is the (possibly random) action, ``W`` the d-dimensional asset
 driver and Wk = kappa W0 + sqrt(1 - kappa^2) eta_hat' W the composite
-benchmark driver, with W0 independent of W and eta_hat = eta / |eta|.  All
-drivers are standard Brownian motions under the benchmark-normalized
-pricing measure, which every value function and martingale statistic in
-this package is stated under.
+benchmark driver, with W0 independent of W and eta_hat = eta / |eta| (|eta|
+is 1 up to rounding: ModelParams refuses any other).  All drivers are
+standard Brownian motions under the benchmark-normalized pricing measure,
+which every value function and martingale statistic in this package is
+stated under.
 
 Under a state-linear Gaussian policy, a = (1+Y) u with u free of Y.  Holding
 u_k over a step makes H = ln(1+Y) a Brownian motion with drift until it
@@ -17,9 +18,9 @@ reflects, so given u_k its step is exactly Gaussian:
 X_k = (u_k'mu - v_k/2) dt + sqrt(v_k dt) xi_k, with the variance rate
 v_k = |sigma'u_k - sigma_z sqrt(1-kappa^2) eta_hat|^2 + sigma_z^2 kappa^2.
 So the kernel draws d action normals and one normal xi_k a step
-(_increments).  The action cap bounds |u_k|, the position per unit of the
-compensated account, before X_k is drawn, so a clamped step is as exactly
-Gaussian as any other.  The aggregated dynamics step H by
+(_increments).  The action cap ACTION_CAP bounds |u_k|, the position per
+unit of the compensated account, before X_k is drawn, so a clamped step is as
+exactly Gaussian as any other.  The aggregated dynamics step H by
 X_k = (b - s^2/2) dt + s sqrt(dt) z_k.  Reflection at 0 is Lindley's
 recursion H' = max(H + X_k, 0), the discrete Skorokhod map, which a
 cumulative sum and a running maximum of the push solve with no loop over
@@ -78,7 +79,7 @@ __all__ = [
     "export_paths_csv",
 ]
 
-DEFAULT_ACTION_CAP = 1e6
+ACTION_CAP = 1e6   # the bound on |u_k| of every policy sampler and of qlearn.train
 _KEY_MASK = 0xFFFFFFFFFFFFFFFF
 # episodes per refit block of qlearn.train: a block's arrays stay small (150 kB
 # each at K = 1200) while numpy's per-call cost is shared by several paths
@@ -131,22 +132,15 @@ def episode_streams() -> Callable[[int, int], np.random.Generator]:
     return stream
 
 
-def _eta_unit(params: ModelParams) -> np.ndarray:
-    n = float(np.linalg.norm(params.eta))
-    if n == 0.0:
-        # uncorrelated limit: the eta-channel never enters (kappa carries it)
-        return np.zeros_like(params.eta)
-    return params.eta / n
-
-
 def _market(params: ModelParams, dt: float) -> SimpleNamespace:
     """The per-step constants of the policy kernel, computed once per run.
 
     A step's variance rate is v = |sigma'u - bench|^2 + own: bench is the
     benchmark's loading on the asset noise and own its own variance.
     """
+    eta_hat = params.eta / float(np.linalg.norm(params.eta))
     return SimpleNamespace(d=params.d, dt=dt, half_dt=0.5 * dt, mu_dt=params.mu * dt, sigma=params.sigma,
-                           bench=params.sigma_z * math.sqrt(1.0 - params.kappa**2) * _eta_unit(params),
+                           bench=params.sigma_z * math.sqrt(1.0 - params.kappa**2) * eta_hat,
                            own=(params.sigma_z * params.kappa) ** 2)
 
 
@@ -208,6 +202,12 @@ def _workers() -> int:
     return min(cpus, MAX_WORKERS)
 
 
+def _draw_normals(stream: Callable, seed: int, first: int, normals: np.ndarray) -> None:
+    """The draw stage of the block map and of qlearn.train: row j of normals draws stream(seed, first + j)."""
+    for j in range(len(normals)):
+        stream(seed, first + j).standard_normal(out=normals[j])
+
+
 def _block_map(n_paths: int, seed: int, workspace: Callable[[int], SimpleNamespace], fill) -> list:
     """[fill(ws, n, first_path) for each block of n <= MAP_ROWS paths], in path order.
 
@@ -238,8 +238,7 @@ def _block_map(n_paths: int, seed: int, workspace: Callable[[int], SimpleNamespa
                 start = starts[b]
                 n = min(rows, n_paths - start)
                 try:
-                    for j in range(n):
-                        stream(seed, start + j).standard_normal(out=ws.normals[j])
+                    _draw_normals(stream, seed, start, ws.normals[:n])
                     results[b] = fill(ws, n, start)
                 except BaseException as exc:
                     errors[b] = exc   # the other workers take no further block
@@ -280,17 +279,16 @@ def _reflect(x: np.ndarray, states: np.ndarray, local: np.ndarray, ws: SimpleNam
         np.add(push[:, 1:], local[:, :1], out=local[:, 1:])
 
 
-def _increments(m: SimpleNamespace, mean_coef: np.ndarray, cov_chol: np.ndarray, action_cap: float,
-                ws: SimpleNamespace, n: int) -> int:
+def _increments(m: SimpleNamespace, mean_coef: np.ndarray, cov_chol: np.ndarray, ws: SimpleNamespace, n: int) -> int:
     """Fill a block's relative actions ws.u[:, :n] and its steps ws.x[:n]; return its clamp count.
 
     Row r reads ws.normals[r], (K, d+1): per step d action normals z_k and one
-    normal xi_k, for u_k = mean_coef + cov_chol z_k, scaled onto the cap where
+    normal xi_k, for u_k = mean_coef + cov_chol z_k, scaled onto ACTION_CAP where
     |u_k| is over it, and X_k = (u_k'mu - v_k/2) dt + sqrt(v_k dt) xi_k (_market).
     Contractions over d are explicit sums, so an element's rounding does not
     depend on the block's shape.  A non-finite u_k or X_k is left to the caller.
     """
-    d = m.d
+    d, cap = m.d, ACTION_CAP
     normals = ws.normals[:n]
     u, x, unorm, t, w = ws.u[:, :n], ws.x[:n], ws.unorm[:n], ws.t[:n], ws.w[:n]
 
@@ -306,13 +304,13 @@ def _increments(m: SimpleNamespace, mean_coef: np.ndarray, cov_chol: np.ndarray,
             u[i] += mean_coef[i]
         dot(u, u, unorm)
         clamps = 0
-        if not math.sqrt(unorm.max()) <= action_cap:   # some |u_k| is over the cap, or its square overflowed
-            over = ~(np.sqrt(unorm, out=unorm) <= action_cap)
+        if not math.sqrt(unorm.max()) <= cap:   # some |u_k| is over the cap, or its square overflowed
+            over = ~(np.sqrt(unorm, out=unorm) <= cap)
             uo = u[:, over]
             top = np.abs(uo).max(axis=0)
             norm = top * np.sqrt(np.square(uo / top).sum(axis=0))   # |u_k|, scaled by max_i |u_i| against overflow
-            u[:, over] = uo * np.fmin(action_cap / norm, 1.0)        # a nan norm leaves its u_k as it is
-            clamps = int(np.count_nonzero(norm > action_cap))
+            u[:, over] = uo * np.fmin(cap / norm, 1.0)        # a nan norm leaves its u_k as it is
+            clamps = int(np.count_nonzero(norm > cap))
         for j in range(d):   # x = v
             dot(m.sigma[:, j], u, t)
             t -= m.bench[j]
@@ -368,8 +366,7 @@ def _policy_args(params: ModelParams, mean_coef, cov_chol, dt: float):
 
 
 def rollout_linear_gaussian(params: ModelParams, mean_coef: np.ndarray, cov_chol: np.ndarray, y0: float, n_steps: int,
-                            dt: float, rng: np.random.Generator, action_cap: float = DEFAULT_ACTION_CAP
-                            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                            dt: float, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One episode of n_steps of a state-linear Gaussian policy: its (states, actions, local time).
 
     Draws the episode's normals from rng in one block of shape (K, d+1) and
@@ -382,14 +379,14 @@ def rollout_linear_gaussian(params: ModelParams, mean_coef: np.ndarray, cov_chol
     ws = _workspace(1, n_steps, params.d)
     states, local, actions = np.empty((1, n_steps + 1)), np.empty((1, n_steps + 1)), np.empty((1, n_steps, params.d))
     rng.standard_normal(out=ws.normals[0])
-    _increments(m, mean_coef, cov_chol, action_cap, ws, 1)
+    _increments(m, mean_coef, cov_chol, ws, 1)
     _paths(y0, ws, states, local, actions)
     _check_finite(states[:, 1:], 0)
     return states[0], actions[0], local[0]
 
 
 def increment_blocks(params: ModelParams, mean_coef: np.ndarray, cov_chol: np.ndarray, n_paths: int, T: float,
-                     dt: float, seed: int, action_cap: float = DEFAULT_ACTION_CAP) -> Callable[..., list]:
+                     dt: float, seed: int) -> Callable[..., list]:
     """The (u_k, X_k) of the rows of simulate_linear_gaussian_batch, as a block map that runs when it is called.
 
     blocks(reduce, scratch=None) returns [reduce(block, s) for each
@@ -412,7 +409,7 @@ def increment_blocks(params: ModelParams, mean_coef: np.ndarray, cov_chol: np.nd
             return ws
 
         def fill(ws, n, first_path):
-            clamp_events = _increments(m, mean_coef, cov_chol, action_cap, ws, n)
+            clamp_events = _increments(m, mean_coef, cov_chol, ws, n)
             _check_finite(ws.x[:n], first_path)
             return reduce(IncrementBlock(times, ws.u[:, :n], ws.x[:n], clamp_events), ws.scratch)
 
@@ -430,7 +427,6 @@ def simulate_linear_gaussian_batch(
     T: float,
     dt: float,
     seed: int,
-    action_cap: float = DEFAULT_ACTION_CAP,
 ) -> BatchPaths:
     """Simulate many episodes of a state-linear Gaussian policy at once.
 
@@ -448,7 +444,7 @@ def simulate_linear_gaussian_batch(
 
     def fill(ws, n, first_path):
         rows = slice(first_path, first_path + n)
-        clamp_events = _increments(m, mean_coef, cov_chol, action_cap, ws, n)
+        clamp_events = _increments(m, mean_coef, cov_chol, ws, n)
         _paths(y0, ws, states[rows], local[rows], actions[rows])
         _check_finite(states[rows, 1:], first_path)
         return clamp_events

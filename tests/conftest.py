@@ -116,7 +116,7 @@ def path_increments(batch: sde.BatchPaths):
 
 
 def random_params(rng: np.random.Generator, d: int | None = None) -> ModelParams:
-    """A random well-conditioned parameter draw (kappa bounded away from 0)."""
+    """A random well-conditioned parameter draw (kappa bounded away from 0), with a unit eta in a random direction."""
     if d is None:
         d = int(rng.integers(1, 4))
     mu = rng.uniform(-1.0, 1.0, size=d)
@@ -126,11 +126,13 @@ def random_params(rng: np.random.Generator, d: int | None = None) -> ModelParams
     while np.linalg.cond(sigma) > 1e3:
         sigma = np.eye(d) + 0.3 * rng.uniform(-1.0, 1.0, size=(d, d))
     kappa = float(rng.uniform(0.05, 1.0) * rng.choice([-1.0, 1.0]))
+    sigma_z = float(rng.uniform(0.05, 1.0))
+    eta = rng.uniform(-1.0, 1.0, size=d)
     return ModelParams(
         mu=mu,
         sigma=sigma,
-        sigma_z=float(rng.uniform(0.05, 1.0)),
+        sigma_z=sigma_z,
         kappa=kappa,
-        eta=rng.uniform(-1.0, 1.0, size=d),
+        eta=eta / np.linalg.norm(eta),
         rho=float(rng.uniform(0.05, 1.0)),
     )

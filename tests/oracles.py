@@ -102,8 +102,7 @@ def running_sup_injection(z: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _eta_unit(params) -> np.ndarray:
-    n = float(np.linalg.norm(params.eta))
-    return np.zeros_like(params.eta) if n == 0.0 else params.eta / n
+    return params.eta / float(np.linalg.norm(params.eta))
 
 
 def exact_increment(params, dt: float, u: np.ndarray, xi: np.ndarray):
@@ -164,13 +163,12 @@ def rollout_linear_gaussian_loop(
     n_steps: int,
     dt: float,
     rng: np.random.Generator,
-    action_cap: float = sde.DEFAULT_ACTION_CAP,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Step-by-step episode of a state-linear Gaussian policy, exact in ln(1+y), and its clamp count.
 
     The reference for sde.rollout_linear_gaussian: same stream, same draws.  A
-    relative action u_k with |u_k| over the cap is scaled onto it before its
-    X_k is drawn (math.hypot takes the norm without overflow).
+    relative action u_k with |u_k| over sde.ACTION_CAP is scaled onto it before
+    its X_k is drawn (math.hypot takes the norm without overflow).
     """
     if y0 < 0.0:
         raise ValueError(f"y0 must be >= 0, got {y0}")
@@ -186,7 +184,7 @@ def rollout_linear_gaussian_loop(
     states[0] = y0
     local[0] = 0.0
     y, H, L = float(y0), math.log1p(y0), 0.0
-    clamps = 0
+    clamps, action_cap = 0, sde.ACTION_CAP
     for k in range(K):
         scale = 1.0 + y
         u = mean_coef + cov_chol @ normals[k, :d]
@@ -214,7 +212,6 @@ def simulate_linear_gaussian_batch_loop(
     T: float,
     dt: float,
     seed: int,
-    action_cap: float = sde.DEFAULT_ACTION_CAP,
 ) -> sde.BatchPaths:
     """Step-by-step batch of a state-linear Gaussian policy, all paths per step, exact in ln(1+y).
 
@@ -240,7 +237,7 @@ def simulate_linear_gaussian_batch_loop(
     actions = np.empty((n_paths, K, d))
     states[:, 0] = y0
     local[:, 0] = 0.0
-    clamp_events = 0
+    clamp_events, action_cap = 0, sde.ACTION_CAP
 
     y = np.full(n_paths, float(y0))
     H = np.log1p(y)
@@ -557,7 +554,7 @@ def train_loop(
         ws, fws = sde._workspace(1, K, d), qlearn._feature_workspace(1, K, d)
         sde.episode_rng(config.seed, i).standard_normal(out=ws.normals[0])
         with np.errstate(over="ignore", invalid="ignore"):
-            clamp_events += sde._increments(market, mean_coef, cov_chol, config.action_cap, ws, 1)
+            clamp_events += sde._increments(market, mean_coef, cov_chol, ws, 1)
             A_r, b_r = qlearn._normal_sums(qlearn._features(ws.u, fws), ws.x, disc, float(times[1] - times[0]), fws)
         if np.isfinite(A_r).all() and np.isfinite(b_r).all():
             A = A + A_r[0]

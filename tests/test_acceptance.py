@@ -142,9 +142,7 @@ def test_criterion_6_desk_scale_training(params_ref):
     t0 = time.perf_counter()
     finals, stds = [], []
     for seed in (1, 2, 3):
-        cfg = qlearn.LearnConfig(
-            y0=1.0, T=12.0, dt=0.01, n_episodes=4000, gamma=GAMMA, seed=seed
-        )
+        cfg = qlearn.LearnConfig(T=12.0, dt=0.01, n_episodes=4000, gamma=GAMMA, seed=seed)
         hist = qlearn.train(cfg, params_ref)
         finals.append((hist.final.xi, float(hist.final.psi1[0]), float(hist.final.psi2[0, 0])))
         tail = slice(3600, 4000)

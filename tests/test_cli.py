@@ -633,16 +633,63 @@ D2_MODEL = {"mu": [0.2, 0.1], "sigma": [[1.0, 0.0], [0.0, 1.0]]}
     ({**D2_MODEL, "eta": [0.6, 0.8]}, 0),
 ])
 def test_model_eta_must_have_unit_norm(tmp_path, caplog, model, code):
-    # the closed forms read eta as given and the simulator normalises it; they agree only at |eta| = 1
+    # the benchmark driver is a standard Brownian motion only at |eta| = 1, so the model refuses any other norm
     cfg = write_config(tmp_path, {"model": {**MODEL_BLOCK["model"], **model},
                                   "train": {"T": 0.2, "dt": 0.1, "episodes": 2}})
     out = tmp_path / "out"
     assert main(["train", "--config", cfg, "--out", str(out)]) == code
     if code:
-        assert "model.eta must have norm 1" in caplog.text
+        assert "invalid model block: eta must have norm 1" in caplog.text
         assert [p.name for p in out.iterdir()] == []
     else:
         assert (out / "learned.json").exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command, block, where", [
+    ("diagnose", {"diagnose": {"T": 0.2, "dt": 0.1, "n_paths": 10,
+                               "params": {"xi": 0.3, "psi1": [0.4], "psi2": [[1.0e160]]}}}, "diagnose.params"),
+    ("train", {"train": {"T": 0.2, "dt": 0.1, "episodes": 2, "init": {"psi2": [[1.0e160]]}}}, "train.init"),
+    ("train", {"train": {"T": 0.2, "dt": 0.1, "episodes": 2, "resume": "snapshot.json"}}, "snapshot.json.policy"),
+])
+def test_learner_refuses_a_psi2_whose_square_overflows(tmp_path, caplog, monkeypatch, command, block, where):
+    # psi2 psi2' = 1e320 is not finite: the policy refuses it before any product overflows in it
+    monkeypatch.chdir(tmp_path)
+    policy = {**SNAPSHOT["policy"], "psi2": [[1.0e160]]}
+    (tmp_path / "snapshot.json").write_text(json.dumps({**SNAPSHOT, "policy": policy}))
+    cfg = write_config(tmp_path, {**MODEL_BLOCK, **block})
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert f"invalid {where}: psi2 psi2' must be finite" in caplog.text
+    assert [p.name for p in out.iterdir()] == []
+
+
+@pytest.mark.parametrize("init, message", [
+    ({"psi1": [0.1, 0.2]}, "invalid train.init: psi2 must be (2,2), got (1, 1)"),
+    ({"psi1": [0.1, 0.2], "psi2": [[1.0, 0.0], [0.0, 1.0]]}, "train.init is a policy on 2 assets for a market of 1"),
+])
+def test_train_init_of_another_size_exits_2(tmp_path, caplog, init, message):
+    cfg = write_config(tmp_path, {**MODEL_BLOCK, "train": {"T": 0.2, "dt": 0.1, "episodes": 2, "init": init}})
+    out = tmp_path / "out"
+    assert main(["train", "--config", cfg, "--out", str(out)]) == 2
+    assert message in caplog.text
+    assert [p.name for p in out.iterdir()] == []
+
+
+def test_train_start_y0_has_no_effect(tmp_path, caplog):
+    # train reads only (u_k, X_k), which do not depend on y: the start is accepted, warned about and unused
+    runs = {}
+    for name, y0 in (("none", None), ("zero", 0), ("five", 5)):
+        train = {"T": 1.0, "dt": 0.05, "episodes": 20, **({} if y0 is None else {"y0": y0})}
+        cfg = write_config(tmp_path, {**MODEL_BLOCK, "train": train}, name=f"{name}.yaml")
+        caplog.clear()
+        assert main(["train", "--config", cfg, "--seed", "3", "--out", str(tmp_path / name)]) == 0
+        warned = [r for r in caplog.records if r.levelname == "WARNING" and "train.y0 has no effect" in r.message]
+        assert len(warned) == (0 if y0 is None else 1)
+        learned = json.loads((tmp_path / name / "learned.json").read_text())
+        del learned["config"]
+        runs[name] = (tmp_path / name / "history.csv").read_bytes(), learned
+    assert runs["zero"] == runs["five"] == runs["none"]
 
 @pytest.mark.parametrize("backtest, message", [
     ({"strategies": []}, "backtest.strategies is empty"),

@@ -40,9 +40,17 @@ def test_params_validation_rejects_bad_inputs():
         ModelParams(**{**good, "eta": [2.0]})
     with pytest.raises(ValueError):
         ModelParams(**{**good, "mu": [0.0]})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="sigma is singular"):
         ModelParams(mu=[0.1, 0.1], sigma=[[1.0, 1.0], [1.0, 1.0]], sigma_z=0.2,
-                    kappa=0.5, eta=[1.0, 1.0], rho=0.2)
+                    kappa=0.5, eta=[math.sqrt(0.5)] * 2, rho=0.2)
+
+
+@pytest.mark.parametrize("eta", [[0.5], [0.0], [1.0, 1.0]])
+def test_params_refuse_a_non_unit_eta(eta):
+    # the benchmark driver kappa W0 + sqrt(1 - kappa^2) eta'W is a standard Brownian motion only at |eta| = 1
+    d = len(eta)
+    with pytest.raises(ValueError, match=r"eta must have norm 1, got \["):
+        ModelParams(mu=[0.2] * d, sigma=np.eye(d), sigma_z=0.2, kappa=0.5, eta=eta, rho=0.2)
 
 
 def test_derived_constants_reference(params_ref):

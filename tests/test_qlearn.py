@@ -310,21 +310,15 @@ def test_update_derives_each_fit_once(params_ref, pp_star, monkeypatch):
 # ------------------------------------------------------------------ train
 
 def test_train_single_episode_applies_one_update(params_ref):
-    cfg = qlearn.LearnConfig(y0=1.0, T=1.0, dt=0.05, n_episodes=1, gamma=GAMMA, seed=5)
+    cfg = qlearn.LearnConfig(T=1.0, dt=0.05, n_episodes=1, gamma=GAMMA, seed=5)
     hist = qlearn.train(cfg, params_ref)
     assert len(hist.episodes) == 1
     assert hist.final.xi != 0.0  # one update moved the neutral start
 
 
-def test_learn_config_refuses_a_negative_start():
-    # the config holds train's start y0, whose ln(1 + y0) the kernel takes
-    with pytest.raises(ValueError, match="y0 must be >= 0, got -0.5"):
-        qlearn.LearnConfig(y0=-0.5, T=1.0, dt=0.05, n_episodes=1, gamma=GAMMA, seed=5)
-
-
 def test_train_reproducible(params_ref):
     def run():
-        cfg = qlearn.LearnConfig(y0=1.0, T=2.0, dt=0.05, n_episodes=20, gamma=GAMMA, seed=9)
+        cfg = qlearn.LearnConfig(T=2.0, dt=0.05, n_episodes=20, gamma=GAMMA, seed=9)
         return qlearn.train(cfg, params_ref)
 
     h1, h2 = run(), run()
@@ -344,7 +338,7 @@ def _same_params(a: qlearn.PolicyParams, b: qlearn.PolicyParams) -> bool:
 def test_train_resume_equals_single_run(params_ref):
     # 5 of 10 episodes stops inside the first block; the rest of it is drawn by the block's policy
     def run(n_episodes, start_episode=1, **resume):
-        cfg = qlearn.LearnConfig(y0=1.0, T=2.0, dt=0.05, n_episodes=n_episodes, gamma=GAMMA, seed=2,
+        cfg = qlearn.LearnConfig(T=2.0, dt=0.05, n_episodes=n_episodes, gamma=GAMMA, seed=2,
                                  start_episode=start_episode)
         return qlearn.train(cfg, params_ref, **resume)
 
@@ -362,9 +356,10 @@ def test_train_resume_equals_single_run(params_ref):
     assert not np.array_equal(forgetful.psi1[-1], resumed.psi1[-1])
 
 
-def test_train_resumed_at_a_binding_cap_repeats_one_run(params_ref):
+def test_train_resumed_at_a_binding_cap_repeats_one_run(params_ref, monkeypatch):
     # at a cap on |u_k| that binds, 21 and then 9 episodes give the 30-episode run's fits, sums and clamps
-    kwargs = dict(y0=1.0, T=2.0, dt=0.01, gamma=GAMMA, seed=11, action_cap=1.5)
+    monkeypatch.setattr(sde, "ACTION_CAP", 1.5)
+    kwargs = dict(T=2.0, dt=0.01, gamma=GAMMA, seed=11)
     full = qlearn.train(qlearn.LearnConfig(n_episodes=30, **kwargs), params_ref)
     first = qlearn.train(qlearn.LearnConfig(n_episodes=21, **kwargs), params_ref)
     rest = qlearn.train(qlearn.LearnConfig(n_episodes=9, start_episode=22, **kwargs), params_ref,
@@ -377,15 +372,16 @@ def test_train_resumed_at_a_binding_cap_repeats_one_run(params_ref):
         assert np.array_equal(getattr(rest, field), getattr(full, field)[21:]), field
 
 
-def test_train_counts_only_its_own_clamps(params_ref):
+def test_train_counts_only_its_own_clamps(params_ref, monkeypatch):
     # each history reports its own run: the clamps of its episodes' streams (4, 1) ... (4, 5), which
     # the start policy draws, are a 6-row batch's less the one-row batch's on stream (4, 0)
-    cfg = qlearn.LearnConfig(y0=1.0, T=2.0, dt=0.05, n_episodes=5, gamma=GAMMA, seed=4, action_cap=0.5)
+    monkeypatch.setattr(sde, "ACTION_CAP", 0.5)
+    cfg = qlearn.LearnConfig(T=2.0, dt=0.05, n_episodes=5, gamma=GAMMA, seed=4)
     first, second = qlearn.train(cfg, params_ref), qlearn.train(cfg, params_ref)
     assert first.clamp_events > 0
     assert second.clamp_events == first.clamp_events
     batch_args = (params_ref, *cfg.initial_params(1).policy_coefficients())
-    batch_clamps = [sde.simulate_linear_gaussian_batch(*batch_args, n, 1.0, 2.0, 0.05, 4, 0.5).clamp_events
+    batch_clamps = [sde.simulate_linear_gaussian_batch(*batch_args, n, 1.0, 2.0, 0.05, 4).clamp_events
                     for n in (6, 1)]
     assert first.clamp_events == batch_clamps[0] - batch_clamps[1]
 
@@ -393,7 +389,7 @@ def test_train_counts_only_its_own_clamps(params_ref):
 def test_train_near_fixed_point_stays_close(params_ref, exploratory_ref):
     # initialized at the known solution, the fit stays near it
     cfg = qlearn.LearnConfig(
-        y0=1.0, T=6.0, dt=0.02, n_episodes=2000, gamma=GAMMA, seed=11,
+        T=6.0, dt=0.02, n_episodes=2000, gamma=GAMMA, seed=11,
         psi1_0=exploratory_ref.psi1_star,
         psi2_0=exploratory_ref.psi2_star,
     )
@@ -408,7 +404,7 @@ def test_train_fit_is_the_root_of_the_orthogonality_conditions(params_ref, d):
     # 16 episodes are one block drawn at the start policy; at the fit, the orthogonality
     # statistics of those 16 paths sum to zero in every component
     params = params_ref if d == 1 else PARAMS_D2
-    cfg = qlearn.LearnConfig(y0=1.0, T=2.0, dt=0.01, n_episodes=16, gamma=GAMMA, seed=24)
+    cfg = qlearn.LearnConfig(T=2.0, dt=0.01, n_episodes=16, gamma=GAMMA, seed=24)
     hist = qlearn.train(cfg, params)
     mean_coef, cov_chol = cfg.initial_params(d).policy_coefficients()
     blocks = sde.increment_blocks(params, mean_coef, cov_chol, 17, 2.0, 0.01, seed=24)
@@ -426,29 +422,30 @@ def test_train_and_diagnose_never_run_the_reflection_map(params_ref, pp_star, mo
     mean_coef, cov_chol = pp_star.policy_coefficients()
 
     def run(cap):   # the clamps of a 16-episode train and of a 40-path diagnosis
-        cfg = qlearn.LearnConfig(y0=1.0, T=2.0, dt=0.01, n_episodes=16, gamma=GAMMA, seed=3, action_cap=cap)
+        monkeypatch.setattr(sde, "ACTION_CAP", cap)
+        cfg = qlearn.LearnConfig(T=2.0, dt=0.01, n_episodes=16, gamma=GAMMA, seed=3)
         hist = qlearn.train(cfg, params_ref)
-        blocks = sde.increment_blocks(params_ref, mean_coef, cov_chol, 40, 2.0, 0.01, 4, cap)
+        blocks = sde.increment_blocks(params_ref, mean_coef, cov_chol, 40, 2.0, 0.01, 4)
         assert qlearn.orthogonality_stats(pp_star, blocks, RHO).n_paths == 40
         return hist.clamp_events, sum(blocks(lambda block, _: block.clamp_events))
 
-    assert run(sde.DEFAULT_ACTION_CAP) == (0, 0)
+    assert run(sde.ACTION_CAP) == (0, 0)
     train_clamps, diagnose_clamps = run(1.5)
     assert calls == [] and train_clamps > 0 and diagnose_clamps > 0
     monkeypatch.setattr(sde, "_reflect", real)
     # the sampler route on the same streams: train's episodes 1 ... 16 are a 17-row batch's rows but stream (3, 0)
-    start = qlearn.LearnConfig(y0=1.0, T=2.0, dt=0.01, n_episodes=16, gamma=GAMMA, seed=3).initial_params(1)
-    rows = [sde.simulate_linear_gaussian_batch(params_ref, *start.policy_coefficients(), n, 1.0, 2.0, 0.01, 3, 1.5)
+    start = qlearn.LearnConfig(T=2.0, dt=0.01, n_episodes=16, gamma=GAMMA, seed=3).initial_params(1)
+    rows = [sde.simulate_linear_gaussian_batch(params_ref, *start.policy_coefficients(), n, 1.0, 2.0, 0.01, 3)
             for n in (17, 1)]
     assert rows[0].clamp_events - rows[1].clamp_events == train_clamps
-    batch = sde.simulate_linear_gaussian_batch(params_ref, mean_coef, cov_chol, 40, 0.0, 2.0, 0.01, 4, 1.5)
+    batch = sde.simulate_linear_gaussian_batch(params_ref, mean_coef, cov_chol, 40, 0.0, 2.0, 0.01, 4)
     assert batch.clamp_events == diagnose_clamps
 
 
 @pytest.mark.parametrize("psi2_0, seed", [(0.6, 1), (0.6, 2), (0.6, 3), (1.5, 1), (1.5, 2), (1.5, 3), (3.0, 1)])
 def test_train_lands_in_criterion_6_bands_from_other_starts(params_ref, psi2_0, seed):
     # criterion 6's setup, bands and tail check from starts away from psi2* = 1
-    cfg = qlearn.LearnConfig(y0=1.0, T=12.0, dt=0.01, n_episodes=4000, gamma=GAMMA, seed=seed,
+    cfg = qlearn.LearnConfig(T=12.0, dt=0.01, n_episodes=4000, gamma=GAMMA, seed=seed,
                              psi2_0=[[psi2_0]])
     hist = qlearn.train(cfg, params_ref)
     assert 0.26 <= hist.final.xi <= 0.46
@@ -480,7 +477,7 @@ def nan_sums_row(monkeypatch, episode: int) -> None:
 def test_train_counts_non_finite_xi_root_as_rejected(params_ref, monkeypatch):
     # a NaN in the xi (constant) equation of episode 3 keeps all of its sums out of the fit
     def run():
-        cfg = qlearn.LearnConfig(y0=1.0, T=1.0, dt=0.05, n_episodes=5, gamma=GAMMA, seed=6)
+        cfg = qlearn.LearnConfig(T=1.0, dt=0.05, n_episodes=5, gamma=GAMMA, seed=6)
         return qlearn.train(cfg, params_ref)
 
     clean = run()
@@ -515,7 +512,7 @@ def test_train_rejects_only_the_non_finite_row(params_ref, monkeypatch):
     monkeypatch.setattr(sde, "episode_streams", poisoned_streams)
     monkeypatch.setattr(sde, "episode_rng", lambda seed, i: _NanAt(episode_rng(seed, i), 7) if i == 5
                         else episode_rng(seed, i))
-    cfg = qlearn.LearnConfig(y0=1.0, T=1.0, dt=0.05, n_episodes=20, gamma=GAMMA, seed=6)
+    cfg = qlearn.LearnConfig(T=1.0, dt=0.05, n_episodes=20, gamma=GAMMA, seed=6)
     with np.errstate(invalid="ignore"):
         hist = qlearn.train(cfg, params_ref)
         # the per-episode loop's rollout raises NonFinite on the same episode
@@ -532,13 +529,13 @@ def test_train_rejects_only_the_non_finite_row(params_ref, monkeypatch):
 def test_train_aborts_on_too_many_rejections():
     # the variance rate overflows at the capped mean action |u_k| = 1e6, so every step's X_k is non-finite
     params = ModelParams(mu=[0.2], sigma=[[1e150]], sigma_z=0.2, kappa=0.5, eta=[1.0], rho=0.2)
-    cfg = qlearn.LearnConfig(y0=1.0, T=0.5, dt=0.05, n_episodes=50, gamma=GAMMA, seed=1, psi1_0=[1e10])
+    cfg = qlearn.LearnConfig(T=0.5, dt=0.05, n_episodes=50, gamma=GAMMA, seed=1, psi1_0=[1e10])
     with pytest.raises(qlearn.TooManyRejectedEpisodes):
         qlearn.train(cfg, params)
 
 
 def test_history_export(tmp_path, params_ref):
-    cfg = qlearn.LearnConfig(y0=1.0, T=1.0, dt=0.05, n_episodes=3, gamma=GAMMA, seed=2)
+    cfg = qlearn.LearnConfig(T=1.0, dt=0.05, n_episodes=3, gamma=GAMMA, seed=2)
     hist = qlearn.train(cfg, params_ref)
     out = tmp_path / "history.csv"
     hist.to_csv(out)
@@ -560,7 +557,7 @@ def test_history_csv_bytes_equal_the_row_writer(tmp_path, params_ref, monkeypatc
         return (pp, True) if calls[0] % 2 else real(pp, A, b, rho)
 
     monkeypatch.setattr(qlearn, "update", every_other_held)
-    cfg = qlearn.LearnConfig(y0=1.0, T=1.0, dt=0.05, n_episodes=50, gamma=GAMMA, seed=2)
+    cfg = qlearn.LearnConfig(T=1.0, dt=0.05, n_episodes=50, gamma=GAMMA, seed=2)
     hist = qlearn.train(cfg, params_ref if d == 1 else PARAMS_D2)
     assert hist.clipped.sum() == 2 and not hist.clipped.all()
     hist.to_csv(tmp_path / "bulk.csv")
@@ -573,8 +570,9 @@ def test_train_equals_the_per_episode_loop(params_ref, monkeypatch, case):
     # one kernel call and one sums call per 16-episode block give the histories of a per-episode
     # loop that holds the policy for a block and refits at its end, fresh generators and all
     params = PARAMS_D2 if case == "d2" else params_ref
-    cap = 0.5 if case == "action_cap" else sde.DEFAULT_ACTION_CAP
-    kwargs = dict(y0=1.0, T=2.0, dt=0.01, n_episodes=30, gamma=GAMMA, seed=11, action_cap=cap)
+    if case == "action_cap":
+        monkeypatch.setattr(sde, "ACTION_CAP", 0.5)
+    kwargs = dict(T=2.0, dt=0.01, n_episodes=30, gamma=GAMMA, seed=11)
     resume = {}
     if case == "resumed":   # 21 episodes stop inside the second block
         first = qlearn.train(qlearn.LearnConfig(**dict(kwargs, n_episodes=21)), params)
@@ -696,12 +694,13 @@ def test_streamed_statistics_equal_the_stored_batch(params_ref, pp_star):
     _assert_rows_close(streamed.rows, orthogonality_rows_loop(pp_star, batch, RHO))
 
 
-def test_orthogonality_rows_do_not_depend_on_workers_or_block_rows(params_ref, pp_star, map_layout):
+def test_orthogonality_rows_do_not_depend_on_workers_or_block_rows(params_ref, pp_star, map_layout, monkeypatch):
     # each worker reduces the blocks it draws; 75 paths are two or four full blocks and a short one
+    monkeypatch.setattr(sde, "ACTION_CAP", 1.5)
     stats = []
     for layout in MAP_LAYOUTS:
         map_layout(*layout)
-        blocks = sde.increment_blocks(params_ref, *pp_star.policy_coefficients(), 75, 1.0, 0.01, 8, 1.5)
+        blocks = sde.increment_blocks(params_ref, *pp_star.policy_coefficients(), 75, 1.0, 0.01, 8)
         stats.append(qlearn.orthogonality_stats(pp_star, blocks, RHO))
     assert sum(blocks(lambda block, _: block.clamp_events)) > 0
     for s in stats[1:]:
@@ -719,14 +718,15 @@ def test_an_overflow_inside_a_worker_raises_no_runtime_warning(pp_star, map_layo
         qlearn.orthogonality_stats(pp_star, blocks, RHO)
 
 
-@pytest.mark.parametrize("d, cap", [(1, sde.DEFAULT_ACTION_CAP), (2, sde.DEFAULT_ACTION_CAP), (1, 0.5)])
-def test_statistics_come_from_the_relative_action_and_exact_increment(params_ref, d, cap):
+@pytest.mark.parametrize("d, cap", [(1, sde.ACTION_CAP), (2, sde.ACTION_CAP), (1, 0.5)])
+def test_statistics_come_from_the_relative_action_and_exact_increment(params_ref, monkeypatch, d, cap):
     # dJ - dL = X_k on every step, reflecting or clamped, so each residual depends on (u_k, X_k) alone
     params = params_ref if d == 1 else PARAMS_D2
     pp = qlearn.PolicyParams.from_constants(exploratory_constants(params, params.rho / d))
     mean_coef, cov_chol = pp.policy_coefficients()
     n, T, dt, seed = 20, 2.0, 0.02, 6
-    batch = sde.simulate_linear_gaussian_batch(params, mean_coef, cov_chol, n, 0.0, T, dt, seed, cap)
+    monkeypatch.setattr(sde, "ACTION_CAP", cap)
+    batch = sde.simulate_linear_gaussian_batch(params, mean_coef, cov_chol, n, 0.0, T, dt, seed)
     assert np.count_nonzero(np.diff(batch.local_time, axis=1) > 0.0) > 100
     assert (batch.clamp_events > 100) == (cap < 1.0)
     stats = qlearn.orthogonality_stats(pp, path_increments(batch), params.rho)

@@ -38,9 +38,9 @@ GAMMA = 0.2
 # dt (sigma_z^2 + |sigma' m|^2 - 2 sigma_z sqrt(1 - kappa^2) eta_hat' sigma' m),
 # eta_hat = eta / |eta|: the law of the Brownian increments, seen through the batch simulator.
 
-# d = 2 with a non-unit eta, so a benchmark noise built from the raw eta shows
+# d = 2 with an eta off the axes, so the benchmark loads on both asset noises
 PARAMS_D2 = ModelParams(mu=[0.3, -0.2], sigma=[[0.8, 0.0], [0.3, 0.6]], sigma_z=0.5,
-                        kappa=0.4, eta=[0.6, -0.3], rho=0.2)
+                        kappa=0.4, eta=np.array([0.6, -0.3]) / math.sqrt(0.45), rho=0.2)
 
 
 def _one_step_increments(params, m, seed, n=60_000, dt=0.01, y0=50.0):
@@ -125,10 +125,11 @@ def test_step_no_local_time_when_positive(params_ref, pp_star):
     assert np.all(local == 0.0)
 
 
-def test_step_rejects_non_finite(params_ref):
+def test_step_rejects_non_finite(params_ref, monkeypatch):
     # with no cap, a mean action of 1e200 overflows y within a few steps
+    monkeypatch.setattr(sde, "ACTION_CAP", math.inf)
     with pytest.raises(sde.NonFinite, match="path 0, step"), np.errstate(over="ignore", invalid="ignore"):
-        sde.rollout_linear_gaussian(params_ref, [1e200], [[1.0]], 0.5, 10, 0.01, sde.episode_rng(2, 0), math.inf)
+        sde.rollout_linear_gaussian(params_ref, [1e200], [[1.0]], 0.5, 10, 0.01, sde.episode_rng(2, 0))
 
 
 # ---------------------------------------------------------------- episodes
@@ -162,11 +163,12 @@ def test_episode_determinism(params_ref, pp_star):
         assert np.array_equal(x, y)
 
 
-def test_environment_clamps_huge_actions(params_ref):
+def test_environment_clamps_huge_actions(params_ref, monkeypatch):
     # a one-row batch on stream (8, 0) counts the clamp, and the rollout on that stream is its row;
     # the cap bounds the relative action u = a / (1 + y), so the action is (1 + y0) cap
-    batch = sde.simulate_linear_gaussian_batch(params_ref, [50.0], [[0.0]], 1, 0.5, 0.01, 0.01, 8, 1.0)
-    rollout = sde.rollout_linear_gaussian(params_ref, [50.0], [[0.0]], 0.5, 1, 0.01, sde.episode_rng(8, 0), 1.0)
+    monkeypatch.setattr(sde, "ACTION_CAP", 1.0)
+    batch = sde.simulate_linear_gaussian_batch(params_ref, [50.0], [[0.0]], 1, 0.5, 0.01, 0.01, 8)
+    rollout = sde.rollout_linear_gaussian(params_ref, [50.0], [[0.0]], 0.5, 1, 0.01, sde.episode_rng(8, 0))
     assert batch.clamp_events == 1
     assert abs(batch.actions[0, 0, 0]) == pytest.approx(1.5, abs=1e-15)
     for got, row in zip(rollout, (batch.states[0], batch.actions[0], batch.local_time[0])):
@@ -215,10 +217,10 @@ def test_batch_matches_sequential_rollout(params_ref, pp_star):
 # action, whose variance drags ln(1+y) to 0 on most steps; and no action
 # with a vanishing benchmark volatility, where nothing moves.
 KERNEL_CASES = {
-    "reference": (None, 0.01, sde.DEFAULT_ACTION_CAP, 0.2),
+    "reference": (None, 0.01, sde.ACTION_CAP, 0.2),
     "clamped": (None, 0.01, 1.5, 0.2),
-    "certain_reflection": (([2.0], [[1.0]]), 0.25, sde.DEFAULT_ACTION_CAP, 0.2),
-    "zero_dynamics": (([0.0], [[0.0]]), 0.01, sde.DEFAULT_ACTION_CAP, 1e-300),
+    "certain_reflection": (([2.0], [[1.0]]), 0.25, sde.ACTION_CAP, 0.2),
+    "zero_dynamics": (([0.0], [[0.0]]), 0.01, sde.ACTION_CAP, 1e-300),
 }
 
 
@@ -228,18 +230,19 @@ def _assert_close(kernel, loop):
 
 
 @pytest.mark.parametrize("case", KERNEL_CASES)
-def test_kernel_matches_loop_oracles(params_ref, pp_star, case):
+def test_kernel_matches_loop_oracles(params_ref, pp_star, monkeypatch, case):
     coefs, dt, cap, sigma_z = KERNEL_CASES[case]
+    monkeypatch.setattr(sde, "ACTION_CAP", cap)
     params = dataclasses.replace(params_ref, sigma_z=sigma_z)
     mean_coef, cov_chol = coefs or pp_star.policy_coefficients()
     n_steps = 200
     # the rollouts are the rows of a 10-row batch on the same streams, which counts their clamps
-    rows = sde.simulate_linear_gaussian_batch(params, mean_coef, cov_chol, 10, 1.0, n_steps * dt, dt, 31, cap)
+    rows = sde.simulate_linear_gaussian_batch(params, mean_coef, cov_chol, 10, 1.0, n_steps * dt, dt, 31)
     clamps = 0
     for i in range(10):
-        kernel = sde.rollout_linear_gaussian(params, mean_coef, cov_chol, 1.0, n_steps, dt, sde.episode_rng(31, i), cap)
+        kernel = sde.rollout_linear_gaussian(params, mean_coef, cov_chol, 1.0, n_steps, dt, sde.episode_rng(31, i))
         *loop, loop_clamps = rollout_linear_gaussian_loop(params, mean_coef, cov_chol, 1.0, n_steps, dt,
-                                                          sde.episode_rng(31, i), cap)
+                                                          sde.episode_rng(31, i))
         _assert_close(kernel, loop)
         assert np.array_equal(np.diff(kernel[2]) > 0.0, np.diff(loop[2]) > 0.0)
         for got, row in zip(kernel, (rows.states[i], rows.actions[i], rows.local_time[i])):
@@ -248,7 +251,7 @@ def test_kernel_matches_loop_oracles(params_ref, pp_star, case):
     assert rows.clamp_events == clamps
     assert (clamps > 0) == (case == "clamped")
 
-    args = (params, mean_coef, cov_chol, 20, 1.0, n_steps * dt, dt, 32, cap)
+    args = (params, mean_coef, cov_chol, 20, 1.0, n_steps * dt, dt, 32)
     batch, batch_loop = sde.simulate_linear_gaussian_batch(*args), simulate_linear_gaussian_batch_loop(*args)
     _assert_close(
         (batch.states, batch.actions, batch.local_time),
@@ -263,12 +266,13 @@ def _relative_norms(batch):
     return np.linalg.norm(batch.actions, axis=2) / (1.0 + batch.states[:, :-1])
 
 
-@pytest.mark.parametrize("cap", [sde.DEFAULT_ACTION_CAP, 1.5])
-def test_local_time_is_the_push(params_ref, pp_star, cap):
+@pytest.mark.parametrize("cap", [sde.ACTION_CAP, 1.5])
+def test_local_time_is_the_push(params_ref, pp_star, monkeypatch, cap):
     # L is the push of the Lindley recursion from L_0 = +0.0, clamped steps or not; a clamp
     # scales u_k onto the cap before X_k is drawn, and no other |u_k| reaches it
+    monkeypatch.setattr(sde, "ACTION_CAP", cap)
     mean_coef, cov_chol = pp_star.policy_coefficients()
-    args = (params_ref, mean_coef, cov_chol, 20, 0.0, 4.0, 0.01, 33, cap)
+    args = (params_ref, mean_coef, cov_chol, 20, 0.0, 4.0, 0.01, 33)
     batch, loop = sde.simulate_linear_gaussian_batch(*args), simulate_linear_gaussian_batch_loop(*args)
     L = batch.local_time
     _assert_close((L,), (loop.local_time,))
@@ -286,9 +290,10 @@ def test_local_time_is_the_push(params_ref, pp_star, cap):
         assert np.count_nonzero(dL[clamped] > 0.0) > 0
 
 
-def test_kernel_names_non_finite_path_and_step(params_ref):
+def test_kernel_names_non_finite_path_and_step(params_ref, monkeypatch):
     # with no cap, a mean action of 1e200 overflows y within a few steps
-    args = (params_ref, [1e200], [[1.0]], 20, 1.0, 0.1, 0.01, 5, math.inf)
+    monkeypatch.setattr(sde, "ACTION_CAP", math.inf)
+    args = (params_ref, [1e200], [[1.0]], 20, 1.0, 0.1, 0.01, 5)
     messages = []
     for simulate in (sde.simulate_linear_gaussian_batch, simulate_linear_gaussian_batch_loop):
         with pytest.raises(sde.NonFinite) as err, np.errstate(over="ignore", invalid="ignore"):
@@ -298,10 +303,11 @@ def test_kernel_names_non_finite_path_and_step(params_ref):
     assert messages[0].startswith("path ")
 
 
-def test_streamed_block_names_the_global_non_finite_path(params_ref):
+def test_streamed_block_names_the_global_non_finite_path(params_ref, monkeypatch):
     # action scale 5e153 with no cap: the variance rate v_k overflows where |z| > 2.68;
     # on these streams only the short third block of the batch draws one, at path 37, step 5
-    args = (params_ref, [0.0], [[5e153]], 40, 1.0, 0.06, 0.01, 2328, math.inf)
+    monkeypatch.setattr(sde, "ACTION_CAP", math.inf)
+    args = (params_ref, [0.0], [[5e153]], 40, 1.0, 0.06, 0.01, 2328)
     with pytest.raises(sde.NonFinite) as loop_err, np.errstate(over="ignore", invalid="ignore"):
         simulate_linear_gaussian_batch_loop(*args)
     with pytest.raises(sde.NonFinite) as err, np.errstate(over="ignore", invalid="ignore"):
@@ -310,12 +316,13 @@ def test_streamed_block_names_the_global_non_finite_path(params_ref):
 
 
 @pytest.mark.parametrize("workers, rows", MAP_LAYOUTS)
-def test_non_finite_message_names_the_first_bad_path_in_any_layout(params_ref, map_layout, workers, rows):
+def test_non_finite_message_names_the_first_bad_path_in_any_layout(params_ref, map_layout, monkeypatch, workers, rows):
     # action scale 5e153 with no cap: on these streams paths 7, 15 and 26 overflow first at steps 3, 1
     # and 2; paths 7 and 15 share a block in every layout, and the message names path 7 (path 15 has
     # the earliest bad step), whichever block or worker fails first
     map_layout(workers, rows)
-    args = (params_ref, [0.0], [[5e153]], 40, 1.0, 0.06, 0.01, 42, math.inf)
+    monkeypatch.setattr(sde, "ACTION_CAP", math.inf)
+    args = (params_ref, [0.0], [[5e153]], 40, 1.0, 0.06, 0.01, 42)
     messages = []
     with np.errstate(over="ignore", invalid="ignore"):
         for run in (lambda: sde.simulate_linear_gaussian_batch(*args),
@@ -393,13 +400,14 @@ def test_block_map_workers_compute_under_the_callers_errstate(map_layout):
     assert len(fill.workers) == 2
 
 
-def test_batch_paths_do_not_depend_on_workers_or_block_rows(params_ref, map_layout):
+def test_batch_paths_do_not_depend_on_workers_or_block_rows(params_ref, map_layout, monkeypatch):
     # 75 paths are two or four full blocks and a short one; a cap of 1.5 binds on some steps
+    monkeypatch.setattr(sde, "ACTION_CAP", 1.5)
     d2_coef, d2_chol = [0.4, -0.2], [[0.5, 0.0], [0.2, 0.4]]
     runs = []
     for layout in MAP_LAYOUTS:
         map_layout(*layout)
-        runs.append((sde.simulate_linear_gaussian_batch(PARAMS_D2, d2_coef, d2_chol, 75, 0.5, 0.3, 0.01, 6, 1.5),
+        runs.append((sde.simulate_linear_gaussian_batch(PARAMS_D2, d2_coef, d2_chol, 75, 0.5, 0.3, 0.01, 6),
                      sde.simulate_aggregated(params_ref, GAMMA, 0.2, 0.3, 0.01, 75, 6)))
     assert runs[0][0].clamp_events > 0
     for run in runs[1:]:
@@ -419,11 +427,11 @@ def test_cap_scales_a_huge_relative_action_onto_it(params_ref, d):
     args = (params, mean_coef, np.eye(d), 2, 1.0, 0.05, 0.01, 5)
     batch = sde.simulate_linear_gaussian_batch(*args)
     assert batch.clamp_events == 10
-    assert np.all(np.abs(_relative_norms(batch) - sde.DEFAULT_ACTION_CAP) <= 1e-12 * sde.DEFAULT_ACTION_CAP)
+    assert np.all(np.abs(_relative_norms(batch) - sde.ACTION_CAP) <= 1e-12 * sde.ACTION_CAP)
     assert np.all(batch.states[:, 1:] == 0.0)
     u, x, clamp_events = _copied(sde.increment_blocks(*args[:4], *args[5:]))[0]
     assert clamp_events == 10 and np.all(np.isfinite(x))
-    assert np.allclose(np.sqrt((u**2).sum(axis=0)), sde.DEFAULT_ACTION_CAP, rtol=1e-12, atol=0.0)
+    assert np.allclose(np.sqrt((u**2).sum(axis=0)), sde.ACTION_CAP, rtol=1e-12, atol=0.0)
 
 
 def _copied(blocks):
@@ -432,16 +440,17 @@ def _copied(blocks):
     return blocks(lambda block, _: (block.u.copy(), block.x.copy(), block.clamp_events))
 
 
-@pytest.mark.parametrize("cap", [sde.DEFAULT_ACTION_CAP, 1.5])
+@pytest.mark.parametrize("cap", [sde.ACTION_CAP, 1.5])
 @pytest.mark.parametrize("y0", [0.0, 1.0])
 @pytest.mark.parametrize("d", [1, 2, 3])
-def test_increment_blocks_are_the_sampled_paths_increments(d, y0, cap):
+def test_increment_blocks_are_the_sampled_paths_increments(monkeypatch, d, y0, cap):
     # the kernel's (u_k, X_k), with no reflection map run, are what the path sampler's states,
     # actions and local time give on the same streams; 40 paths are two blocks
     rng = np.random.default_rng(80 + d)
     params = random_params(rng, d)
     mean_coef, cov_chol = rng.uniform(-1.0, 1.0, d), 0.5 * np.eye(d)
-    args = (params, mean_coef, cov_chol, 40, y0, 3.0, 0.05, 7 + d, cap)
+    monkeypatch.setattr(sde, "ACTION_CAP", cap)
+    args = (params, mean_coef, cov_chol, 40, y0, 3.0, 0.05, 7 + d)
     blocks = _copied(sde.increment_blocks(*args[:4], *args[5:]))
     batch = sde.simulate_linear_gaussian_batch(*args)
     u = np.concatenate([b[0] for b in blocks], axis=1)
@@ -457,7 +466,7 @@ def test_increment_blocks_are_the_sampled_paths_increments(d, y0, cap):
     assert np.all(batch.states[:, 1:][dL > 0.0] == 0.0)
     assert np.any(dL > 0.0)
     for i in (0, 35):   # a row of the full block and one of the short block
-        rollout = sde.rollout_linear_gaussian(params, mean_coef, cov_chol, y0, 60, 0.05, sde.episode_rng(7 + d, i), cap)
+        rollout = sde.rollout_linear_gaussian(params, mean_coef, cov_chol, y0, 60, 0.05, sde.episode_rng(7 + d, i))
         for got, row in zip(rollout, (batch.states[i], batch.actions[i], batch.local_time[i])):
             assert np.array_equal(got, row)
 
@@ -491,22 +500,21 @@ def test_increment_law_at_a_fixed_action(d):
 )
 def test_kernel_path_invariants(seed, d, y0, log10_cap):
     rng = np.random.default_rng(seed)
-    params = random_params(rng, d)   # eta is not a unit vector
+    params = random_params(rng, d)
     mean_coef = rng.uniform(-2.0, 2.0, d)
     cov_chol = np.eye(d) + np.tril(rng.uniform(-1.0, 1.0, (d, d)))
     cap, dt, n_steps, n_paths = 10.0**log10_cap, 0.05, 60, 20
-    batch = sde.simulate_linear_gaussian_batch(
-        params, mean_coef, cov_chol, n_paths, y0, n_steps * dt, dt, seed, cap
-    )
+    with pytest.MonkeyPatch.context() as mp:   # hypothesis runs many examples in one test, so no fixture
+        mp.setattr(sde, "ACTION_CAP", cap)
+        batch = sde.simulate_linear_gaussian_batch(params, mean_coef, cov_chol, n_paths, y0, n_steps * dt, dt, seed)
+        # rows from a full block and from the short last block both equal lone rollouts
+        rollouts = [sde.rollout_linear_gaussian(params, mean_coef, cov_chol, y0, n_steps, dt, sde.episode_rng(seed, i))
+                    for i in range(n_paths)]
     dL = np.diff(batch.local_time, axis=1)
     assert np.all(batch.states >= 0.0)
     assert np.all(batch.states[:, 1:][dL > 0.0] == 0.0)
     assert np.all(dL >= 0.0)
-    # rows from a full block and from the short last block both equal lone rollouts
-    for i in range(n_paths):
-        states, actions, local = sde.rollout_linear_gaussian(
-            params, mean_coef, cov_chol, y0, n_steps, dt, sde.episode_rng(seed, i), cap
-        )
+    for i, (states, actions, local) in enumerate(rollouts):
         assert np.array_equal(states, batch.states[i])
         assert np.array_equal(actions, batch.actions[i])
         assert np.array_equal(local, batch.local_time[i])
