@@ -348,6 +348,8 @@ def cmd_diagnose(cfg: dict, seed: int | None, out: Path) -> int:
         if dg["params"]["gamma"] is not None:   # params without gamma are drawn at the config's
             gamma = _learned_gamma(dg["params"]["gamma"], dg["gamma"], "diagnose.params")
         pp = _learned_params(dg["params"], "diagnose.params", gamma)
+        if pp.d != params.d:
+            raise ConfigError(f"diagnose.params is a policy on {pp.d} assets for a market of {params.d}")
 
     payload: dict = {}
     if T is not None:
@@ -431,11 +433,16 @@ def _strategy_from_cfg(blk, prices: bt.PriceSeries, rho: float, where: str = "st
         log.info("%s: mu_hat=%s sigma_z_hat=%.6f (first %d rows)", name, est.mu_hat, est.sigma_z_hat, split)
         return name, baseline.classical_strategy(est, rho, s["kappa"])
     if kind == "classical":
-        return name, classical_solution(_model_params(s)).policy
+        params = _model_params(s)
+        if params.d != prices.d:
+            raise ConfigError(f"{where}: its model is a market of {params.d} assets for a price file of {prices.d}")
+        return name, classical_solution(params).policy
     if kind == "learned":
         path, execution = s["params"], s["execution"]
         snap = _known(_snapshot(path), "learned", path)
         pp = _learned_params(snap, path, _learned_gamma(snap["gamma"], s["gamma"], path))
+        if pp.d != prices.d:
+            raise ConfigError(f"{where}: {path} is a policy on {pp.d} assets for a price file of {prices.d}")
         mean = pp.mean_coef   # the mean of policy_from_q at y = 0
         if execution == "mean":
             def strat(y):

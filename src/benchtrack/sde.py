@@ -38,6 +38,12 @@ and its own re-keyed Philox (episode_streams), and each block is reduced by
 the worker that drew it.  Row i draws the Philox stream (seed, i) and every
 contraction and row sum is per row, so a row equals a rollout on that
 stream bit for bit, whichever worker drew it and however many there are.
+The terminal samplers keep O(n_paths) state and step a block of paths at a
+time: up to TERMINAL_BLOCKS blocks of at least TERMINAL_ROWS paths
+(_terminal_layout: one block below 2 TERMINAL_ROWS), and block b draws
+the stream (seed, b), one normal a path a step.  The layout depends on
+n_paths alone, so a sample does not depend on the CPUs.  Both maps hand
+their blocks to the workers through one scheduler (_ordered_map).
 
 The same map in continuous time gives an independent oracle for the
 policy-averaged dynamics: for H = ln(1 + Y),
@@ -88,6 +94,12 @@ BLOCK_ROWS = 16
 # 16-row blocks hand the GIL between the workers too often
 MAP_ROWS = 32
 MAX_WORKERS = 2   # the only worker count measured
+# path blocks of the terminal samplers, each step a few numpy calls over a whole block.  On two
+# workers at 10^4 paths, two blocks drew 80-91M path-steps/s, three 64-68M, four 66-83M and one
+# about 47M (the workers hand the GIL over around each call); at 4096 paths two blocks ran 1.4x
+# as fast as one
+TERMINAL_BLOCKS = 2
+TERMINAL_ROWS = 2048   # the fewest paths of a block, unless the sample has fewer
 
 
 class NonFinite(RuntimeError):
@@ -208,44 +220,38 @@ def _draw_normals(stream: Callable, seed: int, first: int, normals: np.ndarray) 
         stream(seed, first + j).standard_normal(out=normals[j])
 
 
-def _block_map(n_paths: int, seed: int, workspace: Callable[[int], SimpleNamespace], fill) -> list:
-    """[fill(ws, n, first_path) for each block of n <= MAP_ROWS paths], in path order.
+def _ordered_map(n_tasks: int, worker_state: Callable[[], object], task) -> list:
+    """[task(state, b) for b in range(n_tasks)], in order, on up to _workers() threads.
 
-    ws.normals[j] holds the stream (seed, first_path + j).  The blocks go in
-    turn to _workers() workers, one of them the caller; each has its own
-    ws = workspace(MAP_ROWS) and its own re-keyed Philox, and runs fill under
-    the caller's np.errstate (a thread does not inherit it).  So a result
-    depends only on its block's paths, as long as fill reads nothing that an
-    earlier block left in ws.  If blocks raise, the error of the earliest one
-    is raised once every worker has stopped; no block is taken after an error.
+    The tasks go in turn to the workers, one of them the caller; each makes
+    its own state = worker_state() once and runs its tasks under the caller's
+    np.errstate (a thread does not inherit it).  So a result depends only on
+    its task, as long as task reads nothing that an earlier task left in
+    state.  If tasks raise, the error of the earliest one is raised once
+    every worker has stopped; no task is taken after an error.
     """
     import threading
-    rows = MAP_ROWS
-    starts = range(0, n_paths, rows)
-    results: list = [None] * len(starts)
+    results: list = [None] * n_tasks
     errors: dict = {}
-    lock, order = threading.Lock(), iter(range(len(starts)))
+    lock, order = threading.Lock(), iter(range(n_tasks))
     errstate = np.geterr()
 
     def work():
-        ws, stream = workspace(min(rows, n_paths)), episode_streams()
+        state = worker_state()
         with np.errstate(**errstate):
             while not errors:
                 with lock:
                     b = next(order, None)
                 if b is None:
                     return
-                start = starts[b]
-                n = min(rows, n_paths - start)
                 try:
-                    _draw_normals(stream, seed, start, ws.normals[:n])
-                    results[b] = fill(ws, n, start)
+                    results[b] = task(state, b)
                 except BaseException as exc:
-                    errors[b] = exc   # the other workers take no further block
+                    errors[b] = exc   # the other workers take no further task
                     if not isinstance(exc, Exception):   # an interrupt in the caller
                         raise
 
-    threads = [threading.Thread(target=work) for _ in range(min(_workers(), len(starts)) - 1)]
+    threads = [threading.Thread(target=work) for _ in range(min(_workers(), n_tasks) - 1)]
     for t in threads:
         t.start()
     try:
@@ -256,6 +262,54 @@ def _block_map(n_paths: int, seed: int, workspace: Callable[[int], SimpleNamespa
     if errors:
         raise errors[min(errors)]
     return results
+
+
+def _block_map(n_paths: int, seed: int, workspace: Callable[[int], SimpleNamespace], fill) -> list:
+    """[fill(ws, n, first_path) for each block of n <= MAP_ROWS paths], in path order (_ordered_map).
+
+    ws.normals[j] holds the stream (seed, first_path + j).  Each worker has
+    its own ws = workspace(MAP_ROWS) and its own re-keyed Philox.
+    """
+    rows = MAP_ROWS
+    starts = range(0, n_paths, rows)
+
+    def task(state, b):
+        ws, stream = state
+        start = starts[b]
+        n = min(rows, n_paths - start)
+        _draw_normals(stream, seed, start, ws.normals[:n])
+        return fill(ws, n, start)
+
+    return _ordered_map(len(starts), lambda: (workspace(min(rows, n_paths)), episode_streams()), task)
+
+
+def _terminal_layout(n_paths: int) -> list[int]:
+    """The first path of each block of a terminal sampler, then n_paths.
+
+    Up to TERMINAL_BLOCKS blocks of at least TERMINAL_ROWS paths each (so
+    one block below 2 TERMINAL_ROWS paths), whose sizes differ by at most
+    one.  The layout depends on n_paths alone, never on the CPUs.
+    """
+    blocks = min(TERMINAL_BLOCKS, max(1, n_paths // TERMINAL_ROWS))
+    return [b * n_paths // blocks for b in range(blocks + 1)]
+
+
+def _terminal_map(n_paths: int, seed: int, block) -> None:
+    """Run block(gen, rows, buffers) for each block of _terminal_layout(n_paths) (_ordered_map).
+
+    gen draws the stream (seed, b) of block b, rows is the slice of its
+    paths, and buffers are three arrays of its width, which its worker made
+    once for all its blocks.
+    """
+    bounds = _terminal_layout(n_paths)
+    width = max(np.diff(bounds))
+
+    def task(state, b):
+        stream, buffers = state
+        rows = slice(bounds[b], bounds[b + 1])
+        block(stream(seed, b), rows, [buf[: rows.stop - rows.start] for buf in buffers])
+
+    _ordered_map(len(bounds) - 1, lambda: (episode_streams(), [np.empty(width) for _ in range(3)]), task)
 
 
 def _reflect(x: np.ndarray, states: np.ndarray, local: np.ndarray, ws: SimpleNamespace) -> None:
@@ -517,17 +571,32 @@ def aggregated_terminal_sample(
     n_paths: int,
     seed: int,
 ) -> np.ndarray:
-    """Terminal values Y_T of the aggregated dynamics, vectorized over paths."""
+    """Terminal values Y_T of the projection Euler scheme of the aggregated dynamics, in O(n_paths) memory.
+
+    Block b of _terminal_layout draws the stream (seed, b), one normal a path
+    a step, and steps y to max(y + b (1+y) dt + s (1+y) sqrt(dt) z, 0).
+    """
+    _check_start(y0)
     b, s = aggregated_coefficients(params, gamma)
-    times = _grid(T, dt)
-    K = len(times) - 1
-    rng = episode_rng(seed, 0)
+    K = grid_steps(T, dt)
     sqdt = math.sqrt(dt)
     y = np.full(n_paths, float(y0))
-    for k in range(K):
-        z = rng.standard_normal(n_paths)
-        proposal = y + b * (1.0 + y) * dt + s * (1.0 + y) * sqdt * z
-        y = np.maximum(proposal, 0.0)
+
+    def block(gen, rows, buffers):
+        y_b, (z, t, a) = y[rows], buffers
+        for _ in range(K):
+            gen.standard_normal(out=z)
+            np.add(y_b, 1.0, out=t)
+            np.multiply(t, b, out=a)
+            a *= dt
+            t *= s
+            t *= sqdt
+            t *= z
+            a += y_b
+            a += t
+            np.maximum(a, 0.0, out=y_b)
+
+    _terminal_map(n_paths, seed, block)
     return y
 
 
@@ -540,23 +609,35 @@ def skorokhod_terminal_sample(
     n_paths: int,
     seed: int,
 ) -> np.ndarray:
-    """Terminal log-states H_T from the Skorokhod construction, vectorized."""
+    """Terminal log-states H_T from the Skorokhod construction on the grid, in O(n_paths) memory.
+
+    Block b of _terminal_layout draws the stream (seed, b), one Brownian
+    increment a path a step, and keeps B_t and the running maximum of
+    -mu_hat t - s B_t; then H_T = h0 + mu_hat T + s B_T + max(0, -h0 + that maximum).
+    """
     if h0 < 0.0:
         raise ValueError(f"h0 must be >= 0, got {h0}")
     b, s = aggregated_coefficients(params, gamma)
     mu_hat = b - 0.5 * s * s
     times = _grid(T, dt)
-    K = len(times) - 1
-    rng = episode_rng(seed, 0)
-    bpath = np.zeros(n_paths)
-    running_max = np.zeros(n_paths)
     sqdt = math.sqrt(dt)
-    for j in range(1, K + 1):
-        bpath += sqdt * rng.standard_normal(n_paths)
-        free = -mu_hat * times[j] - s * bpath
-        running_max = np.maximum(running_max, free)
-    k_T = np.maximum(0.0, -h0 + running_max)
-    return h0 + mu_hat * T + s * bpath + k_T
+    h = np.empty(n_paths)
+
+    def block(gen, rows, buffers):
+        bpath, running_max, z = buffers
+        bpath.fill(0.0)
+        running_max.fill(0.0)
+        for t in times[1:]:
+            gen.standard_normal(out=z)
+            z *= sqdt
+            bpath += z
+            np.multiply(bpath, s, out=z)
+            np.subtract(-mu_hat * t, z, out=z)
+            np.maximum(running_max, z, out=running_max)
+        h[rows] = h0 + mu_hat * T + s * bpath + np.maximum(0.0, -h0 + running_max)
+
+    _terminal_map(n_paths, seed, block)
+    return h
 
 
 def _write_csv(path, header: list[str], rows) -> None:

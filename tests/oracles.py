@@ -24,7 +24,9 @@ for each block of sde.BLOCK_ROWS episodes and refit at its end, as `train`
 holds it.  `exact_increment_two_factor` is the policy step as the simulator
 drew it before it drew X_k given u_k: from the asset and benchmark normals.
 `psi3_policy_steps` writes out the steps of PolicyParams.psi3.  `history_csv_per_row` is the history
-writer from before the bulk CSV writer.
+writer from before the bulk CSV writer.  `aggregated_terminal_loop` and
+`skorokhod_terminal_loop` are the terminal samplers from before they split
+their paths into blocks: every path from one stream, one step at a time.
 """
 
 from __future__ import annotations
@@ -359,6 +361,41 @@ def skorokhod_log_path(
     k = np.maximum(0.0, -h0 + running_max)
     h = h0 + mu_hat * times + s * bpath + k
     return LogPath(times=times, h=h, k=k, b=bpath)
+
+
+def aggregated_terminal_loop(params, gamma: float, y0: float, T: float, dt: float, n_paths: int,
+                             rng: np.random.Generator) -> np.ndarray:
+    """Terminal Y_T of n_paths projection Euler paths that all draw from rng, n_paths normals a step.
+
+    The sampler from before it split its paths into blocks: a block of
+    sde.aggregated_terminal_sample is this on the block's stream.
+    """
+    b, s = sde.aggregated_coefficients(params, gamma)
+    K = len(sde._grid(T, dt)) - 1
+    sqdt = math.sqrt(dt)
+    y = np.full(n_paths, float(y0))
+    for _ in range(K):
+        z = rng.standard_normal(n_paths)
+        y = np.maximum(y + b * (1.0 + y) * dt + s * (1.0 + y) * sqdt * z, 0.0)
+    return y
+
+
+def skorokhod_terminal_loop(params, gamma: float, h0: float, T: float, dt: float, n_paths: int,
+                            rng: np.random.Generator) -> np.ndarray:
+    """Terminal H_T of the Skorokhod construction for n_paths paths that all draw from rng, n_paths normals a step.
+
+    The sampler from before it split its paths into blocks: a block of
+    sde.skorokhod_terminal_sample is this on the block's stream.
+    """
+    b, s = sde.aggregated_coefficients(params, gamma)
+    mu_hat = b - 0.5 * s * s
+    times = sde._grid(T, dt)
+    sqdt = math.sqrt(dt)
+    bpath, running_max = np.zeros(n_paths), np.zeros(n_paths)
+    for t in times[1:]:
+        bpath += sqdt * rng.standard_normal(n_paths)
+        running_max = np.maximum(running_max, -mu_hat * t - s * bpath)
+    return h0 + mu_hat * T + s * bpath + np.maximum(0.0, -h0 + running_max)
 
 
 def export_paths_csv_per_row(

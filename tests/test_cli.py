@@ -676,6 +676,19 @@ def test_train_init_of_another_size_exits_2(tmp_path, caplog, init, message):
     assert [p.name for p in out.iterdir()] == []
 
 
+@pytest.mark.parametrize("params, message", [
+    ({"xi": 0.3, "psi1": [0.4, 0.1], "psi2": [[1.0, 0.0], [0.0, 1.0]]},
+     "diagnose.params is a policy on 2 assets for a market of 1"),
+    ({"xi": 0.3, "psi1": [0.4, 0.1], "psi2": [[1.0]]}, "invalid diagnose.params: psi2 must be (2,2), got (1, 1)"),
+])
+def test_diagnose_params_of_another_size_exits_2(tmp_path, caplog, params, message):
+    cfg = write_config(tmp_path, {**MODEL_BLOCK, "diagnose": {"T": 0.2, "dt": 0.1, "n_paths": 4, "params": params}})
+    out = tmp_path / "out"
+    assert main(["diagnose", "--config", cfg, "--out", str(out)]) == 2
+    assert message in caplog.text
+    assert [p.name for p in out.iterdir()] == []
+
+
 def test_train_start_y0_has_no_effect(tmp_path, caplog):
     # train reads only (u_k, X_k), which do not depend on y: the start is accepted, warned about and unused
     runs = {}
@@ -752,6 +765,23 @@ def test_backtest_rejects_mismatched_learned_gamma(tmp_path, caplog):
     cfg = _learned_backtest_config(tmp_path, bare, "none.yaml")
     assert main(["backtest", "--config", cfg, "--out", str(out)]) == 2
     assert "stores no gamma" in caplog.text
+
+
+@pytest.mark.parametrize("kind", ["learned", "classical"])
+def test_backtest_refuses_a_strategy_of_another_size(tmp_path, caplog, kind):
+    # a strategy on 2 assets against a 1-asset price file, after a good one: nothing runs
+    model = {**MODEL_BLOCK["model"], "mu": [0.2, 0.1], "sigma": [[1.0, 0.0], [0.0, 1.0]], "eta": [0.6, 0.8]}
+    snapshot = tmp_path / "learned.json"
+    snapshot.write_text(json.dumps({"xi": 0.36, "psi1": [0.37, 0.1], "psi2": np.eye(2).tolist(), "gamma": 0.2}))
+    second = ({"type": "learned", "params": str(snapshot)} if kind == "learned"
+              else {"type": "classical", "model": model})
+    cfg = write_config(tmp_path, {"backtest": {"prices": str(_prices_csv(tmp_path)), "v0": 95.0, "rho": 0.1,
+                                               "strategies": [{"type": "mle"}, second]}})
+    out = tmp_path / "out"
+    assert main(["backtest", "--config", cfg, "--out", str(out)]) == 2
+    assert "backtest.strategies[1]: " in caplog.text
+    assert "2 assets for a price file of 1" in caplog.text
+    assert [p.name for p in out.iterdir()] == []
 
 
 def test_backtest_refuses_a_negative_sample_seed(tmp_path, caplog):

@@ -18,6 +18,7 @@ from conftest import MAP_LAYOUTS, random_params
 from oracles import (
     REF,
     EpisodePath,
+    aggregated_terminal_loop,
     episode_paths,
     exact_increment_two_factor,
     export_paths_csv_per_row,
@@ -26,6 +27,7 @@ from oracles import (
     simulate_aggregated_per_path,
     simulate_linear_gaussian_batch_loop,
     skorokhod_log_path,
+    skorokhod_terminal_loop,
 )
 
 GAMMA = 0.2
@@ -577,11 +579,52 @@ def test_aggregated_path_invariants(params_ref):
         assert np.any(dL > 0.0)
 
 
-def test_aggregated_terminal_matches_path_version(params_ref):
-    # same stream, same scheme: the vectorized terminal sampler is consistent
-    y_term = sde.aggregated_terminal_sample(params_ref, GAMMA, 1.0, 1.0, 0.01, 3, seed=11)
-    assert y_term.shape == (3,)
-    assert np.all(y_term >= 0.0)
+# -------------------------------------------------------- terminal samplers
+# Block b of _terminal_layout(n) draws the stream (seed, b).  Below two
+# blocks' worth of paths the layout is one block, which draws the stream
+# (seed, 0) for every path as the one-stream loop does, so the sample is
+# the loop's bit for bit.
+
+TERMINAL_SIZES = [1, 7, 2 * sde.TERMINAL_ROWS - 1, 2 * sde.TERMINAL_ROWS, 5 * sde.TERMINAL_ROWS + 3]
+
+
+def _blockwise_loop(loop, params, start: float, T: float, dt: float, n: int, seed: int) -> np.ndarray:
+    """The one-stream loop run on each block of _terminal_layout(n), on the block's stream (seed, b)."""
+    bounds = sde._terminal_layout(n)
+    return np.concatenate([loop(params, GAMMA, start, T, dt, hi - lo, sde.episode_rng(seed, b))
+                           for b, (lo, hi) in enumerate(zip(bounds, bounds[1:]))])
+
+
+def test_terminal_layout_depends_on_the_path_count_alone():
+    for n in (0, 1, 2 * sde.TERMINAL_ROWS - 1):
+        assert sde._terminal_layout(n) == [0, n]
+    for n in (2 * sde.TERMINAL_ROWS, 3 * sde.TERMINAL_ROWS + 1, 10_000, 10**7 + 3):
+        bounds = sde._terminal_layout(n)
+        sizes = np.diff(bounds)
+        assert bounds[0] == 0 and bounds[-1] == n
+        assert 2 <= len(sizes) <= sde.TERMINAL_BLOCKS
+        assert sizes.min() >= sde.TERMINAL_ROWS and sizes.max() - sizes.min() <= 1
+    assert sde._terminal_layout(10_000) == [0, 5000, 10_000]
+
+
+def test_aggregated_terminal_matches_path_version(params_ref, map_layout):
+    T, dt, seed = 0.3, 0.01, 11
+    for n in TERMINAL_SIZES:
+        for y0 in (1.0, 0.0):
+            want = _blockwise_loop(aggregated_terminal_loop, params_ref, y0, T, dt, n, seed)
+            if n < 2 * sde.TERMINAL_ROWS:   # one block: the sampler's output from before the blocks
+                assert np.array_equal(
+                    want, aggregated_terminal_loop(params_ref, GAMMA, y0, T, dt, n, sde.episode_rng(seed, 0)))
+            for workers in (1, 2, 4):   # 4: more workers than CPUs
+                map_layout(workers, sde.MAP_ROWS)
+                assert np.array_equal(sde.aggregated_terminal_sample(params_ref, GAMMA, y0, T, dt, n, seed), want)
+    assert np.any(want == 0.0)   # the projection binds on the widest sample from y0 = 0
+
+
+@pytest.mark.parametrize("y0", [-0.5, -3.0])
+def test_aggregated_terminal_refuses_a_negative_start(params_ref, y0):
+    with pytest.raises(ValueError, match="y0 must be >= 0"):
+        sde.aggregated_terminal_sample(params_ref, GAMMA, y0, 0.1, 0.01, 3, seed=11)
 
 
 # -------------------------------------------------------------- skorokhod
@@ -629,10 +672,22 @@ def test_aggregated_rows_are_the_skorokhod_map(params_ref, y0):
         assert np.any(np.diff(paths.local_time) > 0.0)
 
 
-def test_skorokhod_terminal_sampler_matches_path(params_ref):
-    h = sde.skorokhod_terminal_sample(params_ref, GAMMA, 0.5, 1.0, 0.01, 4, seed=14)
-    assert h.shape == (4,)
-    assert np.all(h >= 0.0)
+def test_skorokhod_terminal_sampler_matches_path(params_ref, map_layout):
+    T, dt, seed = 0.3, 0.01, 14
+    for n in TERMINAL_SIZES:
+        for h0 in (0.0, 0.5):
+            want = _blockwise_loop(skorokhod_terminal_loop, params_ref, h0, T, dt, n, seed)
+            if n < 2 * sde.TERMINAL_ROWS:   # one block: the sampler's output from before the blocks
+                assert np.array_equal(
+                    want, skorokhod_terminal_loop(params_ref, GAMMA, h0, T, dt, n, sde.episode_rng(seed, 0)))
+            for workers in (1, 2, 4):   # 4: more workers than CPUs
+                map_layout(workers, sde.MAP_ROWS)
+                assert np.array_equal(sde.skorokhod_terminal_sample(params_ref, GAMMA, h0, T, dt, n, seed), want)
+            assert want.min() > -1e-12   # H_T >= 0 up to the rounding of its four terms
+    # one terminal value is the closed map at the end of the path that draws the same stream
+    lp = skorokhod_log_path(params_ref, GAMMA, 0.5, T, dt, sde.episode_rng(seed, 0))
+    assert math.isclose(sde.skorokhod_terminal_sample(params_ref, GAMMA, 0.5, T, dt, 1, seed)[0], lp.h[-1],
+                        rel_tol=1e-12, abs_tol=1e-12)
 
 
 def test_scheme_consistency_ks_smoke(params_ref):
