@@ -95,31 +95,34 @@ def load_prices(path) -> PriceSeries:
     numeric timestamps are used as-is.  Rows with missing or non-positive
     values are rejected with their row number.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        if len(header) < 3 or header[0] != "timestamp" or header[1] != "benchmark":
-            raise ParseError(
-                f"{path}: header must be timestamp,benchmark,asset_1[,...], got {header}"
-            )
-        stamps, bench, assets = [], [], []
-        for row_no, row in enumerate(reader, start=2):
-            if len(row) != len(header) or any(c.strip() == "" for c in row):
-                raise ValidationError(f"row {row_no}: missing values")
-            stamps.append(_parse_timestamp(row[0], row_no))
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
             try:
-                z = float(row[1])
-                s = [float(c) for c in row[2:]]
-            except ValueError as exc:
-                raise ParseError(f"row {row_no}: non-numeric price") from exc
-            if z <= 0.0 or any(x <= 0.0 for x in s):
-                raise ValidationError(f"row {row_no}: non-positive price")
-            bench.append(z)
-            assets.append(s)
+                header = next(reader)
+            except StopIteration:
+                raise ParseError(f"{path}: empty file") from None
+            header = [h.strip() for h in header]
+            if len(header) < 3 or header[0] != "timestamp" or header[1] != "benchmark":
+                raise ParseError(
+                    f"{path}: header must be timestamp,benchmark,asset_1[,...], got {header}"
+                )
+            stamps, bench, assets = [], [], []
+            for row_no, row in enumerate(reader, start=2):
+                if len(row) != len(header) or any(c.strip() == "" for c in row):
+                    raise ValidationError(f"row {row_no}: missing values")
+                stamps.append(_parse_timestamp(row[0], row_no))
+                try:
+                    z = float(row[1])
+                    s = [float(c) for c in row[2:]]
+                except ValueError as exc:
+                    raise ParseError(f"row {row_no}: non-numeric price") from exc
+                if z <= 0.0 or any(x <= 0.0 for x in s):
+                    raise ValidationError(f"row {row_no}: non-positive price")
+                bench.append(z)
+                assets.append(s)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: cannot decode the file: {exc}") from None
     if len(stamps) < 2:
         raise ValidationError(f"{path}: need at least 2 rows, got {len(stamps)}")
     if isinstance(stamps[0], datetime):

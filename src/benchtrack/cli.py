@@ -24,9 +24,9 @@ import yaml
 from . import backtest as bt
 from . import baseline, qlearn, sde
 from .model import (
-    DomainError,
     ModelParams,
     NoBracket,
+    _as_state,
     classical_solution,
     derived_constants,
     exploratory_constants,
@@ -60,7 +60,7 @@ KINDS = {
     "list": ("a list", (list,), list),
     "floats": ("a list of numbers", (list,), lambda v: [float(x) for x in v]),
 }
-BOUNDS = {"> 0": lambda v: v > 0, ">= 0": lambda v: v >= 0, ">= 1": lambda v: v >= 1}
+BOUNDS = {"> 0": lambda v: v > 0, ">= 0": lambda v: v >= 0, ">= 1": lambda v: v >= 1, "nonempty": len}
 REQUIRED = object()   # the default of a key that must be given
 
 # Every key that a command reads, per config block, with its kind (one of KINDS, maybe bounded, or a block
@@ -85,7 +85,8 @@ CONFIG_KEYS = {
     "diagnose": {"seed": ("int", 0), "gamma": ("float > 0", None), "y0": ("float >= 0", 1.0), "n_paths": ("int", 1000),
                  "params": ("learned", None), "T": ("float", None), "dt": ("float", None),
                  "xi_shift": ("float", None), "sweep": ("diagnose.sweep", None)},
-    "diagnose.sweep": {"dt_list": ("floats", []), "T_list": ("floats", []), "n_paths": ("int", None)},
+    "diagnose.sweep": {"dt_list": ("floats nonempty", REQUIRED), "T_list": ("floats nonempty", REQUIRED),
+                       "n_paths": ("int", None)},
     "backtest": {"prices": ("str", REQUIRED), "v0": ("float >= 0", REQUIRED), "rho": ("float > 0", REQUIRED),
                  "strategies": ("list", REQUIRED), "baseline_index": ("int", 0)},
     "strategy.mle": {**_STRATEGY, "train_fraction": ("float", 0.5), "kappa": ("float", 1.0)},
@@ -118,7 +119,7 @@ def _load_config(path: str) -> dict:
         with open(p) as fh:
             # libyaml's parser, where PyYAML was built with it, is several times faster
             cfg = yaml.load(fh, Loader=yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"{path}: top level must be a mapping")
@@ -178,6 +179,11 @@ def _model_params(cfg: dict) -> ModelParams:
         raise ConfigError(f"invalid model block: {exc}") from None
 
 
+def _gamma(params: ModelParams, gamma: float | None) -> float:
+    """The configured temperature, or rho / d, where the exploratory solution is explicit."""
+    return params.rho / params.d if gamma is None else gamma
+
+
 def _resolved(cfg: dict, seed: int | None) -> dict:
     out = dict(cfg)
     out["seed"] = seed
@@ -202,8 +208,7 @@ def _json_default(obj):
 
 def cmd_solve(cfg: dict, seed: int | None, out: Path) -> int:
     params = _model_params(cfg)
-    gamma = _known(cfg, "config")["gamma"]
-    gamma = params.rho / params.d if gamma is None else gamma
+    gamma = _gamma(params, _known(cfg, "config")["gamma"])
     grid = _known(cfg.get("grid", {}), "grid")
 
     sol = classical_solution(params)
@@ -246,7 +251,7 @@ def cmd_solve(cfg: dict, seed: int | None, out: Path) -> int:
 def cmd_simulate(cfg: dict, seed: int | None, out: Path) -> int:
     params = _model_params(cfg)
     sim = _known(cfg.get("simulate"), "simulate")
-    gamma = params.rho / params.d if sim["gamma"] is None else sim["gamma"]
+    gamma = _gamma(params, sim["gamma"])
     scheme, n_paths, y0, T, dt = (sim[key] for key in ("scheme", "n_paths", "y0", "T", "dt"))
     _check_horizon(T, dt, "simulate")
     seed = 0 if seed is None else seed
@@ -293,7 +298,7 @@ def cmd_train(cfg: dict, seed: int | None, out: Path) -> int:
     init = tr["init"]
     seed = tr["seed"] if seed is None else seed
     _check_horizon(tr["T"], tr["dt"], "train")
-    gamma = params.rho / params.d if tr["gamma"] is None else tr["gamma"]
+    gamma = _gamma(params, tr["gamma"])
 
     start_episode, policy, sums = 1, None, None
     resume = tr["resume"]
@@ -335,7 +340,7 @@ def cmd_diagnose(cfg: dict, seed: int | None, out: Path) -> int:
     params = _model_params(cfg)
     dg = _known(cfg.get("diagnose"), "diagnose")
     seed = dg["seed"] if seed is None else seed
-    gamma = params.rho / params.d if dg["gamma"] is None else dg["gamma"]
+    gamma = _gamma(params, dg["gamma"])
     y0, n_paths, T, dt, sweep = (dg[key] for key in ("y0", "n_paths", "T", "dt", "sweep"))
     if (T is None) != (dt is None):
         raise ConfigError("diagnose.T and diagnose.dt go together: give both, or neither for a sweep alone")
@@ -415,11 +420,6 @@ def _learned_gamma(snap_gamma, cfg_gamma, path: str) -> float:
     return cfg_gamma if snap_gamma is None else snap_gamma
 
 
-def _check_state(y: float) -> None:
-    if y < 0.0:
-        raise DomainError(f"state must be >= 0, got {y!r}")
-
-
 def _strategy_from_cfg(blk, prices: bt.PriceSeries, rho: float, where: str = "strategy"):
     kind = _known(blk, "strategy", where)["type"]
     if f"strategy.{kind}" not in CONFIG_KEYS:
@@ -446,8 +446,7 @@ def _strategy_from_cfg(blk, prices: bt.PriceSeries, rho: float, where: str = "st
         mean = pp.mean_coef   # the mean of policy_from_q at y = 0
         if execution == "mean":
             def strat(y):
-                _check_state(y)
-                return (1.0 + y) * mean
+                return (1.0 + _as_state(y)) * mean
             return name, strat
         if execution == "sample":
             # the bar-by-bar multivariate_normal(policy mean, policy cov) draws: the normals in
@@ -457,8 +456,7 @@ def _strategy_from_cfg(blk, prices: bt.PriceSeries, rho: float, where: str = "st
             u, sv, _ = np.linalg.svd(pp.gamma * pp.precision)
             draws = iter(mean + normals @ (u * np.sqrt(sv)).T)   # one row per bar of one run
             def strat(y):
-                _check_state(y)
-                return (1.0 + y) * next(draws)
+                return (1.0 + _as_state(y)) * next(draws)
             return name, strat
         raise ConfigError(f"unknown execution mode {execution!r}")
 
@@ -524,8 +522,8 @@ def main(argv: list[str] | None = None) -> int:
             baseline.NonPositivePrice) as exc:
         log.error("%s", exc)
         return 2
-    except FileNotFoundError as exc:
-        log.error("missing input file: %s", exc)
+    except (FileNotFoundError, IsADirectoryError) as exc:
+        log.error("cannot read input file: %s", exc)
         return 2
 
 

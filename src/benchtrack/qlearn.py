@@ -54,7 +54,7 @@ from typing import Callable
 import numpy as np
 
 from . import sde
-from .model import DomainError, ExploratoryConstants, ModelParams, gibbs_psi3, psi3_consistency
+from .model import ExploratoryConstants, ModelParams, _as_state, gibbs_psi3, psi3_consistency
 
 __all__ = [
     "SingularPsi2",
@@ -169,10 +169,7 @@ def _invertible(eigs: np.ndarray) -> bool:
 
 def j_value(pp: PolicyParams, y):
     """Parameterized value: ln(1+y) + xi.  Neumann slope at 0 is 1 by form."""
-    y = np.asarray(y, dtype=float)
-    if np.any(y < 0.0):
-        raise DomainError(f"state must be >= 0, got {y!r}")
-    out = np.log1p(y) + pp.xi
+    out = np.log1p(_as_state(y)) + pp.xi
     return out if out.ndim else float(out)
 
 
@@ -183,9 +180,7 @@ def q_value(pp: PolicyParams, rho: float, y, a):
     shape (K,) and a shape (K, d), and the result has shape (K,).  It sums
     psi3 + sum_i u_i (psi1_i - P_ii u_i / 2 - sum_{j<i} P_ij u_j), P = psi2 psi2'.
     """
-    y = np.asarray(y, dtype=float)
-    if np.any(y < 0.0):
-        raise DomainError(f"state must be >= 0, got {y!r}")
+    y = np.asarray(_as_state(y))
     u = np.moveaxis(np.atleast_1d(np.asarray(a, dtype=float)) / (1.0 + y)[..., None], -1, 0)
     P, out = pp.psi2_sq, pp.psi3
     for i in range(pp.d):
@@ -199,9 +194,7 @@ def q_value(pp: PolicyParams, rho: float, y, a):
 
 def policy_from_q(pp: PolicyParams, y: float) -> GaussianSpec:
     """Gibbs renormalization exp(q/gamma) of the quadratic q is Gaussian."""
-    if y < 0.0:
-        raise DomainError(f"state must be >= 0, got {y!r}")
-    s = 1.0 + y
+    s = 1.0 + _as_state(y)
     return GaussianSpec(mean=s * pp.mean_coef, cov=pp.gamma * s * s * pp.precision)
 
 

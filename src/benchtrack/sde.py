@@ -38,21 +38,25 @@ and its own re-keyed Philox (episode_streams), and each block is reduced by
 the worker that drew it.  Row i draws the Philox stream (seed, i) and every
 contraction and row sum is per row, so a row equals a rollout on that
 stream bit for bit, whichever worker drew it and however many there are.
-The terminal samplers keep O(n_paths) state and step a block of paths at a
-time: up to TERMINAL_BLOCKS blocks of at least TERMINAL_ROWS paths
-(_terminal_layout: one block below 2 TERMINAL_ROWS), and block b draws
+The terminal samplers keep O(n_paths) state: each is one projected walk
+x' = max(step(x, shift + scale z), floor) (_terminal_walk), stepped a block
+of paths at a time, up to TERMINAL_BLOCKS blocks of at least TERMINAL_ROWS
+paths (_terminal_layout: one block below 2 TERMINAL_ROWS), and block b draws
 the stream (seed, b), one normal a path a step.  The layout depends on
 n_paths alone, so a sample does not depend on the CPUs.  Both maps hand
 their blocks to the workers through one scheduler (_ordered_map).
 
-The same map in continuous time gives an independent oracle for the
-policy-averaged dynamics: for H = ln(1 + Y),
+skorokhod_terminal_sample is the additive walk on H = ln(1 + Y) with floor
+0: Lindley's recursion on the exact steps X_k, the grid Skorokhod map that
+simulate_aggregated's rows solve.  aggregated_terminal_sample is the
+multiplicative walk on 1 + Y with floor 1, the projection Euler scheme of
+the aggregated dynamics, which the first checks distributionally.  Both land
+on >= 0 exactly.  The map's explicit running-maximum formula,
 
     H_t = h0 + mu_hat t + sigma_hat B_t + K_t ,
     K_t = max(0, -h0 + max_{s<=t} (-mu_hat s - sigma_hat B_s)) ,
 
-whose terminal law (skorokhod_terminal_sample) validates the projection
-Euler scheme of aggregated_terminal_sample distributionally.
+is the tests' independent reference for the walk (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -294,22 +298,31 @@ def _terminal_layout(n_paths: int) -> list[int]:
     return [b * n_paths // blocks for b in range(blocks + 1)]
 
 
-def _terminal_map(n_paths: int, seed: int, block) -> None:
-    """Run block(gen, rows, buffers) for each block of _terminal_layout(n_paths) (_ordered_map).
+def _terminal_walk(start: float, K: int, shift: float, scale: float, step, floor: float, n_paths: int,
+                   seed: int) -> np.ndarray:
+    """n_paths walks of K steps x' = max(step(x, shift + scale z), floor) from start, in O(n_paths) memory.
 
-    gen draws the stream (seed, b) of block b, rows is the slice of its
-    paths, and buffers are three arrays of its width, which its worker made
-    once for all its blocks.
+    Block b of _terminal_layout(n_paths) draws the stream (seed, b), one
+    normal z a path a step; the blocks go to the workers of _ordered_map,
+    each with one buffer of a block's width.
     """
+    x = np.full(n_paths, float(start))
     bounds = _terminal_layout(n_paths)
     width = max(np.diff(bounds))
 
     def task(state, b):
-        stream, buffers = state
-        rows = slice(bounds[b], bounds[b + 1])
-        block(stream(seed, b), rows, [buf[: rows.stop - rows.start] for buf in buffers])
+        stream, buf = state
+        x_b, z = x[bounds[b]: bounds[b + 1]], buf[: bounds[b + 1] - bounds[b]]
+        gen = stream(seed, b)
+        for _ in range(K):
+            gen.standard_normal(out=z)
+            z *= scale
+            z += shift
+            step(x_b, z, out=x_b)
+            np.maximum(x_b, floor, out=x_b)
 
-    _ordered_map(len(bounds) - 1, lambda: (episode_streams(), [np.empty(width) for _ in range(3)]), task)
+    _ordered_map(len(bounds) - 1, lambda: (episode_streams(), np.empty(width)), task)
+    return x
 
 
 def _reflect(x: np.ndarray, states: np.ndarray, local: np.ndarray, ws: SimpleNamespace) -> None:
@@ -571,33 +584,16 @@ def aggregated_terminal_sample(
     n_paths: int,
     seed: int,
 ) -> np.ndarray:
-    """Terminal values Y_T of the projection Euler scheme of the aggregated dynamics, in O(n_paths) memory.
+    """Terminal values Y_T >= 0 of the projection Euler scheme of the aggregated dynamics, in O(n_paths) memory.
 
-    Block b of _terminal_layout draws the stream (seed, b), one normal a path
-    a step, and steps y to max(y + b (1+y) dt + s (1+y) sqrt(dt) z, 0).
+    The scheme steps y to max(y + b (1+y) dt + s (1+y) sqrt(dt) z, 0), that
+    is g = 1 + y to max(g (1 + b dt + s sqrt(dt) z), 1): the multiplicative
+    walk of _terminal_walk from 1 + y0, whose g - 1 is returned.
     """
     _check_start(y0)
     b, s = aggregated_coefficients(params, gamma)
-    K = grid_steps(T, dt)
-    sqdt = math.sqrt(dt)
-    y = np.full(n_paths, float(y0))
-
-    def block(gen, rows, buffers):
-        y_b, (z, t, a) = y[rows], buffers
-        for _ in range(K):
-            gen.standard_normal(out=z)
-            np.add(y_b, 1.0, out=t)
-            np.multiply(t, b, out=a)
-            a *= dt
-            t *= s
-            t *= sqdt
-            t *= z
-            a += y_b
-            a += t
-            np.maximum(a, 0.0, out=y_b)
-
-    _terminal_map(n_paths, seed, block)
-    return y
+    return _terminal_walk(1.0 + y0, grid_steps(T, dt), 1.0 + b * dt, s * math.sqrt(dt), np.multiply, 1.0, n_paths,
+                          seed) - 1.0
 
 
 def skorokhod_terminal_sample(
@@ -609,35 +605,17 @@ def skorokhod_terminal_sample(
     n_paths: int,
     seed: int,
 ) -> np.ndarray:
-    """Terminal log-states H_T from the Skorokhod construction on the grid, in O(n_paths) memory.
+    """Terminal log-states H_T >= 0 of the Skorokhod map on the grid, in O(n_paths) memory.
 
-    Block b of _terminal_layout draws the stream (seed, b), one Brownian
-    increment a path a step, and keeps B_t and the running maximum of
-    -mu_hat t - s B_t; then H_T = h0 + mu_hat T + s B_T + max(0, -h0 + that maximum).
+    Lindley's recursion H' = max(H + X_k, 0) on the exact steps
+    X_k = mu_hat dt + s sqrt(dt) z_k of H = ln(1 + Y), mu_hat = b - s^2/2:
+    the additive walk of _terminal_walk from h0.
     """
     if h0 < 0.0:
         raise ValueError(f"h0 must be >= 0, got {h0}")
     b, s = aggregated_coefficients(params, gamma)
-    mu_hat = b - 0.5 * s * s
-    times = _grid(T, dt)
-    sqdt = math.sqrt(dt)
-    h = np.empty(n_paths)
-
-    def block(gen, rows, buffers):
-        bpath, running_max, z = buffers
-        bpath.fill(0.0)
-        running_max.fill(0.0)
-        for t in times[1:]:
-            gen.standard_normal(out=z)
-            z *= sqdt
-            bpath += z
-            np.multiply(bpath, s, out=z)
-            np.subtract(-mu_hat * t, z, out=z)
-            np.maximum(running_max, z, out=running_max)
-        h[rows] = h0 + mu_hat * T + s * bpath + np.maximum(0.0, -h0 + running_max)
-
-    _terminal_map(n_paths, seed, block)
-    return h
+    return _terminal_walk(h0, grid_steps(T, dt), (b - 0.5 * s * s) * dt, s * math.sqrt(dt), np.add, 0.0, n_paths,
+                          seed)
 
 
 def _write_csv(path, header: list[str], rows) -> None:

@@ -26,7 +26,10 @@ drew it before it drew X_k given u_k: from the asset and benchmark normals.
 `psi3_policy_steps` writes out the steps of PolicyParams.psi3.  `history_csv_per_row` is the history
 writer from before the bulk CSV writer.  `aggregated_terminal_loop` and
 `skorokhod_terminal_loop` are the terminal samplers from before they split
-their paths into blocks: every path from one stream, one step at a time.
+their paths into blocks and became one projected walk: every path from one
+stream, one step at a time, the second by the running-maximum formula.
+`projected_walk_loop` is the walk on one stream, and `aggregated_walk_loop`
+and `skorokhod_walk_loop` write each sampler's walk out from the model.
 """
 
 from __future__ import annotations
@@ -363,12 +366,40 @@ def skorokhod_log_path(
     return LogPath(times=times, h=h, k=k, b=bpath)
 
 
+def projected_walk_loop(start: float, K: int, shift: float, scale: float, step, floor: float, n_paths: int,
+                        rng: np.random.Generator) -> np.ndarray:
+    """K steps x' = max(step(x, shift + scale z), floor) of n_paths walks from start that all draw from rng.
+
+    A block of sde._terminal_walk is this on the block's stream.
+    """
+    x = np.full(n_paths, float(start))
+    for _ in range(K):
+        x = np.maximum(step(x, shift + scale * rng.standard_normal(n_paths)), floor)
+    return x
+
+
+def aggregated_walk_loop(params, gamma: float, y0: float, T: float, dt: float, n_paths: int,
+                         rng: np.random.Generator) -> np.ndarray:
+    """The projection Euler scheme as a walk on g = 1 + y: g' = max(g (1 + b dt + s sqrt(dt) z), 1); returns g - 1."""
+    b, s = sde.aggregated_coefficients(params, gamma)
+    K = len(sde._grid(T, dt)) - 1
+    return projected_walk_loop(1.0 + y0, K, 1.0 + b * dt, s * math.sqrt(dt), np.multiply, 1.0, n_paths, rng) - 1.0
+
+
+def skorokhod_walk_loop(params, gamma: float, h0: float, T: float, dt: float, n_paths: int,
+                        rng: np.random.Generator) -> np.ndarray:
+    """Lindley's recursion on H = ln(1 + y): H' = max(H + (b - s^2/2) dt + s sqrt(dt) z, 0)."""
+    b, s = sde.aggregated_coefficients(params, gamma)
+    K = len(sde._grid(T, dt)) - 1
+    return projected_walk_loop(h0, K, (b - 0.5 * s * s) * dt, s * math.sqrt(dt), np.add, 0.0, n_paths, rng)
+
+
 def aggregated_terminal_loop(params, gamma: float, y0: float, T: float, dt: float, n_paths: int,
                              rng: np.random.Generator) -> np.ndarray:
     """Terminal Y_T of n_paths projection Euler paths that all draw from rng, n_paths normals a step.
 
-    The sampler from before it split its paths into blocks: a block of
-    sde.aggregated_terminal_sample is this on the block's stream.
+    The sampler from before it split its paths into blocks and stepped 1 + y: a block of
+    sde.aggregated_terminal_sample is this on the block's stream, up to rounding.
     """
     b, s = sde.aggregated_coefficients(params, gamma)
     K = len(sde._grid(T, dt)) - 1
@@ -384,8 +415,8 @@ def skorokhod_terminal_loop(params, gamma: float, h0: float, T: float, dt: float
                             rng: np.random.Generator) -> np.ndarray:
     """Terminal H_T of the Skorokhod construction for n_paths paths that all draw from rng, n_paths normals a step.
 
-    The sampler from before it split its paths into blocks: a block of
-    sde.skorokhod_terminal_sample is this on the block's stream.
+    The sampler from before it split its paths into blocks and became Lindley's recursion: a block of
+    sde.skorokhod_terminal_sample is this on the block's stream, up to rounding.
     """
     b, s = sde.aggregated_coefficients(params, gamma)
     mu_hat = b - 0.5 * s * s

@@ -130,18 +130,25 @@ def test_simulate_unknown_scheme_fails_cleanly(tmp_path, caplog):
     assert "unknown scheme 'skorokhod': give episode or aggregated" in caplog.text
 
 
-def test_simulate_ks_check(tmp_path):
-    cfg = write_config(
-        tmp_path,
-        {**MODEL_BLOCK, "simulate": {
-            "scheme": "aggregated", "n_paths": 500, "y0": 1.0, "T": 0.5, "dt": 0.005,
-            "ks_check": True,
-        }},
-    )
-    out = tmp_path / "out"
-    assert main(["simulate", "--config", cfg, "--seed", "3", "--out", str(out)]) == 0
-    summary = json.loads((out / "summary.json").read_text())
-    assert "ks_check" in summary and 0.0 <= summary["ks_check"]["pvalue"] <= 1.0
+def test_simulate_ks_check(tmp_path, monkeypatch):
+    # 4096 paths are two blocks of each terminal sampler: the bytes do not depend on the workers
+    for n in (500, 2 * sde.TERMINAL_ROWS):
+        cfg = write_config(
+            tmp_path,
+            {**MODEL_BLOCK, "simulate": {
+                "scheme": "aggregated", "n_paths": n, "y0": 1.0, "T": 0.5, "dt": 0.005,
+                "ks_check": True,
+            }},
+        )
+        written = []
+        for workers in (1, 2):
+            monkeypatch.setattr(sde, "_workers", lambda: workers)
+            out = tmp_path / f"out{n}-{workers}"
+            assert main(["simulate", "--config", cfg, "--seed", "3", "--out", str(out)]) == 0
+            summary = json.loads((out / "summary.json").read_text())
+            assert "ks_check" in summary and 0.0 <= summary["ks_check"]["pvalue"] <= 1.0
+            written.append([(out / name).read_bytes() for name in ("summary.json", "paths.csv")])
+        assert written[0] == written[1]
 
 
 def test_train_smoke_and_resume(tmp_path):
@@ -571,6 +578,14 @@ def test_backtest_command(tmp_path):
     ("diagnose", {"diagnose": {"T": 0.2, "dt": 0.1, "n_paths": 10, "gamma": 0.2,
                                "params": {"xi": 0.36, "psi1": [0.37], "psi2": [[1.0]], "gamma": 0.05}}},
      "gamma 0.2 differs from the gamma 0.05 that diagnose.params was trained at"),
+    # a sweep needs both of its lists
+    ("diagnose", {"diagnose": {"n_paths": 10, "sweep": {}}}, "diagnose.sweep is missing required key 'dt_list'"),
+    ("diagnose", {"diagnose": {"n_paths": 10, "sweep": {"dt_list": [0.1]}}},
+     "diagnose.sweep is missing required key 'T_list'"),
+    ("diagnose", {"diagnose": {"n_paths": 10, "sweep": {"dt_list": [], "T_list": [0.2]}}},
+     "diagnose.sweep.dt_list is []: it must be nonempty"),
+    ("diagnose", {"diagnose": {"n_paths": 10, "sweep": {"dt_list": [0.1], "T_list": []}}},
+     "diagnose.sweep.T_list is []: it must be nonempty"),
 ])
 def test_bad_horizon_or_path_count_exits_2(tmp_path, caplog, command, block, message):
     cfg = write_config(tmp_path, {**MODEL_BLOCK, **block})
@@ -748,6 +763,29 @@ def _learned_backtest_config(tmp_path, snapshot, name, **strategy):
         "prices": str(prices), "v0": 95.0, "rho": 0.1,
         "strategies": [{"name": "rl", "type": "learned", "params": str(snapshot), **strategy}],
     }}, name=name)
+
+
+@pytest.mark.parametrize("bad", ["config-dir", "prices-dir", "resume-dir", "config-bytes", "prices-bytes"])
+def test_unreadable_input_file_exits_2_naming_it(tmp_path, caplog, bad):
+    # a directory where a file belongs, or a file that is not text, ends in no traceback
+    what, kind = bad.split("-")
+    path = tmp_path / f"bad_{what}"
+    if kind == "dir":
+        path.mkdir()
+    else:
+        path.write_bytes(b"timestamp,benchmark,asset_1\n0,1.0,\xff\n")
+    if what == "prices":
+        cfg = write_config(tmp_path, {"backtest": {"prices": str(path), "v0": 95.0, "rho": 0.1,
+                                                   "strategies": [{"type": "mle"}]}})
+    elif what == "resume":
+        cfg = write_config(tmp_path, {**MODEL_BLOCK, "train": {**TRAIN_BLOCK, "resume": str(path)}})
+    else:
+        cfg = str(path)
+    command = {"prices": "backtest", "resume": "train", "config": "solve"}[what]
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert str(path) in caplog.text
+    assert not out.exists() or [p.name for p in out.iterdir()] == []
 
 
 def test_backtest_rejects_mismatched_learned_gamma(tmp_path, caplog):

@@ -19,6 +19,7 @@ from oracles import (
     REF,
     EpisodePath,
     aggregated_terminal_loop,
+    aggregated_walk_loop,
     episode_paths,
     exact_increment_two_factor,
     export_paths_csv_per_row,
@@ -28,6 +29,7 @@ from oracles import (
     simulate_linear_gaussian_batch_loop,
     skorokhod_log_path,
     skorokhod_terminal_loop,
+    skorokhod_walk_loop,
 )
 
 GAMMA = 0.2
@@ -580,10 +582,11 @@ def test_aggregated_path_invariants(params_ref):
 
 
 # -------------------------------------------------------- terminal samplers
-# Block b of _terminal_layout(n) draws the stream (seed, b).  Below two
-# blocks' worth of paths the layout is one block, which draws the stream
-# (seed, 0) for every path as the one-stream loop does, so the sample is
-# the loop's bit for bit.
+# Both samplers are one projected walk.  Block b of _terminal_layout(n)
+# draws the stream (seed, b), so each block is the one-stream walk loop on
+# that stream bit for bit, whatever the workers.  The loops from before the
+# walk (the Euler step on y, the running-maximum formula) agree with it to
+# rounding: on these samples by at most 5.3e-15 (Euler) and 8.9e-16 (Skorokhod).
 
 TERMINAL_SIZES = [1, 7, 2 * sde.TERMINAL_ROWS - 1, 2 * sde.TERMINAL_ROWS, 5 * sde.TERMINAL_ROWS + 3]
 
@@ -611,13 +614,15 @@ def test_aggregated_terminal_matches_path_version(params_ref, map_layout):
     T, dt, seed = 0.3, 0.01, 11
     for n in TERMINAL_SIZES:
         for y0 in (1.0, 0.0):
-            want = _blockwise_loop(aggregated_terminal_loop, params_ref, y0, T, dt, n, seed)
-            if n < 2 * sde.TERMINAL_ROWS:   # one block: the sampler's output from before the blocks
-                assert np.array_equal(
-                    want, aggregated_terminal_loop(params_ref, GAMMA, y0, T, dt, n, sde.episode_rng(seed, 0)))
+            want = _blockwise_loop(aggregated_walk_loop, params_ref, y0, T, dt, n, seed)
             for workers in (1, 2, 4):   # 4: more workers than CPUs
                 map_layout(workers, sde.MAP_ROWS)
                 assert np.array_equal(sde.aggregated_terminal_sample(params_ref, GAMMA, y0, T, dt, n, seed), want)
+            assert want.min() >= 0.0
+            # the step on y, to rounding, projecting the same paths
+            ref = _blockwise_loop(aggregated_terminal_loop, params_ref, y0, T, dt, n, seed)
+            assert np.allclose(want, ref, rtol=1e-14, atol=1e-14)
+            assert np.array_equal(want == 0.0, ref == 0.0)
     assert np.any(want == 0.0)   # the projection binds on the widest sample from y0 = 0
 
 
@@ -676,18 +681,29 @@ def test_skorokhod_terminal_sampler_matches_path(params_ref, map_layout):
     T, dt, seed = 0.3, 0.01, 14
     for n in TERMINAL_SIZES:
         for h0 in (0.0, 0.5):
-            want = _blockwise_loop(skorokhod_terminal_loop, params_ref, h0, T, dt, n, seed)
-            if n < 2 * sde.TERMINAL_ROWS:   # one block: the sampler's output from before the blocks
-                assert np.array_equal(
-                    want, skorokhod_terminal_loop(params_ref, GAMMA, h0, T, dt, n, sde.episode_rng(seed, 0)))
+            want = _blockwise_loop(skorokhod_walk_loop, params_ref, h0, T, dt, n, seed)
             for workers in (1, 2, 4):   # 4: more workers than CPUs
                 map_layout(workers, sde.MAP_ROWS)
                 assert np.array_equal(sde.skorokhod_terminal_sample(params_ref, GAMMA, h0, T, dt, n, seed), want)
-            assert want.min() > -1e-12   # H_T >= 0 up to the rounding of its four terms
+            assert want.min() >= 0.0
+            # the running-maximum formula, to rounding
+            ref = _blockwise_loop(skorokhod_terminal_loop, params_ref, h0, T, dt, n, seed)
+            assert np.allclose(want, ref, rtol=1e-14, atol=1e-14)
     # one terminal value is the closed map at the end of the path that draws the same stream
     lp = skorokhod_log_path(params_ref, GAMMA, 0.5, T, dt, sde.episode_rng(seed, 0))
     assert math.isclose(sde.skorokhod_terminal_sample(params_ref, GAMMA, 0.5, T, dt, 1, seed)[0], lp.h[-1],
                         rel_tol=1e-12, abs_tol=1e-12)
+
+
+def test_skorokhod_terminal_sample_never_lands_below_zero(params_ref):
+    # the running-maximum formula sums four terms, so where H_T is 0 it may land an ulp below it:
+    # on this sample it gives 43 values of -4.4e-16, whose expm1 is a y < 0
+    h0, T, dt, n, seed = math.log(2.0), 20.0, 0.01, 10_000, 3
+    h = sde.skorokhod_terminal_sample(params_ref, GAMMA, h0, T, dt, n, seed)
+    assert h.min() >= 0.0 and np.expm1(h).min() >= 0.0
+    ref = _blockwise_loop(skorokhod_terminal_loop, params_ref, h0, T, dt, n, seed)
+    assert np.any(ref < 0.0)
+    assert np.allclose(h, ref, rtol=0.0, atol=1e-13)   # 3.3e-14 at most
 
 
 def test_scheme_consistency_ks_smoke(params_ref):
